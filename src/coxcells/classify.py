@@ -5,7 +5,8 @@ representations, and the claim checks built on top of them.
 The bridge is the linear map sending each group element to a combination
 of the asymptotic basis {t_z}: the signed canonical-basis element c_x
 with bar-dual coefficients, specialized at v = 1, goes to the sum of
-h_{x,d,z} t_z over distinguished d and z in the same left cell as d.
+h_{x,d,z} t_z over distinguished d and z in the same left cell as d
+(Lusztig's homomorphism from the Hecke algebra to the asymptotic ring).
 That map is invertible, so every character of the group pulls back to
 trace data tr(t_z) on the asymptotic ring, and pushes forward through
 the structure constants to a trace on the generic algebra.  Parity of
@@ -13,35 +14,32 @@ the exponents appearing in those generic traces splits the irreducibles
 into ordinary and exceptional; the same parity language applies to
 involutions through l(x) - a(x) mod 2.
 
-Two lanes compute the same records.  The direct lane holds the full
-structure-constant table and the inverse transport matrix exactly over
-the rationals.  The streamed lane, for groups whose full table would
-not fit the row budget, reads only the columns at distinguished
-involutions, solves for the asymptotic traces modulo several word-sized
-primes, reconstructs the rational values, and verifies the solution
-exactly; it requires all character values to be rational integers.
+Only the table columns at distinguished involutions are ever generated.
+Character values lie in Z[zeta_M], so each power-basis coordinate of a
+character is an integer class function and the transport system is
+rational: the asymptotic traces are solved one coordinate at a time
+modulo several word-sized primes, reconstructed as rationals, verified
+exactly and reassembled in Q(zeta_M).  The parity test then runs on the
+dual-basis traces of every coordinate.
 """
 
-import hashlib
-import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 
-from .chartab import CharacterTable, _is_prime
-from .errors import InternalInconsistencyError, RefusalError, UsageError
+from .chartab import _is_prime
+from .errors import InternalInconsistencyError, UsageError
 from .exactnum import (
+    CycloNumber,
     LaurentPoly,
     cyclo_context,
     cyclo_rational,
     embed_cyclo,
-    even_parity,
     exact_divide,
     is_palindromic,
 )
-from .jring import CellPartition, GammaTable
-from .klbase import HTable, KLStore, generator_rows, stream_h_blocks, vp
+from .klbase import generator_rows, stream_h_blocks, vp
 
 CLAIM_IDS = ("1.2b", "1.3a", "1.3c", "1.5a", "1.6b")
 
@@ -54,32 +52,7 @@ def word_name(group, w: int) -> str:
 
 
 # ---------------------------------------------------------------------------
-# the transport isomorphism
-
-class PhiIso:
-    """Invertible change of basis from group elements to the asymptotic
-    basis, with its exact rational inverse.
-
-    matrix[x] is a sparse integer row {z: coefficient of t_z}; inverse[z]
-    is a dense tuple of Fractions over group elements.  The image of the
-    identity is checked to be the sum of t_d over distinguished d.
-    """
-
-    __slots__ = ("group", "dset", "matrix", "inverse")
-
-    def __init__(self, group, dset, matrix, inverse):
-        self.group = group
-        self.dset = dset
-        self.matrix = matrix
-        self.inverse = inverse
-        unit = matrix[0]
-        want = set(dset)
-        if set(unit) != want or any(unit[d] != 1 for d in want):
-            raise InternalInconsistencyError(
-                "image of the identity is not the sum over distinguished "
-                "involutions"
-            )
-
+# the transport system
 
 def _signed_row(store, x):
     """{u: (-1)^l(u) P_{u,x}(1)}: the v=1 coordinates of the dual basis
@@ -104,135 +77,8 @@ def _d_by_left_cell(cells, dset):
         raise InternalInconsistencyError("left cell without a distinguished")
     return out
 
-
-def _transport_rows(htable, cells, dset):
-    """Sparse integer rows x -> {z: h_{x,d(z),z}(1)} over z ~L d."""
-    group = htable.group
-    lc = cells.left_cell_of
-    rows = []
-    for x in range(group.size):
-        acc = {}
-        for d in dset:
-            target = lc[d]
-            for z, p in htable.rows[(x, d)]:
-                if lc[z] == target:
-                    val = vp.at_one(p)
-                    if val:
-                        acc[z] = val
-        rows.append(acc)
-    return rows
-
-
-def build_phi(store, htable, cells, dset) -> PhiIso:
-    """The transport matrix on group-element rows and its exact inverse."""
-    group = store.group
-    if htable.scope != "all":
-        raise UsageError("transport needs the all-pairs table")
-    size = group.size
-    lengths = group.length
-    cols = _transport_rows(htable, cells, dset)
-    # peel the unitriangular signed layer: rows of the dual basis are
-    # supported on the Bruhat ideal with diagonal (-1)^l(x)
-    matrix = [None] * size
-    for x in range(size):
-        acc = dict(cols[x])
-        for u, b in _signed_row(store, x).items():
-            if u == x:
-                continue
-            for z, c in matrix[u].items():
-                t = acc.get(z, 0) - b * c
-                if t:
-                    acc[z] = t
-                else:
-                    acc.pop(z, None)
-        if lengths[x] % 2:
-            acc = {z: -c for z, c in acc.items()}
-        matrix[x] = acc
-
-    inverse = _invert_rational(matrix, size)
-    return PhiIso(group, dset, tuple(matrix), inverse)
-
-
-def _invert_rational(rows, size):
-    """Exact inverse of a sparse integer row matrix, dense Fraction rows."""
-    aug = []
-    for x in range(size):
-        line = [Fraction(0)] * (2 * size)
-        for z, c in rows[x].items():
-            line[z] = Fraction(c)
-        line[size + x] = Fraction(1)
-        aug.append(line)
-    for col in range(size):
-        piv = next((r for r in range(col, size) if aug[r][col]), None)
-        if piv is None:
-            raise InternalInconsistencyError(
-                "transport matrix is singular; the sign convention broke"
-            )
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [a * inv for a in aug[col]]
-        base = aug[col]
-        for r in range(size):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], base)]
-    # inverse row z gives the group-element coordinates of t_z
-    return tuple(
-        tuple(aug[x][size + z] for z in range(size)) for x in range(size)
-    )
-
-
-def check_phi_multiplicative(phi, gamma, pairs=200, seed=None):
-    """phi(x) phi(y) = phi(xy) on a seeded random sample, exactly."""
-    group = phi.group
-    if seed is None:
-        seed = int(
-            hashlib.sha256(f"{group.fingerprint()}:phi".encode()).hexdigest(), 16
-        )
-    rng = random.Random(seed)
-    for _ in range(pairs):
-        x = rng.randrange(group.size)
-        y = rng.randrange(group.size)
-        lhs = {}
-        for z, a in phi.matrix[x].items():
-            for w, b in phi.matrix[y].items():
-                ab = a * b
-                for u, c in gamma.by_xy.get((z, w), ()):
-                    t = lhs.get(u, 0) + ab * c
-                    if t:
-                        lhs[u] = t
-                    else:
-                        lhs.pop(u, None)
-        if lhs != phi.matrix[group.multiply(x, y)]:
-            raise InternalInconsistencyError(
-                f"transport not multiplicative at ({x}, {y})"
-            )
-
-
 # ---------------------------------------------------------------------------
-# traces on the asymptotic ring and the generic algebra
-
-def j_traces(phi, table, row_index):
-    """tr(t_z) on the module transported from a character row, per z."""
-    group = phi.group
-    M = table.conductor
-    cof = table.classes.class_of
-    chi = [table.rows[row_index][cof[w]] for w in range(group.size)]
-    out = []
-    for z in range(group.size):
-        acc = cyclo_rational(M, 0)
-        for w, c in enumerate(phi.inverse[z]):
-            if c:
-                acc = acc + c * chi[w]
-        out.append(acc)
-    dim = table.dims[row_index]
-    unit = sum((out[d] for d in phi.dset), cyclo_rational(M, 0))
-    if unit != dim:
-        raise InternalInconsistencyError(
-            f"unit trace {unit.render()} differs from the degree {dim}"
-        )
-    return tuple(out)
-
+# asymptotic and dual-basis traces
 
 def support_cell(jt, cells) -> int:
     """The unique two-sided cell carrying nonzero asymptotic traces."""
@@ -242,155 +88,6 @@ def support_cell(jt, cells) -> int:
             f"asymptotic traces meet {len(hit)} two-sided cells"
         )
     return hit.pop()
-
-
-def _dual_traces(htable, cells, dset, jt, conductor):
-    """Per x, the generic trace of the dual basis element at x as a
-    sparse {exponent: value} dict."""
-    group = htable.group
-    lc = cells.left_cell_of
-    zero = cyclo_rational(conductor, 0)
-    out = []
-    for x in range(group.size):
-        acc = {}
-        for d in dset:
-            target = lc[d]
-            for z, p in htable.rows[(x, d)]:
-                if lc[z] != target:
-                    continue
-                t = jt[z]
-                if not t:
-                    continue
-                val, coeffs = p
-                for i, c in enumerate(coeffs):
-                    if c:
-                        e = val + i
-                        acc[e] = acc.get(e, zero) + c * t
-        out.append({e: c for e, c in acc.items() if c})
-    return out
-
-
-# v^-1 - v: the correction term when a generator inverse acts in the
-# normalization whose quadratic is (T_s - v)(T_s + v^-1) = 0.  Only in
-# that normalization is T_s -> -T_s^-1 an algebra automorphism, so the
-# dual-basis expansion used for the trace solve is built here rather
-# than on top of the table module's T-basis, which absorbs an extra
-# v^l(w) into each basis vector.
-_INV_STEP = (-1, (1, 0, -1))
-
-
-def balanced_dagger_rows(store):
-    """Per element x, the expansion {w: coefficient} of the image of the
-    canonical basis element under the automorphism T_s -> -T_s^-1, in
-    the balanced T-basis.
-
-    The diagonal coefficient is exactly (-1)^l(x) and specializing v = 1
-    gives the signed Bruhat-ideal rows of the v=1 transport.
-    """
-    group = store.group
-    size = group.size
-    lengths = group.length
-    left = group.left
-    words = group.words
-    # inv[y] expands the inverse of the balanced basis vector at y^-1;
-    # built by left-composing generator inverses along first letters
-    inv = [None] * size
-    inv[0] = {0: vp.ONE}
-    for y in range(1, size):
-        s = words[y][0]
-        lrow = left[s]
-        out = {}
-        for w, p in inv[lrow[y]].items():
-            sw = lrow[w]
-            if lengths[sw] > lengths[w]:
-                cur = out.get(sw)
-                out[sw] = p if cur is None else vp.add(cur, p)
-                q = vp.mul(p, _INV_STEP)
-                cur = out.get(w)
-                out[w] = q if cur is None else vp.add(cur, q)
-            else:
-                cur = out.get(sw)
-                out[sw] = p if cur is None else vp.add(cur, p)
-        inv[y] = {w: p for w, p in out.items() if p[1]}
-    rows = []
-    for x in range(size):
-        acc = {}
-        for u, qc in store.P_by_w[x].items():
-            m = vp.from_q(qc, lengths[u] - lengths[x])
-            if lengths[u] % 2:
-                m = vp.neg(m)
-            for w, p in inv[u].items():
-                t = vp.mul(m, p)
-                cur = acc.get(w)
-                acc[w] = t if cur is None else vp.add(cur, t)
-        row = {w: p for w, p in acc.items() if p[1]}
-        want = vp.neg(vp.ONE) if lengths[x] % 2 else vp.ONE
-        if row.get(x) != want:
-            raise InternalInconsistencyError(
-                "dual-basis diagonal is not the expected sign"
-            )
-        rows.append(row)
-    return rows
-
-
-def hecke_character(store, htable, cells, dset, table, row_index, jt=None,
-                    dag_rows=None):
-    """Generic-algebra traces tr(T_w) for one irreducible, all w.
-
-    Solved from the dual-basis traces through the triangular balanced
-    expansion, then shifted by v^l(w) into the normalization whose
-    generator quadratic is (T_s - v^2)(T_s + 1) = 0; specializing v = 1
-    must recover the ordinary character values, which is asserted.
-    dag_rows, when given, caches the expansions across calls.
-    """
-    group = store.group
-    M = table.conductor
-    if jt is None:
-        raise UsageError("hecke_character needs the asymptotic traces")
-    if dag_rows is None:
-        dag_rows = balanced_dagger_rows(store)
-    trc = _dual_traces(htable, cells, dset, jt, M)
-    zero = cyclo_rational(M, 0)
-    lengths = group.length
-    out = [None] * group.size
-    for x in range(group.size):
-        acc = dict(trc[x])
-        for u, g in dag_rows[x].items():
-            if u == x:
-                continue
-            gv, gc = g
-            for e2, c2 in out[u].items():
-                for i, c in enumerate(gc):
-                    if c:
-                        e = gv + i + e2
-                        t = acc.get(e, zero) + (-c) * c2
-                        if t:
-                            acc[e] = t
-                        else:
-                            acc.pop(e, None)
-        if lengths[x] % 2:
-            out[x] = {e: -c for e, c in acc.items()}
-        else:
-            out[x] = acc
-    cof = table.classes.class_of
-    polys = []
-    for w, row in enumerate(out):
-        total = sum(row.values(), zero)
-        if total != table.rows[row_index][cof[w]]:
-            raise InternalInconsistencyError(
-                f"generic trace at v=1 disagrees with the character at w={w}"
-            )
-        shift = lengths[w]
-        polys.append(
-            LaurentPoly({e + shift: c for e, c in row.items()}, var="v")
-        )
-    return tuple(polys)
-
-
-def is_ordinary(hecke_traces) -> bool:
-    """Ordinary means every generic trace lives in even powers of v."""
-    return all(even_parity(p) for p in hecke_traces)
-
 
 def _parity_from_dual(trc_by_x, lengths) -> bool:
     """Equivalent parity test on dual-basis traces: every exponent at x
@@ -628,12 +325,12 @@ class ClassifyResult:
     """Everything the classification pipeline produces for one group."""
 
     __slots__ = (
-        "group", "table", "cells", "gamma", "dset", "phi", "irreps",
-        "involutions", "orientation", "cell_ordinary", "expected_profile",
+        "group", "table", "cells", "gamma", "dset", "irreps", "involutions",
+        "orientation", "cell_ordinary", "expected_profile",
         "profile_consistent",
     )
 
-    def __init__(self, group, table, cells, gamma, dset, phi, irreps,
+    def __init__(self, group, table, cells, gamma, dset, irreps,
                  involutions, orientation, cell_ordinary, expected_profile,
                  profile_consistent):
         self.group = group
@@ -641,7 +338,6 @@ class ClassifyResult:
         self.cells = cells
         self.gamma = gamma
         self.dset = dset
-        self.phi = phi
         self.irreps = irreps
         self.involutions = involutions
         self.orientation = orientation
@@ -739,35 +435,9 @@ def _finish_records(group, table, cells, gamma, dset, jts, ordinary_flags):
     return tuple(records), cell_ordinary, profile, consistent
 
 
-def classify_group(store, htable, cells, gamma, dset, table,
-                   sample_pairs=200) -> ClassifyResult:
-    """Direct-lane classification from a fully materialized table."""
-    group = store.group
-    orientation = _detect_orientation(htable, cells, table)
-    phi = build_phi(store, htable, cells, dset)
-    check_phi_multiplicative(phi, gamma, pairs=sample_pairs)
-    dag_rows = balanced_dagger_rows(store)
-    jts = []
-    flags = []
-    for i in range(len(table)):
-        jt = j_traces(phi, table, i)
-        hc = hecke_character(
-            store, htable, cells, dset, table, i, jt=jt, dag_rows=dag_rows
-        )
-        jts.append(jt)
-        flags.append(is_ordinary(hc))
-    records, cell_ordinary, profile, consistent = _finish_records(
-        group, table, cells, gamma, dset, jts, flags
-    )
-    involutions = classify_involutions(group, cells, gamma.a)
-    return ClassifyResult(
-        group, table, cells, gamma, dset, phi, records, involutions,
-        orientation, cell_ordinary, profile, consistent,
-    )
-
 
 # ---------------------------------------------------------------------------
-# streamed lane
+# the modular transport solve
 
 def _word_primes():
     p = (1 << 31) - 1
@@ -809,80 +479,84 @@ def _crt(residues, moduli):
 def _solve_many_modp(rows, rhs_cols, size, p):
     """Solve the sparse integer system for several right-hand sides mod p;
     returns the solution columns or None when the matrix degenerates."""
-    try:
-        import numpy as np
-    except ImportError:
-        np = None
+    import numpy as np  # deferred: only classification needs it
+
     w = len(rhs_cols)
-    if np is not None:
-        aug = np.zeros((size, size + w), dtype=np.int64)
-        for x in range(size):
-            for z, c in rows[x].items():
-                aug[x, z] = c % p
-        for j, col in enumerate(rhs_cols):
-            for x in range(size):
-                aug[x, size + j] = col[x] % p
-        for col in range(size):
-            block = aug[col:, col]
-            nz = np.nonzero(block)[0]
-            if len(nz) == 0:
-                return None
-            piv = col + int(nz[0])
-            if piv != col:
-                aug[[col, piv]] = aug[[piv, col]]
-            inv = pow(int(aug[col, col]), p - 2, p)
-            aug[col] = aug[col] * inv % p
-            factors = aug[:, col].copy()
-            factors[col] = 0
-            mask = factors != 0
-            if mask.any():
-                aug[mask] = (aug[mask] - factors[mask, None] * aug[col]) % p
-        return [
-            [int(aug[z, size + j]) for z in range(size)] for j in range(w)
-        ]
-    aug = []
+    aug = np.zeros((size, size + w), dtype=np.int64)
     for x in range(size):
-        line = [0] * (size + w)
         for z, c in rows[x].items():
-            line[z] = c % p
-        for j, col in enumerate(rhs_cols):
-            line[size + j] = col[x] % p
-        aug.append(line)
+            aug[x, z] = c % p
+    for j, col in enumerate(rhs_cols):
+        for x in range(size):
+            aug[x, size + j] = col[x] % p
     for col in range(size):
-        piv = next((r for r in range(col, size) if aug[r][col]), None)
-        if piv is None:
+        block = aug[col:, col]
+        nz = np.nonzero(block)[0]
+        if len(nz) == 0:
             return None
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = pow(aug[col][col], p - 2, p)
-        aug[col] = [a * inv % p for a in aug[col]]
-        base = aug[col]
-        for r in range(size):
-            f = aug[r][col]
-            if r != col and f:
-                aug[r] = [(a - f * b) % p for a, b in zip(aug[r], base)]
-    return [[aug[z][size + j] for z in range(size)] for j in range(w)]
+        piv = col + int(nz[0])
+        if piv != col:
+            aug[[col, piv]] = aug[[piv, col]]
+        inv = pow(int(aug[col, col]), p - 2, p)
+        aug[col] = aug[col] * inv % p
+        factors = aug[:, col].copy()
+        factors[col] = 0
+        mask = factors != 0
+        if mask.any():
+            aug[mask] = (aug[mask] - factors[mask, None] * aug[col]) % p
+    return [
+        [int(aug[z, size + j]) for z in range(size)] for j in range(w)
+    ]
+
+
+def _coordinate_columns(table, size):
+    """One integer class function per nonzero power-basis coordinate of
+    each irreducible's values over Q(zeta_M), as (row index, coordinate,
+    values per group element)."""
+    cof = table.classes.class_of
+    degree = cyclo_context(table.conductor).degree
+    out = []
+    for i, row in enumerate(table.rows):
+        for k in range(degree):
+            coords = [v.coeffs[k] for v in row]
+            if not any(coords):
+                continue
+            if any(c.denominator != 1 for c in coords):
+                raise InternalInconsistencyError(
+                    f"coordinate {k} of {table.names[i]} is not integral"
+                )
+            out.append((i, k, [int(coords[cof[w]]) for w in range(size)]))
+    return out
+
+
+def _assemble_traces(columns, sols, table, size):
+    """Per irreducible, the tuple of asymptotic traces in Q(zeta_M) whose
+    power-basis coordinates are the solved columns."""
+    ctx = cyclo_context(table.conductor)
+    jts = [[ctx.zero] * size for _ in range(len(table))]
+    for (i, k, _), sol in zip(columns, sols):
+        jt = jts[i]
+        for z, q in enumerate(sol):
+            if q:
+                coeffs = list(jt[z].coeffs)
+                coeffs[k] = q
+                jt[z] = CycloNumber(ctx, tuple(coeffs))
+    return [tuple(jt) for jt in jts]
 
 
 def classify_group_streamed(store, cells, gamma, dset, table,
                             jobs=1) -> ClassifyResult:
-    """Streamed-lane classification: only the table columns at
-    distinguished involutions are generated, twice.
+    """Classification from the table columns at distinguished involutions
+    only, generated twice.
 
-    Asymptotic traces come from a modular solve with exact verification;
-    ordinariness from the dual-trace parity test, which is equivalent to
-    even parity of the generic traces through the triangular T-basis
-    expansion.
+    Asymptotic traces come from a modular solve with exact verification,
+    one right-hand side per nonzero coordinate of each character;
+    ordinariness from the dual-trace parity test on every coordinate,
+    which is equivalent to even parity of the generic traces through the
+    triangular T-basis expansion.
     """
     group = store.group
     size = group.size
-    for row in table.rows:
-        for v in row:
-            if not (v.is_rational() and v.is_integer()):
-                raise RefusalError(
-                    f"streamed classification of {group.datum.type_symbol} "
-                    "needs integer character values; the direct lane "
-                    "cannot hold this group's full table either"
-                )
     gen = generator_rows(store)
     orientation = _detect_orientation(gen, cells, table)
     _d_by_left_cell(cells, dset)
@@ -902,43 +576,29 @@ def classify_group_streamed(store, cells, gamma, dset, table,
 
     stream_h_blocks(store, eat_ones, jobs=jobs, ys=ys)
 
-    cof = table.classes.class_of
-    chis = [
-        [int(table.rows[i][cof[w]].as_fraction()) for w in range(size)]
-        for i in range(len(table))
-    ]
-    lengths = group.length
-    rhs_cols = []
-    for chi in chis:
-        col = [0] * size
-        for x in range(size):
-            acc = 0
-            for u, qc in store.P_by_w[x].items():
-                s = sum(qc)
-                acc += (-s if lengths[u] % 2 else s) * chi[u]
-            col[x] = acc
-        rhs_cols.append(col)
-
-    jts_frac = _streamed_traces(trans, rhs_cols, size)
-    M = table.conductor
-    jts = [
-        tuple(cyclo_rational(M, q) for q in col) for col in jts_frac
-    ]
+    columns = _coordinate_columns(table, size)
+    rhs_cols = [[0] * size for _ in columns]
+    for x in range(size):
+        signed = _signed_row(store, x).items()
+        for rhs, (_, _, chi) in zip(rhs_cols, columns):
+            rhs[x] = sum(c * chi[u] for u, c in signed)
+    sols = _streamed_traces(trans, rhs_cols, size)
+    jts = _assemble_traces(columns, sols, table, size)
+    zero = cyclo_context(table.conductor).zero
     for i, jt in enumerate(jts):
-        unit = sum(jts_frac[i][d] for d in dset)
-        if unit != table.dims[i]:
+        if sum((jt[d] for d in dset), zero) != table.dims[i]:
             raise InternalInconsistencyError(
                 "unit trace differs from the degree in the streamed lane"
             )
 
-    # second pass: dual-basis traces per irreducible, exponent dicts;
-    # single-cell support keeps the per-z hit list short
-    trc = [[{} for _ in range(size)] for _ in range(len(table))]
+    # second pass: dual-basis traces per coordinate column, exponent
+    # dicts; single-cell support keeps the per-z hit list short
+    trc = [[{} for _ in range(size)] for _ in columns]
     hits = [[] for _ in range(size)]
-    for i, col in enumerate(jts_frac):
+    for j, col in enumerate(sols):
         for z, q in enumerate(col):
             if q:
-                hits[z].append((i, q))
+                hits[z].append((j, q))
 
     def eat_polys(x, d, row):
         target = lc[d]
@@ -946,8 +606,8 @@ def classify_group_streamed(store, cells, gamma, dset, table,
             if lc[z] != target or not hits[z]:
                 continue
             val, coeffs = p
-            for i, q in hits[z]:
-                acc = trc[i][x]
+            for j, q in hits[z]:
+                acc = trc[j][x]
                 for t, c in enumerate(coeffs):
                     if c:
                         e = val + t
@@ -959,21 +619,23 @@ def classify_group_streamed(store, cells, gamma, dset, table,
 
     stream_h_blocks(store, eat_polys, jobs=jobs, ys=ys)
 
-    flags = []
-    for i in range(len(table)):
+    lengths = group.length
+    flags = [True] * len(table)
+    for j, (i, _, _) in enumerate(columns):
         for x in range(size):
-            if sum(trc[i][x].values()) != rhs_cols[i][x]:
+            if sum(trc[j][x].values()) != rhs_cols[j][x]:
                 raise InternalInconsistencyError(
                     "streamed dual trace at v=1 disagrees with the character"
                 )
-        flags.append(_parity_from_dual(trc[i], lengths))
+        if not _parity_from_dual(trc[j], lengths):
+            flags[i] = False
 
     records, cell_ordinary, profile, consistent = _finish_records(
         group, table, cells, gamma, dset, jts, flags
     )
     involutions = classify_involutions(group, cells, gamma.a)
     return ClassifyResult(
-        group, table, cells, gamma, dset, None, records, involutions,
+        group, table, cells, gamma, dset, records, involutions,
         orientation, cell_ordinary, profile, consistent,
     )
 

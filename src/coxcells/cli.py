@@ -52,7 +52,8 @@ def _parser() -> argparse.ArgumentParser:
         )
         sp.add_argument(
             "--heavy", action="store_true",
-            help="allow groups whose full table is over the row budget",
+            help=f"allow groups of order {pipeline.HEAVY_ORDER} and up, whose "
+            "leading scan runs over more than 120 000 h rows",
         )
         if name in ("classify", "verify"):
             sp.add_argument(
@@ -79,10 +80,10 @@ def _claim_selection(args):
 
 def _build(args):
     group = build_group(args.type_symbol, max_order=args.max_order)
-    if pipeline.needs_streaming(group) and not args.heavy:
+    if pipeline.is_heavy(group) and not args.heavy:
         raise RefusalError(
-            f"{group.datum.type_symbol} (order {group.size}) is over the "
-            "materialization budget; pass --heavy to run the streamed lane"
+            f"{group.datum.type_symbol} (order {group.size}) needs a long "
+            "leading scan; pass --heavy to run it"
         )
     return group
 
@@ -155,6 +156,8 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
+        if args.jobs < 1:
+            raise UsageError(f"--jobs must be at least 1, not {args.jobs}")
         return _COMMANDS[args.command](args)
     except RefusalError as exc:
         print(f"coxcells: refused: {exc}", file=sys.stderr)

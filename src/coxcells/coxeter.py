@@ -311,21 +311,19 @@ class CoxeterGroup:
 
     __slots__ = (
         "datum", "size", "words", "length", "right", "left", "inverse",
-        "w0", "element_digests", "right_descent_mask", "left_descent_mask",
+        "w0", "right_descent_mask", "left_descent_mask",
         "_classes", "_fingerprint",
     )
 
     # -- construction ------------------------------------------------------
 
-    def __init__(self, datum: CoxeterDatum, words, length, right, inverse,
-                 element_digests):
+    def __init__(self, datum: CoxeterDatum, words, length, right, inverse):
         self.datum = datum
         self.size = len(words)
         self.words = words
         self.length = length
         self.right = right
         self.inverse = inverse
-        self.element_digests = element_digests
         n = datum.rank
         left = [[0] * self.size for _ in range(n)]
         for s in range(n):
@@ -575,7 +573,6 @@ def build_group(source, max_order: int = DEFAULT_MAX_ORDER) -> CoxeterGroup:
     words = [()]
     length = [0]
     right = [[-1] for _ in range(n)]
-    digests = [hashlib.sha256(repr(ident).encode()).hexdigest()]
     head = 0
     while head < len(mats):
         w = head
@@ -595,7 +592,6 @@ def build_group(source, max_order: int = DEFAULT_MAX_ORDER) -> CoxeterGroup:
                 mats.append(child)
                 words.append(words[w] + (s,))
                 length.append(length[w] + 1)
-                digests.append(hashlib.sha256(repr(child).encode()).hexdigest())
                 for row in right:
                     row.append(-1)
             # the edge is its own inverse: idx = w*s means idx*s = w
@@ -619,7 +615,7 @@ def build_group(source, max_order: int = DEFAULT_MAX_ORDER) -> CoxeterGroup:
         if inverse[inverse[w]] != w or length[inverse[w]] != length[w]:
             raise InternalInconsistencyError("inverse table is not an involution")
 
-    group = CoxeterGroup(datum, words, length, right, inverse, digests)
+    group = CoxeterGroup(datum, words, length, right, inverse)
     group.compute_degrees()
     return group
 

@@ -37,7 +37,6 @@ __all__ = [
     "CycloContext",
     "CycloNumber",
     "LaurentPoly",
-    "RationalFunction",
     "cyclo_context",
     "cyclo_one",
     "cyclo_rational",
@@ -860,76 +859,3 @@ def cyclotomic_polynomial(n: int, var: str = "X") -> LaurentPoly:
     """The n-th cyclotomic polynomial with integer coefficients."""
     coeffs = _cyclotomic_coeffs(n)
     return LaurentPoly({e: c for e, c in enumerate(coeffs) if c}, var)
-
-
-# ---------------------------------------------------------------------------
-# rational functions
-
-
-class RationalFunction:
-    """Quotient of two Laurent polynomials, normalized lazily.
-
-    Normalization keeps the denominator with unit leading coefficient and
-    strips common monomial factors; full gcd reduction is not attempted.
-    Equality is decided by cross multiplication, so unreduced representatives
-    still compare correctly.
-    """
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: LaurentPoly, den: LaurentPoly):
-        if not isinstance(num, LaurentPoly) or not isinstance(den, LaurentPoly):
-            raise UsageError("RationalFunction expects LaurentPoly operands")
-        num._check(den)
-        if not den:
-            raise UsageError("zero denominator")
-        if num:
-            k = min(num.valuation(), den.valuation())
-            if k:
-                num = num.shift(-k)
-                den = den.shift(-k)
-        lead = den.coeffs[den.degree()]
-        if lead != 1:
-            if isinstance(lead, CycloNumber):
-                inv = lead.inverse()
-            else:
-                inv = Fraction(1) / Fraction(lead)
-            num = num * inv
-            den = den * inv
-        self.num = num
-        self.den = den
-
-    @classmethod
-    def from_poly(cls, p: LaurentPoly) -> "RationalFunction":
-        return cls(p, LaurentPoly.constant(1, p.var))
-
-    def __add__(self, other):
-        if isinstance(other, LaurentPoly):
-            other = RationalFunction.from_poly(other)
-        if not isinstance(other, RationalFunction):
-            return NotImplemented
-        return RationalFunction(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
-
-    def __mul__(self, other):
-        if isinstance(other, LaurentPoly):
-            other = RationalFunction.from_poly(other)
-        if not isinstance(other, RationalFunction):
-            return NotImplemented
-        return RationalFunction(self.num * other.num, self.den * other.den)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, RationalFunction):
-            return NotImplemented
-        return self.num * other.den == other.num * self.den
-
-    def __hash__(self):
-        raise TypeError("RationalFunction is not hashable")
-
-    def as_poly(self) -> LaurentPoly:
-        """Close the quotient to a polynomial; inexactness is an internal error."""
-        return exact_divide(self.num, self.den)
-
-    def __repr__(self) -> str:
-        return f"RationalFunction(({self.num.render()}) / ({self.den.render()}))"

@@ -14,21 +14,21 @@ distinguished involutions d, one per left cell.  Distinguished elements
 are cut out by a(z) equalling l(z) minus twice the q-degree of the
 polynomial P at (identity, z), then every defining property is checked.
 
-The single scan that produces a and the leading coefficients runs either
-over a materialized all-pairs table or through the streaming block
-interface, so the big groups never hold the full table in memory.
+The single scan that produces a and the leading coefficients runs
+through the streaming block interface, so no group ever holds the full
+table in memory.  Its result is small enough to cache; a cached scan gets
+the same checks as a fresh one.
 """
 
 from __future__ import annotations
 
 from .coxeter import CoxeterGroup
-from .errors import InternalInconsistencyError, UsageError
+from .errors import InternalInconsistencyError
 from .klbase import HTable, KLStore, stream_h_blocks
 
 __all__ = [
     "CellPartition",
     "GammaTable",
-    "compute_a",
     "compute_cells",
     "compute_gamma",
     "distinguished_involutions",
@@ -262,42 +262,40 @@ class GammaTable:
         return self.by_xy.get((x, y), ())
 
 
-def _leading_scan(source, cells: CellPartition, jobs: int = 1):
+def _leading_scan(store: KLStore, jobs: int = 1):
     """One pass over all h rows: per z the max degree and the leading
     coefficients with their (x, y).  Returns (a, lead)."""
-    if isinstance(source, HTable):
-        if source.scope != "all":
-            raise UsageError("leading scan needs the all-pairs scope")
-        group = source.group
-    elif isinstance(source, KLStore):
-        group = source.group
-    else:
-        raise UsageError("expected an HTable or KLStore")
-    size = group.size
+    size = store.group.size
     best = [None] * size
     cands = [None] * size
 
-    def eat(x, y, z, p):
-        d = p[0] + len(p[1]) - 1
-        b = best[z]
-        if b is None or d > b:
-            best[z] = d
-            cands[z] = {(x, y): p[1][-1]}
-        elif d == b:
-            cands[z][(x, y)] = p[1][-1]
+    def consumer(x, y, row):
+        for z, p in row.items():
+            d = p[0] + len(p[1]) - 1
+            b = best[z]
+            if b is None or d > b:
+                best[z] = d
+                cands[z] = {(x, y): p[1][-1]}
+            elif d == b:
+                cands[z][(x, y)] = p[1][-1]
 
-    if isinstance(source, HTable):
-        for (x, y), row in source.rows.items():
-            for z, p in row:
-                eat(x, y, z, p)
-    else:
-        def consumer(x, y, row):
-            for z, p in row.items():
-                eat(x, y, z, p)
+    stream_h_blocks(store, consumer, jobs=jobs)
+    lead = {
+        (x, y, z): c
+        for z in range(size)
+        for (x, y), c in cands[z].items()
+    }
+    return tuple(best), lead
 
-        stream_h_blocks(source, consumer, jobs=jobs)
 
-    a = tuple(best)
+def compute_gamma(store: KLStore, cells: CellPartition, jobs: int = 1,
+                  scan=None) -> GammaTable:
+    """The full leading-coefficient table (contains the a-function).
+
+    scan, when given, is a cached (a, lead) pair that replaces the pass
+    over the h rows; it is checked exactly like a fresh one.
+    """
+    a, lead = _leading_scan(store, jobs=jobs) if scan is None else scan
     if a[0] != 0:
         raise InternalInconsistencyError(f"a(identity) = {a[0]}, not 0")
     for members in cells.two_sided_cells:
@@ -306,29 +304,12 @@ def _leading_scan(source, cells: CellPartition, jobs: int = 1):
             raise InternalInconsistencyError(
                 f"a not constant on a two-sided cell: {sorted(vals)}"
             )
-    lead = {}
-    for z in range(size):
-        for (x, y), c in cands[z].items():
-            if c <= 0:
-                raise InternalInconsistencyError(
-                    f"nonpositive leading coefficient {c} at "
-                    f"h({x},{y},{z})"
-                )
-            lead[(x, y, z)] = c
-    return a, lead
-
-
-def compute_a(source, cells: CellPartition, jobs: int = 1) -> tuple:
-    """a(z) for every z: the top v-degree over the whole h-table."""
-    a, _ = _leading_scan(source, cells, jobs=jobs)
-    return a
-
-
-def compute_gamma(source, cells: CellPartition, jobs: int = 1) -> GammaTable:
-    """The full leading-coefficient table (contains the a-function)."""
-    group = source.group
-    a, lead = _leading_scan(source, cells, jobs=jobs)
-    return GammaTable(group, a, lead)
+    for (x, y, z), c in lead.items():
+        if c <= 0:
+            raise InternalInconsistencyError(
+                f"nonpositive leading coefficient {c} at h({x},{y},{z})"
+            )
+    return GammaTable(store.group, a, lead)
 
 
 def distinguished_involutions(

@@ -19,10 +19,13 @@ Products c_x c_y = sum over z of h_{x,y,z} c_z are provided two ways:
 * row by row through the T-basis (`c_product`): expand, multiply, convert
   back by unitriangular elimination;
 * in bulk through the left-multiplication recursion on blocks of fixed y
-  (`compute_h_table` and `stream_h_blocks`), which never touches the T-basis
-  and is what makes the big groups affordable.
+  (`stream_h_blocks`), which never touches the T-basis and is what makes
+  the big groups affordable.  No all-pairs table is ever held: consumers
+  reduce each block as it streams past.
 
-The two routes are checked against each other in the test suite.
+The two routes are checked against each other in the test suite.  The
+cache holds the polynomial store and the result of the leading scan over
+all h rows (a-values and leading coefficients), not the rows themselves.
 """
 
 from __future__ import annotations
@@ -33,12 +36,7 @@ import os
 import struct
 
 from .coxeter import CoxeterGroup
-from .errors import (
-    CacheInvalidError,
-    InternalInconsistencyError,
-    RefusalError,
-    UsageError,
-)
+from .errors import CacheInvalidError, InternalInconsistencyError, UsageError
 from .exactnum import LaurentPoly
 
 __all__ = [
@@ -47,17 +45,13 @@ __all__ = [
     "c_product",
     "cache_load",
     "cache_save",
-    "compute_h_table",
     "compute_kl",
-    "dagger_T_basis",
+    "generator_rows",
     "stream_h_blocks",
     "vp",
 ]
 
-CACHE_FORMAT_VERSION = 1
-
-# default cap on materialized all-pairs rows; H3 (14,400) fits, F4 does not
-DEFAULT_ROW_BUDGET = 120_000
+CACHE_FORMAT_VERSION = 2
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +329,7 @@ def c_product(store: KLStore, x: int, y: int) -> tuple:
     Expands both factors over the T-basis, multiplies through the quadratic
     relation, and converts back by unitriangular elimination against the
     c-basis.  Fine for single rows and oracle comparisons; use
-    compute_h_table for bulk work.
+    stream_h_blocks for bulk work.
     """
     group = store.group
     xvec = store.c_vector(x)
@@ -385,67 +379,6 @@ def c_product(store: KLStore, x: int, y: int) -> tuple:
     return tuple(out)
 
 
-def dagger_T_basis(store: KLStore, x: int) -> dict:
-    """T-basis expansion of the image of c_x under the automorphism
-    sending T_s to -T_s^(-1).
-
-    On T_w the map acts by T_w -> (-1)^l(w) (T_{w^-1})^(-1); inverse basis
-    vectors are built by the right-multiplication rule
-    X T_s^(-1) = v^(-2) (X T_s) - (1 - v^(-2)) X.
-    """
-    group = store.group
-    length = group.length
-
-    # (T_{y^-1})^(-1) accumulated by chaining along the canonical word of y
-    inv_memo = {0: {0: vp.ONE}}
-
-    def inv_of(y: int) -> dict:
-        # returns the expansion of (T_{y^-1})^(-1)
-        got = inv_memo.get(y)
-        if got is not None:
-            return got
-        # chain: word(y) = word(parent) + (s) with parent = y s
-        word = group.words[y]
-        s = word[-1]
-        parent = group.right[s][y]
-        base = inv_of(parent)
-        out = {}
-        rrow = group.right[s]
-        for u, p in base.items():
-            us = rrow[u]
-            if length[us] > length[u]:
-                # X T_s at T_u flows to T_{us}; then scale v^-2
-                q = vp.shift(p, -2)
-                cur = out.get(us)
-                out[us] = q if cur is None else vp.add(cur, q)
-            else:
-                q = p  # v^-2 * v^2 T_{us}
-                cur = out.get(us)
-                out[us] = q if cur is None else vp.add(cur, q)
-                r = vp.sub(p, vp.shift(p, -2))  # v^-2 (v^2-1) p = (1 - v^-2) p
-                cur = out.get(u)
-                out[u] = r if cur is None else vp.add(cur, r)
-            # subtract (1 - v^-2) X
-            r2 = vp.sub(vp.shift(p, -2), p)
-            cur = out.get(u)
-            out[u] = r2 if cur is None else vp.add(cur, r2)
-        out = {u: p for u, p in out.items() if p[1]}
-        inv_memo[y] = out
-        return out
-
-    lw = length[x]
-    total = {}
-    for y, qc in store.P_by_w[x].items():
-        f = vp.from_q(qc, -lw)
-        if length[y] % 2:
-            f = vp.neg(f)
-        for u, p in inv_of(y).items():
-            q = vp.mul(f, p)
-            cur = total.get(u)
-            total[u] = q if cur is None else vp.add(cur, q)
-    return {u: p for u, p in total.items() if p[1]}
-
-
 # ---------------------------------------------------------------------------
 # bulk h-table work
 
@@ -464,15 +397,6 @@ class HTable:
         self.scope = scope
         self.rows = rows
         self.fingerprint = group.fingerprint()
-
-    def row(self, x: int, y: int) -> tuple:
-        return self.rows[(x, y)]
-
-    def h(self, x: int, y: int, z: int) -> tuple:
-        for zz, p in self.rows[(x, y)]:
-            if zz == z:
-                return p
-        return vp.ZERO
 
 
 def _generator_row(store: KLStore, s_elt: int, s: int, y: int) -> tuple:
@@ -557,35 +481,6 @@ def _h_block(kit: _BlockKit, y: int) -> list:
     return rows
 
 
-def compute_h_table(
-    store: KLStore, scope: str = "all", row_budget: int = DEFAULT_ROW_BUDGET
-) -> HTable:
-    """Materialize h rows; generators-only or all pairs.
-
-    All-pairs materialization refuses groups whose row count would blow the
-    budget; use stream_h_blocks for those instead.
-    """
-    if scope == "generators":
-        return generator_rows(store)
-    if scope != "all":
-        raise UsageError(f"unknown h-table scope {scope!r}")
-    group = store.group
-    n_rows = group.size * group.size
-    if n_rows > row_budget:
-        raise RefusalError(
-            f"all-pairs h-table for {group.datum.type_symbol} has {n_rows} "
-            f"rows, over the materialization budget {row_budget}; "
-            "use the streaming interface"
-        )
-    kit = _BlockKit(store)
-    rows = {}
-    for y in range(group.size):
-        block = _h_block(kit, y)
-        for x in range(group.size):
-            rows[(x, y)] = tuple(sorted(block[x].items()))
-    return HTable(group, "all", rows)
-
-
 def stream_h_blocks(store: KLStore, consumer, jobs: int = 1, ys=None):
     """Run `consumer(x, y, row_dict)` over h rows, block by block.
 
@@ -645,18 +540,6 @@ def _stream_worker(y: int):
 # cache
 
 
-def _pack_vp(p: tuple) -> bytes:
-    return struct.pack("<hH", p[0], len(p[1])) + struct.pack(
-        f"<{len(p[1])}q", *p[1]
-    )
-
-
-def _unpack_vp(buf: io.BytesIO) -> tuple:
-    val, n = struct.unpack("<hH", buf.read(4))
-    coeffs = struct.unpack(f"<{n}q", buf.read(8 * n)) if n else ()
-    return (val, tuple(coeffs))
-
-
 def _write_record(f, payload: bytes):
     f.write(struct.pack("<I", len(payload)))
     f.write(payload)
@@ -673,8 +556,16 @@ def _read_record(f) -> bytes:
     return payload
 
 
-def cache_save(store: KLStore, htable, directory: str):
-    """Write kl.bin, h.bin (if a table is given) and manifest.json."""
+# one (x, y, z, leading coefficient) entry of lead.bin
+_LEAD = struct.Struct("<IIIq")
+
+
+def cache_save(store: KLStore, gamma, directory: str):
+    """Write kl.bin, lead.bin and manifest.json.
+
+    lead.bin holds the leading scan of gamma (a GammaTable): the a-values
+    and the (x, y, z, lead) entries, one record each.
+    """
     os.makedirs(directory, exist_ok=True)
     group = store.group
     kl_path = os.path.join(directory, "kl.bin")
@@ -694,29 +585,21 @@ def cache_save(store: KLStore, htable, directory: str):
             for z, m in mus:
                 parts.append(struct.pack("<Iq", z, m))
             _write_record(f, b"".join(parts))
-    files = {"kl.bin": True, "h.bin": False}
-    if htable is not None:
-        files["h.bin"] = True
-        with open(os.path.join(directory, "h.bin"), "wb") as f:
-            f.write(b"CXHT")
-            f.write(struct.pack("<I", CACHE_FORMAT_VERSION))
-            _write_record(f, store.fingerprint.encode())
-            scope_code = 1 if htable.scope == "generators" else 2
-            f.write(struct.pack("<BI", scope_code, len(htable.rows)))
-            for (x, y) in sorted(htable.rows):
-                row = htable.rows[(x, y)]
-                parts = [struct.pack("<III", x, y, len(row))]
-                for z, p in row:
-                    parts.append(struct.pack("<I", z))
-                    parts.append(_pack_vp(p))
-                _write_record(f, b"".join(parts))
+    with open(os.path.join(directory, "lead.bin"), "wb") as f:
+        f.write(b"CXLD")
+        f.write(struct.pack("<I", CACHE_FORMAT_VERSION))
+        _write_record(f, store.fingerprint.encode())
+        _write_record(f, struct.pack(f"<{group.size}I", *gamma.a))
+        _write_record(f, b"".join(
+            _LEAD.pack(x, y, z, c) for (x, y, z), c in gamma.lead.items()
+        ))
     manifest = {
         "format_version": CACHE_FORMAT_VERSION,
         "type": group.datum.type_symbol,
         "order": group.size,
         "rank": group.datum.rank,
         "fingerprint": store.fingerprint,
-        "files": files,
+        "files": ["kl.bin", "lead.bin"],
     }
     with open(os.path.join(directory, "manifest.json"), "w") as f:
         json.dump(manifest, f, indent=1, sort_keys=True)
@@ -724,7 +607,10 @@ def cache_save(store: KLStore, htable, directory: str):
 
 
 def cache_load(directory: str, group: CoxeterGroup):
-    """Load (KLStore, HTable-or-None) for this group; validate everything."""
+    """Load (KLStore, (a, lead)) for this group; validate everything.
+
+    (a, lead) is the cached leading scan, as compute_gamma takes it.
+    """
     manifest_path = os.path.join(directory, "manifest.json")
     if not os.path.exists(manifest_path):
         raise CacheInvalidError(f"no manifest at {manifest_path}")
@@ -768,28 +654,22 @@ def cache_load(directory: str, group: CoxeterGroup):
             mu_by_w[w] = tuple(mus)
     store = KLStore(group, P_by_w, mu_by_w)
 
-    htable = None
-    h_path = os.path.join(directory, "h.bin")
-    if manifest.get("files", {}).get("h.bin") and os.path.exists(h_path):
-        with open(h_path, "rb") as f:
-            if f.read(4) != b"CXHT":
-                raise CacheInvalidError("bad h.bin magic")
-            (ver,) = struct.unpack("<I", f.read(4))
-            if ver != CACHE_FORMAT_VERSION:
-                raise CacheInvalidError("h.bin version mismatch")
-            if _read_record(f).decode() != fp:
-                raise CacheInvalidError("h.bin fingerprint mismatch")
-            scope_code, nrows = struct.unpack("<BI", f.read(5))
-            rows = {}
-            for _ in range(nrows):
-                buf = io.BytesIO(_read_record(f))
-                x, y, nz = struct.unpack("<III", buf.read(12))
-                row = []
-                for _ in range(nz):
-                    (z,) = struct.unpack("<I", buf.read(4))
-                    row.append((z, _unpack_vp(buf)))
-                rows[(x, y)] = tuple(row)
-        htable = HTable(
-            group, "generators" if scope_code == 1 else "all", rows
-        )
-    return store, htable
+    lead_path = os.path.join(directory, "lead.bin")
+    if not os.path.exists(lead_path):
+        raise CacheInvalidError("no lead.bin")
+    with open(lead_path, "rb") as f:
+        if f.read(8) != b"CXLD" + struct.pack("<I", CACHE_FORMAT_VERSION):
+            raise CacheInvalidError("bad lead.bin header")
+        if _read_record(f) != fp.encode():
+            raise CacheInvalidError("lead.bin fingerprint mismatch")
+        a_raw = _read_record(f)
+        lead_raw = _read_record(f)
+    if len(a_raw) != 4 * size or len(lead_raw) % _LEAD.size:
+        raise CacheInvalidError("lead.bin record size mismatch")
+    a = struct.unpack(f"<{size}I", a_raw)
+    lead = {}
+    for x, y, z, c in _LEAD.iter_unpack(lead_raw):
+        if max(x, y, z) >= size:
+            raise CacheInvalidError("lead.bin entry out of range")
+        lead[(x, y, z)] = c
+    return store, (a, lead)

@@ -1,5 +1,6 @@
-"""Stage orchestration: cache-aware loading of the polynomial stores,
-lane selection for large groups, and deterministic report assembly.
+"""Stage orchestration: cache-aware loading of the polynomial store and
+the leading scan, the refusal of out-of-reach classifications, and
+deterministic report assembly.
 
 Reports are plain dicts of ints, strings and booleans, rendered by the
 exact canonical renderers only, so serializing one twice gives the same
@@ -14,21 +15,17 @@ import sys
 from .chartab import character_table
 from .classify import (
     CLAIM_IDS,
-    classify_group,
     classify_group_streamed,
     verify_claim,
     word_name,
 )
-from .errors import CacheInvalidError
+from .errors import CacheInvalidError, RefusalError
 from .jring import compute_cells, compute_gamma, distinguished_involutions
-from .klbase import (
-    DEFAULT_ROW_BUDGET,
-    cache_load,
-    cache_save,
-    compute_h_table,
-    compute_kl,
-    generator_rows,
-)
+from .klbase import cache_load, cache_save, compute_kl, generator_rows
+
+# Groups from this order up need --heavy: their leading scan covers more
+# than 120 000 h rows (order squared).
+HEAVY_ORDER = 347
 
 
 def notice(message: str):
@@ -36,58 +33,65 @@ def notice(message: str):
     print(f"coxcells: {message}", file=sys.stderr)
 
 
-def needs_streaming(group) -> bool:
-    """True when the all-pairs table would blow the row budget."""
-    return group.size * group.size > DEFAULT_ROW_BUDGET
+def is_heavy(group) -> bool:
+    return group.size >= HEAVY_ORDER
 
 
-def load_stores(group, cache_dir=None, want_table=True, jobs=1):
-    """(KLStore, HTable or None) for the group, using the cache when a
-    directory is given; an invalid cache is recomputed with a notice."""
-    directory = None
-    store = None
-    htable = None
+def is_crystallographic(datum) -> bool:
+    """Weyl type: every Coxeter matrix entry is 2, 3, 4 or 6.  These are
+    exactly the finite Coxeter groups with integer character values."""
+    return all(m in (1, 2, 3, 4, 6) for row in datum.coxeter_matrix
+               for m in row)
+
+
+def _cache_path(group, cache_dir):
+    return os.path.join(cache_dir, group.datum.type_symbol)
+
+
+def load_stores(group, cache_dir=None):
+    """(KLStore, cached leading scan or None) for the group.
+
+    With a cache directory the cache is read first; an invalid cache is
+    recomputed with a notice.  Without a usable cache the store is
+    computed and the scan is left to the caller.
+    """
     if cache_dir:
-        directory = os.path.join(cache_dir, group.datum.type_symbol)
         try:
-            store, htable = cache_load(directory, group)
+            return cache_load(_cache_path(group, cache_dir), group)
         except CacheInvalidError as exc:
             if "no manifest" not in str(exc):
                 notice(f"cache invalid ({exc}); recomputing")
-    dirty = False
-    if store is None:
-        store = compute_kl(group)
-        dirty = True
-    if want_table and htable is None and not needs_streaming(group):
-        htable = compute_h_table(store)
-        dirty = True
-    if directory is not None and dirty:
-        cache_save(store, htable, directory)
-    return store, htable
+    return compute_kl(group), None
 
 
 def analysis(group, cache_dir=None, jobs=1):
     """Everything through cells, leading coefficients and distinguished
-    involutions; big groups run off the streaming scanner."""
-    store, htable = load_stores(
-        group, cache_dir, want_table=not needs_streaming(group), jobs=jobs
-    )
+    involutions, as (store, None, cells, gamma, dset); the second slot
+    is kept for callers that unpack five values."""
+    store, scan = load_stores(group, cache_dir)
     cells = compute_cells(generator_rows(store))
-    source = htable if htable is not None else store
-    gamma = compute_gamma(source, cells, jobs=jobs)
+    gamma = compute_gamma(store, cells, jobs=jobs, scan=scan)
+    if cache_dir and scan is None:
+        cache_save(store, gamma, _cache_path(group, cache_dir))
     dset = distinguished_involutions(gamma, cells, store)
-    return store, htable, cells, gamma, dset
+    return store, None, cells, gamma, dset
 
 
-def classification(group, cache_dir=None, jobs=1, sample_pairs=200):
-    """Full classification result, choosing the direct or streamed lane
-    by the table budget."""
-    store, htable, cells, gamma, dset = analysis(group, cache_dir, jobs)
-    table = character_table(group)
-    if htable is not None:
-        return classify_group(
-            store, htable, cells, gamma, dset, table, sample_pairs=sample_pairs
+def classification(group, cache_dir=None, jobs=1):
+    """Full classification result.
+
+    A heavy group that is not crystallographic is refused before any
+    polynomial work: H4's leading scan is out of reach, and the large
+    dihedral groups share the refusal.
+    """
+    if is_heavy(group) and not is_crystallographic(group.datum):
+        raise RefusalError(
+            f"classification of {group.datum.type_symbol} (order "
+            f"{group.size}) is refused: from order {HEAVY_ORDER} up only "
+            "crystallographic types are classified"
         )
+    store, _, cells, gamma, dset = analysis(group, cache_dir, jobs)
+    table = character_table(group)
     return classify_group_streamed(store, cells, gamma, dset, table, jobs=jobs)
 
 

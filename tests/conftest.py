@@ -1,44 +1,62 @@
 """Session-scoped pipeline artifacts shared across test modules.
 
 Classification of the bigger groups costs seconds to minutes, so each
-symbol is built exactly once per run and reused everywhere.
+symbol is built exactly once per run and reused everywhere.  The rig's
+result comes from the product lane; the all-pairs table, the transport
+isomorphism and the direct-lane classification from tests/oracles.py are
+built on first use only.
 """
+
+from functools import cached_property
 
 import pytest
 
+from oracles import build_phi, classify_group, compute_h_table
+
 from coxcells.chartab import character_table
-from coxcells.classify import classify_group
+from coxcells.classify import classify_group_streamed
 from coxcells.coxeter import build_group
 from coxcells.jring import (
     compute_cells,
     compute_gamma,
     distinguished_involutions,
 )
-from coxcells.klbase import compute_h_table, compute_kl, generator_rows
+from coxcells.klbase import compute_kl, generator_rows
 from coxcells.pipeline import run_claims
 
 
 class Rig:
-    __slots__ = (
-        "group", "store", "htable", "cells", "gamma", "dset", "table",
-        "result", "claims",
-    )
-
     def __init__(self, symbol):
         self.group = build_group(symbol)
         self.store = compute_kl(self.group)
-        self.htable = compute_h_table(self.store)
         self.cells = compute_cells(generator_rows(self.store))
-        self.gamma = compute_gamma(self.htable, self.cells)
+        self.gamma = compute_gamma(self.store, self.cells)
         self.dset = distinguished_involutions(
             self.gamma, self.cells, self.store
         )
         self.table = character_table(self.group)
-        self.result = classify_group(
-            self.store, self.htable, self.cells, self.gamma, self.dset,
-            self.table,
+        self.result = classify_group_streamed(
+            self.store, self.cells, self.gamma, self.dset, self.table
         )
         self.claims = run_claims(self.result)
+
+    @cached_property
+    def htable(self):
+        """The all-pairs h-table."""
+        return compute_h_table(self.store)
+
+    @cached_property
+    def phi(self):
+        """The transport isomorphism with its exact inverse."""
+        return build_phi(self.store, self.htable, self.cells, self.dset)
+
+    @cached_property
+    def oracle(self):
+        """The direct lane's classification of the same data."""
+        return classify_group(
+            self.store, self.htable, self.cells, self.gamma, self.dset,
+            self.table, phi=self.phi,
+        )
 
 
 @pytest.fixture(scope="session")

@@ -1,14 +1,34 @@
 """Independent slow reference implementations used only by the tests.
 
-Nothing here imports from coxcells.klbase's internals beyond the public
-group tables; the point is to recompute the same quantities along entirely
-different routes.
+Nothing here reaches into coxcells internals beyond the public tables; the
+point is to recompute the same quantities along different routes.  That
+includes the direct classification lane: the all-pairs h-table, an exact
+dense rational inverse of the transport matrix, asymptotic traces from that
+inverse and generic-algebra traces through the dual-basis expansion.  The
+streamed lane in coxcells.classify is checked against it.
 """
 
+import hashlib
+import random
 from fractions import Fraction
 from math import factorial
 
-from coxcells.exactnum import LaurentPoly
+from coxcells.classify import (
+    ClassifyResult,
+    _detect_orientation,
+    _finish_records,
+    _signed_row,
+    classify_involutions,
+)
+from coxcells.errors import InternalInconsistencyError, UsageError
+from coxcells.exactnum import (
+    CycloNumber,
+    LaurentPoly,
+    cyclo_rational,
+    even_parity,
+    exact_divide,
+)
+from coxcells.klbase import HTable, stream_h_blocks, vp
 
 
 # ---------------------------------------------------------------------------
@@ -401,3 +421,486 @@ def dihedral3_coinvariant_graded_characters():
             chars[w] = full_trace - ideal_trace
         graded.append(chars)
     return group, graded
+
+
+# ---------------------------------------------------------------------------
+# the all-pairs h-table
+
+
+def compute_h_table(store) -> HTable:
+    """Every h row h_{x,y,.}, materialized from the block stream."""
+    rows = {}
+
+    def keep(x, y, row):
+        rows[(x, y)] = tuple(sorted(row.items()))
+
+    stream_h_blocks(store, keep)
+    return HTable(store.group, "all", rows)
+
+
+def dagger_T_basis(store, x: int) -> dict:
+    """T-basis expansion of the image of c_x under the automorphism
+    sending T_s to -T_s^(-1).
+
+    On T_w the map acts by T_w -> (-1)^l(w) (T_{w^-1})^(-1); inverse basis
+    vectors are built by the right-multiplication rule
+    X T_s^(-1) = v^(-2) (X T_s) - (1 - v^(-2)) X.
+    """
+    group = store.group
+    length = group.length
+
+    # (T_{y^-1})^(-1) accumulated by chaining along the canonical word of y
+    inv_memo = {0: {0: vp.ONE}}
+
+    def inv_of(y: int) -> dict:
+        # returns the expansion of (T_{y^-1})^(-1)
+        got = inv_memo.get(y)
+        if got is not None:
+            return got
+        # chain: word(y) = word(parent) + (s) with parent = y s
+        word = group.words[y]
+        s = word[-1]
+        parent = group.right[s][y]
+        base = inv_of(parent)
+        out = {}
+        rrow = group.right[s]
+        for u, p in base.items():
+            us = rrow[u]
+            if length[us] > length[u]:
+                # X T_s at T_u flows to T_{us}; then scale v^-2
+                q = vp.shift(p, -2)
+                cur = out.get(us)
+                out[us] = q if cur is None else vp.add(cur, q)
+            else:
+                q = p  # v^-2 * v^2 T_{us}
+                cur = out.get(us)
+                out[us] = q if cur is None else vp.add(cur, q)
+                r = vp.sub(p, vp.shift(p, -2))  # v^-2 (v^2-1) p = (1 - v^-2) p
+                cur = out.get(u)
+                out[u] = r if cur is None else vp.add(cur, r)
+            # subtract (1 - v^-2) X
+            r2 = vp.sub(vp.shift(p, -2), p)
+            cur = out.get(u)
+            out[u] = r2 if cur is None else vp.add(cur, r2)
+        out = {u: p for u, p in out.items() if p[1]}
+        inv_memo[y] = out
+        return out
+
+    lw = length[x]
+    total = {}
+    for y, qc in store.P_by_w[x].items():
+        f = vp.from_q(qc, -lw)
+        if length[y] % 2:
+            f = vp.neg(f)
+        for u, p in inv_of(y).items():
+            q = vp.mul(f, p)
+            cur = total.get(u)
+            total[u] = q if cur is None else vp.add(cur, q)
+    return {u: p for u, p in total.items() if p[1]}
+
+
+# ---------------------------------------------------------------------------
+# the direct classification lane: transport isomorphism and its inverse
+
+class PhiIso:
+    """Invertible change of basis from group elements to the asymptotic
+    basis, with its exact rational inverse.
+
+    matrix[x] is a sparse integer row {z: coefficient of t_z}; inverse[z]
+    is a dense tuple of Fractions over group elements.  The image of the
+    identity is checked to be the sum of t_d over distinguished d.
+    """
+
+    __slots__ = ("group", "dset", "matrix", "inverse")
+
+    def __init__(self, group, dset, matrix, inverse):
+        self.group = group
+        self.dset = dset
+        self.matrix = matrix
+        self.inverse = inverse
+        unit = matrix[0]
+        want = set(dset)
+        if set(unit) != want or any(unit[d] != 1 for d in want):
+            raise InternalInconsistencyError(
+                "image of the identity is not the sum over distinguished "
+                "involutions"
+            )
+
+
+def _transport_rows(htable, cells, dset):
+    """Sparse integer rows x -> {z: h_{x,d(z),z}(1)} over z ~L d."""
+    group = htable.group
+    lc = cells.left_cell_of
+    rows = []
+    for x in range(group.size):
+        acc = {}
+        for d in dset:
+            target = lc[d]
+            for z, p in htable.rows[(x, d)]:
+                if lc[z] == target:
+                    val = vp.at_one(p)
+                    if val:
+                        acc[z] = val
+        rows.append(acc)
+    return rows
+
+
+def build_phi(store, htable, cells, dset) -> PhiIso:
+    """The transport matrix on group-element rows and its exact inverse."""
+    group = store.group
+    if htable.scope != "all":
+        raise UsageError("transport needs the all-pairs table")
+    size = group.size
+    lengths = group.length
+    cols = _transport_rows(htable, cells, dset)
+    # peel the unitriangular signed layer: rows of the dual basis are
+    # supported on the Bruhat ideal with diagonal (-1)^l(x)
+    matrix = [None] * size
+    for x in range(size):
+        acc = dict(cols[x])
+        for u, b in _signed_row(store, x).items():
+            if u == x:
+                continue
+            for z, c in matrix[u].items():
+                t = acc.get(z, 0) - b * c
+                if t:
+                    acc[z] = t
+                else:
+                    acc.pop(z, None)
+        if lengths[x] % 2:
+            acc = {z: -c for z, c in acc.items()}
+        matrix[x] = acc
+
+    inverse = _invert_rational(matrix, size)
+    return PhiIso(group, dset, tuple(matrix), inverse)
+
+
+def _invert_rational(rows, size):
+    """Exact inverse of a sparse integer row matrix, dense Fraction rows."""
+    aug = []
+    for x in range(size):
+        line = [Fraction(0)] * (2 * size)
+        for z, c in rows[x].items():
+            line[z] = Fraction(c)
+        line[size + x] = Fraction(1)
+        aug.append(line)
+    for col in range(size):
+        piv = next((r for r in range(col, size) if aug[r][col]), None)
+        if piv is None:
+            raise InternalInconsistencyError(
+                "transport matrix is singular; the sign convention broke"
+            )
+        aug[col], aug[piv] = aug[piv], aug[col]
+        inv = 1 / aug[col][col]
+        aug[col] = [a * inv for a in aug[col]]
+        base = aug[col]
+        for r in range(size):
+            if r != col and aug[r][col]:
+                f = aug[r][col]
+                aug[r] = [a - f * b for a, b in zip(aug[r], base)]
+    # inverse row z gives the group-element coordinates of t_z
+    return tuple(
+        tuple(aug[x][size + z] for z in range(size)) for x in range(size)
+    )
+
+
+def check_phi_multiplicative(phi, gamma, pairs=200, seed=None):
+    """phi(x) phi(y) = phi(xy) on a seeded random sample, exactly."""
+    group = phi.group
+    if seed is None:
+        seed = int(
+            hashlib.sha256(f"{group.fingerprint()}:phi".encode()).hexdigest(), 16
+        )
+    rng = random.Random(seed)
+    for _ in range(pairs):
+        x = rng.randrange(group.size)
+        y = rng.randrange(group.size)
+        lhs = {}
+        for z, a in phi.matrix[x].items():
+            for w, b in phi.matrix[y].items():
+                ab = a * b
+                for u, c in gamma.by_xy.get((z, w), ()):
+                    t = lhs.get(u, 0) + ab * c
+                    if t:
+                        lhs[u] = t
+                    else:
+                        lhs.pop(u, None)
+        if lhs != phi.matrix[group.multiply(x, y)]:
+            raise InternalInconsistencyError(
+                f"transport not multiplicative at ({x}, {y})"
+            )
+
+
+# ---------------------------------------------------------------------------
+# traces on the asymptotic ring and the generic algebra
+
+def j_traces(phi, table, row_index):
+    """tr(t_z) on the module transported from a character row, per z."""
+    group = phi.group
+    M = table.conductor
+    cof = table.classes.class_of
+    chi = [table.rows[row_index][cof[w]] for w in range(group.size)]
+    out = []
+    for z in range(group.size):
+        acc = cyclo_rational(M, 0)
+        for w, c in enumerate(phi.inverse[z]):
+            if c:
+                acc = acc + c * chi[w]
+        out.append(acc)
+    dim = table.dims[row_index]
+    unit = sum((out[d] for d in phi.dset), cyclo_rational(M, 0))
+    if unit != dim:
+        raise InternalInconsistencyError(
+            f"unit trace {unit.render()} differs from the degree {dim}"
+        )
+    return tuple(out)
+
+
+def _dual_traces(htable, cells, dset, jt, conductor):
+    """Per x, the generic trace of the dual basis element at x as a
+    sparse {exponent: value} dict."""
+    group = htable.group
+    lc = cells.left_cell_of
+    zero = cyclo_rational(conductor, 0)
+    out = []
+    for x in range(group.size):
+        acc = {}
+        for d in dset:
+            target = lc[d]
+            for z, p in htable.rows[(x, d)]:
+                if lc[z] != target:
+                    continue
+                t = jt[z]
+                if not t:
+                    continue
+                val, coeffs = p
+                for i, c in enumerate(coeffs):
+                    if c:
+                        e = val + i
+                        acc[e] = acc.get(e, zero) + c * t
+        out.append({e: c for e, c in acc.items() if c})
+    return out
+
+
+# v^-1 - v: the correction term when a generator inverse acts in the
+# normalization whose quadratic is (T_s - v)(T_s + v^-1) = 0.  Only in
+# that normalization is T_s -> -T_s^-1 an algebra automorphism, so the
+# dual-basis expansion used for the trace solve is built here rather
+# than on top of the table module's T-basis, which absorbs an extra
+# v^l(w) into each basis vector.
+_INV_STEP = (-1, (1, 0, -1))
+
+
+def balanced_dagger_rows(store):
+    """Per element x, the expansion {w: coefficient} of the image of the
+    canonical basis element under the automorphism T_s -> -T_s^-1, in
+    the balanced T-basis.
+
+    The diagonal coefficient is exactly (-1)^l(x) and specializing v = 1
+    gives the signed Bruhat-ideal rows of the v=1 transport.
+    """
+    group = store.group
+    size = group.size
+    lengths = group.length
+    left = group.left
+    words = group.words
+    # inv[y] expands the inverse of the balanced basis vector at y^-1;
+    # built by left-composing generator inverses along first letters
+    inv = [None] * size
+    inv[0] = {0: vp.ONE}
+    for y in range(1, size):
+        s = words[y][0]
+        lrow = left[s]
+        out = {}
+        for w, p in inv[lrow[y]].items():
+            sw = lrow[w]
+            if lengths[sw] > lengths[w]:
+                cur = out.get(sw)
+                out[sw] = p if cur is None else vp.add(cur, p)
+                q = vp.mul(p, _INV_STEP)
+                cur = out.get(w)
+                out[w] = q if cur is None else vp.add(cur, q)
+            else:
+                cur = out.get(sw)
+                out[sw] = p if cur is None else vp.add(cur, p)
+        inv[y] = {w: p for w, p in out.items() if p[1]}
+    rows = []
+    for x in range(size):
+        acc = {}
+        for u, qc in store.P_by_w[x].items():
+            m = vp.from_q(qc, lengths[u] - lengths[x])
+            if lengths[u] % 2:
+                m = vp.neg(m)
+            for w, p in inv[u].items():
+                t = vp.mul(m, p)
+                cur = acc.get(w)
+                acc[w] = t if cur is None else vp.add(cur, t)
+        row = {w: p for w, p in acc.items() if p[1]}
+        want = vp.neg(vp.ONE) if lengths[x] % 2 else vp.ONE
+        if row.get(x) != want:
+            raise InternalInconsistencyError(
+                "dual-basis diagonal is not the expected sign"
+            )
+        rows.append(row)
+    return rows
+
+
+def hecke_character(store, htable, cells, dset, table, row_index, jt=None,
+                    dag_rows=None):
+    """Generic-algebra traces tr(T_w) for one irreducible, all w.
+
+    Solved from the dual-basis traces through the triangular balanced
+    expansion, then shifted by v^l(w) into the normalization whose
+    generator quadratic is (T_s - v^2)(T_s + 1) = 0; specializing v = 1
+    must recover the ordinary character values, which is asserted.
+    dag_rows, when given, caches the expansions across calls.
+    """
+    group = store.group
+    M = table.conductor
+    if jt is None:
+        raise UsageError("hecke_character needs the asymptotic traces")
+    if dag_rows is None:
+        dag_rows = balanced_dagger_rows(store)
+    trc = _dual_traces(htable, cells, dset, jt, M)
+    zero = cyclo_rational(M, 0)
+    lengths = group.length
+    out = [None] * group.size
+    for x in range(group.size):
+        acc = dict(trc[x])
+        for u, g in dag_rows[x].items():
+            if u == x:
+                continue
+            gv, gc = g
+            for e2, c2 in out[u].items():
+                for i, c in enumerate(gc):
+                    if c:
+                        e = gv + i + e2
+                        t = acc.get(e, zero) + (-c) * c2
+                        if t:
+                            acc[e] = t
+                        else:
+                            acc.pop(e, None)
+        if lengths[x] % 2:
+            out[x] = {e: -c for e, c in acc.items()}
+        else:
+            out[x] = acc
+    cof = table.classes.class_of
+    polys = []
+    for w, row in enumerate(out):
+        total = sum(row.values(), zero)
+        if total != table.rows[row_index][cof[w]]:
+            raise InternalInconsistencyError(
+                f"generic trace at v=1 disagrees with the character at w={w}"
+            )
+        shift = lengths[w]
+        polys.append(
+            LaurentPoly({e + shift: c for e, c in row.items()}, var="v")
+        )
+    return tuple(polys)
+
+
+def is_ordinary(hecke_traces) -> bool:
+    """Ordinary means every generic trace lives in even powers of v."""
+    return all(even_parity(p) for p in hecke_traces)
+
+
+def classify_group(store, htable, cells, gamma, dset, table, phi=None,
+                   sample_pairs=200) -> ClassifyResult:
+    """Direct-lane classification from a fully materialized table; phi,
+    when given, is the transport built by build_phi for the same data."""
+    group = store.group
+    orientation = _detect_orientation(htable, cells, table)
+    if phi is None:
+        phi = build_phi(store, htable, cells, dset)
+    check_phi_multiplicative(phi, gamma, pairs=sample_pairs)
+    dag_rows = balanced_dagger_rows(store)
+    jts = []
+    flags = []
+    for i in range(len(table)):
+        jt = j_traces(phi, table, i)
+        hc = hecke_character(
+            store, htable, cells, dset, table, i, jt=jt, dag_rows=dag_rows
+        )
+        jts.append(jt)
+        flags.append(is_ordinary(hc))
+    records, cell_ordinary, profile, consistent = _finish_records(
+        group, table, cells, gamma, dset, jts, flags
+    )
+    involutions = classify_involutions(group, cells, gamma.a)
+    return ClassifyResult(
+        group, table, cells, gamma, dset, records, involutions,
+        orientation, cell_ordinary, profile, consistent,
+    )
+
+
+# ---------------------------------------------------------------------------
+# rational functions
+
+
+class RationalFunction:
+    """Quotient of two Laurent polynomials, normalized lazily.
+
+    Normalization keeps the denominator with unit leading coefficient and
+    strips common monomial factors; full gcd reduction is not attempted.
+    Equality is decided by cross multiplication, so unreduced representatives
+    still compare correctly.
+    """
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num: LaurentPoly, den: LaurentPoly):
+        if not isinstance(num, LaurentPoly) or not isinstance(den, LaurentPoly):
+            raise UsageError("RationalFunction expects LaurentPoly operands")
+        num._check(den)
+        if not den:
+            raise UsageError("zero denominator")
+        if num:
+            k = min(num.valuation(), den.valuation())
+            if k:
+                num = num.shift(-k)
+                den = den.shift(-k)
+        lead = den.coeffs[den.degree()]
+        if lead != 1:
+            if isinstance(lead, CycloNumber):
+                inv = lead.inverse()
+            else:
+                inv = Fraction(1) / Fraction(lead)
+            num = num * inv
+            den = den * inv
+        self.num = num
+        self.den = den
+
+    @classmethod
+    def from_poly(cls, p: LaurentPoly) -> "RationalFunction":
+        return cls(p, LaurentPoly.constant(1, p.var))
+
+    def __add__(self, other):
+        if isinstance(other, LaurentPoly):
+            other = RationalFunction.from_poly(other)
+        if not isinstance(other, RationalFunction):
+            return NotImplemented
+        return RationalFunction(
+            self.num * other.den + other.num * self.den, self.den * other.den
+        )
+
+    def __mul__(self, other):
+        if isinstance(other, LaurentPoly):
+            other = RationalFunction.from_poly(other)
+        if not isinstance(other, RationalFunction):
+            return NotImplemented
+        return RationalFunction(self.num * other.num, self.den * other.den)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, RationalFunction):
+            return NotImplemented
+        return self.num * other.den == other.num * self.den
+
+    def __hash__(self):
+        raise TypeError("RationalFunction is not hashable")
+
+    def as_poly(self) -> LaurentPoly:
+        """Close the quotient to a polynomial; inexactness is an internal error."""
+        return exact_divide(self.num, self.den)
+
+    def __repr__(self) -> str:
+        return f"RationalFunction(({self.num.render()}) / ({self.den.render()}))"

@@ -13,17 +13,20 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import RPolyOracle, dihedral3_coinvariant_graded_characters
+from oracles import (
+    RPolyOracle,
+    balanced_dagger_rows,
+    check_phi_multiplicative,
+    dihedral3_coinvariant_graded_characters,
+    hecke_character,
+)
 
 from coxcells.chartab import character_table
 from coxcells.classify import (
-    balanced_dagger_rows,
     check_b_not_below_a,
     check_longest_twist,
     check_parity_bridge,
-    check_phi_multiplicative,
     classify_group_streamed,
-    hecke_character,
 )
 from coxcells.cli import main
 from coxcells.coxeter import build_group
@@ -256,7 +259,7 @@ def test_criterion_09_coinvariant_sum_rule(rig):
 def test_criterion_10_phi_contract(rig):
     for symbol in SYMBOLS:
         r = rig(symbol)
-        phi = r.result.phi
+        phi = r.phi
         assert phi.matrix[0] == {d: 1 for d in r.dset}
         check_phi_multiplicative(phi, r.gamma, pairs=200)
         assert len(phi.inverse) == r.group.size

@@ -7,29 +7,33 @@ runs of the same code path plus structural invariants that do not depend
 on element numbering.
 """
 
+import hashlib
+import json
 from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
 
-from oracles import dihedral3_coinvariant_graded_characters
+from oracles import (
+    balanced_dagger_rows,
+    check_phi_multiplicative,
+    dihedral3_coinvariant_graded_characters,
+    hecke_character,
+)
 
 from coxcells.classify import (
-    balanced_dagger_rows,
     check_b_not_below_a,
     check_cell_modules_contain_special,
     check_longest_twist,
     check_parity_bridge,
-    check_phi_multiplicative,
-    classify_group_streamed,
     expected_exceptional_profile,
-    hecke_character,
     left_cell_module,
     verify_claim,
     word_name,
 )
-from coxcells.errors import RefusalError, UsageError
+from coxcells.errors import UsageError
 from coxcells.exactnum import LaurentPoly
+from coxcells.pipeline import classify_report
 
 DEFAULT_SYMBOLS = ("I2(3)", "I2(5)", "I2(7)", "A3", "B3", "H3")
 
@@ -51,13 +55,13 @@ def _as_fraction(value):
 def test_phi_identity_row_is_distinguished_sum(rig):
     for symbol in ("I2(3)", "A3"):
         r = rig(symbol)
-        phi = r.result.phi
+        phi = r.phi
         assert phi.matrix[0] == {d: 1 for d in r.dset}
 
 
 def test_phi_inverse_is_exact(rig):
     r = rig("I2(5)")
-    phi = r.result.phi
+    phi = r.phi
     size = r.group.size
     for x in range(size):
         for z in range(size):
@@ -72,7 +76,7 @@ def test_phi_multiplicative_small_groups(rig):
     # raises InternalInconsistencyError on any failing pair
     for symbol in ("I2(3)", "A3"):
         r = rig(symbol)
-        check_phi_multiplicative(r.result.phi, r.gamma, pairs=300)
+        check_phi_multiplicative(r.phi, r.gamma, pairs=300)
 
 
 # ---------------------------------------------------------------------------
@@ -405,22 +409,34 @@ def test_property_checks(rig):
 
 
 # ---------------------------------------------------------------------------
-# the streamed lane
+# the streamed lane against the direct-lane oracle
 
 
 def test_streamed_lane_matches_direct(rig):
-    for symbol in ("A3", "B3"):
+    for symbol in ("A3", "B3", "H3"):
         r = rig(symbol)
-        streamed = classify_group_streamed(
-            r.store, r.cells, r.gamma, r.dset, r.table
-        )
-        assert streamed.irreps == r.result.irreps
-        assert streamed.involutions == r.result.involutions
-        assert streamed.cell_ordinary == r.result.cell_ordinary
-        assert streamed.orientation == r.result.orientation
+        direct = r.oracle
+        assert r.result.irreps == direct.irreps
+        assert r.result.involutions == direct.involutions
+        assert r.result.cell_ordinary == direct.cell_ordinary
+        assert r.result.orientation == direct.orientation
 
 
-def test_streamed_lane_refuses_irrational_characters(rig):
-    r = rig("H3")
-    with pytest.raises(RefusalError):
-        classify_group_streamed(r.store, r.cells, r.gamma, r.dset, r.table)
+# SHA-256 of `coxcells classify --type G` stdout (the JSON report with a
+# trailing newline), recorded before the direct lane left the program
+REPORT_SHA256 = {
+    "I2(3)": "545fbeeee940a5f2f9fb494fb8648ee47ff7ff61f0884cf5e353aa30b2fb0c6f",
+    "I2(5)": "2559ccb9f5d70cfdd7eed93ed364ac6c962896da509724a1e4629b40048b0124",
+    "I2(7)": "1c6b564c64939f0d07518c08229a6d53991860718015ba05619fa8f34f105744",
+    "A3": "26ce448a371a227fdcc92b75e3a71552ae69000318a6a745d8539828f94f603d",
+    "B3": "13f1865b3433a428d7dc36cd14d1e0f5974f4b2930047dd80c4f2379d70c5537",
+    "H3": "d77fbab7a999dfed2746148f05fa6a77ae387b5a665991c2637dff2e8928b1fe",
+}
+
+
+def test_classify_reports_pinned(rig):
+    for symbol, want in REPORT_SHA256.items():
+        r = rig(symbol)
+        text = json.dumps(classify_report(r.result, r.claims), indent=2)
+        got = hashlib.sha256((text + "\n").encode()).hexdigest()
+        assert got == want, symbol

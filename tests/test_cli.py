@@ -123,6 +123,25 @@ def test_heavy_group_needs_flag(capsys):
     assert "--heavy" in err
 
 
+def test_h4_classification_refused_before_any_scan(capsys, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("polynomial work started")
+
+    monkeypatch.setattr("coxcells.pipeline.compute_kl", forbidden)
+    monkeypatch.setattr("coxcells.jring.stream_h_blocks", forbidden)
+    code, out, err = _run(capsys, "classify", "--type", "H4", "--heavy")
+    assert code == 2
+    assert out == ""
+    assert "H4" in err
+
+
+def test_jobs_below_one_is_usage_error(capsys):
+    code, out, err = _run(capsys, "cells", "--type", "I2(3)", "--jobs", "0")
+    assert code == 2
+    assert out == ""
+    assert "--jobs" in err
+
+
 def test_bad_type_rejected(capsys):
     code, _, err = _run(capsys, "group", "--type", "Q9")
     assert code == 2
@@ -153,11 +172,26 @@ def test_corrupt_cache_recomputed(capsys, tmp_path):
     args = ("cells", "--type", "I2(3)", "--cache-dir", str(cache))
     code, first, _ = _run(capsys, *args)
     assert code == 0
-    (cache / "I2(3)" / "h.bin").write_bytes(b"garbage")
+    (cache / "I2(3)" / "lead.bin").write_bytes(b"garbage")
     code, again, err = _run(capsys, *args)
     assert code == 0
     assert first == again
     assert "cache" in err
+
+
+def test_warm_cells_never_stream(capsys, tmp_path, monkeypatch):
+    args = ("cells", "--type", "A3", "--cache-dir", str(tmp_path))
+    code, cold, _ = _run(capsys, *args)
+    assert code == 0
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("an h block was streamed")
+
+    monkeypatch.setattr("coxcells.jring.stream_h_blocks", forbidden)
+    code, warm, err = _run(capsys, *args)
+    assert code == 0
+    assert warm == cold
+    assert err == ""
 
 
 def test_reports_are_deterministic(capsys):

@@ -3,11 +3,12 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import RationalFunction
+
 from coxcells.errors import InternalInconsistencyError, UsageError
 from coxcells.exactnum import (
     CycloNumber,
     LaurentPoly,
-    RationalFunction,
     cyclo_one,
     cyclo_rational,
     cyclo_zero,

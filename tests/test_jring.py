@@ -6,23 +6,20 @@ import pytest
 
 from coxcells.coxeter import build_group
 from coxcells.jring import (
-    compute_a,
     compute_cells,
     compute_gamma,
     distinguished_involutions,
 )
-from coxcells.klbase import compute_h_table, compute_kl
+from coxcells.klbase import compute_kl, generator_rows, vp
 
-from oracles import tableaux_count
+from oracles import compute_h_table, tableaux_count
 
 
-def _setup(symbol, materialize=True):
+def _setup(symbol):
     g = build_group(symbol)
     store = compute_kl(g)
-    gens = compute_h_table(store, scope="generators")
-    cells = compute_cells(gens)
-    source = compute_h_table(store, scope="all") if materialize else store
-    gamma = compute_gamma(source, cells)
+    cells = compute_cells(generator_rows(store))
+    gamma = compute_gamma(store, cells)
     dlist = distinguished_involutions(gamma, cells, store)
     return g, store, cells, gamma, dlist
 
@@ -49,7 +46,7 @@ def test_right_cells_are_inverted_left_cells():
     for symbol in ("I2(5)", "A3", "B3"):
         g = build_group(symbol)
         store = compute_kl(g)
-        cells = compute_cells(compute_h_table(store, scope="generators"))
+        cells = compute_cells(generator_rows(store))
         left_sets = {frozenset(c) for c in cells.left_cells}
         inverted = {
             frozenset(g.inverse[m] for m in c) for c in cells.right_cells
@@ -112,24 +109,24 @@ def test_A3_a_values_per_two_sided_cell():
     ]
 
 
-def test_compute_a_matches_gamma_field():
-    g = build_group("I2(5)")
-    store = compute_kl(g)
-    cells = compute_cells(compute_h_table(store, scope="generators"))
-    tab = compute_h_table(store, scope="all")
-    assert compute_a(tab, cells) == compute_gamma(tab, cells).a
-
-
 def test_streaming_gamma_matches_materialized():
     g = build_group("A3")
     store = compute_kl(g)
-    cells = compute_cells(compute_h_table(store, scope="generators"))
-    via_table = compute_gamma(compute_h_table(store, scope="all"), cells)
+    cells = compute_cells(generator_rows(store))
+    # top degree and leading coefficients read off the all-pairs table
+    terms = {}
+    for (x, y), row in compute_h_table(store).rows.items():
+        for z, p in row:
+            terms.setdefault(z, []).append((vp.deg(p), (x, y, z), p[1][-1]))
+    a = tuple(max(d for d, _, _ in terms[z]) for z in range(g.size))
+    lead = {k: c for z in terms for d, k, c in terms[z] if d == a[z]}
     via_stream = compute_gamma(store, cells)
-    assert via_table.a == via_stream.a
-    assert via_table.lead == via_stream.lead
+    assert via_stream.a == a
+    assert via_stream.lead == lead
     via_jobs = compute_gamma(store, cells, jobs=2)
     assert via_jobs.lead == via_stream.lead
+    cached = compute_gamma(store, cells, scan=(via_stream.a, via_stream.lead))
+    assert cached.by_xy == via_stream.by_xy
 
 
 # ---------------------------------------------------------------------------

@@ -5,24 +5,32 @@ import random
 import pytest
 
 from coxcells.coxeter import build_group
-from coxcells.errors import CacheInvalidError, RefusalError
+from coxcells.errors import CacheInvalidError
+from coxcells.jring import compute_cells, compute_gamma
 from coxcells.klbase import (
-    HTable,
     c_product,
     cache_load,
     cache_save,
-    compute_h_table,
     compute_kl,
-    dagger_T_basis,
+    generator_rows,
     stream_h_blocks,
     vp,
 )
 
-from oracles import RPolyOracle, naive_c_product
+from oracles import (
+    RPolyOracle,
+    compute_h_table,
+    dagger_T_basis,
+    naive_c_product,
+)
 
 
 def _store(symbol):
     return compute_kl(build_group(symbol))
+
+
+def _gamma(store):
+    return compute_gamma(store, compute_cells(generator_rows(store)))
 
 
 # ---------------------------------------------------------------------------
@@ -186,10 +194,10 @@ def test_c_product_against_naive_oracle_H3_sample():
 
 def test_generator_table_row_count():
     store = _store("I2(3)")
-    tab = compute_h_table(store, scope="generators")
+    tab = generator_rows(store)
     assert tab.scope == "generators"
     assert len(tab.rows) == 12
-    full = compute_h_table(store, scope="all")
+    full = compute_h_table(store)
     assert len(full.rows) == 36
     # generator rows agree between the two routes
     for key, row in tab.rows.items():
@@ -200,7 +208,7 @@ def test_h_table_rows_match_c_product():
     for symbol, n_samples in (("I2(5)", None), ("A3", 60)):
         store = _store(symbol)
         g = store.group
-        tab = compute_h_table(store, scope="all")
+        tab = compute_h_table(store)
         rng = random.Random(4242)
         if n_samples is None:
             pairs = list(tab.rows)
@@ -215,7 +223,7 @@ def test_h_table_rows_match_c_product():
 
 def test_h_polynomials_bar_symmetric():
     for symbol in ("I2(5)", "A3"):
-        tab = compute_h_table(_store(symbol), scope="all")
+        tab = compute_h_table(_store(symbol))
         for row in tab.rows.values():
             for _, p in row:
                 assert vp.bar_symmetric(p)
@@ -224,15 +232,15 @@ def test_h_polynomials_bar_symmetric():
 def test_h_top_degree_of_longest_element():
     store = _store("I2(3)")
     g = store.group
-    tab = compute_h_table(store, scope="all")
-    p = tab.h(g.w0, g.w0, g.w0)
+    tab = compute_h_table(store)
+    p = dict(tab.rows[(g.w0, g.w0)])[g.w0]
     assert vp.deg(p) == 3  # the a-value of the longest dihedral element
 
 
 def test_h_associativity_random_triples():
     store = _store("A3")
     g = store.group
-    tab = compute_h_table(store, scope="all")
+    tab = compute_h_table(store)
     rng = random.Random(987)
     for _ in range(200):
         x = rng.randrange(g.size)
@@ -251,17 +259,9 @@ def test_h_associativity_random_triples():
         assert lhs == rhs, (x, y, z)
 
 
-def test_all_pairs_budget_refusal():
-    store = _store("A3")
-    with pytest.raises(RefusalError) as err:
-        compute_h_table(store, scope="all", row_budget=100)
-    assert "576" in str(err.value)
-    assert "A3" in str(err.value)
-
-
 def test_streaming_matches_materialized():
     store = _store("I2(5)")
-    tab = compute_h_table(store, scope="all")
+    tab = compute_h_table(store)
     seen = {}
 
     def consumer(x, y, row):
@@ -332,32 +332,46 @@ def test_dagger_specializes_to_signed_P_at_one():
 def test_cache_round_trip(tmp_path):
     g = build_group("I2(5)")
     store = compute_kl(g)
-    tab = compute_h_table(store, scope="all")
+    gamma = _gamma(store)
     d = str(tmp_path / "I2(5)")
-    cache_save(store, tab, d)
-    store2, tab2 = cache_load(d, g)
+    cache_save(store, gamma, d)
+    store2, (a, lead) = cache_load(d, g)
     assert store2.P_by_w == store.P_by_w
     assert store2.mu_by_w == store.mu_by_w
-    assert isinstance(tab2, HTable)
-    assert tab2.scope == "all"
-    assert tab2.rows == tab.rows
+    assert a == gamma.a
+    assert lead == gamma.lead
 
 
 def test_cache_without_h_table(tmp_path):
+    import os
+
     g = build_group("I2(3)")
     store = compute_kl(g)
     d = str(tmp_path / "c")
-    cache_save(store, None, d)
-    store2, tab2 = cache_load(d, g)
-    assert tab2 is None
+    cache_save(store, _gamma(store), d)
+    assert sorted(os.listdir(d)) == ["kl.bin", "lead.bin", "manifest.json"]
+    store2, _ = cache_load(d, g)
     assert store2.P_by_w == store.P_by_w
+
+
+def test_cache_without_lead_file_rejected(tmp_path):
+    import os
+
+    g = build_group("I2(3)")
+    store = compute_kl(g)
+    d = str(tmp_path / "c")
+    cache_save(store, _gamma(store), d)
+    os.remove(os.path.join(d, "lead.bin"))
+    with pytest.raises(CacheInvalidError):
+        cache_load(d, g)
 
 
 def test_cache_rejects_wrong_group(tmp_path):
     g5 = build_group("I2(5)")
     g3 = build_group("I2(3)")
     d = str(tmp_path / "c")
-    cache_save(compute_kl(g5), None, d)
+    store = compute_kl(g5)
+    cache_save(store, _gamma(store), d)
     with pytest.raises(CacheInvalidError):
         cache_load(d, g3)
 
@@ -368,7 +382,8 @@ def test_cache_rejects_version_bump(tmp_path):
 
     g = build_group("I2(3)")
     d = str(tmp_path / "c")
-    cache_save(compute_kl(g), None, d)
+    store = compute_kl(g)
+    cache_save(store, _gamma(store), d)
     mpath = os.path.join(d, "manifest.json")
     with open(mpath) as f:
         manifest = json.load(f)
@@ -384,7 +399,8 @@ def test_cache_rejects_corrupt_payload(tmp_path):
 
     g = build_group("I2(3)")
     d = str(tmp_path / "c")
-    cache_save(compute_kl(g), None, d)
+    store = compute_kl(g)
+    cache_save(store, _gamma(store), d)
     kpath = os.path.join(d, "kl.bin")
     with open(kpath, "r+b") as f:
         f.seek(0)
