@@ -19,14 +19,20 @@ Character values lie in Z[zeta_M], so each power-basis coordinate of a
 character is an integer class function and the transport system is
 rational: the asymptotic traces are solved one coordinate at a time
 modulo several word-sized primes, reconstructed as rationals, verified
-exactly and reassembled in Q(zeta_M).  The parity test then runs on the
+exactly in integers (each column scaled by the lcm of its denominators)
+and reassembled in Q(zeta_M).  The parity test then runs on the
 dual-basis traces of every coordinate.
+
+Fake degrees follow Molien's formula one conjugacy class at a time: by
+Springer's theorem every det(1 - X w) divides prod_i (1 - X^d_i), so each
+class contributes an exact polynomial quotient of degree N (the number
+of positive roots) and no common denominator is formed.
 """
 
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 from .chartab import _is_prime
 from .errors import InternalInconsistencyError, UsageError
@@ -144,44 +150,50 @@ def _reflection_charpolys(group, table):
     return polys
 
 
+def _class_quotients(degrees, charpolys):
+    """Q_j = prod_i (1 - X^d_i) / det(1 - X w_j) per class, by exact
+    division: every det(1 - X w) divides that product (Springer,
+    Regular elements of finite reflection groups, Thm 3.4), so a
+    remainder means a wrong class polynomial."""
+    one = LaurentPoly.constant(1, var="X")
+    co = one
+    for d in degrees:
+        co = co * (one - LaurentPoly.monomial(d, var="X"))
+    return [exact_divide(co, p) for p in charpolys]
+
+
 def fake_degrees(group, table):
     """Graded multiplicities of every irreducible in the coinvariant
     algebra, as polynomials in X with nonnegative integer coefficients.
 
-    Accumulated per conjugacy class over a common denominator and closed
-    by exact division; the degree-sum identity against the length
-    generating function is asserted before returning.
+    Molien's formula class by class: P_chi = (1/|W|) sum_j |C_j| chi(C_j)
+    Q_j with the per-class quotients of `_class_quotients`, each of
+    degree N, the number of positive roots.  The degree-sum identity
+    against the length generating function is asserted before returning.
     """
-    polys = _reflection_charpolys(group, table)
-    k = len(polys)
-    one = LaurentPoly.constant(1, var="X")
-    prefix = [one]
-    for d in polys:
-        prefix.append(prefix[-1] * d)
-    suffix = [one] * (k + 1)
-    for j in range(k - 1, -1, -1):
-        suffix[j] = polys[j] * suffix[j + 1]
-    den = prefix[k] * group.size
-    co = one
-    for d in group.datum.degrees:
-        co = co * (one - LaurentPoly.monomial(d, var="X"))
+    quots = _class_quotients(
+        group.datum.degrees, _reflection_charpolys(group, table)
+    )
+    top = group.datum.num_positive_roots
+    zero = cyclo_context(table.conductor).zero
     out = []
     for idx in range(len(table)):
         row = table.rows[idx]
-        num = LaurentPoly.zero("X")
-        for j in range(k):
+        acc = [zero] * (top + 1)
+        for j, q in enumerate(quots):
             scale = row[j] * table.classes.sizes[j]
             if scale:
-                num = num + prefix[j] * suffix[j + 1] * scale
-        quo = exact_divide(num * co, den)
+                for e, c in q.coeffs.items():
+                    acc[e] = acc[e] + scale * c
         coeffs = {}
-        for e, c in quo.coeffs.items():
+        for e, c in enumerate(acc):
+            c = c / group.size
             if not (c.is_rational() and c.is_integer()):
                 raise InternalInconsistencyError(
                     f"graded multiplicity {c.render()} is not an integer"
                 )
             iv = int(c.as_fraction())
-            if iv < 0 or e < 0:
+            if iv < 0:
                 raise InternalInconsistencyError(
                     "negative term in a graded multiplicity series"
                 )
@@ -684,10 +696,13 @@ def _streamed_traces(trans, rhs_cols, size):
 
 
 def _verify_traces(trans, rhs_cols, sols):
+    """Exact check of the solved columns in integers: with L the lcm of a
+    column's denominators, the integer column L*col must map to L*rhs."""
     for col, rhs in zip(sols, rhs_cols):
+        den = lcm(*(q.denominator for q in col))
+        ints = [q.numerator * (den // q.denominator) for q in col]
         for x, row in enumerate(trans):
-            acc = sum(c * col[z] for z, c in row.items())
-            if acc != rhs[x]:
+            if sum(c * ints[z] for z, c in row.items()) != den * rhs[x]:
                 return False
     return True
 
@@ -860,96 +875,3 @@ def verify_claim(claim_id, result) -> ClaimReport:
     t0 = time.perf_counter()
     status, witness = fn(result)
     return ClaimReport(claim_id, status, witness, time.perf_counter() - t0)
-
-
-# ---------------------------------------------------------------------------
-# cross-cutting property checks
-
-def check_parity_bridge(result):
-    """Ordinary irreducibles only see even l(x) + a(x) where their
-    asymptotic trace survives on x ~L x^-1."""
-    group = result.group
-    cells = result.cells
-    inv = group.inverse
-    a = result.gamma.a
-    for r in result.irreps:
-        if not r.ordinary:
-            continue
-        for x in range(group.size):
-            if cells.left_cell_of[x] != cells.left_cell_of[inv[x]]:
-                continue
-            if r.j_traces[x] and (group.length[x] + a[x]) % 2:
-                raise InternalInconsistencyError(
-                    f"parity bridge breaks at {word_name(group, x)} "
-                    f"for {r.label}"
-                )
-
-
-def check_b_not_below_a(result):
-    for r in result.irreps:
-        if r.b_value < r.a_value:
-            raise InternalInconsistencyError(
-                f"{r.label} has fake-degree valuation {r.b_value} below "
-                f"its cell invariant {r.a_value}"
-            )
-
-
-def check_cell_modules_contain_special(result, htable):
-    """Every left cell of an ordinary two-sided cell contains its
-    special irreducible at least once."""
-    table = result.table
-    cells = result.cells
-    specials = {r.cell: table.names.index(r.label)
-                for r in result.irreps if r.special}
-    for lid in range(len(cells.left_cells)):
-        member = cells.left_cells[lid][0]
-        cid = cells.two_sided_of[member]
-        if not result.cell_ordinary[cid]:
-            continue
-        mults = left_cell_module(
-            htable, cells, table, lid, result.orientation
-        )
-        if mults.get(specials[cid], 0) < 1:
-            raise InternalInconsistencyError(
-                f"left cell {lid} misses the special irreducible of its "
-                f"two-sided cell {cid}"
-            )
-
-
-def check_longest_twist(result):
-    """When w0 is central of odd length, every exceptional two-sided
-    cell must be fixed by multiplication with w0, which then pairs each
-    involution with one of the opposite parity class.
-
-    Returns True when something was actually checked, False when the
-    hypotheses fail or no exceptional cell exists.
-    """
-    group = result.group
-    w0 = group.w0
-    if group.length[w0] % 2 == 0:
-        return False
-    if any(
-        group.multiply(w0, s) != group.multiply(s, w0)
-        for s in (group.element_by_word((t,)) for t in range(group.datum.rank))
-    ):
-        return False
-    cells = result.cells
-    flags = {r.element: r.ordinary for r in result.involutions}
-    exc = [cid for cid, o in result.cell_ordinary.items() if not o]
-    for cid in exc:
-        members = set(cells.two_sided_cells[cid])
-        for x in members:
-            if group.multiply(w0, x) not in members:
-                raise InternalInconsistencyError(
-                    f"longest element moves cell {cid} off itself"
-                )
-        for x in members:
-            if x not in flags:
-                continue
-            mate = group.multiply(w0, x)
-            if mate not in flags or flags[mate] == flags[x]:
-                raise InternalInconsistencyError(
-                    f"longest-element twist keeps the parity class at "
-                    f"{word_name(group, x)}"
-                )
-    return bool(exc)

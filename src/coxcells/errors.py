@@ -16,7 +16,8 @@ class RefusalError(UsageError):
 
 
 class CacheInvalidError(Exception):
-    """On-disk cache does not match the requesting group or format version."""
+    """On-disk cache that does not match the requesting group or format
+    version, or that cannot be read or decoded."""
 
 
 class InternalInconsistencyError(Exception):

@@ -42,7 +42,6 @@ __all__ = [
     "cyclo_rational",
     "cyclo_zero",
     "cyclotomic_polynomial",
-    "even_parity",
     "exact_divide",
     "is_palindromic",
     "poly_divmod",
@@ -754,11 +753,6 @@ class LaurentPoly:
 
 
 # -- predicates and division ----------------------------------------------
-
-def even_parity(p: LaurentPoly) -> bool:
-    """True when only even powers of the variable occur (the zero poly passes)."""
-    return all(e % 2 == 0 for e in p.coeffs)
-
 
 def is_palindromic(p: LaurentPoly):
     """Return the witness u with coeff(e) == coeff(u - e) for all e, else None.

@@ -132,20 +132,6 @@ class CellPartition:
         self.two_sided_of, self.two_sided_cells, self.two_sided_reach = two
         self.distinguished = None  # filled by distinguished_involutions
 
-    def left_leq(self, cell_a: int, cell_b: int) -> bool:
-        """Is cell_a weakly below cell_b in the left order?"""
-        return bool(self.left_reach[cell_b] >> cell_a & 1)
-
-    def two_sided_leq(self, cell_a: int, cell_b: int) -> bool:
-        return bool(self.two_sided_reach[cell_b] >> cell_a & 1)
-
-    def summary(self) -> dict:
-        return {
-            "left_cells": len(self.left_cells),
-            "right_cells": len(self.right_cells),
-            "two_sided_cells": len(self.two_sided_cells),
-        }
-
 
 def _close(size: int, adj):
     """SCCs of adj with final ids by smallest member and reachability

@@ -14,18 +14,16 @@ general LaurentPoly class: a pair (val, coeffs) of an int and a tuple of ints
 meaning sum coeffs[i] * v^(val + i).  The zero polynomial is (0, ()).
 Conversion to LaurentPoly happens only at module boundaries.
 
-Products c_x c_y = sum over z of h_{x,y,z} c_z are provided two ways:
+Products c_x c_y = sum over z of h_{x,y,z} c_z come in bulk from the
+left-multiplication recursion on blocks of fixed y (`stream_h_blocks`),
+which never touches the T-basis and is what makes the big groups
+affordable.  No all-pairs table is ever held: consumers reduce each block
+as it streams past.  The test suite checks the blocks against products
+taken row by row through the T-basis.
 
-* row by row through the T-basis (`c_product`): expand, multiply, convert
-  back by unitriangular elimination;
-* in bulk through the left-multiplication recursion on blocks of fixed y
-  (`stream_h_blocks`), which never touches the T-basis and is what makes
-  the big groups affordable.  No all-pairs table is ever held: consumers
-  reduce each block as it streams past.
-
-The two routes are checked against each other in the test suite.  The
-cache holds the polynomial store and the result of the leading scan over
-all h rows (a-values and leading coefficients), not the rows themselves.
+The cache holds the polynomial store and the result of the leading scan
+over all h rows (a-values and leading coefficients), not the rows
+themselves.
 """
 
 from __future__ import annotations
@@ -42,7 +40,6 @@ from .exactnum import LaurentPoly
 __all__ = [
     "HTable",
     "KLStore",
-    "c_product",
     "cache_load",
     "cache_save",
     "compute_kl",
@@ -198,22 +195,12 @@ class KLStore:
         """Ascending q-coefficients of P_{x,y}; () when x is not <= y."""
         return self.P_by_w[y].get(x, ())
 
-    def P_at_one(self, x: int, y: int) -> int:
-        return sum(self.P_by_w[y].get(x, ()))
-
     def mu(self, x: int, y: int) -> int:
         """mu(x, y) for x < y (0 when absent)."""
         for z, m in self.mu_by_w[y]:
             if z == x:
                 return m
         return 0
-
-    def c_vector(self, w: int) -> dict:
-        """T-basis coordinates of c_w as a dict y -> value polynomial."""
-        lw = self.group.length[w]
-        return {
-            y: vp.from_q(qc, -lw) for y, qc in self.P_by_w[w].items()
-        }
 
 
 def compute_kl(group: CoxeterGroup) -> KLStore:
@@ -297,86 +284,6 @@ def compute_kl(group: CoxeterGroup) -> KLStore:
         mu_by_w[w] = tuple(mus)
 
     return KLStore(group, P_by_w, mu_by_w)
-
-
-# ---------------------------------------------------------------------------
-# products through the T-basis
-
-
-def _t_mul_left_gen(group: CoxeterGroup, s: int, vec: dict) -> dict:
-    """T_s times a T-basis vector: T_s T_y = T_{sy} or v^2 T_{sy}+(v^2-1)T_y."""
-    lrow = group.left[s]
-    length = group.length
-    out = {}
-    for y, p in vec.items():
-        sy = lrow[y]
-        if length[sy] > length[y]:
-            cur = out.get(sy)
-            out[sy] = p if cur is None else vp.add(cur, p)
-        else:
-            q = vp.shift(p, 2)
-            cur = out.get(sy)
-            out[sy] = q if cur is None else vp.add(cur, q)
-            r = vp.add(vp.shift(p, 2), vp.neg(p))
-            cur = out.get(y)
-            out[y] = r if cur is None else vp.add(cur, r)
-    return {y: p for y, p in out.items() if p[1]}
-
-
-def c_product(store: KLStore, x: int, y: int) -> tuple:
-    """The h-row of c_x c_y as a tuple of (z, value polynomial), sorted by z.
-
-    Expands both factors over the T-basis, multiplies through the quadratic
-    relation, and converts back by unitriangular elimination against the
-    c-basis.  Fine for single rows and oracle comparisons; use
-    stream_h_blocks for bulk work.
-    """
-    group = store.group
-    xvec = store.c_vector(x)
-    yvec = store.c_vector(y)
-
-    # T_u * yvec for every u in the support of c_x, sharing prefixes:
-    # T_u = T_s T_u' with s the first letter of u's canonical word
-    words = group.words
-    need = sorted(xvec)
-    memo = {0: yvec}
-    for u in need:
-        if u in memo:
-            continue
-        stack = []
-        cur = u
-        while cur not in memo:
-            stack.append(cur)
-            cur = group.left[words[cur][0]][cur]
-        while stack:
-            cur = stack.pop()
-            memo[cur] = _t_mul_left_gen(group, words[cur][0], memo[group.left[words[cur][0]][cur]])
-
-    prod = {}
-    for u, f in xvec.items():
-        for z, p in memo[u].items():
-            q = vp.mul(f, p)
-            cur = prod.get(z)
-            prod[z] = q if cur is None else vp.add(cur, q)
-    prod = {z: p for z, p in prod.items() if p[1]}
-
-    # unitriangular conversion: repeatedly strip the highest-index term
-    length = group.length
-    out = []
-    while prod:
-        w = max(prod)
-        h = vp.shift(prod[w], length[w])
-        out.append((w, h))
-        for yy, qc in store.P_by_w[w].items():
-            contrib = vp.mul(h, vp.from_q(qc, -length[w]))
-            cur = prod.get(yy)
-            r = vp.sub(cur, contrib) if cur is not None else vp.neg(contrib)
-            if r[1]:
-                prod[yy] = r
-            else:
-                prod.pop(yy, None)
-    out.sort()
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -610,12 +517,24 @@ def cache_load(directory: str, group: CoxeterGroup):
     """Load (KLStore, (a, lead)) for this group; validate everything.
 
     (a, lead) is the cached leading scan, as compute_gamma takes it.
+    Every way the files can fail to decode (missing or unreadable file,
+    malformed JSON, short or oversized record, bad text) is raised as
+    CacheInvalidError.
     """
     manifest_path = os.path.join(directory, "manifest.json")
     if not os.path.exists(manifest_path):
         raise CacheInvalidError(f"no manifest at {manifest_path}")
+    try:
+        return _read_cache(directory, manifest_path, group)
+    except (OSError, ValueError, struct.error) as exc:
+        raise CacheInvalidError(f"unreadable cache: {exc}") from exc
+
+
+def _read_cache(directory: str, manifest_path: str, group: CoxeterGroup):
     with open(manifest_path) as f:
         manifest = json.load(f)
+    if not isinstance(manifest, dict):
+        raise CacheInvalidError("manifest is not a JSON object")
     if manifest.get("format_version") != CACHE_FORMAT_VERSION:
         raise CacheInvalidError(
             f"cache format {manifest.get('format_version')} != "
@@ -650,8 +569,12 @@ def cache_load(directory: str, group: CoxeterGroup):
             for _ in range(nmu):
                 z, m = struct.unpack("<Iq", buf.read(12))
                 mus.append((z, m))
+            if buf.read(1):
+                raise CacheInvalidError("kl.bin record longer than its rows")
             P_by_w[w] = row
             mu_by_w[w] = tuple(mus)
+        if f.read(1):
+            raise CacheInvalidError("trailing bytes after kl.bin records")
     store = KLStore(group, P_by_w, mu_by_w)
 
     lead_path = os.path.join(directory, "lead.bin")
@@ -664,6 +587,8 @@ def cache_load(directory: str, group: CoxeterGroup):
             raise CacheInvalidError("lead.bin fingerprint mismatch")
         a_raw = _read_record(f)
         lead_raw = _read_record(f)
+        if f.read(1):
+            raise CacheInvalidError("trailing bytes after lead.bin records")
     if len(a_raw) != 4 * size or len(lead_raw) % _LEAD.size:
         raise CacheInvalidError("lead.bin record size mismatch")
     a = struct.unpack(f"<{size}I", a_raw)

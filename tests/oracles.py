@@ -5,7 +5,10 @@ point is to recompute the same quantities along different routes.  That
 includes the direct classification lane: the all-pairs h-table, an exact
 dense rational inverse of the transport matrix, asymptotic traces from that
 inverse and generic-algebra traces through the dual-basis expansion.  The
-streamed lane in coxcells.classify is checked against it.
+streamed lane in coxcells.classify is checked against it.  Fake degrees
+over one common denominator, canonical-basis products through the T-basis
+and the cross-cutting property checks on a finished classification live
+here for the same reason.
 """
 
 import hashlib
@@ -17,15 +20,17 @@ from coxcells.classify import (
     ClassifyResult,
     _detect_orientation,
     _finish_records,
+    _reflection_charpolys,
     _signed_row,
     classify_involutions,
+    left_cell_module,
+    word_name,
 )
 from coxcells.errors import InternalInconsistencyError, UsageError
 from coxcells.exactnum import (
     CycloNumber,
     LaurentPoly,
     cyclo_rational,
-    even_parity,
     exact_divide,
 )
 from coxcells.klbase import HTable, stream_h_blocks, vp
@@ -166,6 +171,106 @@ def naive_c_product(group, oracle: RPolyOracle, x, y):
                 total[u] = r
     rows.sort()
     return rows
+
+
+# ---------------------------------------------------------------------------
+# canonical-basis products row by row through the T-basis, on the store
+
+
+def c_vector(store, w: int) -> dict:
+    """T-basis coordinates of c_w as a dict y -> value polynomial."""
+    lw = store.group.length[w]
+    return {
+        y: vp.from_q(qc, -lw) for y, qc in store.P_by_w[w].items()
+    }
+
+
+def P_at_one(store, x: int, y: int) -> int:
+    return sum(store.P_by_w[y].get(x, ()))
+
+
+def _t_mul_left_gen(group, s: int, vec: dict) -> dict:
+    """T_s times a T-basis vector: T_s T_y = T_{sy} or v^2 T_{sy}+(v^2-1)T_y."""
+    lrow = group.left[s]
+    length = group.length
+    out = {}
+    for y, p in vec.items():
+        sy = lrow[y]
+        if length[sy] > length[y]:
+            cur = out.get(sy)
+            out[sy] = p if cur is None else vp.add(cur, p)
+        else:
+            q = vp.shift(p, 2)
+            cur = out.get(sy)
+            out[sy] = q if cur is None else vp.add(cur, q)
+            r = vp.add(vp.shift(p, 2), vp.neg(p))
+            cur = out.get(y)
+            out[y] = r if cur is None else vp.add(cur, r)
+    return {y: p for y, p in out.items() if p[1]}
+
+
+def c_product(store, x: int, y: int) -> tuple:
+    """The h-row of c_x c_y as a tuple of (z, value polynomial), sorted by z.
+
+    Expands both factors over the T-basis, multiplies through the quadratic
+    relation, and converts back by unitriangular elimination against the
+    c-basis.  Fine for single rows; the product code streams blocks instead.
+    """
+    group = store.group
+    xvec = c_vector(store, x)
+    yvec = c_vector(store, y)
+
+    # T_u * yvec for every u in the support of c_x, sharing prefixes:
+    # T_u = T_s T_u' with s the first letter of u's canonical word
+    words = group.words
+    need = sorted(xvec)
+    memo = {0: yvec}
+    for u in need:
+        if u in memo:
+            continue
+        stack = []
+        cur = u
+        while cur not in memo:
+            stack.append(cur)
+            cur = group.left[words[cur][0]][cur]
+        while stack:
+            cur = stack.pop()
+            memo[cur] = _t_mul_left_gen(group, words[cur][0], memo[group.left[words[cur][0]][cur]])
+
+    prod = {}
+    for u, f in xvec.items():
+        for z, p in memo[u].items():
+            q = vp.mul(f, p)
+            cur = prod.get(z)
+            prod[z] = q if cur is None else vp.add(cur, q)
+    prod = {z: p for z, p in prod.items() if p[1]}
+
+    # unitriangular conversion: repeatedly strip the highest-index term
+    length = group.length
+    out = []
+    while prod:
+        w = max(prod)
+        h = vp.shift(prod[w], length[w])
+        out.append((w, h))
+        for yy, qc in store.P_by_w[w].items():
+            contrib = vp.mul(h, vp.from_q(qc, -length[w]))
+            cur = prod.get(yy)
+            r = vp.sub(cur, contrib) if cur is not None else vp.neg(contrib)
+            if r[1]:
+                prod[yy] = r
+            else:
+                prod.pop(yy, None)
+    out.sort()
+    return tuple(out)
+
+
+# ---------------------------------------------------------------------------
+# the left cell order
+
+
+def left_leq(cells, cell_a: int, cell_b: int) -> bool:
+    """Is cell_a weakly below cell_b in the left order?"""
+    return bool(cells.left_reach[cell_b] >> cell_a & 1)
 
 
 # ---------------------------------------------------------------------------
@@ -799,6 +904,11 @@ def hecke_character(store, htable, cells, dset, table, row_index, jt=None,
     return tuple(polys)
 
 
+def even_parity(p: LaurentPoly) -> bool:
+    """True when only even powers of the variable occur (the zero poly passes)."""
+    return all(e % 2 == 0 for e in p.coeffs)
+
+
 def is_ordinary(hecke_traces) -> bool:
     """Ordinary means every generic trace lives in even powers of v."""
     return all(even_parity(p) for p in hecke_traces)
@@ -904,3 +1014,156 @@ class RationalFunction:
 
     def __repr__(self) -> str:
         return f"RationalFunction(({self.num.render()}) / ({self.den.render()}))"
+
+
+# ---------------------------------------------------------------------------
+# fake degrees over a common denominator
+
+
+def fake_degrees_common_denominator(group, table):
+    """Graded multiplicities by Molien's formula over the common
+    denominator |W| * prod_j det(1 - X w_j), closed by one exact division
+    per irreducible; with the same checks as
+    coxcells.classify.fake_degrees."""
+    polys = _reflection_charpolys(group, table)
+    k = len(polys)
+    one = LaurentPoly.constant(1, var="X")
+    prefix = [one]
+    for d in polys:
+        prefix.append(prefix[-1] * d)
+    suffix = [one] * (k + 1)
+    for j in range(k - 1, -1, -1):
+        suffix[j] = polys[j] * suffix[j + 1]
+    den = prefix[k] * group.size
+    co = one
+    for d in group.datum.degrees:
+        co = co * (one - LaurentPoly.monomial(d, var="X"))
+    out = []
+    for idx in range(len(table)):
+        row = table.rows[idx]
+        num = LaurentPoly.zero("X")
+        for j in range(k):
+            scale = row[j] * table.classes.sizes[j]
+            if scale:
+                num = num + prefix[j] * suffix[j + 1] * scale
+        quo = exact_divide(num * co, den)
+        coeffs = {}
+        for e, c in quo.coeffs.items():
+            if not (c.is_rational() and c.is_integer()):
+                raise InternalInconsistencyError(
+                    f"graded multiplicity {c.render()} is not an integer"
+                )
+            iv = int(c.as_fraction())
+            if iv < 0 or e < 0:
+                raise InternalInconsistencyError(
+                    "negative term in a graded multiplicity series"
+                )
+            coeffs[e] = iv
+        p = LaurentPoly(coeffs, var="X")
+        if p.at_one() != table.dims[idx]:
+            raise InternalInconsistencyError(
+                "graded multiplicities do not sum to the degree"
+            )
+        out.append(p)
+    total = LaurentPoly.zero("X")
+    for d, p in zip(table.dims, out):
+        total = total + p * d
+    if total != group.poincare_polynomial():
+        raise InternalInconsistencyError(
+            "degree-weighted sum of graded series misses the length "
+            "generating function"
+        )
+    return tuple(out)
+
+
+# ---------------------------------------------------------------------------
+# cross-cutting property checks on a classification
+
+def check_parity_bridge(result):
+    """Ordinary irreducibles only see even l(x) + a(x) where their
+    asymptotic trace survives on x ~L x^-1."""
+    group = result.group
+    cells = result.cells
+    inv = group.inverse
+    a = result.gamma.a
+    for r in result.irreps:
+        if not r.ordinary:
+            continue
+        for x in range(group.size):
+            if cells.left_cell_of[x] != cells.left_cell_of[inv[x]]:
+                continue
+            if r.j_traces[x] and (group.length[x] + a[x]) % 2:
+                raise InternalInconsistencyError(
+                    f"parity bridge breaks at {word_name(group, x)} "
+                    f"for {r.label}"
+                )
+
+
+def check_b_not_below_a(result):
+    for r in result.irreps:
+        if r.b_value < r.a_value:
+            raise InternalInconsistencyError(
+                f"{r.label} has fake-degree valuation {r.b_value} below "
+                f"its cell invariant {r.a_value}"
+            )
+
+
+def check_cell_modules_contain_special(result, htable):
+    """Every left cell of an ordinary two-sided cell contains its
+    special irreducible at least once."""
+    table = result.table
+    cells = result.cells
+    specials = {r.cell: table.names.index(r.label)
+                for r in result.irreps if r.special}
+    for lid in range(len(cells.left_cells)):
+        member = cells.left_cells[lid][0]
+        cid = cells.two_sided_of[member]
+        if not result.cell_ordinary[cid]:
+            continue
+        mults = left_cell_module(
+            htable, cells, table, lid, result.orientation
+        )
+        if mults.get(specials[cid], 0) < 1:
+            raise InternalInconsistencyError(
+                f"left cell {lid} misses the special irreducible of its "
+                f"two-sided cell {cid}"
+            )
+
+
+def check_longest_twist(result):
+    """When w0 is central of odd length, every exceptional two-sided
+    cell must be fixed by multiplication with w0, which then pairs each
+    involution with one of the opposite parity class.
+
+    Returns True when something was actually checked, False when the
+    hypotheses fail or no exceptional cell exists.
+    """
+    group = result.group
+    w0 = group.w0
+    if group.length[w0] % 2 == 0:
+        return False
+    if any(
+        group.multiply(w0, s) != group.multiply(s, w0)
+        for s in (group.element_by_word((t,)) for t in range(group.datum.rank))
+    ):
+        return False
+    cells = result.cells
+    flags = {r.element: r.ordinary for r in result.involutions}
+    exc = [cid for cid, o in result.cell_ordinary.items() if not o]
+    for cid in exc:
+        members = set(cells.two_sided_cells[cid])
+        for x in members:
+            if group.multiply(w0, x) not in members:
+                raise InternalInconsistencyError(
+                    f"longest element moves cell {cid} off itself"
+                )
+        for x in members:
+            if x not in flags:
+                continue
+            mate = group.multiply(w0, x)
+            if mate not in flags or flags[mate] == flags[x]:
+                raise InternalInconsistencyError(
+                    f"longest-element twist keeps the parity class at "
+                    f"{word_name(group, x)}"
+                )
+    return bool(exc)

@@ -16,18 +16,16 @@ import pytest
 from oracles import (
     RPolyOracle,
     balanced_dagger_rows,
+    check_b_not_below_a,
+    check_longest_twist,
+    check_parity_bridge,
     check_phi_multiplicative,
     dihedral3_coinvariant_graded_characters,
     hecke_character,
 )
 
 from coxcells.chartab import character_table
-from coxcells.classify import (
-    check_b_not_below_a,
-    check_longest_twist,
-    check_parity_bridge,
-    classify_group_streamed,
-)
+from coxcells.classify import classify_group_streamed
 from coxcells.cli import main
 from coxcells.coxeter import build_group
 from coxcells.exactnum import LaurentPoly, cyclo_rational, is_palindromic

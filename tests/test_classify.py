@@ -15,23 +15,33 @@ from types import SimpleNamespace
 import pytest
 
 from oracles import (
+    _transport_rows,
     balanced_dagger_rows,
-    check_phi_multiplicative,
-    dihedral3_coinvariant_graded_characters,
-    hecke_character,
-)
-
-from coxcells.classify import (
     check_b_not_below_a,
     check_cell_modules_contain_special,
     check_longest_twist,
     check_parity_bridge,
+    check_phi_multiplicative,
+    dihedral3_coinvariant_graded_characters,
+    fake_degrees_common_denominator,
+    hecke_character,
+)
+
+from coxcells.chartab import character_table
+from coxcells.classify import (
+    _class_quotients,
+    _coordinate_columns,
+    _signed_row,
+    _streamed_traces,
+    _verify_traces,
     expected_exceptional_profile,
+    fake_degrees,
     left_cell_module,
     verify_claim,
     word_name,
 )
-from coxcells.errors import UsageError
+from coxcells.coxeter import build_group
+from coxcells.errors import InternalInconsistencyError, UsageError
 from coxcells.exactnum import LaurentPoly
 from coxcells.pipeline import classify_report
 
@@ -232,6 +242,23 @@ def test_fake_degree_sum_is_poincare(rig):
         assert total == r.group.poincare_polynomial()
 
 
+def test_fake_degrees_match_common_denominator_oracle():
+    for symbol in ("I2(5)", "A3", "B3", "D4", "H3"):
+        group = build_group(symbol)
+        table = character_table(group)
+        assert fake_degrees(group, table) == fake_degrees_common_denominator(
+            group, table
+        ), symbol
+
+
+def test_class_quotient_rejects_a_non_divisor():
+    # 1 + X^2 is the fourth cyclotomic polynomial, which does not divide
+    # (1 - X^2)(1 - X^3)
+    bad = LaurentPoly({0: 1, 2: 1}, var="X")
+    with pytest.raises(InternalInconsistencyError, match="inexact"):
+        _class_quotients((2, 3), [bad])
+
+
 def test_b_value_is_fake_degree_valuation(rig):
     r = rig("B3")
     for rec in r.result.irreps:
@@ -420,6 +447,23 @@ def test_streamed_lane_matches_direct(rig):
         assert r.result.involutions == direct.involutions
         assert r.result.cell_ordinary == direct.cell_ordinary
         assert r.result.orientation == direct.orientation
+
+
+def test_integer_trace_check_rejects_a_perturbed_entry(rig):
+    r = rig("H3")
+    size = r.group.size
+    trans = _transport_rows(r.htable, r.cells, r.dset)
+    rhs_cols = [
+        [
+            sum(c * chi[u] for u, c in _signed_row(r.store, x).items())
+            for x in range(size)
+        ]
+        for _, _, chi in _coordinate_columns(r.table, size)
+    ]
+    sols = _streamed_traces(trans, rhs_cols, size)
+    assert _verify_traces(trans, rhs_cols, sols)
+    sols[0][0] += Fraction(1, 7)
+    assert not _verify_traces(trans, rhs_cols, sols)
 
 
 # SHA-256 of `coxcells classify --type G` stdout (the JSON report with a

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import os
+import struct
 
 import pytest
 
@@ -177,6 +178,78 @@ def test_corrupt_cache_recomputed(capsys, tmp_path):
     assert code == 0
     assert first == again
     assert "cache" in err
+
+
+def _not_json(d):
+    (d / "manifest.json").write_text("{not json")
+
+
+def _not_an_object(d):
+    (d / "manifest.json").write_text("[1, 2]")
+
+
+def _no_kl_file(d):
+    (d / "kl.bin").unlink()
+
+
+def _edit_kl(d, edit):
+    path = d / "kl.bin"
+    data = bytearray(path.read_bytes())
+    edit(data)
+    path.write_bytes(bytes(data))
+
+
+def _oversized_record(d):
+    # kl.bin: magic, version, fingerprint record, element count, then one
+    # record per element whose first field is its row length
+    def edit(data):
+        (fp_len,) = struct.unpack_from("<I", data, 8)
+        struct.pack_into("<I", data, 12 + fp_len + 4 + 4, 10**6)
+
+    _edit_kl(d, edit)
+
+
+def _record_with_trailing_bytes(d):
+    def edit(data):
+        (fp_len,) = struct.unpack_from("<I", data, 8)
+        at = 12 + fp_len + 4
+        (n,) = struct.unpack_from("<I", data, at)
+        struct.pack_into("<I", data, at, n + 4)
+        data[at + 4 + n:at + 4 + n] = b"JUNK"
+
+    _edit_kl(d, edit)
+
+
+def _lead_with_trailing_bytes(d):
+    path = d / "lead.bin"
+    path.write_bytes(path.read_bytes() + b"JUNK")
+
+
+def _fingerprint_not_utf8(d):
+    def edit(data):
+        data[12] = 0xFF
+
+    _edit_kl(d, edit)
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [_not_json, _not_an_object, _no_kl_file, _oversized_record,
+     _record_with_trailing_bytes, _lead_with_trailing_bytes,
+     _fingerprint_not_utf8],
+    ids=["manifest-not-json", "manifest-not-object", "kl-missing",
+         "record-oversized", "record-trailing-bytes", "lead-trailing-bytes",
+         "fingerprint-not-utf8"],
+)
+def test_undecodable_cache_recomputed(capsys, tmp_path, corrupt):
+    args = ("cells", "--type", "I2(3)", "--cache-dir", str(tmp_path))
+    code, cold, _ = _run(capsys, *args)
+    assert code == 0
+    corrupt(tmp_path / "I2(3)")
+    code, again, err = _run(capsys, *args)
+    assert code == 0
+    assert again == cold
+    assert "cache invalid" in err and "recomputing" in err
 
 
 def test_warm_cells_never_stream(capsys, tmp_path, monkeypatch):

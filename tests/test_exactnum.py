@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import RationalFunction
+from oracles import RationalFunction, even_parity
 
 from coxcells.errors import InternalInconsistencyError, UsageError
 from coxcells.exactnum import (
@@ -14,7 +14,6 @@ from coxcells.exactnum import (
     cyclo_zero,
     cyclotomic_polynomial,
     embed_cyclo,
-    even_parity,
     exact_divide,
     is_palindromic,
     root_of_unity,

@@ -12,7 +12,7 @@ from coxcells.jring import (
 )
 from coxcells.klbase import compute_kl, generator_rows, vp
 
-from oracles import compute_h_table, tableaux_count
+from oracles import compute_h_table, left_leq, tableaux_count
 
 
 def _setup(symbol):
@@ -76,11 +76,11 @@ def test_dihedral_left_order():
     c_w0 = cells.left_cell_of[g.w0]
     mid1 = cells.left_cell_of[1]
     mid2 = cells.left_cell_of[2]
-    assert cells.left_leq(c_w0, mid1) and not cells.left_leq(mid1, c_w0)
-    assert cells.left_leq(mid1, c_e) and not cells.left_leq(c_e, mid1)
-    assert not cells.left_leq(mid1, mid2)
-    assert not cells.left_leq(mid2, mid1)
-    assert cells.left_leq(mid1, mid1)
+    assert left_leq(cells, c_w0, mid1) and not left_leq(cells, mid1, c_w0)
+    assert left_leq(cells, mid1, c_e) and not left_leq(cells, c_e, mid1)
+    assert not left_leq(cells, mid1, mid2)
+    assert not left_leq(cells, mid2, mid1)
+    assert left_leq(cells, mid1, mid1)
 
 
 # ---------------------------------------------------------------------------
