@@ -14,14 +14,16 @@ the exponents appearing in those generic traces splits the irreducibles
 into ordinary and exceptional; the same parity language applies to
 involutions through l(x) - a(x) mod 2.
 
-Only the table columns at distinguished involutions are ever generated.
-Character values lie in Z[zeta_M], so each power-basis coordinate of a
-character is an integer class function and the transport system is
-rational: the asymptotic traces are solved one coordinate at a time
-modulo several word-sized primes, reconstructed as rationals, verified
-exactly in integers (each column scaled by the lcm of its denominators)
-and reassembled in Q(zeta_M).  The parity test then runs on the
-dual-basis traces of every coordinate.
+Only the table columns at distinguished involutions are ever generated,
+each of them once: a single stream keeps the entries h_{x,d,z} with z in
+the left cell of d, and the transport matrix and the dual-basis traces
+are both read off that list.  Character values lie in Z[zeta_M], so each
+power-basis coordinate of a character is an integer class function and
+the transport system is rational: the asymptotic traces are solved one
+coordinate at a time modulo several word-sized primes, reconstructed as
+rationals, verified exactly in integers (each column scaled by the lcm
+of its denominators) and reassembled in Q(zeta_M).  The parity test then
+runs on the dual-basis traces of every coordinate.
 
 Fake degrees follow Molien's formula one conjugacy class at a time: by
 Springer's theorem every det(1 - X w) divides prod_i (1 - X^d_i), so each
@@ -559,8 +561,11 @@ def _assemble_traces(columns, sols, table, size):
 def classify_group_streamed(store, cells, gamma, dset, table,
                             jobs=1) -> ClassifyResult:
     """Classification from the table columns at distinguished involutions
-    only, generated twice.
+    only, each generated once.
 
+    The blocks h_{x,d,.} are streamed once and reduced to the entries
+    (x, z, h_{x,d,z}) with z in the left cell of d; both the transport
+    matrix at v=1 and the dual traces are read off that list.
     Asymptotic traces come from a modular solve with exact verification,
     one right-hand side per nonzero coordinate of each character;
     ordinariness from the dual-trace parity test on every coordinate,
@@ -573,20 +578,20 @@ def classify_group_streamed(store, cells, gamma, dset, table,
     orientation = _detect_orientation(gen, cells, table)
     _d_by_left_cell(cells, dset)
     lc = cells.left_cell_of
-    ys = sorted(dset)
+
+    ents = []
+
+    def keep(x, d, row):
+        target = lc[d]
+        ents.extend((x, z, p) for z, p in row.items() if lc[z] == target)
+
+    stream_h_blocks(store, keep, jobs=jobs, ys=sorted(dset))
 
     trans = [dict() for _ in range(size)]
-
-    def eat_ones(x, d, row):
-        target = lc[d]
-        acc = trans[x]
-        for z, p in row.items():
-            if lc[z] == target:
-                val = vp.at_one(p)
-                if val:
-                    acc[z] = val
-
-    stream_h_blocks(store, eat_ones, jobs=jobs, ys=ys)
+    for x, z, p in ents:
+        val = vp.at_one(p)
+        if val:
+            trans[x][z] = val
 
     columns = _coordinate_columns(table, size)
     rhs_cols = [[0] * size for _ in columns]
@@ -603,33 +608,25 @@ def classify_group_streamed(store, cells, gamma, dset, table,
                 "unit trace differs from the degree in the streamed lane"
             )
 
-    # second pass: dual-basis traces per coordinate column, exponent
-    # dicts; single-cell support keeps the per-z hit list short
+    # dual-basis traces per coordinate column, exponent dicts;
+    # single-cell support keeps the per-z hit list short
     trc = [[{} for _ in range(size)] for _ in columns]
     hits = [[] for _ in range(size)]
     for j, col in enumerate(sols):
         for z, q in enumerate(col):
             if q:
                 hits[z].append((j, q))
-
-    def eat_polys(x, d, row):
-        target = lc[d]
-        for z, p in row.items():
-            if lc[z] != target or not hits[z]:
-                continue
-            val, coeffs = p
-            for j, q in hits[z]:
-                acc = trc[j][x]
-                for t, c in enumerate(coeffs):
-                    if c:
-                        e = val + t
-                        nv = acc.get(e, 0) + c * q
-                        if nv:
-                            acc[e] = nv
-                        else:
-                            acc.pop(e, None)
-
-    stream_h_blocks(store, eat_polys, jobs=jobs, ys=ys)
+    for x, z, (val, coeffs) in ents:
+        for j, q in hits[z]:
+            acc = trc[j][x]
+            for t, c in enumerate(coeffs):
+                if c:
+                    e = val + t
+                    nv = acc.get(e, 0) + c * q
+                    if nv:
+                        acc[e] = nv
+                    else:
+                        acc.pop(e, None)
 
     lengths = group.length
     flags = [True] * len(table)

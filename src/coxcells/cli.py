@@ -158,6 +158,11 @@ def main(argv=None) -> int:
     try:
         if args.jobs < 1:
             raise UsageError(f"--jobs must be at least 1, not {args.jobs}")
+        cpus = os.cpu_count()
+        if cpus is not None and args.jobs > cpus:
+            raise UsageError(
+                f"--jobs {args.jobs} exceeds the {cpus} available CPUs"
+            )
         return _COMMANDS[args.command](args)
     except RefusalError as exc:
         print(f"coxcells: refused: {exc}", file=sys.stderr)

@@ -188,9 +188,6 @@ class CoxeterDatum:
     def __repr__(self) -> str:
         return f"CoxeterDatum({self.type_symbol})"
 
-    def generator_names(self) -> tuple:
-        return tuple(f"s{i + 1}" for i in range(self.rank))
-
     def _int_matrices(self) -> tuple:
         """Generator matrices as flat tuples of integer coefficient vectors.
 

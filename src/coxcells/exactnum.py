@@ -350,10 +350,6 @@ class CycloNumber:
             return hash(self.coeffs[0])
         return hash((self.ctx.order, self.coeffs))
 
-    def sort_key(self) -> tuple:
-        """Deterministic total-order key (not a numeric comparison)."""
-        return self.coeffs
-
     def complex_value(self, embedding: int = 1) -> complex:
         """Numeric value under zeta -> exp(2*pi*i*embedding/M); tests only."""
         if gcd(embedding, self.ctx.order) != 1:
@@ -795,28 +791,13 @@ def exact_divide(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
         raise UsageError("division by the zero polynomial")
     if not num:
         return LaurentPoly.zero(num.var)
-    shift = num.valuation() - den.valuation()
-    work = dict(num.shift(-num.valuation()).coeffs)
-    dvs = den.shift(-den.valuation()).coeffs
-    dd = max(dvs)
-    lead = dvs[dd]
-    q = {}
-    while work:
-        wd = max(work)
-        if wd < dd:
-            raise InternalInconsistencyError(
-                f"inexact division: remainder of degree {wd}"
-            )
-        c = _coeff_div(work[wd], lead)
-        k = wd - dd
-        q[k] = c
-        for e, dc in dvs.items():
-            t = work.get(k + e, 0) - c * dc
-            if _czero(t):
-                work.pop(k + e, None)
-            else:
-                work[k + e] = t
-    return LaurentPoly(q, num.var).shift(shift)
+    nv, dv = num.valuation(), den.valuation()
+    q, r = poly_divmod(num.shift(-nv), den.shift(-dv))
+    if r:
+        raise InternalInconsistencyError(
+            f"inexact division: remainder of degree {r.degree()}"
+        )
+    return q.shift(nv - dv)
 
 
 def poly_divmod(num: LaurentPoly, den: LaurentPoly):

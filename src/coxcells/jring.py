@@ -90,78 +90,40 @@ def _sccs(size: int, adj) -> list:
     return comps
 
 
-def _partition_from_comps(comps: list):
-    """Final cell ids ordered by smallest member; reachability as bitmasks.
+def _partition_from_comps(size: int, comps) -> tuple:
+    """Cells numbered by smallest member, as (cell_of, cells).
 
-    comps must be in reverse topological emission order.  Returns
-    (cell_of, cells, reach) with reach[i] an int whose bit j is set when
-    cell j is reachable from cell i (weakly: bit i itself is set).
+    comps are disjoint sorted member lists covering range(size), in any
+    order; cell_of lists the cell id of every element.
     """
-    order = sorted(range(len(comps)), key=lambda i: comps[i][0])
-    final_of_temp = [0] * len(comps)
-    for fid, tid in enumerate(order):
-        final_of_temp[tid] = fid
-    cells = tuple(tuple(comps[tid]) for tid in order)
-    cell_of = {}
+    cells = tuple(tuple(members) for members in sorted(comps))
+    cell_of = [0] * size
     for fid, members in enumerate(cells):
         for m in members:
             cell_of[m] = fid
-    return cell_of, cells, final_of_temp
+    return cell_of, cells
 
 
 class CellPartition:
-    """Left, right and two-sided cells with their weak order closures."""
+    """Left, right and two-sided cells, numbered by smallest member."""
 
     __slots__ = (
         "group",
         "left_cell_of",
         "left_cells",
-        "left_reach",
         "right_cell_of",
         "right_cells",
         "two_sided_of",
         "two_sided_cells",
-        "two_sided_reach",
         "distinguished",
     )
 
     def __init__(self, group, left, right, two):
         self.group = group
-        self.left_cell_of, self.left_cells, self.left_reach = left
+        self.left_cell_of, self.left_cells = left
         self.right_cell_of, self.right_cells = right
-        self.two_sided_of, self.two_sided_cells, self.two_sided_reach = two
+        self.two_sided_of, self.two_sided_cells = two
         self.distinguished = None  # filled by distinguished_involutions
-
-
-def _close(size: int, adj):
-    """SCCs of adj with final ids by smallest member and reachability
-    bitmasks over final ids (weak: a cell reaches itself)."""
-    comps = _sccs(size, adj)
-    temp_of = [0] * size
-    for tid, members in enumerate(comps):
-        for y in members:
-            temp_of[y] = tid
-    cell_of_map, cells, final_of_temp = _partition_from_comps(comps)
-    cell_of = [cell_of_map[w] for w in range(size)]
-    # condensation DP; emission order guarantees targets are done first
-    temp_reach = [0] * len(comps)
-    for tid, members in enumerate(comps):
-        mask = 1 << tid
-        for y in members:
-            for z in adj[y]:
-                tz = temp_of[z]
-                mask |= temp_reach[tz] | (1 << tz)
-        temp_reach[tid] = mask
-    reach = [0] * len(comps)
-    for tid in range(len(comps)):
-        fmask = 0
-        m = temp_reach[tid]
-        while m:
-            low_bit = (m & -m).bit_length() - 1
-            fmask |= 1 << final_of_temp[low_bit]
-            m &= m - 1
-        reach[final_of_temp[tid]] = fmask
-    return cell_of, cells, reach
 
 
 def compute_cells(gen_table: HTable) -> CellPartition:
@@ -188,18 +150,16 @@ def compute_cells(gen_table: HTable) -> CellPartition:
         for y in range(size)
     ]
 
-    left_cell_of, left_cells, left_reach = _close(size, adj_left)
-    two_sided_of, two_cells, two_reach = _close(size, adj_two)
-
-    # right cells: inverted left cells, renumbered by smallest member
-    right_sets = sorted(
-        sorted(inv[m] for m in members) for members in left_cells
+    left_cell_of, left_cells = _partition_from_comps(
+        size, _sccs(size, adj_left)
     )
-    right_cells = tuple(tuple(mem) for mem in right_sets)
-    right_cell_of = [0] * size
-    for fid, members in enumerate(right_cells):
-        for m in members:
-            right_cell_of[m] = fid
+    two_sided_of, two_cells = _partition_from_comps(
+        size, _sccs(size, adj_two)
+    )
+    # right cells: inverted left cells
+    right_cell_of, right_cells = _partition_from_comps(
+        size, (sorted(inv[m] for m in members) for members in left_cells)
+    )
 
     # every left cell must sit inside a single two-sided cell
     for members in left_cells:
@@ -210,9 +170,9 @@ def compute_cells(gen_table: HTable) -> CellPartition:
 
     return CellPartition(
         group,
-        (left_cell_of, left_cells, left_reach),
+        (left_cell_of, left_cells),
         (right_cell_of, right_cells),
-        (two_sided_of, two_cells, two_reach),
+        (two_sided_of, two_cells),
     )
 
 

@@ -138,12 +138,6 @@ class vp:
         return a[0] + len(a[1]) - 1
 
     @staticmethod
-    def val(a: tuple) -> int:
-        if not a[1]:
-            raise UsageError("valuation of zero")
-        return a[0]
-
-    @staticmethod
     def at_one(a: tuple) -> int:
         return sum(a[1])
 
@@ -194,13 +188,6 @@ class KLStore:
     def P(self, x: int, y: int) -> tuple:
         """Ascending q-coefficients of P_{x,y}; () when x is not <= y."""
         return self.P_by_w[y].get(x, ())
-
-    def mu(self, x: int, y: int) -> int:
-        """mu(x, y) for x < y (0 when absent)."""
-        for z, m in self.mu_by_w[y]:
-            if z == x:
-                return m
-        return 0
 
 
 def compute_kl(group: CoxeterGroup) -> KLStore:
@@ -297,13 +284,12 @@ class HTable:
     tuples of (z, value polynomial) sorted by z.
     """
 
-    __slots__ = ("group", "scope", "rows", "fingerprint")
+    __slots__ = ("group", "scope", "rows")
 
     def __init__(self, group: CoxeterGroup, scope: str, rows: dict):
         self.group = group
         self.scope = scope
         self.rows = rows
-        self.fingerprint = group.fingerprint()
 
 
 def _generator_row(store: KLStore, s_elt: int, s: int, y: int) -> tuple:

@@ -33,7 +33,7 @@ from coxcells.exactnum import (
     cyclo_rational,
     exact_divide,
 )
-from coxcells.klbase import HTable, stream_h_blocks, vp
+from coxcells.klbase import HTable, generator_rows, stream_h_blocks, vp
 
 
 # ---------------------------------------------------------------------------
@@ -268,9 +268,25 @@ def c_product(store, x: int, y: int) -> tuple:
 # the left cell order
 
 
-def left_leq(cells, cell_a: int, cell_b: int) -> bool:
-    """Is cell_a weakly below cell_b in the left order?"""
-    return bool(cells.left_reach[cell_b] >> cell_a & 1)
+def left_leq(store, cells, cell_a: int, cell_b: int) -> bool:
+    """Is cell_a weakly below cell_b in the left order?
+
+    Search from the members of cell_b along the generator rows, with an
+    edge y -> z whenever some h_{s,y,z} is nonzero.
+    """
+    group = store.group
+    gens = [w for w in range(group.size) if group.length[w] == 1]
+    rows = generator_rows(store).rows
+    seen = set(cells.left_cells[cell_b])
+    todo = list(seen)
+    while todo:
+        y = todo.pop()
+        for s in gens:
+            for z, _ in rows[(s, y)]:
+                if z not in seen:
+                    seen.add(z)
+                    todo.append(z)
+    return cells.left_cells[cell_a][0] in seen
 
 
 # ---------------------------------------------------------------------------

@@ -300,7 +300,7 @@ def test_criterion_12_f4_streamed_pipeline():
     started = time.monotonic()
     group = build_group("F4")
     store, htable, cells, gamma, dset = analysis(group, jobs=4)
-    assert htable is None  # over the row budget: streamed lane only
+    assert htable is None  # analysis never builds an all-pairs table
     table = character_table(group)
     result = classify_group_streamed(store, cells, gamma, dset, table,
                                      jobs=4)

@@ -27,6 +27,7 @@ from oracles import (
     hecke_character,
 )
 
+import coxcells.classify as classify_mod
 from coxcells.chartab import character_table
 from coxcells.classify import (
     _class_quotients,
@@ -34,6 +35,7 @@ from coxcells.classify import (
     _signed_row,
     _streamed_traces,
     _verify_traces,
+    classify_group_streamed,
     expected_exceptional_profile,
     fake_degrees,
     left_cell_module,
@@ -464,6 +466,26 @@ def test_integer_trace_check_rejects_a_perturbed_entry(rig):
     assert _verify_traces(trans, rhs_cols, sols)
     sols[0][0] += Fraction(1, 7)
     assert not _verify_traces(trans, rhs_cols, sols)
+
+
+def test_distinguished_blocks_streamed_once(rig, monkeypatch):
+    real = classify_mod.stream_h_blocks
+    for symbol in ("H3", "B3"):
+        r = rig(symbol)
+        calls = []
+
+        def recorder(store, consumer, jobs=1, ys=None):
+            calls.append(list(ys))
+            return real(store, consumer, jobs=jobs, ys=ys)
+
+        monkeypatch.setattr(classify_mod, "stream_h_blocks", recorder)
+        got = classify_group_streamed(r.store, r.cells, r.gamma, r.dset,
+                                      r.table)
+        monkeypatch.undo()
+        assert calls == [sorted(r.dset)], symbol
+        assert got.irreps == r.result.irreps
+        assert got.involutions == r.result.involutions
+        assert got.cell_ordinary == r.result.cell_ordinary
 
 
 # SHA-256 of `coxcells classify --type G` stdout (the JSON report with a

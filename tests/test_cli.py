@@ -8,6 +8,7 @@ import struct
 
 import pytest
 
+from coxcells import cli
 from coxcells.cli import CACHE_ENV, main
 
 
@@ -138,6 +139,17 @@ def test_h4_classification_refused_before_any_scan(capsys, monkeypatch):
 
 def test_jobs_below_one_is_usage_error(capsys):
     code, out, err = _run(capsys, "cells", "--type", "I2(3)", "--jobs", "0")
+    assert code == 2
+    assert out == ""
+    assert "--jobs" in err
+
+
+def test_jobs_above_cpu_count_is_usage_error(capsys, monkeypatch):
+    # refused before any group is built, so no worker is ever started
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(cli, "build_group",
+                        lambda *a, **k: pytest.fail("group built"))
+    code, out, err = _run(capsys, "classify", "--type", "I2(3)", "--jobs", "3")
     assert code == 2
     assert out == ""
     assert "--jobs" in err

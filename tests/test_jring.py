@@ -76,11 +76,11 @@ def test_dihedral_left_order():
     c_w0 = cells.left_cell_of[g.w0]
     mid1 = cells.left_cell_of[1]
     mid2 = cells.left_cell_of[2]
-    assert left_leq(cells, c_w0, mid1) and not left_leq(cells, mid1, c_w0)
-    assert left_leq(cells, mid1, c_e) and not left_leq(cells, c_e, mid1)
-    assert not left_leq(cells, mid1, mid2)
-    assert not left_leq(cells, mid2, mid1)
-    assert left_leq(cells, mid1, mid1)
+    assert left_leq(store, cells, c_w0, mid1) and not left_leq(store, cells, mid1, c_w0)
+    assert left_leq(store, cells, mid1, c_e) and not left_leq(store, cells, c_e, mid1)
+    assert not left_leq(store, cells, mid1, mid2)
+    assert not left_leq(store, cells, mid2, mid1)
+    assert left_leq(store, cells, mid1, mid1)
 
 
 # ---------------------------------------------------------------------------

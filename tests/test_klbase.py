@@ -87,7 +87,7 @@ def test_A3_known_nontrivial_P():
     x = g.element_by_word((1,))
     y = g.element_by_word((1, 0, 2, 1))
     assert store.P(x, y) == (1, 1)  # 1 + q
-    assert store.mu(x, y) == 1
+    assert dict(store.mu_by_w[y]).get(x, 0) == 1
 
 
 def test_longest_element_row_is_all_ones():
