@@ -23,7 +23,7 @@ orthogonality before being handed back.
 import hashlib
 import random
 from fractions import Fraction
-from math import gcd, isqrt
+from math import isqrt, lcm
 
 from .errors import InternalInconsistencyError, UsageError
 from .exactnum import (
@@ -35,10 +35,6 @@ from .exactnum import (
 )
 
 
-def _lcm(a: int, b: int) -> int:
-    return a // gcd(a, b) * b
-
-
 # ---------------------------------------------------------------------------
 # primes
 
@@ -48,7 +44,7 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 def _is_prime(m: int) -> bool:
     if m < 2:
         return False
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for q in _MR_BASES:
         if m % q == 0:
             return m == q
     d, r = m - 1, 0
@@ -527,14 +523,13 @@ def _lift_row(row_p, dim, powmaps, orders, eta, n, conductor, p):
 def _validate(group, classes, rows, dims, conductor):
     k = len(classes)
     zero = cyclo_rational(conductor, 0)
-    crystallographic = group.datum.family in ("A", "B", "D", "F", "E") or (
-        group.datum.family == "I" and group.datum.bond in (3, 4, 6)
-    )
     for row in rows:
         for v in row:
             if any(c.denominator != 1 for c in v.coeffs):
                 raise _Retry("non-integral character value")
-            if crystallographic and not (v.is_rational() and v.is_integer()):
+            if group.datum.crystallographic and not (
+                v.is_rational() and v.is_integer()
+            ):
                 raise _Retry("irrational value in a crystallographic type")
     for i in range(k):
         for j in range(i, k):
@@ -562,9 +557,7 @@ def character_table(group) -> CharacterTable:
     k = len(classes)
     reps = classes.representatives
     orders = [group.order_of(z) for z in reps]
-    n = 1
-    for o in orders:
-        n = _lcm(n, o)
+    n = lcm(*orders)
     conductor = group.datum.conductor
     if conductor % n:
         raise InternalInconsistencyError(

@@ -43,7 +43,6 @@ from .exactnum import (
     LaurentPoly,
     cyclo_context,
     cyclo_rational,
-    embed_cyclo,
     exact_divide,
     is_palindromic,
 )
@@ -111,31 +110,22 @@ def _parity_from_dual(trc_by_x, lengths) -> bool:
 # fake degrees
 
 def _reflection_charpolys(group, table):
-    """det(1 - X rho(z)) per conjugacy class, coefficients in the ambient
-    conductor; elementary symmetric functions via Newton's identities."""
+    """det(1 - X rho(w)) per conjugacy class, in the table's conductor.
+
+    The power traces tr rho(w^k) are the reflection character's values
+    at the classes of w^k; Newton's identities turn them into the
+    elementary symmetric functions of the eigenvalues."""
     rank = group.datum.rank
-    ctx = cyclo_context(group.datum.refl_conductor)
-    M = table.conductor
+    refl = table.rows[table.reflection_index]
+    class_of = table.classes.class_of
+    ctx = cyclo_context(table.conductor)
     polys = []
     for rep in table.classes.representatives:
-        mat = group.matrix_of(rep)
         traces = []
-        cur = mat
-        for k in range(1, rank + 1):
-            traces.append(
-                sum((cur[i][i] for i in range(rank)), ctx.zero)
-            )
-            if k < rank:
-                cur = tuple(
-                    tuple(
-                        sum(
-                            (cur[i][t] * mat[t][j] for t in range(rank)),
-                            ctx.zero,
-                        )
-                        for j in range(rank)
-                    )
-                    for i in range(rank)
-                )
+        cur = rep
+        for _ in range(rank):
+            traces.append(refl[class_of[cur]])
+            cur = group.multiply(cur, rep)
         elem = [ctx.one]
         for k in range(1, rank + 1):
             acc = ctx.zero
@@ -144,11 +134,9 @@ def _reflection_charpolys(group, table):
                 acc = acc + sign * elem[k - i] * traces[i - 1]
                 sign = -sign
             elem.append(acc * Fraction(1, k))
-        coeffs = {}
-        for k, e in enumerate(elem):
-            if e:
-                coeffs[k] = embed_cyclo(-e if k % 2 else e, M)
-        polys.append(LaurentPoly(coeffs, var="X"))
+        polys.append(LaurentPoly(
+            {k: -e if k % 2 else e for k, e in enumerate(elem)}, var="X"
+        ))
     return polys
 
 

@@ -2,7 +2,9 @@
 
 Subcommands: group, cells, chartable, classify, verify.  Reports go to
 stdout in json (default), csv, or text form; diagnostics go to stderr.
-Exit codes: 0 success, 1 claim failure, 2 usage or resource refusal.
+Exit codes: 0 success, 1 claim failure, 2 usage or resource refusal,
+3 an operating-system error (an unusable cache directory, say) or a
+broken engine invariant.
 """
 
 import argparse
@@ -14,7 +16,7 @@ from . import pipeline
 from .chartab import character_table
 from .classify import CLAIM_IDS
 from .coxeter import DEFAULT_MAX_ORDER, build_group
-from .errors import RefusalError, UsageError
+from .errors import InternalInconsistencyError, RefusalError, UsageError
 
 CACHE_ENV = "COXCELLS_CACHE"
 
@@ -124,32 +126,28 @@ def _cmd_chartable(args) -> int:
     return 0
 
 
-def _cmd_classify(args) -> int:
+def _cmd_claims(args, report_fn, text_fn, csv_fn, pass_key) -> int:
     group = _build(args)
     cache = args.cache_dir or os.environ.get(CACHE_ENV)
     result = pipeline.classification(group, cache, jobs=args.jobs)
     claims = pipeline.run_claims(result, _claim_selection(args))
-    report = pipeline.classify_report(result, claims)
-    _emit(args, report, pipeline.classify_text, pipeline.classify_csv)
-    return 0 if report["all_claims_pass"] else 1
-
-
-def _cmd_verify(args) -> int:
-    group = _build(args)
-    cache = args.cache_dir or os.environ.get(CACHE_ENV)
-    result = pipeline.classification(group, cache, jobs=args.jobs)
-    claims = pipeline.run_claims(result, _claim_selection(args))
-    report = pipeline.verify_report(result, claims)
-    _emit(args, report, pipeline.verify_text, pipeline.verify_csv)
-    return 0 if report["all_pass"] else 1
+    report = report_fn(result, claims)
+    _emit(args, report, text_fn, csv_fn)
+    return 0 if report[pass_key] else 1
 
 
 _COMMANDS = {
     "group": _cmd_group,
     "cells": _cmd_cells,
     "chartable": _cmd_chartable,
-    "classify": _cmd_classify,
-    "verify": _cmd_verify,
+    "classify": lambda args: _cmd_claims(
+        args, pipeline.classify_report, pipeline.classify_text,
+        pipeline.classify_csv, "all_claims_pass",
+    ),
+    "verify": lambda args: _cmd_claims(
+        args, pipeline.verify_report, pipeline.verify_text,
+        pipeline.verify_csv, "all_pass",
+    ),
 }
 
 
@@ -170,6 +168,12 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"coxcells: usage error: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:
+        print(f"coxcells: system error: {exc}", file=sys.stderr)
+        return 3
+    except InternalInconsistencyError as exc:
+        print(f"coxcells: internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -156,13 +156,15 @@ class CoxeterDatum:
     E6/E7/E8.  ``conductor`` is the working field for character-level work,
     lcm of the group exponent and 2*m_st over all Coxeter matrix entries;
     ``refl_conductor`` is the smaller field that already holds every entry of
-    the reflection matrices.
+    the reflection matrices.  ``crystallographic`` marks the Weyl types,
+    whose Coxeter matrix entries are all 2, 3, 4 or 6: exactly the finite
+    Coxeter groups with integer character values.
     """
 
     __slots__ = (
         "type_symbol", "family", "rank", "bond", "coxeter_matrix", "degrees",
         "order", "num_positive_roots", "exponent", "conductor",
-        "refl_conductor", "_refl_int",
+        "refl_conductor", "crystallographic", "_refl_int",
     )
 
     def __init__(self, family: str, rank: int, bond):
@@ -182,6 +184,9 @@ class CoxeterDatum:
         self.conductor = lcm(self.exponent, *twos)
         self.refl_conductor = lcm(
             1, *(_cosine_conductor(e) for row in self.coxeter_matrix for e in row)
+        )
+        self.crystallographic = all(
+            e in (1, 2, 3, 4, 6) for row in self.coxeter_matrix for e in row
         )
         self._refl_int = None
 
@@ -259,25 +264,6 @@ def group_datum(symbol: str) -> CoxeterDatum:
     """Parse and validate a type symbol."""
     family, rank, bond = _parse_symbol(symbol)
     return CoxeterDatum(family, rank, bond)
-
-
-def _ivec_mul(a: tuple, b: tuple, red: tuple, phi: int) -> tuple:
-    """Product of two integer coefficient vectors mod Phi_M."""
-    acc = [0] * (2 * phi - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    acc[i + j] += x * y
-    for k in range(2 * phi - 2, phi - 1, -1):
-        c = acc[k]
-        if c:
-            row = red[k - phi]
-            for j in range(phi):
-                r = row[j]
-                if r:
-                    acc[j] += c * r
-    return tuple(acc[:phi])
 
 
 class ConjugacyClasses:
@@ -531,7 +517,6 @@ def build_group(source, max_order: int = DEFAULT_MAX_ORDER) -> CoxeterGroup:
     n = datum.rank
     ctx = cyclo_context(datum.refl_conductor)
     phi = ctx.degree
-    red = ctx.reduction_rows
     gens = datum._int_matrices()
     zero = (0,) * phi
 
@@ -561,7 +546,7 @@ def build_group(source, max_order: int = DEFAULT_MAX_ORDER) -> CoxeterGroup:
             if col_s != zero:
                 for j, c in neighbors[s]:
                     cur = out[base + j]
-                    prod = _ivec_mul(col_s, c, red, phi)
+                    prod = ctx.mul_coeffs(col_s, c)
                     out[base + j] = tuple(a + b for a, b in zip(cur, prod))
         return tuple(out)
 

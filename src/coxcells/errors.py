@@ -2,8 +2,9 @@
 
 The distinction matters for the command line front end: bad input and
 resource refusals exit with status 2, failed verification claims with
-status 1, and internal inconsistencies are allowed to propagate because
-they always indicate a bug in the engine itself.
+status 1, and internal inconsistencies, which always indicate a bug in
+the engine itself, with status 3 (shared with operating-system errors
+such as an unusable cache directory).
 """
 
 

@@ -131,20 +131,7 @@ class CycloContext:
         self.modulus = mod
         phi = len(mod) - 1
         self.degree = phi
-        # reduction rows: zeta^k reduced mod Phi_M for k in [phi, 2*phi-2],
-        # built by repeated shift-and-fold
         first = tuple(-c for c in mod[:phi])                # zeta^phi reduced
-        red = [first]
-        cur = list(first)
-        for _ in range(phi, 2 * phi - 2):
-            top = cur[phi - 1] if phi > 1 else cur[0]
-            nxt = [0] + cur[:phi - 1]
-            if top:
-                for j in range(phi):
-                    nxt[j] += top * first[j]
-            cur = nxt
-            red.append(tuple(cur))
-        self._red = tuple(red)
         # zeta^k for all k modulo M, as integer vectors
         rows = []
         vec = [0] * phi
@@ -160,6 +147,8 @@ class CycloContext:
         if tuple(vec) != rows[0]:
             raise InternalInconsistencyError("zeta powers do not close at M")
         self._zeta_rows = tuple(rows)
+        # reduction rows: zeta^k for k in [phi, 2*phi-2], read off the table
+        self._red = tuple(rows[k % order] for k in range(phi, 2 * phi - 1))
         self._conj_rows = tuple(rows[(order - k) % order] for k in range(order))
         self.zero = CycloNumber(self, (_ZERO,) * phi)
         self.one = CycloNumber(self, (_ONE,) + (_ZERO,) * (phi - 1))
@@ -170,10 +159,28 @@ class CycloContext:
     def zeta_vector(self, k: int) -> tuple:
         return self._zeta_rows[k % self.order]
 
-    @property
-    def reduction_rows(self) -> tuple:
-        """Integer vectors of zeta^k reduced mod Phi_M, k in [phi, 2*phi-2]."""
-        return self._red
+    def mul_coeffs(self, a: tuple, b: tuple, zero=0) -> tuple:
+        """Product of two power-basis coefficient vectors, reduced mod
+        Phi_M; the one multiplication kernel of Z[zeta_M] and Q(zeta_M).
+
+        zero seeds the accumulator, so integer vectors stay integral and
+        Fraction vectors stay Fractions.
+        """
+        phi = self.degree
+        acc = [zero] * (2 * phi - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b, i):
+                    if y:
+                        acc[j] += x * y
+        red = self._red
+        for k in range(2 * phi - 2, phi - 1, -1):
+            c = acc[k]
+            if c:
+                for j, r in enumerate(red[k - phi]):
+                    if r:
+                        acc[j] += c * r
+        return tuple(acc[:phi])
 
 
 @lru_cache(maxsize=None)
@@ -248,26 +255,9 @@ class CycloNumber:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        ctx = self.ctx
-        phi = ctx.degree
-        nza = [(i, a) for i, a in enumerate(self.coeffs) if a]
-        nzb = [(j, b) for j, b in enumerate(o.coeffs) if b]
-        if not nza or not nzb:
-            return ctx.zero
-        acc = [_ZERO] * (2 * phi - 1)
-        for i, a in nza:
-            for j, b in nzb:
-                acc[i + j] += a * b
-        red = ctx._red
-        for k in range(2 * phi - 2, phi - 1, -1):
-            c = acc[k]
-            if c:
-                row = red[k - phi]
-                for j in range(phi):
-                    r = row[j]
-                    if r:
-                        acc[j] += c * r
-        return CycloNumber(ctx, tuple(acc[:phi]))
+        return CycloNumber(
+            self.ctx, self.ctx.mul_coeffs(self.coeffs, o.coeffs, _ZERO)
+        )
 
     __rmul__ = __mul__
 

@@ -9,10 +9,12 @@ with P the classical polynomials in q = v^2 (integer coefficients, constant
 term 1, q-degree at most (l(w) - l(y) - 1)/2 for y < w).  mu(y, w) is the
 coefficient at that top degree bound.
 
-Everything on the hot paths uses a tiny value representation instead of the
-general LaurentPoly class: a pair (val, coeffs) of an int and a tuple of ints
-meaning sum coeffs[i] * v^(val + i).  The zero polynomial is (0, ()).
-Conversion to LaurentPoly happens only at module boundaries.
+P is stored as tuples of ascending q-coefficients and computed on them
+directly.  The structure constants h use a tiny value representation
+instead of the general LaurentPoly class: a pair (val, coeffs) of an int
+and a tuple of ints meaning sum coeffs[i] * v^(val + i), with the free
+functions of `vp`.  The zero polynomial is (0, ()).  Conversion to
+LaurentPoly happens only at module boundaries.
 
 Products c_x c_y = sum over z of h_{x,y,z} c_z come in bulk from the
 left-multiplication recursion on blocks of fixed y (`stream_h_blocks`),
@@ -21,13 +23,14 @@ affordable.  No all-pairs table is ever held: consumers reduce each block
 as it streams past.  The test suite checks the blocks against products
 taken row by row through the T-basis.
 
-The cache holds the polynomial store and the result of the leading scan
-over all h rows (a-values and leading coefficients), not the rows
-themselves.
+The cache holds the P rows (mu is read off them again on load) and the
+result of the leading scan over all h rows (a-values and leading
+coefficients), not the rows themselves.
 """
 
 from __future__ import annotations
 
+import collections
 import io
 import json
 import os
@@ -48,7 +51,7 @@ __all__ = [
     "vp",
 ]
 
-CACHE_FORMAT_VERSION = 2
+CACHE_FORMAT_VERSION = 3
 
 
 # ---------------------------------------------------------------------------
@@ -190,13 +193,46 @@ class KLStore:
         return self.P_by_w[y].get(x, ())
 
 
-def compute_kl(group: CoxeterGroup) -> KLStore:
-    """All P_{x,y} and mu by the length-increasing canonical-basis recursion.
+def _mu_row(row: dict, w: int, length) -> tuple:
+    """(z, mu(z, w)) pairs, sorted by z, read off the P row of w.
 
-    For w = s u with l(w) = l(u) + 1 the product rule
-    c_s c_u = c_w + sum over z with sz < z of mu(z, u) c_z
-    is solved for c_w in T-coordinates; mu values fall out of the result as
-    the coefficients at v^(-l(y) - 1).
+    mu(z, w) is the coefficient of q^((l(w) - l(z) - 1)/2) in P_{z,w},
+    nonzero only when l(w) - l(z) is odd.
+    """
+    lw = length[w]
+    mus = []
+    for z, qc in row.items():
+        gap = lw - length[z]
+        if gap % 2:
+            k = gap // 2
+            if k < len(qc) and qc[k]:
+                mus.append((z, qc[k]))
+    mus.sort()
+    return tuple(mus)
+
+
+def _add_shifted(acc: dict, y: int, qc: tuple, k: int, m: int):
+    """acc[y] += m * q^k * qc, on lists of ascending q-coefficients."""
+    cur = acc.get(y)
+    if cur is None:
+        acc[y] = [0] * k + [m * c for c in qc]
+        return
+    if len(cur) < k + len(qc):
+        cur.extend([0] * (k + len(qc) - len(cur)))
+    for i, c in enumerate(qc, k):
+        cur[i] += m * c
+
+
+def compute_kl(group: CoxeterGroup) -> KLStore:
+    """All P_{x,y} and mu by the classical length-increasing recursion.
+
+    For w = s u with l(w) = l(u) + 1 (Kazhdan-Lusztig, Invent. Math. 53,
+    1979), on the q-coefficient tuples directly:
+
+        P_{y,w} = q^[sy<y] P_{y,u} + q^[y<sy] P_{sy,u}
+                  - sum over z with sz < z of mu(z, u) q^((l(w)-l(z))/2) P_{y,z}
+
+    Each (y, P_{y,u}) therefore adds q^[sy<y] P_{y,u} to both y and sy.
     """
     size = group.size
     length = group.length
@@ -204,8 +240,6 @@ def compute_kl(group: CoxeterGroup) -> KLStore:
     lmask = group.left_descent_mask
     words = group.words
 
-    cvec = [None] * size
-    cvec[0] = {0: vp.ONE}
     P_by_w = [None] * size
     P_by_w[0] = {0: (1,)}
     mu_by_w = [None] * size
@@ -216,59 +250,41 @@ def compute_kl(group: CoxeterGroup) -> KLStore:
         s = words[w][0]                       # smallest left descent
         u = left[s][w]
         lrow = left[s]
-        # multiply c_u by c_s on the left: each coordinate p at y sends
-        # v^(+-1) p to both y and sy, sign + exactly when sy < y
+        lw = length[w]
         acc = {}
-        for y, p in cvec[u].items():
+        for y, qc in P_by_w[u].items():
             sy = lrow[y]
-            q = vp.shift(p, 1) if length[sy] < length[y] else vp.shift(p, -1)
-            for tgt in (y, sy):
-                cur = acc.get(tgt)
-                acc[tgt] = q if cur is None else vp.add(cur, q)
-        # subtract mu(z, u) c_z over z with sz < z
+            k = 1 if length[sy] < length[y] else 0
+            _add_shifted(acc, y, qc, k, 1)
+            _add_shifted(acc, sy, qc, k, 1)
         for z, m in mu_by_w[u]:
             if lmask[z] >> s & 1:
-                for y, p in cvec[z].items():
-                    q = vp.scale(p, -m)
-                    cur = acc.get(y)
-                    acc[y] = q if cur is None else vp.add(cur, q)
-        acc = {y: p for y, p in acc.items() if p[1]}
+                k = (lw - length[z]) // 2
+                for y, qc in P_by_w[z].items():
+                    _add_shifted(acc, y, qc, k, -m)
 
-        lw = length[w]
-        if acc.get(w) != (-lw, (1,)):
-            raise InternalInconsistencyError(
-                f"canonical basis recursion lost the top term at {w}"
-            )
         Prow = {}
-        mus = []
-        for y, p in acc.items():
-            if vp.deg(p) > -length[y] - 1 and y != w:
+        for y, qc in acc.items():
+            while qc and not qc[-1]:
+                qc.pop()
+            if not qc:
+                continue
+            if y != w and 2 * len(qc) - 1 > lw - length[y]:
                 raise InternalInconsistencyError(
                     f"degree bound violated at ({y}, {w})"
                 )
-            # q-coefficients: exponents run -lw, -lw+2, ..., upward
-            qc = [0] * ((vp.deg(p) + lw) // 2 + 1)
-            for i, c in enumerate(p[1]):
-                e = p[0] + i
-                if c:
-                    if (e + lw) % 2:
-                        raise InternalInconsistencyError(
-                            f"odd exponent in P at ({y}, {w})"
-                        )
-                    qc[(e + lw) // 2] = c
             if qc[0] != 1:
                 raise InternalInconsistencyError(
                     f"constant term of P({y},{w}) is {qc[0]}, not 1"
                 )
             qct = tuple(qc)
             Prow[y] = interned.setdefault(qct, qct)
-            m = vp.coeff(p, -length[y] - 1)
-            if m:
-                mus.append((y, m))
-        mus.sort()
-        cvec[w] = acc
+        if Prow.get(w) != (1,):
+            raise InternalInconsistencyError(
+                f"canonical basis recursion lost the top term at {w}"
+            )
         P_by_w[w] = Prow
-        mu_by_w[w] = tuple(mus)
+        mu_by_w[w] = _mu_row(Prow, w, length)
 
     return KLStore(group, P_by_w, mu_by_w)
 
@@ -387,34 +403,27 @@ def stream_h_blocks(store: KLStore, consumer, jobs: int = 1, ys=None):
     targets = list(range(group.size)) if ys is None else list(ys)
     if jobs <= 1:
         for y in targets:
-            block = _h_block(kit, y)
-            for x in range(group.size):
-                consumer(x, y, block[x])
+            _deliver(consumer, y, _h_block(kit, y))
         return
     import concurrent.futures as cf
 
     with cf.ProcessPoolExecutor(
         max_workers=jobs, initializer=_init_worker, initargs=(kit,)
     ) as pool:
-        pending = {}
-        feed = iter(targets)
-        inflight = set()
-
-        def submit_some():
-            while len(inflight) < 2 * jobs:
-                y = next(feed, None)
-                if y is None:
-                    return
-                pending[y] = pool.submit(_stream_worker, y)
-                inflight.add(y)
-
-        submit_some()
+        # at most 2 * jobs blocks in flight, consumed in submission order
+        window = collections.deque()
         for y in targets:
-            block = pending.pop(y).result()
-            inflight.discard(y)
-            submit_some()
-            for x in range(group.size):
-                consumer(x, y, block[x])
+            window.append((y, pool.submit(_stream_worker, y)))
+            if len(window) == 2 * jobs:
+                first, future = window.popleft()
+                _deliver(consumer, first, future.result())
+        for first, future in window:
+            _deliver(consumer, first, future.result())
+
+
+def _deliver(consumer, y: int, block: list):
+    for x, row in enumerate(block):
+        consumer(x, y, row)
 
 
 _WORKER_KIT = None
@@ -456,6 +465,7 @@ _LEAD = struct.Struct("<IIIq")
 def cache_save(store: KLStore, gamma, directory: str):
     """Write kl.bin, lead.bin and manifest.json.
 
+    kl.bin holds one record of P rows per element; mu is not stored.
     lead.bin holds the leading scan of gamma (a GammaTable): the a-values
     and the (x, y, z, lead) entries, one record each.
     """
@@ -473,10 +483,6 @@ def cache_save(store: KLStore, gamma, directory: str):
             for y in sorted(row):
                 qc = row[y]
                 parts.append(struct.pack(f"<IH{len(qc)}q", y, len(qc), *qc))
-            mus = store.mu_by_w[w]
-            parts.append(struct.pack("<I", len(mus)))
-            for z, m in mus:
-                parts.append(struct.pack("<Iq", z, m))
             _write_record(f, b"".join(parts))
     with open(os.path.join(directory, "lead.bin"), "wb") as f:
         f.write(b"CXLD")
@@ -550,15 +556,10 @@ def _read_cache(directory: str, manifest_path: str, group: CoxeterGroup):
             for _ in range(nrow):
                 y, nq = struct.unpack("<IH", buf.read(6))
                 row[y] = struct.unpack(f"<{nq}q", buf.read(8 * nq))
-            (nmu,) = struct.unpack("<I", buf.read(4))
-            mus = []
-            for _ in range(nmu):
-                z, m = struct.unpack("<Iq", buf.read(12))
-                mus.append((z, m))
             if buf.read(1):
                 raise CacheInvalidError("kl.bin record longer than its rows")
             P_by_w[w] = row
-            mu_by_w[w] = tuple(mus)
+            mu_by_w[w] = _mu_row(row, w, group.length)
         if f.read(1):
             raise CacheInvalidError("trailing bytes after kl.bin records")
     store = KLStore(group, P_by_w, mu_by_w)

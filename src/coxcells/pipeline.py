@@ -37,13 +37,6 @@ def is_heavy(group) -> bool:
     return group.size >= HEAVY_ORDER
 
 
-def is_crystallographic(datum) -> bool:
-    """Weyl type: every Coxeter matrix entry is 2, 3, 4 or 6.  These are
-    exactly the finite Coxeter groups with integer character values."""
-    return all(m in (1, 2, 3, 4, 6) for row in datum.coxeter_matrix
-               for m in row)
-
-
 def _cache_path(group, cache_dir):
     return os.path.join(cache_dir, group.datum.type_symbol)
 
@@ -84,7 +77,7 @@ def classification(group, cache_dir=None, jobs=1):
     polynomial work: H4's leading scan is out of reach, and the large
     dihedral groups share the refusal.
     """
-    if is_heavy(group) and not is_crystallographic(group.datum):
+    if is_heavy(group) and not group.datum.crystallographic:
         raise RefusalError(
             f"classification of {group.datum.type_symbol} (order "
             f"{group.size}) is refused: from order {HEAVY_ORDER} up only "
@@ -168,6 +161,13 @@ def chartable_report(group, table) -> dict:
     }
 
 
+def _claim_entries(claims) -> list:
+    return [
+        {"id": c.claim_id, "status": c.status, "witness": c.witness}
+        for c in claims
+    ]
+
+
 def _fake_coeffs(poly) -> list:
     return [int(poly.coeff(e)) for e in range(poly.degree() + 1)]
 
@@ -211,10 +211,7 @@ def classify_report(result, claims) -> dict:
             }
             for r in result.involutions
         ],
-        "claims": [
-            {"id": c.claim_id, "status": c.status, "witness": c.witness}
-            for c in claims
-        ],
+        "claims": _claim_entries(claims),
         "all_claims_pass": all(c.status == "pass" for c in claims),
     }
 
@@ -223,10 +220,7 @@ def verify_report(result, claims) -> dict:
     return {
         "type": result.group.datum.type_symbol,
         "order": result.group.size,
-        "claims": [
-            {"id": c.claim_id, "status": c.status, "witness": c.witness}
-            for c in claims
-        ],
+        "claims": _claim_entries(claims),
         "all_pass": all(c.status == "pass" for c in claims),
     }
 

@@ -6,7 +6,9 @@ includes the direct classification lane: the all-pairs h-table, an exact
 dense rational inverse of the transport matrix, asymptotic traces from that
 inverse and generic-algebra traces through the dual-basis expansion.  The
 streamed lane in coxcells.classify is checked against it.  Fake degrees
-over one common denominator, canonical-basis products through the T-basis
+over one common denominator, with the reflection characteristic
+polynomials taken from powers of the exact reflection matrices rather
+than from the character table, canonical-basis products through the T-basis
 and the cross-cutting property checks on a finished classification live
 here for the same reason.
 """
@@ -20,7 +22,6 @@ from coxcells.classify import (
     ClassifyResult,
     _detect_orientation,
     _finish_records,
-    _reflection_charpolys,
     _signed_row,
     classify_involutions,
     left_cell_module,
@@ -30,7 +31,9 @@ from coxcells.errors import InternalInconsistencyError, UsageError
 from coxcells.exactnum import (
     CycloNumber,
     LaurentPoly,
+    cyclo_context,
     cyclo_rational,
+    embed_cyclo,
     exact_divide,
 )
 from coxcells.klbase import HTable, generator_rows, stream_h_blocks, vp
@@ -1036,12 +1039,55 @@ class RationalFunction:
 # fake degrees over a common denominator
 
 
+def reflection_charpolys_by_matrices(group, table):
+    """det(1 - X rho(z)) per conjugacy class from powers of the exact
+    reflection matrices, carried into the table's conductor; elementary
+    symmetric functions via Newton's identities."""
+    rank = group.datum.rank
+    ctx = cyclo_context(group.datum.refl_conductor)
+    M = table.conductor
+    polys = []
+    for rep in table.classes.representatives:
+        mat = group.matrix_of(rep)
+        traces = []
+        cur = mat
+        for k in range(1, rank + 1):
+            traces.append(
+                sum((cur[i][i] for i in range(rank)), ctx.zero)
+            )
+            if k < rank:
+                cur = tuple(
+                    tuple(
+                        sum(
+                            (cur[i][t] * mat[t][j] for t in range(rank)),
+                            ctx.zero,
+                        )
+                        for j in range(rank)
+                    )
+                    for i in range(rank)
+                )
+        elem = [ctx.one]
+        for k in range(1, rank + 1):
+            acc = ctx.zero
+            sign = 1
+            for i in range(1, k + 1):
+                acc = acc + sign * elem[k - i] * traces[i - 1]
+                sign = -sign
+            elem.append(acc * Fraction(1, k))
+        coeffs = {}
+        for k, e in enumerate(elem):
+            if e:
+                coeffs[k] = embed_cyclo(-e if k % 2 else e, M)
+        polys.append(LaurentPoly(coeffs, var="X"))
+    return polys
+
+
 def fake_degrees_common_denominator(group, table):
     """Graded multiplicities by Molien's formula over the common
     denominator |W| * prod_j det(1 - X w_j), closed by one exact division
     per irreducible; with the same checks as
     coxcells.classify.fake_degrees."""
-    polys = _reflection_charpolys(group, table)
+    polys = reflection_charpolys_by_matrices(group, table)
     k = len(polys)
     one = LaurentPoly.constant(1, var="X")
     prefix = [one]

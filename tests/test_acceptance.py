@@ -7,6 +7,7 @@ and stays behind the "heavy" marker.
 """
 
 import json
+import os
 import random
 import time
 from fractions import Fraction
@@ -299,11 +300,12 @@ def test_criterion_11_determinism_and_cache(tmp_path, capsys):
 def test_criterion_12_f4_streamed_pipeline():
     started = time.monotonic()
     group = build_group("F4")
-    store, htable, cells, gamma, dset = analysis(group, jobs=4)
+    jobs = min(4, os.cpu_count() or 1)
+    store, htable, cells, gamma, dset = analysis(group, jobs=jobs)
     assert htable is None  # analysis never builds an all-pairs table
     table = character_table(group)
     result = classify_group_streamed(store, cells, gamma, dset, table,
-                                     jobs=4)
+                                     jobs=jobs)
     reports = run_claims(result)
     elapsed = time.monotonic() - started
     assert all(r.status == "pass" for r in reports)

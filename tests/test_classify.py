@@ -25,6 +25,7 @@ from oracles import (
     dihedral3_coinvariant_graded_characters,
     fake_degrees_common_denominator,
     hecke_character,
+    reflection_charpolys_by_matrices,
 )
 
 import coxcells.classify as classify_mod
@@ -32,6 +33,7 @@ from coxcells.chartab import character_table
 from coxcells.classify import (
     _class_quotients,
     _coordinate_columns,
+    _reflection_charpolys,
     _signed_row,
     _streamed_traces,
     _verify_traces,
@@ -250,6 +252,15 @@ def test_fake_degrees_match_common_denominator_oracle():
         table = character_table(group)
         assert fake_degrees(group, table) == fake_degrees_common_denominator(
             group, table
+        ), symbol
+
+
+def test_table_charpolys_match_matrix_oracle():
+    for symbol in ("I2(5)", "B3", "H3", "D4"):
+        group = build_group(symbol)
+        table = character_table(group)
+        assert _reflection_charpolys(group, table) == (
+            reflection_charpolys_by_matrices(group, table)
         ), symbol
 
 

@@ -10,6 +10,7 @@ import pytest
 
 from coxcells import cli
 from coxcells.cli import CACHE_ENV, main
+from coxcells.errors import InternalInconsistencyError
 
 
 def _run(capsys, *argv):
@@ -170,6 +171,29 @@ def test_cache_round_trip_byte_identical(capsys, tmp_path):
     code, warm, _ = _run(capsys, *args)
     assert code == 0
     assert cold == warm
+
+
+def test_unusable_cache_dir_exits_3(capsys, tmp_path):
+    blocker = tmp_path / "a-file"
+    blocker.write_text("not a directory\n")
+    code, out, err = _run(
+        capsys, "cells", "--type", "I2(3)", "--cache-dir", str(blocker)
+    )
+    assert code == 3
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("coxcells: ")
+    assert "Traceback" not in err
+
+
+def test_internal_error_exits_3(capsys, monkeypatch):
+    def broken(group):
+        raise InternalInconsistencyError("invariant failed")
+
+    monkeypatch.setattr(cli, "character_table", broken)
+    code, out, err = _run(capsys, "chartable", "--type", "I2(3)")
+    assert code == 3
+    assert out == ""
+    assert err == "coxcells: internal error: invariant failed\n"
 
 
 def test_cache_env_variable(capsys, tmp_path, monkeypatch):

@@ -1,5 +1,6 @@
 """Canonical basis, structure constants, dagger, cache."""
 
+import hashlib
 import random
 
 import pytest
@@ -88,6 +89,33 @@ def test_A3_known_nontrivial_P():
     y = g.element_by_word((1, 0, 2, 1))
     assert store.P(x, y) == (1, 1)  # 1 + q
     assert dict(store.mu_by_w[y]).get(x, 0) == 1
+
+
+# SHA-256 of the sorted P rows and of the mu lists, recorded with the
+# canonical-basis recursion run on v-polynomials, a second route to the
+# same store
+PINNED_STORE_DIGESTS = {
+    "D4": (
+        "9d0de092760daca52bd65eafed99939c5e6c13d82810e008ca7381ced0241396",
+        "6b837a46a065aa05aed9695f7a42f67fa953461e1f3345564ace82e619f4c263",
+    ),
+    "B4": (
+        "64fa2009cf5f98fb23721625bf35cbdca1d7a4fbfdef82aa4d4fed1fd0904163",
+        "c9991cdded845ff072a7c2292d7bdc179a8cdccbcb93bc6b5e9bc7f5c6a16faa",
+    ),
+}
+
+
+def _digest(value) -> str:
+    return hashlib.sha256(repr(value).encode()).hexdigest()
+
+
+def test_kl_store_pinned():
+    for symbol, (p_digest, mu_digest) in PINNED_STORE_DIGESTS.items():
+        store = _store(symbol)
+        rows = [sorted(row.items()) for row in store.P_by_w]
+        assert _digest(rows) == p_digest, symbol
+        assert _digest(list(store.mu_by_w)) == mu_digest, symbol
 
 
 def test_longest_element_row_is_all_ones():
@@ -273,16 +301,21 @@ def test_streaming_matches_materialized():
 
 
 def test_streaming_parallel_matches_serial():
+    # a y listed twice is delivered twice, in order, by both paths
     store = _store("A3")
-    serial = []
-    stream_h_blocks(store, lambda x, y, row: serial.append((x, y, tuple(sorted(row.items())))))
-    parallel = []
-    stream_h_blocks(
-        store,
-        lambda x, y, row: parallel.append((x, y, tuple(sorted(row.items())))),
-        jobs=2,
-    )
-    assert serial == parallel
+    for ys, count in ((None, 24 * 24), ([1, 1], 2 * 24)):
+        runs = []
+        for jobs in (1, 2):
+            rows = []
+            stream_h_blocks(
+                store,
+                lambda x, y, row: rows.append((x, y, tuple(sorted(row.items())))),
+                jobs=jobs,
+                ys=ys,
+            )
+            runs.append(rows)
+        assert len(runs[0]) == count
+        assert runs[0] == runs[1], ys
 
 
 # ---------------------------------------------------------------------------
@@ -331,16 +364,18 @@ def test_dagger_specializes_to_signed_P_at_one():
 
 
 def test_cache_round_trip(tmp_path):
-    g = build_group("I2(5)")
-    store = compute_kl(g)
-    gamma = _gamma(store)
-    d = str(tmp_path / "I2(5)")
-    cache_save(store, gamma, d)
-    store2, (a, lead) = cache_load(d, g)
-    assert store2.P_by_w == store.P_by_w
-    assert store2.mu_by_w == store.mu_by_w
-    assert a == gamma.a
-    assert lead == gamma.lead
+    # mu is not stored: the loaded store reads it off the P rows again
+    for symbol in ("I2(5)", "H3"):
+        g = build_group(symbol)
+        store = compute_kl(g)
+        gamma = _gamma(store)
+        d = str(tmp_path / symbol)
+        cache_save(store, gamma, d)
+        store2, (a, lead) = cache_load(d, g)
+        assert store2.P_by_w == store.P_by_w
+        assert store2.mu_by_w == store.mu_by_w
+        assert a == gamma.a
+        assert lead == gamma.lead
 
 
 def test_cache_without_h_table(tmp_path):
