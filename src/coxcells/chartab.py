@@ -400,15 +400,22 @@ class CharacterTable:
         return idx
 
     def _locate_reflection(self) -> int:
+        """The row of the reflection character: traces of the integer
+        reflection matrices of the class representatives."""
         g = self.group
+        n = g.datum.rank
+        ident, right_mul = g.datum.reflection_action()
+        ctx = cyclo_context(g.datum.refl_conductor)
         traces = []
         for z in self.classes.representatives:
-            mat = g.matrix_of(z)
-            tr = sum(
-                (mat[i][i] for i in range(g.datum.rank)),
-                cyclo_context(g.datum.refl_conductor).zero,
-            )
-            traces.append(embed_cyclo(tr, self.conductor))
+            mat = ident
+            for s in g.words[z]:
+                mat = right_mul(mat, s)
+            tr = [sum(c) for c in zip(*(mat[i * n + i] for i in range(n)))]
+            traces.append(embed_cyclo(
+                CycloNumber(ctx, tuple(Fraction(c) for c in tr)),
+                self.conductor,
+            ))
         idx = self.find_row(tuple(traces))
         if self.dims[idx] != g.datum.rank:
             raise InternalInconsistencyError("reflection row has wrong degree")

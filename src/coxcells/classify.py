@@ -42,11 +42,10 @@ from .exactnum import (
     CycloNumber,
     LaurentPoly,
     cyclo_context,
-    cyclo_rational,
     exact_divide,
     is_palindromic,
 )
-from .klbase import generator_rows, stream_h_blocks, vp
+from .klbase import stream_h_blocks, vp
 
 CLAIM_IDS = ("1.2b", "1.3a", "1.3c", "1.5a", "1.6b")
 
@@ -203,82 +202,6 @@ def fake_degrees(group, table):
             "generating function"
         )
     return tuple(out)
-
-
-# ---------------------------------------------------------------------------
-# cell modules
-
-def left_cell_module(htable, cells, table, cell_id, orientation="standard"):
-    """Multiset of irreducibles carried by one left cell, as a dict
-    {row index: multiplicity}.
-
-    Generator action read at v = 1 from the one-letter rows, keeping
-    only targets inside the cell; the standard orientation takes
-    1 - (c-action) for each generator, which sends the identity's cell
-    to the trivial character.
-    """
-    group = htable.group
-    members = cells.left_cells[cell_id]
-    idx = {m: i for i, m in enumerate(members)}
-    n = len(members)
-    mats = []
-    for s in range(group.datum.rank):
-        s_elt = group.element_by_word((s,))
-        act = [[0] * n for _ in range(n)]
-        for col, y in enumerate(members):
-            for z, p in htable.rows[(s_elt, y)]:
-                r = idx.get(z)
-                if r is not None:
-                    act[r][col] = vp.at_one(p)
-        if orientation == "standard":
-            rho = [
-                [(1 if i == j else 0) - act[i][j] for j in range(n)]
-                for i in range(n)
-            ]
-        else:
-            rho = [
-                [act[i][j] - (1 if i == j else 0) for j in range(n)]
-                for i in range(n)
-            ]
-        mats.append(rho)
-    vals = []
-    for rep in table.classes.representatives:
-        acc = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-        for s in group.words[rep]:
-            rho = mats[s]
-            acc = [
-                [
-                    sum(acc[i][t] * rho[t][j] for t in range(n))
-                    for j in range(n)
-                ]
-                for i in range(n)
-            ]
-        vals.append(sum(acc[i][i] for i in range(n)))
-    M = table.conductor
-    fvals = tuple(cyclo_rational(M, t) for t in vals)
-    mults = {}
-    for i in range(len(table)):
-        m = table.multiplicity(fvals, i)
-        if m:
-            mults[i] = m
-    if sum(m * table.dims[i] for i, m in mults.items()) != n:
-        raise InternalInconsistencyError(
-            "cell module decomposition misses the cell size"
-        )
-    return mults
-
-
-def _detect_orientation(htable, cells, table):
-    """Pin the v=1 sign convention: the identity's left cell must carry
-    the trivial character."""
-    cid = cells.left_cell_of[0]
-    for orientation in ("standard", "flipped"):
-        mults = left_cell_module(htable, cells, table, cid, orientation)
-        if mults == {table.trivial_index: 1}:
-            return orientation
-    raise InternalInconsistencyError(
-        "identity cell carries neither candidate orientation"
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -562,8 +485,8 @@ def classify_group_streamed(store, cells, gamma, dset, table,
     """
     group = store.group
     size = group.size
-    gen = generator_rows(store)
-    orientation = _detect_orientation(gen, cells, table)
+    # {e} is a left cell and c_s c_e = c_s has no c_e term: trivial module
+    orientation = "standard"
     _d_by_left_cell(cells, dset)
     lc = cells.left_cell_of
 

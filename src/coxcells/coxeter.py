@@ -27,13 +27,11 @@ from __future__ import annotations
 
 import hashlib
 import re
-from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
 from .errors import InternalInconsistencyError, RefusalError, UsageError
 from .exactnum import (
-    CycloNumber,
     LaurentPoly,
     cyclo_context,
     cyclotomic_polynomial,
@@ -150,7 +148,7 @@ def _cosine_conductor(m: int) -> int:
 
 
 class CoxeterDatum:
-    """Type-level data: diagram, degrees, field conductors, generator matrices.
+    """Type-level data: diagram, degrees, field conductors, reflection action.
 
     Everything here is available without enumerating the group, including for
     E6/E7/E8.  ``conductor`` is the working field for character-level work,
@@ -164,7 +162,7 @@ class CoxeterDatum:
     __slots__ = (
         "type_symbol", "family", "rank", "bond", "coxeter_matrix", "degrees",
         "order", "num_positive_roots", "exponent", "conductor",
-        "refl_conductor", "crystallographic", "_refl_int",
+        "refl_conductor", "crystallographic",
     )
 
     def __init__(self, family: str, rank: int, bond):
@@ -188,75 +186,66 @@ class CoxeterDatum:
         self.crystallographic = all(
             e in (1, 2, 3, 4, 6) for row in self.coxeter_matrix for e in row
         )
-        self._refl_int = None
 
     def __repr__(self) -> str:
         return f"CoxeterDatum({self.type_symbol})"
 
-    def _int_matrices(self) -> tuple:
-        """Generator matrices as flat tuples of integer coefficient vectors.
+    def reflection_action(self):
+        """The reflection representation on integer power-basis matrices,
+        as (identity, right_mul).
 
-        Entry (i, j) of generator s sits at flat index i*rank + j; each entry
-        is the length-phi integer vector of a cyclotomic number in the
-        refl_conductor basis.  All entries stay integral under products
-        because the reduction rows are integral.
+        A matrix is a flat tuple with entry (i, j) at index i*rank + j;
+        each entry is the length-phi integer vector of a number of
+        Z[zeta_M], M = refl_conductor.  Generator s sends alpha_s to
+        -alpha_s and alpha_j to alpha_j + c_sj alpha_s with
+        c_sj = 2cos(pi/m_sj), so right_mul(mat, s) negates column s and
+        adds c_sj times column s to every bonded column j.  Products stay
+        integral because the reduction rows are integral.
         """
-        if self._refl_int is not None:
-            return self._refl_int
+        n = self.rank
         ctx = cyclo_context(self.refl_conductor)
         phi = ctx.degree
         zero = (0,) * phi
         one = (1,) + (0,) * (phi - 1)
 
-        def ivec(x: CycloNumber) -> tuple:
+        def cosine(m: int) -> tuple:
+            if m == 3:
+                return one
             out = []
-            for c in x.coeffs:
+            for c in two_cos_pi_over(self.refl_conductor, m).coeffs:
                 if c.denominator != 1:
                     raise InternalInconsistencyError(
-                        "reflection matrix entry is not an algebraic integer vector"
+                        "reflection matrix entry is not an algebraic integer"
                     )
                 out.append(c.numerator)
             return tuple(out)
 
-        mats = []
-        n = self.rank
-        for s in range(n):
-            flat = []
-            for i in range(n):
-                for j in range(n):
-                    if i != s:
-                        flat.append(one if i == j else zero)
-                    elif j == s:
-                        flat.append(tuple(-c for c in one))
-                    else:
-                        m = self.coxeter_matrix[s][j]
-                        if m == 2:
-                            flat.append(zero)
-                        elif m == 3:
-                            flat.append(one)
-                        else:
-                            flat.append(ivec(two_cos_pi_over(self.refl_conductor, m)))
-            mats.append(tuple(flat))
-        self._refl_int = tuple(mats)
-        return self._refl_int
+        neighbors = tuple(
+            tuple(
+                (j, cosine(self.coxeter_matrix[s][j]))
+                for j in range(n)
+                if j != s and self.coxeter_matrix[s][j] != 2
+            )
+            for s in range(n)
+        )
+        identity = tuple(
+            one if i == j else zero for i in range(n) for j in range(n)
+        )
 
-    @property
-    def reflection_matrices(self) -> tuple:
-        """Generator matrices as rank x rank tuples of CycloNumbers."""
-        ctx = cyclo_context(self.refl_conductor)
-        out = []
-        for flat in self._int_matrices():
-            rows = []
-            for i in range(self.rank):
-                rows.append(
-                    tuple(
-                        CycloNumber(ctx, tuple(Fraction(c) for c in
-                                               flat[i * self.rank + j]))
-                        for j in range(self.rank)
-                    )
-                )
-            out.append(tuple(rows))
-        return tuple(out)
+        def right_mul(mat: tuple, s: int) -> tuple:
+            out = list(mat)
+            for i in range(n):
+                base = i * n
+                col_s = mat[base + s]
+                out[base + s] = tuple(-c for c in col_s)
+                if col_s != zero:
+                    for j, c in neighbors[s]:
+                        cur = out[base + j]
+                        prod = ctx.mul_coeffs(col_s, c)
+                        out[base + j] = tuple(a + b for a, b in zip(cur, prod))
+            return tuple(out)
+
+        return identity, right_mul
 
 
 @lru_cache(maxsize=None)
@@ -367,54 +356,6 @@ class CoxeterGroup:
             k += 1
         return k
 
-    def right_descents(self, w: int) -> tuple:
-        mask = self.right_descent_mask[w]
-        return tuple(s for s in range(self.datum.rank) if mask >> s & 1)
-
-    def left_descents(self, w: int) -> tuple:
-        mask = self.left_descent_mask[w]
-        return tuple(s for s in range(self.datum.rank) if mask >> s & 1)
-
-    def matrix_of(self, w: int) -> tuple:
-        """Reflection-representation matrix of element w, CycloNumber entries."""
-        gens = self.datum.reflection_matrices
-        n = self.datum.rank
-        ctx = cyclo_context(self.datum.refl_conductor)
-        rows = [
-            tuple(ctx.one if i == j else ctx.zero for j in range(n))
-            for i in range(n)
-        ]
-        for s in self.words[w]:
-            g = gens[s]
-            rows = [
-                tuple(
-                    sum((rows[i][k] * g[k][j] for k in range(n)), ctx.zero)
-                    for j in range(n)
-                )
-                for i in range(n)
-            ]
-        return tuple(rows)
-
-    # -- order theory ------------------------------------------------------
-
-    def bruhat_leq(self, x: int, y: int) -> bool:
-        """Bruhat order test by descending through y's canonical word."""
-        if not 0 <= x < self.size or not 0 <= y < self.size:
-            raise UsageError("element index out of range")
-        lengths = self.length
-        word = self.words[y]
-        # peel the last letter of y repeatedly; drop the same letter from x
-        # exactly when it is a right descent there
-        for pos in range(len(word) - 1, -1, -1):
-            if lengths[x] > pos + 1:
-                return False
-            if x == 0:
-                return True
-            s = word[pos]
-            if self.right_descent_mask[x] >> s & 1:
-                x = self.right[s][x]
-        return x == 0
-
     def poincare_polynomial(self) -> LaurentPoly:
         counts = {}
         for l in self.length:
@@ -515,41 +456,7 @@ def build_group(source, max_order: int = DEFAULT_MAX_ORDER) -> CoxeterGroup:
             f"{max_order}; raise max_order to build it anyway"
         )
     n = datum.rank
-    ctx = cyclo_context(datum.refl_conductor)
-    phi = ctx.degree
-    gens = datum._int_matrices()
-    zero = (0,) * phi
-
-    # neighbor coefficient lists for the rank-one right-multiplication update:
-    # column s flips sign, column j gains c_sj * column s for bonded j
-    neighbors = []
-    for s in range(n):
-        cols = []
-        for j in range(n):
-            if j != s:
-                c = gens[s][s * n + j]
-                if c != zero:
-                    cols.append((j, c))
-        neighbors.append(tuple(cols))
-
-    ident = tuple(
-        ((1,) + (0,) * (phi - 1)) if i == j else zero
-        for i in range(n) for j in range(n)
-    )
-
-    def right_mul(mat: tuple, s: int) -> tuple:
-        out = list(mat)
-        for i in range(n):
-            base = i * n
-            col_s = mat[base + s]
-            out[base + s] = tuple(-c for c in col_s)
-            if col_s != zero:
-                for j, c in neighbors[s]:
-                    cur = out[base + j]
-                    prod = ctx.mul_coeffs(col_s, c)
-                    out[base + j] = tuple(a + b for a, b in zip(cur, prod))
-        return tuple(out)
-
+    ident, right_mul = datum.reflection_action()
     index = {ident: 0}
     mats = [ident]
     words = [()]

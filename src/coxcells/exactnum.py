@@ -14,8 +14,7 @@ Two number domains live here:
 
 Everything is immutable by convention and hash/compare-safe, so values can be
 shared freely across threads and used as dictionary keys.  No floating point
-is used anywhere; a complex embedding is provided only for cross-checking in
-tests.
+is used anywhere.
 
 >>> g = root_of_unity(5, 1) + root_of_unity(5, 4)
 >>> g * g + g == cyclo_rational(5, 1)
@@ -26,10 +25,8 @@ The value above is 2*cos(2*pi/5), a root of x^2 + x - 1.
 
 from __future__ import annotations
 
-import cmath
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
 
 from .errors import InternalInconsistencyError, UsageError
 
@@ -38,9 +35,7 @@ __all__ = [
     "CycloNumber",
     "LaurentPoly",
     "cyclo_context",
-    "cyclo_one",
     "cyclo_rational",
-    "cyclo_zero",
     "cyclotomic_polynomial",
     "exact_divide",
     "is_palindromic",
@@ -340,13 +335,6 @@ class CycloNumber:
             return hash(self.coeffs[0])
         return hash((self.ctx.order, self.coeffs))
 
-    def complex_value(self, embedding: int = 1) -> complex:
-        """Numeric value under zeta -> exp(2*pi*i*embedding/M); tests only."""
-        if gcd(embedding, self.ctx.order) != 1:
-            raise UsageError("embedding index must be coprime to the conductor")
-        z = cmath.exp(2j * cmath.pi * embedding / self.ctx.order)
-        return sum(float(c) * z ** k for k, c in enumerate(self.coeffs))
-
     def render(self) -> str:
         """Canonical text form, e.g. ``1/2 + z5^1 - z5^3``; bit-stable."""
         if self.is_rational():
@@ -404,22 +392,10 @@ def _fracpoly_invmod(a: list, mod: list) -> list:
         if not r1:
             raise InternalInconsistencyError("non-invertible cyclotomic element")
         q, r = _fracpoly_divmod(r0, r1)
-        qs = _fracpoly_mul(q, s1)
+        qs = _dense_mul(q, s1)
         news = [x - y for x, y in _zip_pad(s0, qs)]
         r0, r1 = r1, r
         s0, s1 = s1, news
-
-
-def _fracpoly_mul(a: list, b: list) -> list:
-    if not a or not b:
-        return []
-    out = [_ZERO] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    out[i + j] += ai * bj
-    return out
 
 
 def _zip_pad(a: list, b: list):
@@ -430,14 +406,6 @@ def _zip_pad(a: list, b: list):
 
 
 # -- constructors ----------------------------------------------------------
-
-def cyclo_zero(order: int) -> CycloNumber:
-    return cyclo_context(order).zero
-
-
-def cyclo_one(order: int) -> CycloNumber:
-    return cyclo_context(order).one
-
 
 def cyclo_rational(order: int, value) -> CycloNumber:
     ctx = cyclo_context(order)
@@ -540,13 +508,6 @@ class LaurentPoly:
     def monomial(cls, exp: int, coeff=1, var: str = "v") -> "LaurentPoly":
         return cls({exp: coeff}, var)
 
-    @classmethod
-    def from_pairs(cls, pairs, var: str = "v") -> "LaurentPoly":
-        d = {}
-        for e, c in pairs:
-            d[e] = d.get(e, 0) + c
-        return cls(d, var)
-
     # -- basic structure ---------------------------------------------------
 
     def __bool__(self) -> bool:
@@ -645,19 +606,6 @@ class LaurentPoly:
         out.coeffs = {e + k: c for e, c in self.coeffs.items()}
         return out
 
-    def stretch(self, k: int) -> "LaurentPoly":
-        """Substitute var -> var^k (exponent dilation)."""
-        out = LaurentPoly.__new__(LaurentPoly)
-        out.var = self.var
-        out.coeffs = {e * k: c for e, c in self.coeffs.items()}
-        return out
-
-    def rename(self, var: str) -> "LaurentPoly":
-        out = LaurentPoly.__new__(LaurentPoly)
-        out.var = var
-        out.coeffs = dict(self.coeffs)
-        return out
-
     def bar(self) -> "LaurentPoly":
         """The involution var -> var^(-1)."""
         out = LaurentPoly.__new__(LaurentPoly)
@@ -672,18 +620,6 @@ class LaurentPoly:
         total = 0
         for c in self.coeffs.values():
             total = c + total
-        return total
-
-    def evaluate(self, value):
-        inv = None
-        total = 0
-        for e, c in self.coeffs.items():
-            if e >= 0:
-                total = total + c * value ** e
-            else:
-                if inv is None:
-                    inv = Fraction(1, value) if isinstance(value, int) else 1 / value
-                total = total + c * inv ** (-e)
         return total
 
     # -- comparisons -------------------------------------------------------

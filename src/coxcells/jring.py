@@ -181,27 +181,20 @@ class GammaTable:
 
     lead[(x, y, z)] is the coefficient of v^(a(z)) in h_{x,y,z}; in terms
     of the abstract constants that number is gamma_{x, y, z^-1}.
-    by_xy[(x, y)] lists (z, lead) pairs: the expansion of t_x t_y.
-    by_zx[(z, x)] lists (y, gamma_{x,y,z}) pairs over the nonzero slots.
+    by_xy[(x, y)] lists (z, lead) pairs: the expansion of t_x t_y, which
+    the ring checks of distinguished_involutions read through product().
     """
 
-    __slots__ = ("group", "a", "lead", "by_xy", "by_zx")
+    __slots__ = ("group", "a", "lead", "by_xy")
 
     def __init__(self, group: CoxeterGroup, a: tuple, lead: dict):
         self.group = group
         self.a = a
         self.lead = lead
         by_xy = {}
-        by_zx = {}
-        inv = group.inverse
         for (x, y, z), c in lead.items():
             by_xy.setdefault((x, y), []).append((z, c))
-            by_zx.setdefault((inv[z], x), []).append((y, c))
         self.by_xy = {k: tuple(sorted(v)) for k, v in by_xy.items()}
-        self.by_zx = {k: tuple(sorted(v)) for k, v in by_zx.items()}
-
-    def gamma(self, x: int, y: int, z: int) -> int:
-        return self.lead.get((x, y, self.group.inverse[z]), 0)
 
     def product(self, x: int, y: int) -> tuple:
         """t_x t_y as a sorted tuple of (z, coefficient)."""

@@ -12,9 +12,10 @@ coefficient at that top degree bound.
 P is stored as tuples of ascending q-coefficients and computed on them
 directly.  The structure constants h use a tiny value representation
 instead of the general LaurentPoly class: a pair (val, coeffs) of an int
-and a tuple of ints meaning sum coeffs[i] * v^(val + i), with the free
-functions of `vp`.  The zero polynomial is (0, ()).  Conversion to
-LaurentPoly happens only at module boundaries.
+and a tuple of ints meaning sum coeffs[i] * v^(val + i).  The zero
+polynomial is (0, ()).  `vp` holds only what the recursion and its
+consumers use: normalize, add, scale, multiply and evaluate at v = 1.
+The test oracles extend it with conversions and further helpers.
 
 Products c_x c_y = sum over z of h_{x,y,z} c_z come in bulk from the
 left-multiplication recursion on blocks of fixed y (`stream_h_blocks`),
@@ -25,20 +26,23 @@ taken row by row through the T-basis.
 
 The cache holds the P rows (mu is read off them again on load) and the
 result of the leading scan over all h rows (a-values and leading
-coefficients), not the rows themselves.
+coefficients), not the rows themselves.  Its manifest records the length
+and SHA-256 of both payload files and is written last, each file under a
+temporary name moved into place, so a torn or altered cache is recomputed
+rather than read.
 """
 
 from __future__ import annotations
 
 import collections
+import hashlib
 import io
 import json
 import os
 import struct
 
 from .coxeter import CoxeterGroup
-from .errors import CacheInvalidError, InternalInconsistencyError, UsageError
-from .exactnum import LaurentPoly
+from .errors import CacheInvalidError, InternalInconsistencyError
 
 __all__ = [
     "HTable",
@@ -51,7 +55,7 @@ __all__ = [
     "vp",
 ]
 
-CACHE_FORMAT_VERSION = 3
+CACHE_FORMAT_VERSION = 4
 
 
 # ---------------------------------------------------------------------------
@@ -94,20 +98,6 @@ class vp:
         return vp.norm(lo, out)
 
     @staticmethod
-    def sub(a: tuple, b: tuple) -> tuple:
-        return vp.add(a, vp.neg(b))
-
-    @staticmethod
-    def neg(a: tuple) -> tuple:
-        return (a[0], tuple(-c for c in a[1]))
-
-    @staticmethod
-    def shift(a: tuple, k: int) -> tuple:
-        if not a[1]:
-            return vp.ZERO
-        return (a[0] + k, a[1])
-
-    @staticmethod
     def scale(a: tuple, k: int) -> tuple:
         if not k or not a[1]:
             return vp.ZERO
@@ -128,44 +118,8 @@ class vp:
         return vp.norm(a[0] + b[0], out)
 
     @staticmethod
-    def coeff(a: tuple, e: int) -> int:
-        i = e - a[0]
-        if 0 <= i < len(a[1]):
-            return a[1][i]
-        return 0
-
-    @staticmethod
-    def deg(a: tuple) -> int:
-        if not a[1]:
-            raise UsageError("degree of zero")
-        return a[0] + len(a[1]) - 1
-
-    @staticmethod
     def at_one(a: tuple) -> int:
         return sum(a[1])
-
-    @staticmethod
-    def bar_symmetric(a: tuple) -> bool:
-        """Invariance under v -> v^-1."""
-        if not a[1]:
-            return True
-        return a[0] == -(a[0] + len(a[1]) - 1) and a[1] == a[1][::-1]
-
-    @staticmethod
-    def to_laurent(a: tuple, var: str = "v") -> LaurentPoly:
-        return LaurentPoly(
-            {a[0] + i: c for i, c in enumerate(a[1]) if c}, var
-        )
-
-    @staticmethod
-    def from_q(qcoeffs: tuple, shift: int = 0) -> tuple:
-        """Polynomial in q = v^2 as a v-polynomial, then shifted by v^shift."""
-        if not qcoeffs:
-            return vp.ZERO
-        out = [0] * (2 * len(qcoeffs) - 1)
-        for i, c in enumerate(qcoeffs):
-            out[2 * i] = c
-        return vp.norm(shift, out)
 
 
 # ---------------------------------------------------------------------------
@@ -462,47 +416,63 @@ def _read_record(f) -> bytes:
 _LEAD = struct.Struct("<IIIq")
 
 
+def _replace_file(directory: str, name: str, data: bytes):
+    """Write data under a temporary sibling name, then move it into place."""
+    path = os.path.join(directory, name)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    with open(tmp, "wb") as f:
+        f.write(data)
+    os.replace(tmp, path)
+
+
 def cache_save(store: KLStore, gamma, directory: str):
-    """Write kl.bin, lead.bin and manifest.json.
+    """Write kl.bin, lead.bin and, last, manifest.json.
 
     kl.bin holds one record of P rows per element; mu is not stored.
     lead.bin holds the leading scan of gamma (a GammaTable): the a-values
-    and the (x, y, z, lead) entries, one record each.
+    and the (x, y, z, lead) entries, one record each.  The manifest
+    records the length and SHA-256 of both.
     """
     os.makedirs(directory, exist_ok=True)
     group = store.group
-    kl_path = os.path.join(directory, "kl.bin")
-    with open(kl_path, "wb") as f:
-        f.write(b"CXKL")
-        f.write(struct.pack("<I", CACHE_FORMAT_VERSION))
-        _write_record(f, store.fingerprint.encode())
-        f.write(struct.pack("<I", group.size))
-        for w in range(group.size):
-            row = store.P_by_w[w]
-            parts = [struct.pack("<I", len(row))]
-            for y in sorted(row):
-                qc = row[y]
-                parts.append(struct.pack(f"<IH{len(qc)}q", y, len(qc), *qc))
-            _write_record(f, b"".join(parts))
-    with open(os.path.join(directory, "lead.bin"), "wb") as f:
-        f.write(b"CXLD")
-        f.write(struct.pack("<I", CACHE_FORMAT_VERSION))
-        _write_record(f, store.fingerprint.encode())
-        _write_record(f, struct.pack(f"<{group.size}I", *gamma.a))
-        _write_record(f, b"".join(
-            _LEAD.pack(x, y, z, c) for (x, y, z), c in gamma.lead.items()
-        ))
+    kl = io.BytesIO()
+    kl.write(b"CXKL")
+    kl.write(struct.pack("<I", CACHE_FORMAT_VERSION))
+    _write_record(kl, store.fingerprint.encode())
+    kl.write(struct.pack("<I", group.size))
+    for w in range(group.size):
+        row = store.P_by_w[w]
+        parts = [struct.pack("<I", len(row))]
+        for y in sorted(row):
+            qc = row[y]
+            parts.append(struct.pack(f"<IH{len(qc)}q", y, len(qc), *qc))
+        _write_record(kl, b"".join(parts))
+    lead = io.BytesIO()
+    lead.write(b"CXLD")
+    lead.write(struct.pack("<I", CACHE_FORMAT_VERSION))
+    _write_record(lead, store.fingerprint.encode())
+    _write_record(lead, struct.pack(f"<{group.size}I", *gamma.a))
+    _write_record(lead, b"".join(
+        _LEAD.pack(x, y, z, c) for (x, y, z), c in gamma.lead.items()
+    ))
+    files = {}
+    for name, buf in (("kl.bin", kl), ("lead.bin", lead)):
+        data = buf.getvalue()
+        _replace_file(directory, name, data)
+        files[name] = {
+            "bytes": len(data),
+            "sha256": hashlib.sha256(data).hexdigest(),
+        }
     manifest = {
         "format_version": CACHE_FORMAT_VERSION,
         "type": group.datum.type_symbol,
         "order": group.size,
         "rank": group.datum.rank,
         "fingerprint": store.fingerprint,
-        "files": ["kl.bin", "lead.bin"],
+        "files": files,
     }
-    with open(os.path.join(directory, "manifest.json"), "w") as f:
-        json.dump(manifest, f, indent=1, sort_keys=True)
-        f.write("\n")
+    text = json.dumps(manifest, indent=1, sort_keys=True) + "\n"
+    _replace_file(directory, "manifest.json", text.encode())
 
 
 def cache_load(directory: str, group: CoxeterGroup):
@@ -510,7 +480,8 @@ def cache_load(directory: str, group: CoxeterGroup):
 
     (a, lead) is the cached leading scan, as compute_gamma takes it.
     Every way the files can fail to decode (missing or unreadable file,
-    malformed JSON, short or oversized record, bad text) is raised as
+    malformed JSON, a payload whose length or digest differs from the
+    manifest, short or oversized record, bad text) is raised as
     CacheInvalidError.
     """
     manifest_path = os.path.join(directory, "manifest.json")
@@ -520,6 +491,20 @@ def cache_load(directory: str, group: CoxeterGroup):
         return _read_cache(directory, manifest_path, group)
     except (OSError, ValueError, struct.error) as exc:
         raise CacheInvalidError(f"unreadable cache: {exc}") from exc
+
+
+def _read_payload(directory: str, manifest: dict, name: str) -> io.BytesIO:
+    """One payload file, checked against the manifest's length and digest."""
+    files = manifest.get("files")
+    entry = files.get(name) if isinstance(files, dict) else None
+    if not isinstance(entry, dict):
+        raise CacheInvalidError(f"manifest lists no {name}")
+    with open(os.path.join(directory, name), "rb") as f:
+        data = f.read()
+    if (len(data) != entry.get("bytes")
+            or hashlib.sha256(data).hexdigest() != entry.get("sha256")):
+        raise CacheInvalidError(f"{name} does not match the manifest digest")
+    return io.BytesIO(data)
 
 
 def _read_cache(directory: str, manifest_path: str, group: CoxeterGroup):
@@ -536,46 +521,45 @@ def _read_cache(directory: str, manifest_path: str, group: CoxeterGroup):
     if manifest.get("fingerprint") != fp or manifest.get("type") != group.datum.type_symbol:
         raise CacheInvalidError("cache belongs to a different group")
 
-    with open(os.path.join(directory, "kl.bin"), "rb") as f:
-        if f.read(4) != b"CXKL":
-            raise CacheInvalidError("bad kl.bin magic")
-        (ver,) = struct.unpack("<I", f.read(4))
-        if ver != CACHE_FORMAT_VERSION:
-            raise CacheInvalidError("kl.bin version mismatch")
-        if _read_record(f).decode() != fp:
-            raise CacheInvalidError("kl.bin fingerprint mismatch")
-        (size,) = struct.unpack("<I", f.read(4))
-        if size != group.size:
-            raise CacheInvalidError("kl.bin element count mismatch")
-        P_by_w = [None] * size
-        mu_by_w = [None] * size
-        for w in range(size):
-            buf = io.BytesIO(_read_record(f))
-            (nrow,) = struct.unpack("<I", buf.read(4))
-            row = {}
-            for _ in range(nrow):
-                y, nq = struct.unpack("<IH", buf.read(6))
-                row[y] = struct.unpack(f"<{nq}q", buf.read(8 * nq))
-            if buf.read(1):
-                raise CacheInvalidError("kl.bin record longer than its rows")
-            P_by_w[w] = row
-            mu_by_w[w] = _mu_row(row, w, group.length)
-        if f.read(1):
-            raise CacheInvalidError("trailing bytes after kl.bin records")
+    f = _read_payload(directory, manifest, "kl.bin")
+    if f.read(4) != b"CXKL":
+        raise CacheInvalidError("bad kl.bin magic")
+    (ver,) = struct.unpack("<I", f.read(4))
+    if ver != CACHE_FORMAT_VERSION:
+        raise CacheInvalidError("kl.bin version mismatch")
+    if _read_record(f).decode() != fp:
+        raise CacheInvalidError("kl.bin fingerprint mismatch")
+    (size,) = struct.unpack("<I", f.read(4))
+    if size != group.size:
+        raise CacheInvalidError("kl.bin element count mismatch")
+    P_by_w = [None] * size
+    mu_by_w = [None] * size
+    for w in range(size):
+        buf = io.BytesIO(_read_record(f))
+        (nrow,) = struct.unpack("<I", buf.read(4))
+        row = {}
+        for _ in range(nrow):
+            y, nq = struct.unpack("<IH", buf.read(6))
+            if y >= size:
+                raise CacheInvalidError("kl.bin entry out of range")
+            row[y] = struct.unpack(f"<{nq}q", buf.read(8 * nq))
+        if buf.read(1):
+            raise CacheInvalidError("kl.bin record longer than its rows")
+        P_by_w[w] = row
+        mu_by_w[w] = _mu_row(row, w, group.length)
+    if f.read(1):
+        raise CacheInvalidError("trailing bytes after kl.bin records")
     store = KLStore(group, P_by_w, mu_by_w)
 
-    lead_path = os.path.join(directory, "lead.bin")
-    if not os.path.exists(lead_path):
-        raise CacheInvalidError("no lead.bin")
-    with open(lead_path, "rb") as f:
-        if f.read(8) != b"CXLD" + struct.pack("<I", CACHE_FORMAT_VERSION):
-            raise CacheInvalidError("bad lead.bin header")
-        if _read_record(f) != fp.encode():
-            raise CacheInvalidError("lead.bin fingerprint mismatch")
-        a_raw = _read_record(f)
-        lead_raw = _read_record(f)
-        if f.read(1):
-            raise CacheInvalidError("trailing bytes after lead.bin records")
+    f = _read_payload(directory, manifest, "lead.bin")
+    if f.read(8) != b"CXLD" + struct.pack("<I", CACHE_FORMAT_VERSION):
+        raise CacheInvalidError("bad lead.bin header")
+    if _read_record(f) != fp.encode():
+        raise CacheInvalidError("lead.bin fingerprint mismatch")
+    a_raw = _read_record(f)
+    lead_raw = _read_record(f)
+    if f.read(1):
+        raise CacheInvalidError("trailing bytes after lead.bin records")
     if len(a_raw) != 4 * size or len(lead_raw) % _LEAD.size:
         raise CacheInvalidError("lead.bin record size mismatch")
     a = struct.unpack(f"<{size}I", a_raw)

@@ -4,12 +4,16 @@ Classification of the bigger groups costs seconds to minutes, so each
 symbol is built exactly once per run and reused everywhere.  The rig's
 result comes from the product lane; the all-pairs table, the transport
 isomorphism and the direct-lane classification from tests/oracles.py are
-built on first use only.
+built on first use only.  The hypothesis profile for the property tests
+is registered and loaded here too.
 """
 
+import tempfile
 from functools import cached_property
 
 import pytest
+from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from oracles import build_phi, classify_group, compute_h_table
 
@@ -23,6 +27,17 @@ from coxcells.jring import (
 )
 from coxcells.klbase import compute_kl, generator_rows
 from coxcells.pipeline import run_claims
+
+# Property tests draw the same examples on every run and keep no example
+# database, so the suite stays reproducible.  Hypothesis still caches the
+# constants it mines from the source, during collection; that cache goes to
+# a temporary directory removed at exit, not into the checkout.
+settings.register_profile(
+    "coxcells", derandomize=True, deadline=None, database=None
+)
+settings.load_profile("coxcells")
+_HYPOTHESIS_HOME = tempfile.TemporaryDirectory(prefix="coxcells-hypothesis-")
+set_hypothesis_home_dir(_HYPOTHESIS_HOME.name)
 
 
 class Rig:

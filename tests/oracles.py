@@ -8,23 +8,27 @@ inverse and generic-algebra traces through the dual-basis expansion.  The
 streamed lane in coxcells.classify is checked against it.  Fake degrees
 over one common denominator, with the reflection characteristic
 polynomials taken from powers of the exact reflection matrices rather
-than from the character table, canonical-basis products through the T-basis
-and the cross-cutting property checks on a finished classification live
-here for the same reason.
+than from the character table, canonical-basis products through the T-basis,
+left cell modules with the v=1 sign convention they pin, and the
+cross-cutting property checks on a finished classification live here for
+the same reason.
+
+So do the helpers only the tests use: the Bruhat order, descent sets, the
+CycloNumber reflection matrices, complex embeddings, more value-polynomial
+functions (`vp` extends the library's) and a few LaurentPoly operations.
 """
 
+import cmath
 import hashlib
 import random
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd
 
 from coxcells.classify import (
     ClassifyResult,
-    _detect_orientation,
     _finish_records,
     _signed_row,
     classify_involutions,
-    left_cell_module,
     word_name,
 )
 from coxcells.errors import InternalInconsistencyError, UsageError
@@ -35,8 +39,204 @@ from coxcells.exactnum import (
     cyclo_rational,
     embed_cyclo,
     exact_divide,
+    two_cos_pi_over,
 )
-from coxcells.klbase import HTable, generator_rows, stream_h_blocks, vp
+from coxcells.klbase import HTable, generator_rows, stream_h_blocks
+from coxcells.klbase import vp as _vp
+
+
+# ---------------------------------------------------------------------------
+# helpers on the library's types that only the tests need
+
+
+class vp(_vp):
+    """The library's value-polynomial functions plus the ones the
+    oracles and tests use: subtraction, shifts, coefficients, degree,
+    bar symmetry and conversions."""
+
+    @staticmethod
+    def sub(a: tuple, b: tuple) -> tuple:
+        return vp.add(a, vp.neg(b))
+
+    @staticmethod
+    def neg(a: tuple) -> tuple:
+        return (a[0], tuple(-c for c in a[1]))
+
+    @staticmethod
+    def shift(a: tuple, k: int) -> tuple:
+        if not a[1]:
+            return vp.ZERO
+        return (a[0] + k, a[1])
+
+    @staticmethod
+    def coeff(a: tuple, e: int) -> int:
+        i = e - a[0]
+        if 0 <= i < len(a[1]):
+            return a[1][i]
+        return 0
+
+    @staticmethod
+    def deg(a: tuple) -> int:
+        if not a[1]:
+            raise UsageError("degree of zero")
+        return a[0] + len(a[1]) - 1
+
+    @staticmethod
+    def bar_symmetric(a: tuple) -> bool:
+        """Invariance under v -> v^-1."""
+        if not a[1]:
+            return True
+        return a[0] == -(a[0] + len(a[1]) - 1) and a[1] == a[1][::-1]
+
+    @staticmethod
+    def to_laurent(a: tuple, var: str = "v") -> LaurentPoly:
+        return LaurentPoly(
+            {a[0] + i: c for i, c in enumerate(a[1]) if c}, var
+        )
+
+    @staticmethod
+    def from_q(qcoeffs: tuple, shift: int = 0) -> tuple:
+        """Polynomial in q = v^2 as a v-polynomial, then shifted by v^shift."""
+        if not qcoeffs:
+            return vp.ZERO
+        out = [0] * (2 * len(qcoeffs) - 1)
+        for i, c in enumerate(qcoeffs):
+            out[2 * i] = c
+        return vp.norm(shift, out)
+
+
+def from_pairs(pairs, var: str = "v") -> LaurentPoly:
+    """Laurent polynomial from (exponent, coefficient) pairs, summing
+    repeated exponents."""
+    d = {}
+    for e, c in pairs:
+        d[e] = d.get(e, 0) + c
+    return LaurentPoly(d, var)
+
+
+def stretch(p: LaurentPoly, k: int) -> LaurentPoly:
+    """Substitute var -> var^k (exponent dilation)."""
+    return LaurentPoly({e * k: c for e, c in p.coeffs.items()}, p.var)
+
+
+def rename(p: LaurentPoly, var: str) -> LaurentPoly:
+    return LaurentPoly(p.coeffs, var)
+
+
+def evaluate(p: LaurentPoly, value):
+    inv = None
+    total = 0
+    for e, c in p.coeffs.items():
+        if e >= 0:
+            total = total + c * value ** e
+        else:
+            if inv is None:
+                inv = Fraction(1, value) if isinstance(value, int) else 1 / value
+            total = total + c * inv ** (-e)
+    return total
+
+
+def complex_value(x: CycloNumber, embedding: int = 1) -> complex:
+    """Numeric value under zeta -> exp(2*pi*i*embedding/M)."""
+    if gcd(embedding, x.ctx.order) != 1:
+        raise UsageError("embedding index must be coprime to the conductor")
+    z = cmath.exp(2j * cmath.pi * embedding / x.ctx.order)
+    return sum(float(c) * z ** k for k, c in enumerate(x.coeffs))
+
+
+def cyclo_zero(order: int) -> CycloNumber:
+    return cyclo_context(order).zero
+
+
+def cyclo_one(order: int) -> CycloNumber:
+    return cyclo_context(order).one
+
+
+def gamma(table, x: int, y: int, z: int) -> int:
+    """gamma_{x,y,z} read off a GammaTable's leading coefficients."""
+    return table.lead.get((x, y, table.group.inverse[z]), 0)
+
+
+def right_descents(group, w: int) -> tuple:
+    mask = group.right_descent_mask[w]
+    return tuple(s for s in range(group.datum.rank) if mask >> s & 1)
+
+
+def left_descents(group, w: int) -> tuple:
+    mask = group.left_descent_mask[w]
+    return tuple(s for s in range(group.datum.rank) if mask >> s & 1)
+
+
+def bruhat_leq(group, x: int, y: int) -> bool:
+    """Bruhat order test by descending through y's canonical word."""
+    if not 0 <= x < group.size or not 0 <= y < group.size:
+        raise UsageError("element index out of range")
+    lengths = group.length
+    word = group.words[y]
+    # peel the last letter of y repeatedly; drop the same letter from x
+    # exactly when it is a right descent there
+    for pos in range(len(word) - 1, -1, -1):
+        if lengths[x] > pos + 1:
+            return False
+        if x == 0:
+            return True
+        s = word[pos]
+        if group.right_descent_mask[x] >> s & 1:
+            x = group.right[s][x]
+    return x == 0
+
+
+# ---------------------------------------------------------------------------
+# the reflection representation over CycloNumbers
+
+
+def reflection_matrices(datum) -> tuple:
+    """Generator matrices as rank x rank tuples of CycloNumbers: generator
+    s negates alpha_s and sends alpha_j to alpha_j + 2cos(pi/m_sj) alpha_s,
+    so its row s is the only one that differs from the identity's."""
+    M = datum.refl_conductor
+    ctx = cyclo_context(M)
+    n = datum.rank
+
+    def entry(s, j):
+        m = datum.coxeter_matrix[s][j]
+        if j == s:
+            return -ctx.one
+        if m == 2:
+            return ctx.zero
+        if m == 3:
+            return ctx.one
+        return two_cos_pi_over(M, m)
+
+    return tuple(
+        tuple(
+            tuple(entry(s, j) for j in range(n)) if i == s
+            else tuple(ctx.one if i == j else ctx.zero for j in range(n))
+            for i in range(n)
+        )
+        for s in range(n)
+    )
+
+
+def matrix_of(group, w: int) -> tuple:
+    """Reflection-representation matrix of element w, CycloNumber entries."""
+    gens = reflection_matrices(group.datum)
+    n = group.datum.rank
+    ctx = cyclo_context(group.datum.refl_conductor)
+    rows = [
+        tuple(ctx.one if i == j else ctx.zero for j in range(n))
+        for i in range(n)
+    ]
+    for s in group.words[w]:
+        g = gens[s]
+        rows = [
+            tuple(
+                sum((rows[i][k] * g[k][j] for k in range(n)), ctx.zero)
+                for j in range(n)
+            )
+            for i in range(n)
+        ]
+    return tuple(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -68,7 +268,7 @@ class RPolyOracle:
         g = self.group
         if x == y:
             return LaurentPoly.constant(1, "q")
-        if not g.bruhat_leq(x, y):
+        if not bruhat_leq(g, x, y):
             return LaurentPoly.zero("q")
         key = (x, y)
         got = self._R.get(key)
@@ -90,7 +290,7 @@ class RPolyOracle:
         g = self.group
         if x == y:
             return LaurentPoly.constant(1, "q")
-        if not g.bruhat_leq(x, y):
+        if not bruhat_leq(g, x, y):
             return LaurentPoly.zero("q")
         key = (x, y)
         got = self._P.get(key)
@@ -100,7 +300,7 @@ class RPolyOracle:
         interval = [
             z
             for z in range(x + 1, y + 1)
-            if g.bruhat_leq(x, z) and g.bruhat_leq(z, y)
+            if bruhat_leq(g, x, z) and bruhat_leq(g, z, y)
         ]
         rhs = LaurentPoly.zero("q")
         for z in interval:
@@ -136,7 +336,7 @@ def naive_c_product(group, oracle: RPolyOracle, x, y):
             p = oracle.P(u, w)
             if p.is_zero():
                 continue
-            out[u] = p.rename(v).stretch(2).shift(-lw)
+            out[u] = stretch(rename(p, v), 2).shift(-lw)
         return out
 
     def t_s_times(s, vec):
@@ -624,6 +824,84 @@ def dagger_T_basis(store, x: int) -> dict:
 
 
 # ---------------------------------------------------------------------------
+# cell modules
+
+def left_cell_module(htable, cells, table, cell_id, orientation="standard"):
+    """Multiset of irreducibles carried by one left cell, as a dict
+    {row index: multiplicity}.
+
+    Generator action read at v = 1 from the one-letter rows, keeping
+    only targets inside the cell; the standard orientation takes
+    1 - (c-action) for each generator, which sends the identity's cell
+    to the trivial character.
+    """
+    group = htable.group
+    members = cells.left_cells[cell_id]
+    idx = {m: i for i, m in enumerate(members)}
+    n = len(members)
+    mats = []
+    for s in range(group.datum.rank):
+        s_elt = group.element_by_word((s,))
+        act = [[0] * n for _ in range(n)]
+        for col, y in enumerate(members):
+            for z, p in htable.rows[(s_elt, y)]:
+                r = idx.get(z)
+                if r is not None:
+                    act[r][col] = vp.at_one(p)
+        if orientation == "standard":
+            rho = [
+                [(1 if i == j else 0) - act[i][j] for j in range(n)]
+                for i in range(n)
+            ]
+        else:
+            rho = [
+                [act[i][j] - (1 if i == j else 0) for j in range(n)]
+                for i in range(n)
+            ]
+        mats.append(rho)
+    vals = []
+    for rep in table.classes.representatives:
+        acc = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+        for s in group.words[rep]:
+            rho = mats[s]
+            acc = [
+                [
+                    sum(acc[i][t] * rho[t][j] for t in range(n))
+                    for j in range(n)
+                ]
+                for i in range(n)
+            ]
+        vals.append(sum(acc[i][i] for i in range(n)))
+    M = table.conductor
+    fvals = tuple(cyclo_rational(M, t) for t in vals)
+    mults = {}
+    for i in range(len(table)):
+        m = table.multiplicity(fvals, i)
+        if m:
+            mults[i] = m
+    if sum(m * table.dims[i] for i, m in mults.items()) != n:
+        raise InternalInconsistencyError(
+            "cell module decomposition misses the cell size"
+        )
+    return mults
+
+
+def detect_orientation(htable, cells, table):
+    """Pin the v=1 sign convention: the identity's left cell must carry
+    the trivial character.  The library takes "standard" as a constant;
+    this is the check that the constant is right."""
+    cid = cells.left_cell_of[0]
+    for orientation in ("standard", "flipped"):
+        mults = left_cell_module(htable, cells, table, cid, orientation)
+        if mults == {table.trivial_index: 1}:
+            return orientation
+    raise InternalInconsistencyError(
+        "identity cell carries neither candidate orientation"
+    )
+
+
+
+# ---------------------------------------------------------------------------
 # the direct classification lane: transport isomorphism and its inverse
 
 class PhiIso:
@@ -938,7 +1216,7 @@ def classify_group(store, htable, cells, gamma, dset, table, phi=None,
     """Direct-lane classification from a fully materialized table; phi,
     when given, is the transport built by build_phi for the same data."""
     group = store.group
-    orientation = _detect_orientation(htable, cells, table)
+    orientation = detect_orientation(htable, cells, table)
     if phi is None:
         phi = build_phi(store, htable, cells, dset)
     check_phi_multiplicative(phi, gamma, pairs=sample_pairs)
@@ -1048,7 +1326,7 @@ def reflection_charpolys_by_matrices(group, table):
     M = table.conductor
     polys = []
     for rep in table.classes.representatives:
-        mat = group.matrix_of(rep)
+        mat = matrix_of(group, rep)
         traces = []
         cur = mat
         for k in range(1, rank + 1):

@@ -23,6 +23,7 @@ from oracles import (
     check_phi_multiplicative,
     dihedral3_coinvariant_graded_characters,
     hecke_character,
+    vp,
 )
 
 from coxcells.chartab import character_table
@@ -30,7 +31,7 @@ from coxcells.classify import classify_group_streamed
 from coxcells.cli import main
 from coxcells.coxeter import build_group
 from coxcells.exactnum import LaurentPoly, cyclo_rational, is_palindromic
-from coxcells.klbase import generator_rows, vp
+from coxcells.klbase import generator_rows
 from coxcells.pipeline import (
     analysis,
     classification,

@@ -22,9 +22,11 @@ from oracles import (
     check_longest_twist,
     check_parity_bridge,
     check_phi_multiplicative,
+    detect_orientation,
     dihedral3_coinvariant_graded_characters,
     fake_degrees_common_denominator,
     hecke_character,
+    left_cell_module,
     reflection_charpolys_by_matrices,
 )
 
@@ -40,13 +42,13 @@ from coxcells.classify import (
     classify_group_streamed,
     expected_exceptional_profile,
     fake_degrees,
-    left_cell_module,
     verify_claim,
     word_name,
 )
 from coxcells.coxeter import build_group
 from coxcells.errors import InternalInconsistencyError, UsageError
 from coxcells.exactnum import LaurentPoly
+from coxcells.klbase import generator_rows
 from coxcells.pipeline import classify_report
 
 DEFAULT_SYMBOLS = ("I2(3)", "I2(5)", "I2(7)", "A3", "B3", "H3")
@@ -331,7 +333,10 @@ def test_exceptional_cell_modules_h3(rig):
 
 def test_orientation_detected_standard(rig):
     for symbol in DEFAULT_SYMBOLS:
-        assert rig(symbol).result.orientation == "standard"
+        r = rig(symbol)
+        gen = generator_rows(r.store)
+        assert detect_orientation(gen, r.cells, r.table) == "standard"
+        assert r.result.orientation == "standard"
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,20 @@
 """Command line behaviour: formats, exit codes, refusals and the cache."""
 
+import contextlib
 import csv
+import hashlib
 import io
 import json
 import os
+import shutil
 import struct
+import tempfile
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import coxcells.classify as classify_mod
 from coxcells import cli
 from coxcells.cli import CACHE_ENV, main
 from coxcells.errors import InternalInconsistencyError
@@ -196,6 +203,20 @@ def test_internal_error_exits_3(capsys, monkeypatch):
     assert err == "coxcells: internal error: invariant failed\n"
 
 
+def test_failed_claim_exits_1(capsys, monkeypatch):
+    monkeypatch.setitem(
+        classify_mod._CLAIMS, "1.5a", lambda result: ("fail", {})
+    )
+    code, out, _ = _run(
+        capsys, "verify", "--type", "I2(5)", "--format", "text"
+    )
+    assert code == 1
+    assert "FAILURES PRESENT" in out
+    code, out, _ = _run(capsys, "classify", "--type", "I2(5)")
+    assert code == 1
+    assert json.loads(out)["all_claims_pass"] is False
+
+
 def test_cache_env_variable(capsys, tmp_path, monkeypatch):
     cache = tmp_path / "envstore"
     monkeypatch.setenv(CACHE_ENV, str(cache))
@@ -228,11 +249,23 @@ def _no_kl_file(d):
     (d / "kl.bin").unlink()
 
 
+def _resign(d, name):
+    """Record an edited payload's length and digest in the manifest, so
+    that the decode checks behind the digest check are the ones tested."""
+    data = (d / name).read_bytes()
+    manifest = json.loads((d / "manifest.json").read_text())
+    manifest["files"][name] = {
+        "bytes": len(data), "sha256": hashlib.sha256(data).hexdigest(),
+    }
+    (d / "manifest.json").write_text(json.dumps(manifest))
+
+
 def _edit_kl(d, edit):
     path = d / "kl.bin"
     data = bytearray(path.read_bytes())
     edit(data)
     path.write_bytes(bytes(data))
+    _resign(d, "kl.bin")
 
 
 def _oversized_record(d):
@@ -259,6 +292,7 @@ def _record_with_trailing_bytes(d):
 def _lead_with_trailing_bytes(d):
     path = d / "lead.bin"
     path.write_bytes(path.read_bytes() + b"JUNK")
+    _resign(d, "lead.bin")
 
 
 def _fingerprint_not_utf8(d):
@@ -286,6 +320,63 @@ def test_undecodable_cache_recomputed(capsys, tmp_path, corrupt):
     assert code == 0
     assert again == cold
     assert "cache invalid" in err and "recomputing" in err
+    assert "digest" not in err
+
+
+def _run_quiet(argv):
+    """main(argv) with stdout and stderr captured, for use outside capsys."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def filled_cache(tmp_path_factory):
+    """An I2(5) cache written by a cold classify, and that run's stdout."""
+    root = tmp_path_factory.mktemp("filled")
+    code, cold, _ = _run_quiet(
+        ["classify", "--type", "I2(5)", "--cache-dir", str(root)]
+    )
+    assert code == 0
+    return root / "I2(5)", cold
+
+
+_CACHE_FILES = ("manifest.json", "kl.bin", "lead.bin")
+
+
+@given(
+    name=st.sampled_from(_CACHE_FILES),
+    truncate=st.booleans(),
+    at=st.integers(min_value=0, max_value=2**20),
+    bit=st.integers(min_value=0, max_value=7),
+)
+def test_mutated_cache_is_recomputed_or_read_intact(
+    filled_cache, name, truncate, at, bit
+):
+    # one flipped bit or a truncation anywhere in the cache: the warm run
+    # prints the cold report, and a changed payload is always noticed
+    pristine, cold = filled_cache
+    with tempfile.TemporaryDirectory() as work:
+        shutil.copytree(pristine, os.path.join(work, "I2(5)"))
+        path = os.path.join(work, "I2(5)", name)
+        with open(path, "rb") as f:
+            data = bytearray(f.read())
+        at %= len(data)
+        if truncate:
+            del data[at:]
+        else:
+            data[at] ^= 1 << bit
+        with open(path, "wb") as f:
+            f.write(data)
+        code, warm, err = _run_quiet(
+            ["classify", "--type", "I2(5)", "--cache-dir", work]
+        )
+    assert code == 0, err
+    assert warm == cold
+    noticed = (err.startswith("coxcells: cache invalid (")
+               and err.endswith("); recomputing\n") and err.count("\n") == 1)
+    assert noticed or (err == "" and name == "manifest.json"), err
 
 
 def test_warm_cells_never_stream(capsys, tmp_path, monkeypatch):

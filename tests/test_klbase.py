@@ -14,16 +14,17 @@ from coxcells.klbase import (
     compute_kl,
     generator_rows,
     stream_h_blocks,
-    vp,
 )
 
 from oracles import (
     P_at_one,
     RPolyOracle,
+    bruhat_leq,
     c_product,
     compute_h_table,
     dagger_T_basis,
     naive_c_product,
+    vp,
 )
 
 
@@ -66,7 +67,7 @@ def test_dihedral_P_all_one():
             assert qc == (1,), (y, w)
         # support of c_w is the full Bruhat interval below w
         assert len(store.P_by_w[w]) == sum(
-            1 for y in range(g.size) if g.bruhat_leq(y, w)
+            1 for y in range(g.size) if bruhat_leq(g, y, w)
         )
 
 
@@ -77,7 +78,7 @@ def test_dihedral_mu_is_covering():
         expect = sorted(
             (z, 1)
             for z in range(g.size)
-            if g.length[z] == g.length[w] - 1 and g.bruhat_leq(z, w)
+            if g.length[z] == g.length[w] - 1 and bruhat_leq(g, z, w)
         )
         assert list(store.mu_by_w[w]) == expect
 
@@ -342,7 +343,7 @@ def test_dagger_leading_term_and_support():
         # (T_{y^-1})^(-1) lives on {u <= y}, top term v^(-2 l(y)) T_y
         assert vec[x] == (-3 * lx, (sign,))
         for u in vec:
-            assert g.bruhat_leq(u, x), (x, u)
+            assert bruhat_leq(g, u, x), (x, u)
 
 
 def test_dagger_specializes_to_signed_P_at_one():
@@ -355,7 +356,7 @@ def test_dagger_specializes_to_signed_P_at_one():
                 got = vp.at_one(vec.get(u, vp.ZERO))
                 sign = -1 if g.length[u] % 2 else 1
                 # each (T_{y^-1})^(-1) collapses to plain y at v = 1
-                want = sign * P_at_one(store, u, x) if g.bruhat_leq(u, x) else 0
+                want = sign * P_at_one(store, u, x) if bruhat_leq(g, u, x) else 0
                 assert got == want, (symbol, x, u)
 
 
@@ -443,3 +444,35 @@ def test_cache_rejects_corrupt_payload(tmp_path):
         f.write(b"XXXX")
     with pytest.raises(CacheInvalidError):
         cache_load(d, g)
+
+
+def test_cache_rejects_mismatched_digest_and_out_of_range_row(tmp_path):
+    import json
+    import os
+    import struct
+
+    g = build_group("I2(3)")
+    d = str(tmp_path / "c")
+    store = compute_kl(g)
+    cache_save(store, _gamma(store), d)
+    kpath = os.path.join(d, "kl.bin")
+    with open(kpath, "rb") as f:
+        data = bytearray(f.read())
+    # first row of the first element record: magic, version, fingerprint
+    # record, element count, record length, row count, then y
+    (fp_len,) = struct.unpack_from("<I", data, 8)
+    struct.pack_into("<I", data, 12 + fp_len + 4 + 4 + 4, g.size + 5)
+    with open(kpath, "wb") as f:
+        f.write(data)
+    with pytest.raises(CacheInvalidError, match="digest"):
+        cache_load(d, g)
+    # with the digest made to match, the structural check still refuses it
+    mpath = os.path.join(d, "manifest.json")
+    with open(mpath) as f:
+        manifest = json.load(f)
+    manifest["files"]["kl.bin"]["sha256"] = hashlib.sha256(data).hexdigest()
+    with open(mpath, "w") as f:
+        json.dump(manifest, f)
+    with pytest.raises(CacheInvalidError, match="out of range"):
+        cache_load(d, g)
+
