@@ -34,6 +34,7 @@ of positive roots) and no common denominator is formed.
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import gcd, isqrt, lcm
 
 from .chartab import _is_prime
@@ -45,7 +46,7 @@ from .exactnum import (
     exact_divide,
     is_palindromic,
 )
-from .klbase import stream_h_blocks, vp
+from .klbase import BlockKit, reduce_h_blocks, unpack, vp
 
 CLAIM_IDS = ("1.2b", "1.3a", "1.3c", "1.5a", "1.6b")
 
@@ -469,6 +470,18 @@ def _assemble_traces(columns, sols, table, size):
     return [tuple(jt) for jt in jts]
 
 
+def _cell_entries(left_cell_of, kit, d, block) -> list:
+    """The decoded entries (x, z, h_{x,d,z}) of block d with z in the
+    left cell of d."""
+    target = left_cell_of[d]
+    return [
+        (x, z, unpack(p, kit.bits, kit.off))
+        for x, row in enumerate(block)
+        for z, p in row.items()
+        if left_cell_of[z] == target
+    ]
+
+
 def classify_group_streamed(store, cells, gamma, dset, table,
                             jobs=1) -> ClassifyResult:
     """Classification from the table columns at distinguished involutions
@@ -490,13 +503,9 @@ def classify_group_streamed(store, cells, gamma, dset, table,
     _d_by_left_cell(cells, dset)
     lc = cells.left_cell_of
 
-    ents = []
-
-    def keep(x, d, row):
-        target = lc[d]
-        ents.extend((x, z, p) for z, p in row.items() if lc[z] == target)
-
-    stream_h_blocks(store, keep, jobs=jobs, ys=sorted(dset))
+    blocks = reduce_h_blocks(BlockKit(store), partial(_cell_entries, lc),
+                             jobs, sorted(dset))
+    ents = [e for block in blocks for e in block]
 
     trans = [dict() for _ in range(size)]
     for x, z, p in ents:

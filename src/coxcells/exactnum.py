@@ -266,18 +266,6 @@ class CycloNumber:
             return NotImplemented
         return self * o.inverse()
 
-    def __pow__(self, n: int):
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = self.ctx.one
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
     def inverse(self) -> "CycloNumber":
         """Multiplicative inverse via the extended Euclid algorithm mod Phi_M."""
         if not self:
@@ -604,13 +592,6 @@ class LaurentPoly:
         out = LaurentPoly.__new__(LaurentPoly)
         out.var = self.var
         out.coeffs = {e + k: c for e, c in self.coeffs.items()}
-        return out
-
-    def bar(self) -> "LaurentPoly":
-        """The involution var -> var^(-1)."""
-        out = LaurentPoly.__new__(LaurentPoly)
-        out.var = self.var
-        out.coeffs = {-e: c for e, c in self.coeffs.items()}
         return out
 
     # -- evaluation --------------------------------------------------------

@@ -14,17 +14,18 @@ distinguished involutions d, one per left cell.  Distinguished elements
 are cut out by a(z) equalling l(z) minus twice the q-degree of the
 polynomial P at (identity, z), then every defining property is checked.
 
-The single scan that produces a and the leading coefficients runs
-through the streaming block interface, so no group ever holds the full
-table in memory.  Its result is small enough to cache; a cached scan gets
-the same checks as a fresh one.
+The single scan that produces a and the leading coefficients reduces
+each y-block of h rows where it is computed, so no group ever holds the
+full table in memory and pool workers return only the block's leading
+terms.  Its result is small enough to cache; a cached scan gets the same
+checks as a fresh one.
 """
 
 from __future__ import annotations
 
 from .coxeter import CoxeterGroup
 from .errors import InternalInconsistencyError
-from .klbase import HTable, KLStore, stream_h_blocks
+from .klbase import BlockKit, HTable, KLStore, lead_of, reduce_h_blocks
 
 __all__ = [
     "CellPartition",
@@ -201,24 +202,46 @@ class GammaTable:
         return self.by_xy.get((x, y), ())
 
 
+def _block_leads(kit: BlockKit, y: int, block: list) -> dict:
+    """Per z, the top degree over the block and the (x, leading
+    coefficient) pairs that reach it, x ascending."""
+    bits, off = kit.bits, kit.off
+    best = {}
+    hits = {}
+    for x, row in enumerate(block):
+        for z, p in row.items():
+            k = p.bit_length() // bits
+            b = best.get(z, -1)
+            if k > b:
+                best[z] = k
+                hits[z] = [(x, p)]
+            elif k == b:
+                hits[z].append((x, p))
+    return {
+        z: (best[z] - off, [(x, lead_of(p, bits, off)[1]) for x, p in xs])
+        for z, xs in hits.items()
+    }
+
+
 def _leading_scan(store: KLStore, jobs: int = 1):
     """One pass over all h rows: per z the max degree and the leading
-    coefficients with their (x, y).  Returns (a, lead)."""
+    coefficients with their (x, y).  Returns (a, lead).
+
+    Each block is reduced where it is computed; merging the reductions
+    in block order keeps the (y, x) order of a row-by-row scan.
+    """
     size = store.group.size
     best = [None] * size
     cands = [None] * size
-
-    def consumer(x, y, row):
-        for z, p in row.items():
-            d = p[0] + len(p[1]) - 1
+    blocks = reduce_h_blocks(BlockKit(store), _block_leads, jobs)
+    for y, top in enumerate(blocks):
+        for z, (d, xs) in top.items():
             b = best[z]
             if b is None or d > b:
                 best[z] = d
-                cands[z] = {(x, y): p[1][-1]}
+                cands[z] = {(x, y): c for x, c in xs}
             elif d == b:
-                cands[z][(x, y)] = p[1][-1]
-
-    stream_h_blocks(store, consumer, jobs=jobs)
+                cands[z].update(((x, y), c) for x, c in xs)
     lead = {
         (x, y, z): c
         for z in range(size)

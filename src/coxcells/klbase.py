@@ -10,19 +10,26 @@ term 1, q-degree at most (l(w) - l(y) - 1)/2 for y < w).  mu(y, w) is the
 coefficient at that top degree bound.
 
 P is stored as tuples of ascending q-coefficients and computed on them
-directly.  The structure constants h use a tiny value representation
-instead of the general LaurentPoly class: a pair (val, coeffs) of an int
-and a tuple of ints meaning sum coeffs[i] * v^(val + i).  The zero
-polynomial is (0, ()).  `vp` holds only what the recursion and its
-consumers use: normalize, add, scale, multiply and evaluate at v = 1.
-The test oracles extend it with conversions and further helpers.
+directly.  Each structure constant h_{x,y,z} inside the recursion is one
+Python int: p(v) is stored as p(2^bits) * 2^(bits * off) with off =
+l(w0) + 1, i.e. one signed coefficient per slot of `bits` bits
+(Kronecker substitution).  Addition and integer scaling are then the int
+operations, multiplication by v + v^-1 is a shift pair, `lead_of` reads
+the top degree and leading coefficient off the bit length, and `unpack`
+decodes balanced digits back to a pair (val, coeffs) meaning sum
+coeffs[i] * v^(val + i).  The slot width comes from a bound on every
+coefficient of every row that does not assume positivity; a decoded
+digit that reaches a quarter of the slot range is an internal error.
+`vp` keeps the constants of the (val, coeffs) form for the generator
+rows; the test oracles extend it with the arithmetic.
 
 Products c_x c_y = sum over z of h_{x,y,z} c_z come in bulk from the
-left-multiplication recursion on blocks of fixed y (`stream_h_blocks`),
+left-multiplication recursion on blocks of fixed y (`reduce_h_blocks`),
 which never touches the T-basis and is what makes the big groups
-affordable.  No all-pairs table is ever held: consumers reduce each block
-as it streams past.  The test suite checks the blocks against products
-taken row by row through the T-basis.
+affordable.  No all-pairs table is ever held: each block is reduced
+where it is computed, in a worker process when there are several, and
+only the reduction comes back.  The test suite checks the blocks against
+products taken row by row through the T-basis.
 
 The cache holds the P rows (mu is read off them again on load) and the
 result of the leading scan over all h rows (a-values and leading
@@ -45,13 +52,17 @@ from .coxeter import CoxeterGroup
 from .errors import CacheInvalidError, InternalInconsistencyError
 
 __all__ = [
+    "BlockKit",
     "HTable",
     "KLStore",
     "cache_load",
     "cache_save",
     "compute_kl",
     "generator_rows",
+    "lead_of",
+    "reduce_h_blocks",
     "stream_h_blocks",
+    "unpack",
     "vp",
 ]
 
@@ -63,7 +74,7 @@ CACHE_FORMAT_VERSION = 4
 
 
 class vp:
-    """Namespace of free functions on (val, coeffs) value polynomials."""
+    """Constants of the (val, coeffs) value polynomials."""
 
     ZERO = (0, ())
     ONE = (0, (1,))
@@ -71,55 +82,51 @@ class vp:
     GATE = (-1, (1, 0, 1))
 
     @staticmethod
-    def norm(val: int, coeffs: list) -> tuple:
-        lo = 0
-        hi = len(coeffs)
-        while hi > lo and not coeffs[hi - 1]:
-            hi -= 1
-        while lo < hi and not coeffs[lo]:
-            lo += 1
-        if lo == hi:
-            return vp.ZERO
-        return (val + lo, tuple(coeffs[lo:hi]))
-
-    @staticmethod
-    def add(a: tuple, b: tuple) -> tuple:
-        if not a[1]:
-            return b
-        if not b[1]:
-            return a
-        lo = min(a[0], b[0])
-        hi = max(a[0] + len(a[1]), b[0] + len(b[1]))
-        out = [0] * (hi - lo)
-        for i, c in enumerate(a[1]):
-            out[a[0] - lo + i] += c
-        for i, c in enumerate(b[1]):
-            out[b[0] - lo + i] += c
-        return vp.norm(lo, out)
-
-    @staticmethod
-    def scale(a: tuple, k: int) -> tuple:
-        if not k or not a[1]:
-            return vp.ZERO
-        if k == 1:
-            return a
-        return (a[0], tuple(c * k for c in a[1]))
-
-    @staticmethod
-    def mul(a: tuple, b: tuple) -> tuple:
-        if not a[1] or not b[1]:
-            return vp.ZERO
-        out = [0] * (len(a[1]) + len(b[1]) - 1)
-        for i, x in enumerate(a[1]):
-            if x:
-                for j, y in enumerate(b[1]):
-                    if y:
-                        out[i + j] += x * y
-        return vp.norm(a[0] + b[0], out)
-
-    @staticmethod
     def at_one(a: tuple) -> int:
         return sum(a[1])
+
+
+# ---------------------------------------------------------------------------
+# packed h entries: p(v) as the integer p(2^bits) * 2^(bits * off)
+
+
+def unpack(n: int, bits: int, off: int) -> tuple:
+    """(val, coeffs) of a packed entry, read as balanced base-2^bits digits.
+
+    A digit of magnitude 2^(bits-2) or more means the slot width was too
+    small for the entry, which the width bound rules out.
+    """
+    if not n:
+        return vp.ZERO
+    lo = ((n & -n).bit_length() - 1) // bits
+    n >>= lo * bits
+    base = 1 << bits
+    half = base >> 1
+    mask = base - 1
+    coeffs = []
+    while n:
+        d = n & mask
+        if d >= half:
+            d -= base
+        coeffs.append(d)
+        n = (n - d) >> bits
+    if max(map(abs, coeffs)) >= half >> 1:
+        raise InternalInconsistencyError("h coefficient overflows its slot")
+    return (lo - off, tuple(coeffs))
+
+
+def lead_of(n: int, bits: int, off: int) -> tuple:
+    """(top degree, leading coefficient) of a nonzero packed entry.
+
+    Every lower slot adds less than half a unit of the top one, so the
+    top slot is the bit length over the width and its digit a rounded
+    shift.
+    """
+    k = n.bit_length() // bits
+    c = (n + (1 << (k * bits - 1))) >> (k * bits)
+    if abs(c) >= 1 << (bits - 2):
+        raise InternalInconsistencyError("h coefficient overflows its slot")
+    return k - off, c
 
 
 # ---------------------------------------------------------------------------
@@ -286,110 +293,146 @@ def generator_rows(store: KLStore) -> HTable:
     return HTable(group, "generators", rows)
 
 
-class _BlockKit:
-    """Just enough immutable data to run one y-block of the h recursion."""
+class BlockKit:
+    """Just enough immutable data to run one y-block of the h recursion.
 
-    __slots__ = ("size", "length", "left", "lmask", "first_letter", "mu_by_w")
+    mu_down[s][z] lists the (t, mu(t, z)) with s t < t, the terms c_s c_z
+    picks up when s z > z.  Entries are packed in slots of `bits` bits at
+    degree offset `off` = l(w0) + 1 (see `_slot_bits`).
+    """
+
+    __slots__ = ("size", "left", "lmask", "first_letter", "mu_down",
+                 "bits", "off")
 
     def __init__(self, store: KLStore):
         g = store.group
         self.size = g.size
-        self.length = g.length
         self.left = g.left
         self.lmask = g.left_descent_mask
         self.first_letter = [w[0] if w else -1 for w in g.words]
-        self.mu_by_w = store.mu_by_w
+        self.mu_down = [
+            [tuple((t, m) for t, m in mus if self.lmask[t] >> s & 1)
+             for mus in store.mu_by_w]
+            for s in range(g.datum.rank)
+        ]
+        self.bits = _slot_bits(self)
+        self.off = max(g.length) + 1
 
 
-def _h_block(kit: _BlockKit, y: int) -> list:
-    """All rows h_{x,y,.} for fixed y, x in index order.
+def _slot_bits(kit: BlockKit) -> int:
+    """Slot width that holds every coefficient of every h row.
+
+    T_x bounds the sum of |coefficients| over row x of any block: row e
+    is the single entry 1, c_s multiplies the sum by at most
+    max(2, 1 + max_z sum_t |mu(t, z)|), and the correction subtracts
+    mu(z, x') times row z.  Two spare bits keep a balanced digit below
+    2^(bits-2), which is what `unpack` and `lead_of` check.
+    """
+    grow = 2
+    for mus in kit.mu_down:
+        for row in mus:
+            grow = max(grow, 1 + sum(abs(m) for _, m in row))
+    bound = [1] * kit.size
+    for x in range(1, kit.size):
+        s = kit.first_letter[x]
+        parent = kit.left[s][x]
+        bound[x] = bound[parent] * grow + sum(
+            abs(m) * bound[z] for z, m in kit.mu_down[s][parent]
+        )
+    return max(bound).bit_length() + 2
+
+
+def _h_block(kit: BlockKit, y: int) -> list:
+    """All rows h_{x,y,.} for fixed y, x in index order, packed.
 
     Row x is built from row x' (x = s x', first-letter descent) through
     c_x c_y = c_s (c_x' c_y) - sum mu(z, x') c_z c_y over z with s z < z.
     Left multiplication by c_s in the c-basis needs only descents and mu.
+    Row x has degrees within +-l(x) < off, so multiplying by v + v^-1 is
+    the exact shift pair (p << bits) + (p >> bits).  mu is almost always
+    1, and skipping that product saves a copy of a wide integer.
     """
-    length = kit.length
+    bits = kit.bits
     lmask = kit.lmask
-    mu_by_w = kit.mu_by_w
     rows = [None] * kit.size
-    rows[0] = {y: vp.ONE}
+    rows[0] = {y: 1 << bits * kit.off}
     for x in range(1, kit.size):
         s = kit.first_letter[x]
         lrow = kit.left[s]
+        down = kit.mu_down[s]
         parent = lrow[x]
-        bit = s
-        src = rows[parent]
         acc = {}
-        for z, p in src.items():
-            if lmask[z] >> bit & 1:
-                q = vp.mul(p, vp.GATE)
-                cur = acc.get(z)
-                acc[z] = q if cur is None else vp.add(cur, q)
+        get = acc.get
+        for z, p in rows[parent].items():
+            if lmask[z] >> s & 1:
+                acc[z] = get(z, 0) + (p << bits) + (p >> bits)
             else:
                 sz = lrow[z]
-                cur = acc.get(sz)
-                acc[sz] = p if cur is None else vp.add(cur, p)
-                for t, m in mu_by_w[z]:
-                    if lmask[t] >> bit & 1:
-                        q = vp.scale(p, m)
-                        cur = acc.get(t)
-                        acc[t] = q if cur is None else vp.add(cur, q)
-        for z, m in mu_by_w[parent]:
-            if lmask[z] >> bit & 1:
-                for t, p in rows[z].items():
-                    q = vp.scale(p, -m)
-                    cur = acc.get(t)
-                    acc[t] = q if cur is None else vp.add(cur, q)
-        rows[x] = {z: p for z, p in acc.items() if p[1]}
+                acc[sz] = get(sz, 0) + p
+                for t, m in down[z]:
+                    acc[t] = get(t, 0) + (p if m == 1 else p * m)
+        for z, m in down[parent]:
+            for t, p in rows[z].items():
+                acc[t] = get(t, 0) - (p if m == 1 else p * m)
+        rows[x] = {z: p for z, p in acc.items() if p}
     return rows
 
 
-def stream_h_blocks(store: KLStore, consumer, jobs: int = 1, ys=None):
-    """Run `consumer(x, y, row_dict)` over h rows, block by block.
+def reduce_h_blocks(kit: BlockKit, reduce, jobs: int = 1, ys=None):
+    """Yield `reduce(kit, y, block)` for each y-block, in the order of ys.
 
-    ys selects which y-blocks to visit (all of them by default).  Rows
-    arrive grouped by y in the order given; the consumer always runs in the
-    calling process.  With jobs > 1 the blocks are computed in worker
-    processes but consumed in the same deterministic order.
+    ys selects which y-blocks to visit (all of them by default).  With
+    jobs > 1 the blocks are computed and reduced in worker processes, so
+    only the reductions cross the pool; reduce must then be picklable.
     """
-    group = store.group
-    kit = _BlockKit(store)
-    targets = list(range(group.size)) if ys is None else list(ys)
+    targets = range(kit.size) if ys is None else list(ys)
     if jobs <= 1:
         for y in targets:
-            _deliver(consumer, y, _h_block(kit, y))
+            yield reduce(kit, y, _h_block(kit, y))
         return
     import concurrent.futures as cf
 
     with cf.ProcessPoolExecutor(
-        max_workers=jobs, initializer=_init_worker, initargs=(kit,)
+        max_workers=jobs, initializer=_init_worker, initargs=(kit, reduce)
     ) as pool:
-        # at most 2 * jobs blocks in flight, consumed in submission order
+        # at most 2 * jobs blocks in flight, yielded in submission order
         window = collections.deque()
         for y in targets:
-            window.append((y, pool.submit(_stream_worker, y)))
+            window.append(pool.submit(_reduce_worker, y))
             if len(window) == 2 * jobs:
-                first, future = window.popleft()
-                _deliver(consumer, first, future.result())
-        for first, future in window:
-            _deliver(consumer, first, future.result())
+                yield window.popleft().result()
+        for future in window:
+            yield future.result()
 
 
-def _deliver(consumer, y: int, block: list):
-    for x, row in enumerate(block):
-        consumer(x, y, row)
+def _whole_block(kit: BlockKit, y: int, block: list) -> list:
+    return block
 
 
-_WORKER_KIT = None
+def stream_h_blocks(store: KLStore, consumer, jobs: int = 1, ys=None):
+    """Run `consumer(x, y, row_dict)` over packed h rows, block by block.
+
+    Rows arrive grouped by y in the order of ys (all blocks by default);
+    `unpack` with the store's `BlockKit` widths decodes an entry.
+    """
+    targets = list(range(store.group.size)) if ys is None else list(ys)
+    blocks = reduce_h_blocks(BlockKit(store), _whole_block, jobs, targets)
+    for y, block in zip(targets, blocks):
+        for x, row in enumerate(block):
+            consumer(x, y, row)
 
 
-def _init_worker(kit: _BlockKit):
-    global _WORKER_KIT
-    _WORKER_KIT = kit
+_WORKER = None
 
 
-def _stream_worker(y: int):
-    return _h_block(_WORKER_KIT, y)
+def _init_worker(kit: BlockKit, reduce):
+    global _WORKER
+    _WORKER = (kit, reduce)
+
+
+def _reduce_worker(y: int):
+    kit, reduce = _WORKER
+    return reduce(kit, y, _h_block(kit, y))
 
 
 # ---------------------------------------------------------------------------

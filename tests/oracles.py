@@ -9,13 +9,14 @@ streamed lane in coxcells.classify is checked against it.  Fake degrees
 over one common denominator, with the reflection characteristic
 polynomials taken from powers of the exact reflection matrices rather
 than from the character table, canonical-basis products through the T-basis,
-left cell modules with the v=1 sign convention they pin, and the
-cross-cutting property checks on a finished classification live here for
-the same reason.
+left cell modules with the v=1 sign convention they pin, the row-by-row
+leading scan over the all-pairs table, and the cross-cutting property
+checks on a finished classification live here for the same reason.
 
 So do the helpers only the tests use: the Bruhat order, descent sets, the
-CycloNumber reflection matrices, complex embeddings, more value-polynomial
-functions (`vp` extends the library's) and a few LaurentPoly operations.
+CycloNumber reflection matrices, complex embeddings and powers, the
+value-polynomial arithmetic (`vp` extends the library's constants), the
+packing that `klbase.unpack` inverts and a few LaurentPoly operations.
 """
 
 import cmath
@@ -41,7 +42,13 @@ from coxcells.exactnum import (
     exact_divide,
     two_cos_pi_over,
 )
-from coxcells.klbase import HTable, generator_rows, stream_h_blocks
+from coxcells.klbase import (
+    BlockKit,
+    HTable,
+    generator_rows,
+    stream_h_blocks,
+    unpack,
+)
 from coxcells.klbase import vp as _vp
 
 
@@ -50,9 +57,57 @@ from coxcells.klbase import vp as _vp
 
 
 class vp(_vp):
-    """The library's value-polynomial functions plus the ones the
-    oracles and tests use: subtraction, shifts, coefficients, degree,
-    bar symmetry and conversions."""
+    """The library's value-polynomial constants plus the arithmetic the
+    oracles and tests use: normalization, sums, scaling, products,
+    subtraction, shifts, coefficients, degree, bar symmetry and
+    conversions."""
+
+    @staticmethod
+    def norm(val: int, coeffs: list) -> tuple:
+        lo = 0
+        hi = len(coeffs)
+        while hi > lo and not coeffs[hi - 1]:
+            hi -= 1
+        while lo < hi and not coeffs[lo]:
+            lo += 1
+        if lo == hi:
+            return vp.ZERO
+        return (val + lo, tuple(coeffs[lo:hi]))
+
+    @staticmethod
+    def add(a: tuple, b: tuple) -> tuple:
+        if not a[1]:
+            return b
+        if not b[1]:
+            return a
+        lo = min(a[0], b[0])
+        hi = max(a[0] + len(a[1]), b[0] + len(b[1]))
+        out = [0] * (hi - lo)
+        for i, c in enumerate(a[1]):
+            out[a[0] - lo + i] += c
+        for i, c in enumerate(b[1]):
+            out[b[0] - lo + i] += c
+        return vp.norm(lo, out)
+
+    @staticmethod
+    def scale(a: tuple, k: int) -> tuple:
+        if not k or not a[1]:
+            return vp.ZERO
+        if k == 1:
+            return a
+        return (a[0], tuple(c * k for c in a[1]))
+
+    @staticmethod
+    def mul(a: tuple, b: tuple) -> tuple:
+        if not a[1] or not b[1]:
+            return vp.ZERO
+        out = [0] * (len(a[1]) + len(b[1]) - 1)
+        for i, x in enumerate(a[1]):
+            if x:
+                for j, y in enumerate(b[1]):
+                    if y:
+                        out[i + j] += x * y
+        return vp.norm(a[0] + b[0], out)
 
     @staticmethod
     def sub(a: tuple, b: tuple) -> tuple:
@@ -103,6 +158,30 @@ class vp(_vp):
         for i, c in enumerate(qcoeffs):
             out[2 * i] = c
         return vp.norm(shift, out)
+
+
+def pack(a: tuple, bits: int, off: int) -> int:
+    """The packed integer a(2^bits) * 2^(bits * off) of a value
+    polynomial, the inverse of `klbase.unpack`."""
+    return sum(c << bits * (a[0] + i + off) for i, c in enumerate(a[1]))
+
+
+def bar(p: LaurentPoly) -> LaurentPoly:
+    """The involution var -> var^(-1)."""
+    return LaurentPoly({-e: c for e, c in p.coeffs.items()}, p.var)
+
+
+def cyclo_pow(x: CycloNumber, n: int) -> CycloNumber:
+    """x^n by repeated squaring; a negative n inverts first."""
+    if n < 0:
+        return cyclo_pow(x.inverse(), -n)
+    out = x.ctx.one
+    while n:
+        if n & 1:
+            out = out * x
+        x = x * x
+        n >>= 1
+    return out
 
 
 def from_pairs(pairs, var: str = "v") -> LaurentPoly:
@@ -311,7 +390,7 @@ class RPolyOracle:
         )
         out = LaurentPoly.zero("q") - low
         # consistency: the defining identity must hold on the nose
-        lhs = out.bar().shift(L) - out
+        lhs = bar(out).shift(L) - out
         if lhs != rhs:
             raise AssertionError(
                 f"R/P inversion identity failed at ({x}, {y})"
@@ -752,14 +831,39 @@ def dihedral3_coinvariant_graded_characters():
 
 
 def compute_h_table(store) -> HTable:
-    """Every h row h_{x,y,.}, materialized from the block stream."""
+    """Every h row h_{x,y,.}, materialized from the block stream and
+    decoded to value polynomials."""
+    kit = BlockKit(store)
     rows = {}
 
     def keep(x, y, row):
-        rows[(x, y)] = tuple(sorted(row.items()))
+        rows[(x, y)] = tuple(sorted(
+            (z, unpack(p, kit.bits, kit.off)) for z, p in row.items()
+        ))
 
     stream_h_blocks(store, keep)
     return HTable(store.group, "all", rows)
+
+
+def leading_scan(htable):
+    """(a, lead) by the row-by-row scan of the all-pairs table: per z the
+    top degree and the leading coefficients at it, in (y, x) order."""
+    size = htable.group.size
+    best = [None] * size
+    cands = [None] * size
+    for (x, y), row in sorted(htable.rows.items(),
+                              key=lambda item: item[0][::-1]):
+        for z, p in row:
+            d = vp.deg(p)
+            if best[z] is None or d > best[z]:
+                best[z] = d
+                cands[z] = {}
+            if d == best[z]:
+                cands[z][(x, y)] = p[1][-1]
+    lead = {
+        (x, y, z): c for z in range(size) for (x, y), c in cands[z].items()
+    }
+    return tuple(best), lead
 
 
 def dagger_T_basis(store, x: int) -> dict:

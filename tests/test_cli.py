@@ -8,12 +8,15 @@ import json
 import os
 import shutil
 import struct
+import subprocess
+import sys
 import tempfile
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import coxcells
 import coxcells.classify as classify_mod
 from coxcells import cli
 from coxcells.cli import CACHE_ENV, main
@@ -138,7 +141,7 @@ def test_h4_classification_refused_before_any_scan(capsys, monkeypatch):
         raise AssertionError("polynomial work started")
 
     monkeypatch.setattr("coxcells.pipeline.compute_kl", forbidden)
-    monkeypatch.setattr("coxcells.jring.stream_h_blocks", forbidden)
+    monkeypatch.setattr("coxcells.jring.reduce_h_blocks", forbidden)
     code, out, err = _run(capsys, "classify", "--type", "H4", "--heavy")
     assert code == 2
     assert out == ""
@@ -387,7 +390,39 @@ def test_warm_cells_never_stream(capsys, tmp_path, monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("an h block was streamed")
 
-    monkeypatch.setattr("coxcells.jring.stream_h_blocks", forbidden)
+    monkeypatch.setattr("coxcells.jring.reduce_h_blocks", forbidden)
+    code, warm, err = _run(capsys, *args)
+    assert code == 0
+    assert warm == cold
+    assert err == ""
+
+
+def test_concurrent_cold_writers_share_a_cache(capsys, tmp_path):
+    # two processes fill the same cache directory at once; each prints the
+    # report, and what they leave is read back warm without a notice
+    code, cold, _ = _run(capsys, "cells", "--type", "A3")
+    assert code == 0
+    args = ("cells", "--type", "A3", "--cache-dir", str(tmp_path))
+    env = {k: v for k, v in os.environ.items() if k != CACHE_ENV}
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.dirname(os.path.dirname(coxcells.__file__)),
+                    env.get("PYTHONPATH")) if p
+    )
+    procs = [
+        subprocess.Popen([sys.executable, "-m", "coxcells.cli", *args],
+                         stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                         env=env)
+        for _ in range(2)
+    ]
+    try:
+        outs = [proc.communicate(timeout=120) for proc in procs]
+    finally:
+        for proc in procs:
+            proc.kill()
+            proc.wait()
+    for proc, (out, err) in zip(procs, outs):
+        assert proc.returncode == 0, err
+        assert out.decode() == cold
     code, warm, err = _run(capsys, *args)
     assert code == 0
     assert warm == cold

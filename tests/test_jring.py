@@ -12,7 +12,14 @@ from coxcells.jring import (
 )
 from coxcells.klbase import compute_kl, generator_rows
 
-from oracles import compute_h_table, gamma, left_leq, tableaux_count, vp
+from oracles import (
+    compute_h_table,
+    gamma,
+    leading_scan,
+    left_leq,
+    tableaux_count,
+    vp,
+)
 
 
 def _setup(symbol):
@@ -127,6 +134,22 @@ def test_streaming_gamma_matches_materialized():
     assert via_jobs.lead == via_stream.lead
     cached = compute_gamma(store, cells, scan=(via_stream.a, via_stream.lead))
     assert cached.by_xy == via_stream.by_xy
+
+
+@pytest.mark.parametrize("symbol", ["I2(5)", "A3", "H3"])
+def test_reduced_scan_matches_full_scan(rig, symbol):
+    r = rig(symbol)
+    a, lead = leading_scan(r.htable)
+    assert r.gamma.a == a
+    assert list(r.gamma.lead.items()) == list(lead.items())
+
+
+@pytest.mark.parametrize("symbol", ["A3", "B3"])
+def test_reduced_scan_same_at_two_jobs(rig, symbol):
+    r = rig(symbol)
+    parallel = compute_gamma(r.store, r.cells, jobs=2)
+    assert parallel.a == r.gamma.a
+    assert list(parallel.lead.items()) == list(r.gamma.lead.items())
 
 
 # ---------------------------------------------------------------------------

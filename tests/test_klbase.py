@@ -4,16 +4,22 @@ import hashlib
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from coxcells.coxeter import build_group
-from coxcells.errors import CacheInvalidError
+from coxcells.errors import CacheInvalidError, InternalInconsistencyError
 from coxcells.jring import compute_cells, compute_gamma
 from coxcells.klbase import (
+    BlockKit,
     cache_load,
     cache_save,
     compute_kl,
     generator_rows,
+    lead_of,
+    reduce_h_blocks,
     stream_h_blocks,
+    unpack,
 )
 
 from oracles import (
@@ -24,6 +30,7 @@ from oracles import (
     compute_h_table,
     dagger_T_basis,
     naive_c_product,
+    pack,
     vp,
 )
 
@@ -289,13 +296,20 @@ def test_h_associativity_random_triples():
         assert lhs == rhs, (x, y, z)
 
 
+def _decoded(kit, row):
+    return tuple(sorted(
+        (z, unpack(p, kit.bits, kit.off)) for z, p in row.items()
+    ))
+
+
 def test_streaming_matches_materialized():
     store = _store("I2(5)")
+    kit = BlockKit(store)
     tab = compute_h_table(store)
     seen = {}
 
     def consumer(x, y, row):
-        seen[(x, y)] = tuple(sorted(row.items()))
+        seen[(x, y)] = _decoded(kit, row)
 
     stream_h_blocks(store, consumer)
     assert seen == tab.rows
@@ -304,19 +318,112 @@ def test_streaming_matches_materialized():
 def test_streaming_parallel_matches_serial():
     # a y listed twice is delivered twice, in order, by both paths
     store = _store("A3")
+    kit = BlockKit(store)
     for ys, count in ((None, 24 * 24), ([1, 1], 2 * 24)):
         runs = []
         for jobs in (1, 2):
             rows = []
             stream_h_blocks(
                 store,
-                lambda x, y, row: rows.append((x, y, tuple(sorted(row.items())))),
+                lambda x, y, row: rows.append((x, y, _decoded(kit, row))),
                 jobs=jobs,
                 ys=ys,
             )
             runs.append(rows)
         assert len(runs[0]) == count
         assert runs[0] == runs[1], ys
+
+
+# ---------------------------------------------------------------------------
+# packed h entries
+
+# Laurent polynomials with degrees within +-(off - 1) and coefficients of
+# either sign, small enough for the slot width drawn with them
+_packed_cases = st.integers(min_value=3, max_value=40).flatmap(
+    lambda bits: st.integers(min_value=1, max_value=12).flatmap(
+        lambda off: st.tuples(
+            st.just(bits),
+            st.just(off),
+            st.integers(min_value=1 - off, max_value=off - 1),
+            st.lists(
+                st.integers(min_value=1 - (1 << bits - 2),
+                            max_value=(1 << bits - 2) - 1),
+                max_size=2 * off - 1,
+            ),
+        )
+    )
+)
+
+
+def _poly(val, coeffs, reach):
+    """The drawn polynomial cut to degrees within +-reach."""
+    val = max(val, -reach)
+    return vp.norm(val, coeffs[:max(reach + 1 - val, 0)])
+
+
+@given(_packed_cases)
+def test_unpack_inverts_pack(case):
+    bits, off, val, coeffs = case
+    p = _poly(val, coeffs, off - 1)
+    n = pack(p, bits, off)
+    assert unpack(n, bits, off) == p
+    assert (n == 0) == (p == vp.ZERO)
+
+
+@given(_packed_cases)
+def test_lead_of_is_decoded_top_term(case):
+    bits, off, val, coeffs = case
+    p = _poly(val, coeffs, off - 1)
+    if p != vp.ZERO:
+        assert lead_of(pack(p, bits, off), bits, off) == (vp.deg(p), p[1][-1])
+
+
+@given(_packed_cases)
+def test_shift_pair_multiplies_by_gate(case):
+    # halved coefficients keep the sums of two inside a slot, and degrees
+    # within +-(off - 2) stay within +-(off - 1) after v + v^-1
+    bits, off, val, coeffs = case
+    p = _poly(val, [int(c / 2) for c in coeffs], off - 2)
+    n = pack(p, bits, off)
+    assert unpack((n << bits) + (n >> bits), bits, off) == vp.mul(p, vp.GATE)
+
+
+# block reductions as (x, z, degree, coefficients) entries
+
+
+def _leads(kit, y, block):
+    out = []
+    for x, row in enumerate(block):
+        for z, p in row.items():
+            d, c = lead_of(p, kit.bits, kit.off)
+            out.append((x, z, d, (c,)))
+    return out
+
+
+def _rows(kit, y, block):
+    return [
+        (x, z) + unpack(p, kit.bits, kit.off)
+        for x, row in enumerate(block) for z, p in row.items()
+    ]
+
+
+@given(st.integers(min_value=2, max_value=16),
+       st.sampled_from([_leads, _rows]))
+def test_slot_width_below_bound_raises_or_is_exact(bits, reduce):
+    # A3's bound gives 17 bits; a narrower slot either still holds every
+    # decoded value or raises, and raises whenever some value needs more
+    kit = BlockKit(_store("A3"))
+    assert kit.bits == 17
+    exact = list(reduce_h_blocks(kit, reduce))
+    widest = max(abs(c) for block in exact for *_, cs in block for c in cs)
+    kit.bits = bits
+    try:
+        got = list(reduce_h_blocks(kit, reduce))
+    except InternalInconsistencyError as exc:
+        assert "overflows its slot" in str(exc)
+        return
+    assert widest < 1 << bits - 2
+    assert got == exact
 
 
 # ---------------------------------------------------------------------------
