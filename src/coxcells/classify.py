@@ -46,7 +46,7 @@ from .exactnum import (
     exact_divide,
     is_palindromic,
 )
-from .klbase import BlockKit, reduce_h_blocks, unpack, vp
+from .klbase import stream_h_blocks, vp
 
 CLAIM_IDS = ("1.2b", "1.3a", "1.3c", "1.5a", "1.6b")
 
@@ -475,7 +475,7 @@ def _cell_entries(left_cell_of, kit, d, block) -> list:
     left cell of d."""
     target = left_cell_of[d]
     return [
-        (x, z, unpack(p, kit.bits, kit.off))
+        (x, z, kit.unpack(p))
         for x, row in enumerate(block)
         for z, p in row.items()
         if left_cell_of[z] == target
@@ -503,9 +503,9 @@ def classify_group_streamed(store, cells, gamma, dset, table,
     _d_by_left_cell(cells, dset)
     lc = cells.left_cell_of
 
-    blocks = reduce_h_blocks(BlockKit(store), partial(_cell_entries, lc),
-                             jobs, sorted(dset))
-    ents = [e for block in blocks for e in block]
+    ents = []
+    stream_h_blocks(store, lambda d, block: ents.extend(block), jobs=jobs,
+                    ys=sorted(dset), reduce=partial(_cell_entries, lc))
 
     trans = [dict() for _ in range(size)]
     for x, z, p in ents:

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from .coxeter import CoxeterGroup
 from .errors import InternalInconsistencyError
-from .klbase import BlockKit, HTable, KLStore, lead_of, reduce_h_blocks
+from .klbase import BlockKit, HTable, KLStore, stream_h_blocks
 
 __all__ = [
     "CellPartition",
@@ -205,20 +205,20 @@ class GammaTable:
 def _block_leads(kit: BlockKit, y: int, block: list) -> dict:
     """Per z, the top degree over the block and the (x, leading
     coefficient) pairs that reach it, x ascending."""
-    bits, off = kit.bits, kit.off
+    degree = kit.top_degree
     best = {}
     hits = {}
     for x, row in enumerate(block):
         for z, p in row.items():
-            k = p.bit_length() // bits
-            b = best.get(z, -1)
-            if k > b:
-                best[z] = k
+            d = degree(p)
+            b = best.get(z)
+            if b is None or d > b:
+                best[z] = d
                 hits[z] = [(x, p)]
-            elif k == b:
+            elif d == b:
                 hits[z].append((x, p))
     return {
-        z: (best[z] - off, [(x, lead_of(p, bits, off)[1]) for x, p in xs])
+        z: (best[z], [(x, kit.lead(p)[1]) for x, p in xs])
         for z, xs in hits.items()
     }
 
@@ -233,8 +233,8 @@ def _leading_scan(store: KLStore, jobs: int = 1):
     size = store.group.size
     best = [None] * size
     cands = [None] * size
-    blocks = reduce_h_blocks(BlockKit(store), _block_leads, jobs)
-    for y, top in enumerate(blocks):
+
+    def merge(y, top):
         for z, (d, xs) in top.items():
             b = best[z]
             if b is None or d > b:
@@ -242,6 +242,8 @@ def _leading_scan(store: KLStore, jobs: int = 1):
                 cands[z] = {(x, y): c for x, c in xs}
             elif d == b:
                 cands[z].update(((x, y), c) for x, c in xs)
+
+    stream_h_blocks(store, merge, jobs=jobs, reduce=_block_leads)
     lead = {
         (x, y, z): c
         for z in range(size)

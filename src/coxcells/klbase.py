@@ -14,19 +14,20 @@ directly.  Each structure constant h_{x,y,z} inside the recursion is one
 Python int: p(v) is stored as p(2^bits) * 2^(bits * off) with off =
 l(w0) + 1, i.e. one signed coefficient per slot of `bits` bits
 (Kronecker substitution).  Addition and integer scaling are then the int
-operations, multiplication by v + v^-1 is a shift pair, `lead_of` reads
-the top degree and leading coefficient off the bit length, and `unpack`
-decodes balanced digits back to a pair (val, coeffs) meaning sum
-coeffs[i] * v^(val + i).  The slot width comes from a bound on every
-coefficient of every row that does not assume positivity; a decoded
-digit that reaches a quarter of the slot range is an internal error.
-`vp` keeps the constants of the (val, coeffs) form for the generator
-rows; the test oracles extend it with the arithmetic.
+operations and multiplication by v + v^-1 is a shift pair.  `Packing`
+holds the encoding: `lead` reads the top degree and leading coefficient
+off the bit length, and `unpack` decodes balanced digits back to a pair
+(val, coeffs) meaning sum coeffs[i] * v^(val + i).  The slot width comes
+from a bound on the coefficients of every row that does not assume
+positivity, and that bound is what makes the encoding exact; the
+decoders' digit check is only a sanity check.  `vp` keeps the constants
+of the (val, coeffs) form for the generator rows; the test oracles
+extend it with the arithmetic.
 
 Products c_x c_y = sum over z of h_{x,y,z} c_z come in bulk from the
-left-multiplication recursion on blocks of fixed y (`reduce_h_blocks`),
+left-multiplication recursion on blocks of fixed y (`stream_h_blocks`),
 which never touches the T-basis and is what makes the big groups
-affordable.  No all-pairs table is ever held: each block is reduced
+affordable.  No all-pairs table is ever held: each block can be reduced
 where it is computed, in a worker process when there are several, and
 only the reduction comes back.  The test suite checks the blocks against
 products taken row by row through the T-basis.
@@ -55,14 +56,12 @@ __all__ = [
     "BlockKit",
     "HTable",
     "KLStore",
+    "Packing",
     "cache_load",
     "cache_save",
     "compute_kl",
     "generator_rows",
-    "lead_of",
-    "reduce_h_blocks",
     "stream_h_blocks",
-    "unpack",
     "vp",
 ]
 
@@ -90,43 +89,62 @@ class vp:
 # packed h entries: p(v) as the integer p(2^bits) * 2^(bits * off)
 
 
-def unpack(n: int, bits: int, off: int) -> tuple:
-    """(val, coeffs) of a packed entry, read as balanced base-2^bits digits.
+class Packing:
+    """The packed form of an h entry: p(v) as p(2^bits) * 2^(bits * off).
 
-    A digit of magnitude 2^(bits-2) or more means the slot width was too
-    small for the entry, which the width bound rules out.
+    Degrees within +-(off - 1) and coefficients below 2^(bits - 2) in
+    magnitude are what the block recursion guarantees (see `_row_bounds`);
+    under them every slot is one balanced digit.  The decoders check the
+    digits they read against 2^(bits - 2), which catches a slot that is
+    too narrow by up to one bit, not every overflow: a value of 2^(bits-1)
+    or more carries into the next slot and reads as a small digit.
+    Exactness rests on the width bound.
     """
-    if not n:
-        return vp.ZERO
-    lo = ((n & -n).bit_length() - 1) // bits
-    n >>= lo * bits
-    base = 1 << bits
-    half = base >> 1
-    mask = base - 1
-    coeffs = []
-    while n:
-        d = n & mask
-        if d >= half:
-            d -= base
-        coeffs.append(d)
-        n = (n - d) >> bits
-    if max(map(abs, coeffs)) >= half >> 1:
-        raise InternalInconsistencyError("h coefficient overflows its slot")
-    return (lo - off, tuple(coeffs))
 
+    __slots__ = ("bits", "off")
 
-def lead_of(n: int, bits: int, off: int) -> tuple:
-    """(top degree, leading coefficient) of a nonzero packed entry.
+    def __init__(self, bits: int, off: int):
+        self.bits = bits
+        self.off = off
 
-    Every lower slot adds less than half a unit of the top one, so the
-    top slot is the bit length over the width and its digit a rounded
-    shift.
-    """
-    k = n.bit_length() // bits
-    c = (n + (1 << (k * bits - 1))) >> (k * bits)
-    if abs(c) >= 1 << (bits - 2):
-        raise InternalInconsistencyError("h coefficient overflows its slot")
-    return k - off, c
+    def unpack(self, n: int) -> tuple:
+        """(val, coeffs) of a packed entry, read as balanced digits."""
+        if not n:
+            return vp.ZERO
+        bits = self.bits
+        lo = ((n & -n).bit_length() - 1) // bits
+        n >>= lo * bits
+        base = 1 << bits
+        half = base >> 1
+        mask = base - 1
+        coeffs = []
+        while n:
+            d = n & mask
+            if d >= half:
+                d -= base
+            coeffs.append(d)
+            n = (n - d) >> bits
+        if max(map(abs, coeffs)) >= half >> 1:
+            raise InternalInconsistencyError("h coefficient overflows its slot")
+        return (lo - self.off, tuple(coeffs))
+
+    def top_degree(self, n: int) -> int:
+        """Top degree of a nonzero packed entry.
+
+        Every lower slot adds less than half a unit of the top one, so
+        the top slot is the bit length over the width.
+        """
+        return n.bit_length() // self.bits - self.off
+
+    def lead(self, n: int) -> tuple:
+        """(top degree, leading coefficient) of a nonzero packed entry;
+        the coefficient is a rounded shift, no full decode."""
+        bits = self.bits
+        k = n.bit_length() // bits
+        c = (n + (1 << (k * bits - 1))) >> (k * bits)
+        if abs(c) >= 1 << (bits - 2):
+            raise InternalInconsistencyError("h coefficient overflows its slot")
+        return k - self.off, c
 
 
 # ---------------------------------------------------------------------------
@@ -141,13 +159,20 @@ class KLStore:
     pairs (z, mu(z, w)) with nonzero mu, sorted by z.
     """
 
-    __slots__ = ("group", "P_by_w", "mu_by_w", "fingerprint")
+    __slots__ = ("group", "P_by_w", "mu_by_w", "fingerprint", "_kit")
 
     def __init__(self, group: CoxeterGroup, P_by_w, mu_by_w):
         self.group = group
         self.P_by_w = P_by_w
         self.mu_by_w = mu_by_w
         self.fingerprint = group.fingerprint()
+        self._kit = None
+
+    def block_kit(self) -> BlockKit:
+        """The BlockKit of this store, built on first use."""
+        if self._kit is None:
+            self._kit = BlockKit(self)
+        return self._kit
 
     def P(self, x: int, y: int) -> tuple:
         """Ascending q-coefficients of P_{x,y}; () when x is not <= y."""
@@ -293,16 +318,16 @@ def generator_rows(store: KLStore) -> HTable:
     return HTable(group, "generators", rows)
 
 
-class BlockKit:
+class BlockKit(Packing):
     """Just enough immutable data to run one y-block of the h recursion.
 
     mu_down[s][z] lists the (t, mu(t, z)) with s t < t, the terms c_s c_z
     picks up when s z > z.  Entries are packed in slots of `bits` bits at
-    degree offset `off` = l(w0) + 1 (see `_slot_bits`).
+    degree offset `off` = l(w0) + 1 (see `_row_bounds`); the kit's
+    `Packing` methods decode them.
     """
 
-    __slots__ = ("size", "left", "lmask", "first_letter", "mu_down",
-                 "bits", "off")
+    __slots__ = ("size", "left", "lmask", "first_letter", "mu_down")
 
     def __init__(self, store: KLStore):
         g = store.group
@@ -315,18 +340,17 @@ class BlockKit:
              for mus in store.mu_by_w]
             for s in range(g.datum.rank)
         ]
-        self.bits = _slot_bits(self)
-        self.off = max(g.length) + 1
+        # two spare bits keep every balanced digit below 2^(bits - 2)
+        super().__init__(max(_row_bounds(self)).bit_length() + 2,
+                         max(g.length) + 1)
 
 
-def _slot_bits(kit: BlockKit) -> int:
-    """Slot width that holds every coefficient of every h row.
+def _row_bounds(kit: BlockKit) -> list:
+    """T_x, a bound on the sum of |coefficients| over row x of any block.
 
-    T_x bounds the sum of |coefficients| over row x of any block: row e
-    is the single entry 1, c_s multiplies the sum by at most
+    Row e is the single entry 1, c_s multiplies the sum by at most
     max(2, 1 + max_z sum_t |mu(t, z)|), and the correction subtracts
-    mu(z, x') times row z.  Two spare bits keep a balanced digit below
-    2^(bits-2), which is what `unpack` and `lead_of` check.
+    mu(z, x') times row z.  No positivity is assumed.
     """
     grow = 2
     for mus in kit.mu_down:
@@ -339,7 +363,7 @@ def _slot_bits(kit: BlockKit) -> int:
         bound[x] = bound[parent] * grow + sum(
             abs(m) * bound[z] for z, m in kit.mu_down[s][parent]
         )
-    return max(bound).bit_length() + 2
+    return bound
 
 
 def _h_block(kit: BlockKit, y: int) -> list:
@@ -378,14 +402,37 @@ def _h_block(kit: BlockKit, y: int) -> list:
     return rows
 
 
-def reduce_h_blocks(kit: BlockKit, reduce, jobs: int = 1, ys=None):
-    """Yield `reduce(kit, y, block)` for each y-block, in the order of ys.
+def stream_h_blocks(store: KLStore, consumer, jobs: int = 1, ys=None,
+                    reduce=None):
+    """Run the h recursion block by block, in the order of ys.
 
-    ys selects which y-blocks to visit (all of them by default).  With
-    jobs > 1 the blocks are computed and reduced in worker processes, so
-    only the reductions cross the pool; reduce must then be picklable.
+    ys selects which y-blocks to visit (all of them by default).  With no
+    reduce, `consumer(x, y, row)` receives every packed row dict.  With
+    reduce, `consumer(y, reduce(kit, y, block))` receives one result per
+    block, kit being the store's `BlockKit` (whose `unpack` and `lead`
+    decode an entry).  With jobs > 1 the blocks are computed and reduced
+    in worker processes, so only the reductions cross the pool; reduce
+    must then be picklable.
     """
+    kit = store.block_kit()
     targets = range(kit.size) if ys is None else list(ys)
+    if reduce is not None:
+        for y, out in zip(targets, _reduced_blocks(kit, reduce, jobs,
+                                                   targets)):
+            consumer(y, out)
+        return
+    for y, block in zip(targets, _reduced_blocks(kit, _whole_block, jobs,
+                                                 targets)):
+        for x, row in enumerate(block):
+            consumer(x, y, row)
+
+
+def _whole_block(kit: BlockKit, y: int, block: list) -> list:
+    return block
+
+
+def _reduced_blocks(kit: BlockKit, reduce, jobs: int, targets):
+    """Yield `reduce(kit, y, block)` for each y in targets, in order."""
     if jobs <= 1:
         for y in targets:
             yield reduce(kit, y, _h_block(kit, y))
@@ -403,23 +450,6 @@ def reduce_h_blocks(kit: BlockKit, reduce, jobs: int = 1, ys=None):
                 yield window.popleft().result()
         for future in window:
             yield future.result()
-
-
-def _whole_block(kit: BlockKit, y: int, block: list) -> list:
-    return block
-
-
-def stream_h_blocks(store: KLStore, consumer, jobs: int = 1, ys=None):
-    """Run `consumer(x, y, row_dict)` over packed h rows, block by block.
-
-    Rows arrive grouped by y in the order of ys (all blocks by default);
-    `unpack` with the store's `BlockKit` widths decodes an entry.
-    """
-    targets = list(range(store.group.size)) if ys is None else list(ys)
-    blocks = reduce_h_blocks(BlockKit(store), _whole_block, jobs, targets)
-    for y, block in zip(targets, blocks):
-        for x, row in enumerate(block):
-            consumer(x, y, row)
 
 
 _WORKER = None

@@ -43,11 +43,9 @@ from coxcells.exactnum import (
     two_cos_pi_over,
 )
 from coxcells.klbase import (
-    BlockKit,
     HTable,
     generator_rows,
     stream_h_blocks,
-    unpack,
 )
 from coxcells.klbase import vp as _vp
 
@@ -162,7 +160,7 @@ class vp(_vp):
 
 def pack(a: tuple, bits: int, off: int) -> int:
     """The packed integer a(2^bits) * 2^(bits * off) of a value
-    polynomial, the inverse of `klbase.unpack`."""
+    polynomial, the inverse of `klbase.Packing.unpack`."""
     return sum(c << bits * (a[0] + i + off) for i, c in enumerate(a[1]))
 
 
@@ -833,12 +831,12 @@ def dihedral3_coinvariant_graded_characters():
 def compute_h_table(store) -> HTable:
     """Every h row h_{x,y,.}, materialized from the block stream and
     decoded to value polynomials."""
-    kit = BlockKit(store)
+    kit = store.block_kit()
     rows = {}
 
     def keep(x, y, row):
         rows[(x, y)] = tuple(sorted(
-            (z, unpack(p, kit.bits, kit.off)) for z, p in row.items()
+            (z, kit.unpack(p)) for z, p in row.items()
         ))
 
     stream_h_blocks(store, keep)

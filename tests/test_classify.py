@@ -485,16 +485,16 @@ def test_integer_trace_check_rejects_a_perturbed_entry(rig):
 
 
 def test_distinguished_blocks_streamed_once(rig, monkeypatch):
-    real = classify_mod.reduce_h_blocks
+    real = classify_mod.stream_h_blocks
     for symbol in ("H3", "B3"):
         r = rig(symbol)
         calls = []
 
-        def recorder(kit, reduce, jobs=1, ys=None):
+        def recorder(store, consumer, jobs=1, ys=None, reduce=None):
             calls.append(list(ys))
-            return real(kit, reduce, jobs=jobs, ys=ys)
+            return real(store, consumer, jobs=jobs, ys=ys, reduce=reduce)
 
-        monkeypatch.setattr(classify_mod, "reduce_h_blocks", recorder)
+        monkeypatch.setattr(classify_mod, "stream_h_blocks", recorder)
         got = classify_group_streamed(r.store, r.cells, r.gamma, r.dset,
                                       r.table)
         monkeypatch.undo()

@@ -141,7 +141,7 @@ def test_h4_classification_refused_before_any_scan(capsys, monkeypatch):
         raise AssertionError("polynomial work started")
 
     monkeypatch.setattr("coxcells.pipeline.compute_kl", forbidden)
-    monkeypatch.setattr("coxcells.jring.reduce_h_blocks", forbidden)
+    monkeypatch.setattr("coxcells.jring.stream_h_blocks", forbidden)
     code, out, err = _run(capsys, "classify", "--type", "H4", "--heavy")
     assert code == 2
     assert out == ""
@@ -390,7 +390,7 @@ def test_warm_cells_never_stream(capsys, tmp_path, monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("an h block was streamed")
 
-    monkeypatch.setattr("coxcells.jring.reduce_h_blocks", forbidden)
+    monkeypatch.setattr("coxcells.jring.stream_h_blocks", forbidden)
     code, warm, err = _run(capsys, *args)
     assert code == 0
     assert warm == cold

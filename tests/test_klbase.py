@@ -12,14 +12,14 @@ from coxcells.errors import CacheInvalidError, InternalInconsistencyError
 from coxcells.jring import compute_cells, compute_gamma
 from coxcells.klbase import (
     BlockKit,
+    Packing,
+    _h_block,
+    _row_bounds,
     cache_load,
     cache_save,
     compute_kl,
     generator_rows,
-    lead_of,
-    reduce_h_blocks,
     stream_h_blocks,
-    unpack,
 )
 
 from oracles import (
@@ -297,14 +297,12 @@ def test_h_associativity_random_triples():
 
 
 def _decoded(kit, row):
-    return tuple(sorted(
-        (z, unpack(p, kit.bits, kit.off)) for z, p in row.items()
-    ))
+    return tuple(sorted((z, kit.unpack(p)) for z, p in row.items()))
 
 
 def test_streaming_matches_materialized():
     store = _store("I2(5)")
-    kit = BlockKit(store)
+    kit = store.block_kit()
     tab = compute_h_table(store)
     seen = {}
 
@@ -318,7 +316,7 @@ def test_streaming_matches_materialized():
 def test_streaming_parallel_matches_serial():
     # a y listed twice is delivered twice, in order, by both paths
     store = _store("A3")
-    kit = BlockKit(store)
+    kit = store.block_kit()
     for ys, count in ((None, 24 * 24), ([1, 1], 2 * 24)):
         runs = []
         for jobs in (1, 2):
@@ -366,16 +364,19 @@ def test_unpack_inverts_pack(case):
     bits, off, val, coeffs = case
     p = _poly(val, coeffs, off - 1)
     n = pack(p, bits, off)
-    assert unpack(n, bits, off) == p
+    assert Packing(bits, off).unpack(n) == p
     assert (n == 0) == (p == vp.ZERO)
 
 
 @given(_packed_cases)
-def test_lead_of_is_decoded_top_term(case):
+def test_lead_is_decoded_top_term(case):
     bits, off, val, coeffs = case
     p = _poly(val, coeffs, off - 1)
     if p != vp.ZERO:
-        assert lead_of(pack(p, bits, off), bits, off) == (vp.deg(p), p[1][-1])
+        codec = Packing(bits, off)
+        n = pack(p, bits, off)
+        assert codec.lead(n) == (vp.deg(p), p[1][-1])
+        assert codec.top_degree(n) == vp.deg(p)
 
 
 @given(_packed_cases)
@@ -385,7 +386,8 @@ def test_shift_pair_multiplies_by_gate(case):
     bits, off, val, coeffs = case
     p = _poly(val, [int(c / 2) for c in coeffs], off - 2)
     n = pack(p, bits, off)
-    assert unpack((n << bits) + (n >> bits), bits, off) == vp.mul(p, vp.GATE)
+    assert (Packing(bits, off).unpack((n << bits) + (n >> bits))
+            == vp.mul(p, vp.GATE))
 
 
 # block reductions as (x, z, degree, coefficients) entries
@@ -395,35 +397,55 @@ def _leads(kit, y, block):
     out = []
     for x, row in enumerate(block):
         for z, p in row.items():
-            d, c = lead_of(p, kit.bits, kit.off)
+            d, c = kit.lead(p)
             out.append((x, z, d, (c,)))
     return out
 
 
 def _rows(kit, y, block):
     return [
-        (x, z) + unpack(p, kit.bits, kit.off)
+        (x, z) + kit.unpack(p)
         for x, row in enumerate(block) for z, p in row.items()
     ]
+
+
+def _reduced(kit, reduce):
+    return [reduce(kit, y, _h_block(kit, y)) for y in range(kit.size)]
 
 
 @given(st.integers(min_value=2, max_value=16),
        st.sampled_from([_leads, _rows]))
 def test_slot_width_below_bound_raises_or_is_exact(bits, reduce):
-    # A3's bound gives 17 bits; a narrower slot either still holds every
-    # decoded value or raises, and raises whenever some value needs more
+    # A3's bound gives 17 bits.  Every narrower slot tried here either
+    # still holds every decoded value or trips the decoders' digit check.
+    # The check is not complete in general (a value of 2^(bits-1) or more
+    # carries into the next slot and can read as a small digit), so
+    # exactness rests on the width bound, pinned by the test below.
     kit = BlockKit(_store("A3"))
     assert kit.bits == 17
-    exact = list(reduce_h_blocks(kit, reduce))
+    exact = _reduced(kit, reduce)
     widest = max(abs(c) for block in exact for *_, cs in block for c in cs)
     kit.bits = bits
     try:
-        got = list(reduce_h_blocks(kit, reduce))
+        got = _reduced(kit, reduce)
     except InternalInconsistencyError as exc:
         assert "overflows its slot" in str(exc)
         return
     assert widest < 1 << bits - 2
     assert got == exact
+
+
+@pytest.mark.parametrize("symbol", ["I2(5)", "A3", "B3", "H3", "A4", "D4"])
+def test_row_bounds_hold_every_row(symbol):
+    # T_x bounds the sum of |coefficients| over row x of every block, and
+    # the slot width leaves every digit below 2^(bits-2)
+    kit = _store(symbol).block_kit()
+    bounds = _row_bounds(kit)
+    assert max(bounds) < 1 << kit.bits - 2
+    for y in range(kit.size):
+        for x, row in enumerate(_h_block(kit, y)):
+            total = sum(abs(c) for p in row.values() for c in kit.unpack(p)[1])
+            assert total <= bounds[x], (x, y)
 
 
 # ---------------------------------------------------------------------------
