@@ -528,8 +528,9 @@ def _lift_row(row_p, dim, powmaps, orders, eta, n, conductor, p):
 
 
 def _validate(group, classes, rows, dims, conductor):
+    """Integrality, row and column orthogonality and the degree sum of a
+    lifted table; the sums run on integer power-basis vectors."""
     k = len(classes)
-    zero = cyclo_rational(conductor, 0)
     for row in rows:
         for v in row:
             if any(c.denominator != 1 for c in v.coeffs):
@@ -538,21 +539,28 @@ def _validate(group, classes, rows, dims, conductor):
                 v.is_rational() and v.is_integer()
             ):
                 raise _Retry("irrational value in a crystallographic type")
+    ctx = cyclo_context(conductor)
+    vals = [[tuple(map(int, v.coeffs)) for v in row] for row in rows]
+    bars = [[tuple(map(int, v.conjugate().coeffs)) for v in row]
+            for row in rows]
+
+    def is_scalar(terms, want: int) -> bool:
+        acc = [0] * ctx.degree
+        for n, a, b in terms:
+            for t, c in enumerate(ctx.mul_coeffs(a, b)):
+                acc[t] += n * c
+        return acc[0] == want and not any(acc[1:])
+
     for i in range(k):
         for j in range(i, k):
-            acc = zero
-            for n, a, b in zip(classes.sizes, rows[i], rows[j]):
-                acc = acc + a * b.conjugate() * n
             want = group.size if i == j else 0
-            if acc != want:
+            if not is_scalar(zip(classes.sizes, vals[i], bars[j]), want):
                 raise _Retry(f"row orthogonality fails at ({i}, {j})")
     for a in range(k):
         for b in range(a, k):
-            acc = zero
-            for row in rows:
-                acc = acc + row[a] * row[b].conjugate()
             want = group.size // classes.sizes[a] if a == b else 0
-            if acc != want:
+            terms = ((1, vals[r][a], bars[r][b]) for r in range(len(rows)))
+            if not is_scalar(terms, want):
                 raise _Retry(f"column orthogonality fails at ({a}, {b})")
     if sum(d * d for d in dims) != group.size:
         raise _Retry("degree squares do not sum to the group order")

@@ -54,8 +54,8 @@ def _parser() -> argparse.ArgumentParser:
         )
         sp.add_argument(
             "--heavy", action="store_true",
-            help=f"allow groups of order {pipeline.HEAVY_ORDER} and up, whose "
-            "leading scan runs over more than 120 000 h rows",
+            help=f"allow groups of order {pipeline.HEAVY_ORDER} and up, which "
+            "have more than 120 000 h rows",
         )
         if name in ("classify", "verify"):
             sp.add_argument(

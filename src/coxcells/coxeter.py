@@ -26,6 +26,7 @@ index 0 is always the identity.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import re
 from functools import lru_cache
 from math import lcm
@@ -361,6 +362,28 @@ class CoxeterGroup:
         for l in self.length:
             counts[l] = counts.get(l, 0) + 1
         return LaurentPoly(counts, var="X")
+
+    def diagram_automorphisms(self) -> tuple:
+        """Element permutations of the diagram automorphisms, identity first.
+
+        A permutation sigma of the generators that preserves the Coxeter
+        matrix extends to the group automorphism s_1 ... s_k ->
+        sigma(s_1) ... sigma(s_k); each is returned as the tuple of images
+        of the element indices.
+        """
+        m = self.datum.coxeter_matrix
+        n = self.datum.rank
+        out = []
+        for sigma in itertools.permutations(range(n)):
+            if any(m[sigma[i]][sigma[j]] != m[i][j]
+                   for i in range(n) for j in range(i)):
+                continue
+            image = [0] * self.size
+            for w in range(1, self.size):
+                s = self.words[w][-1]
+                image[w] = self.right[sigma[s]][image[self.right[s][w]]]
+            out.append(tuple(image))
+        return tuple(out)
 
     # -- conjugacy ---------------------------------------------------------
 

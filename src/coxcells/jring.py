@@ -14,14 +14,19 @@ distinguished involutions d, one per left cell.  Distinguished elements
 are cut out by a(z) equalling l(z) minus twice the q-degree of the
 polynomial P at (identity, z), then every defining property is checked.
 
-The single scan that produces a and the leading coefficients reduces
-each y-block of h rows where it is computed, so no group ever holds the
-full table in memory and pool workers return only the block's leading
-terms.  Its result is small enough to cache; a cached scan gets the same
-checks as a fresh one.
+The single scan that produces a and the leading coefficients reads in
+block y only the rows x of the left cell of y^-1, where Lusztig's P8
+puts every leading term, computes only those rows and the rows they are
+built from, and computes one block per orbit of the diagram
+automorphisms.  Each block is reduced where it is computed, so no group
+ever holds the full table in memory and pool workers return only the
+block's leading terms.  The result is small enough to cache; a cached
+scan gets the same checks as a fresh one.
 """
 
 from __future__ import annotations
+
+import functools
 
 from .coxeter import CoxeterGroup
 from .errors import InternalInconsistencyError
@@ -202,14 +207,14 @@ class GammaTable:
         return self.by_xy.get((x, y), ())
 
 
-def _block_leads(kit: BlockKit, y: int, block: list) -> dict:
-    """Per z, the top degree over the block and the (x, leading
-    coefficient) pairs that reach it, x ascending."""
+def _cell_leads(rows: list, kit: BlockKit, y: int, block: list) -> dict:
+    """Per z, the top degree of h_{x,y,z} over the x in rows[y] and the
+    (x, leading coefficient) pairs that reach it, x ascending."""
     degree = kit.top_degree
     best = {}
     hits = {}
-    for x, row in enumerate(block):
-        for z, p in row.items():
+    for x in rows[y]:
+        for z, p in block[x].items():
             d = degree(p)
             b = best.get(z)
             if b is None or d > b:
@@ -223,31 +228,75 @@ def _block_leads(kit: BlockKit, y: int, block: list) -> dict:
     }
 
 
-def _leading_scan(store: KLStore, jobs: int = 1):
-    """One pass over all h rows: per z the max degree and the leading
-    coefficients with their (x, y).  Returns (a, lead).
+def _orbit_blocks(group: CoxeterGroup, cost: list) -> dict:
+    """The blocks to compute, each with the element permutations that
+    carry it to the members of its diagram-automorphism orbit.
 
-    Each block is reduced where it is computed; merging the reductions
-    in block order keeps the (y, x) order of a row-by-row scan.
+    Every orbit is represented by its member of least cost (then least
+    index); the identity comes first in each list.
     """
-    size = store.group.size
+    autos = group.diagram_automorphisms()
+    moved = [False] * group.size
+    out = {}
+    for y in range(group.size):
+        if moved[y]:
+            continue
+        r = min({g[y] for g in autos}, key=lambda w: (cost[w], w))
+        out[r] = []
+        for g in autos:
+            if not moved[g[r]]:
+                moved[g[r]] = True
+                out[r].append(g)
+    return dict(sorted(out.items()))
+
+
+def _leading_scan(store: KLStore, cells: CellPartition, jobs: int = 1):
+    """Per z the top degree of h_{x,y,z} and the leading coefficients
+    at it with their (x, y).  Returns (a, lead).
+
+    Only the rows x in the left cell of y^-1 are read in block y.  By
+    Lusztig's P8 (Hecke algebras with unequal parameters, CRM Monograph
+    Series 18, 2003, ch. 14; for finite Coxeter groups through the
+    positivity of Elias-Williamson, Ann. of Math. 180, 2014)
+    gamma_{x,y,z^-1} is nonzero only when x ~L y^-1, so every leading
+    term lies there, and a(z) is reached there too: t_z t_d = t_z for
+    the distinguished involution d of the left cell of z.  Block y
+    computes those rows and the rows they are built from, no others.
+
+    A diagram automorphism sigma fixes the canonical basis, so
+    h_{sigma x, sigma y, sigma z} = h_{x,y,z}: one block per orbit is
+    computed, the member with the fewest rows, and its reduction is
+    carried to the other members.  Each z's entries of lead are in
+    (y, x) order, as in a scan row by row.
+    """
+    group = store.group
+    size = group.size
+    inv = group.inverse
+    kit = store.block_kit()
+    cell = [cells.left_cell_of[inv[y]] for y in range(size)]
+    built = [kit.closure(members) for members in cells.left_cells]
+    orbits = _orbit_blocks(group, [len(built[c]) for c in cell])
     best = [None] * size
     cands = [None] * size
 
-    def merge(y, top):
-        for z, (d, xs) in top.items():
-            b = best[z]
-            if b is None or d > b:
-                best[z] = d
-                cands[z] = {(x, y): c for x, c in xs}
-            elif d == b:
-                cands[z].update(((x, y), c) for x, c in xs)
+    def merge(r, top):
+        for g in orbits[r]:
+            y = g[r]
+            for z, (d, xs) in top.items():
+                z = g[z]
+                b = best[z]
+                if b is None or d > b:
+                    best[z] = d
+                    cands[z] = [(y, g[x], c) for x, c in xs]
+                elif d == b:
+                    cands[z].extend((y, g[x], c) for x, c in xs)
 
-    stream_h_blocks(store, merge, jobs=jobs, reduce=_block_leads)
+    reads = [cells.left_cells[c] for c in cell]
+    stream_h_blocks(store, merge, jobs=jobs, ys=list(orbits),
+                    reduce=functools.partial(_cell_leads, reads),
+                    rows=[built[c] for c in cell])
     lead = {
-        (x, y, z): c
-        for z in range(size)
-        for (x, y), c in cands[z].items()
+        (x, y, z): c for z in range(size) for y, x, c in sorted(cands[z])
     }
     return tuple(best), lead
 
@@ -256,10 +305,12 @@ def compute_gamma(store: KLStore, cells: CellPartition, jobs: int = 1,
                   scan=None) -> GammaTable:
     """The full leading-coefficient table (contains the a-function).
 
-    scan, when given, is a cached (a, lead) pair that replaces the pass
-    over the h rows; it is checked exactly like a fresh one.
+    The scan reads the left-cell rows of one block per diagram orbit
+    (see `_leading_scan`), which is why it takes the cells.  scan, when
+    given, is a cached (a, lead) pair that replaces it; it is checked
+    exactly like a fresh one.
     """
-    a, lead = _leading_scan(store, jobs=jobs) if scan is None else scan
+    a, lead = _leading_scan(store, cells, jobs) if scan is None else scan
     if a[0] != 0:
         raise InternalInconsistencyError(f"a(identity) = {a[0]}, not 0")
     for members in cells.two_sided_cells:

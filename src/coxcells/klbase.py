@@ -29,15 +29,18 @@ left-multiplication recursion on blocks of fixed y (`stream_h_blocks`),
 which never touches the T-basis and is what makes the big groups
 affordable.  No all-pairs table is ever held: each block can be reduced
 where it is computed, in a worker process when there are several, and
-only the reduction comes back.  The test suite checks the blocks against
+only the reduction comes back.  A block can also be cut to a set of rows
+closed under the recursion (`BlockKit.closure`); the leading scan cuts
+each block to the rows of one left cell (Lusztig's P8, see
+`jring._leading_scan`).  The test suite checks the blocks against
 products taken row by row through the T-basis.
 
 The cache holds the P rows (mu is read off them again on load) and the
-result of the leading scan over all h rows (a-values and leading
-coefficients), not the rows themselves.  Its manifest records the length
-and SHA-256 of both payload files and is written last, each file under a
-temporary name moved into place, so a torn or altered cache is recomputed
-rather than read.
+result of the leading scan (a-values and leading coefficients), not the
+rows themselves.  Its manifest records the length and SHA-256 of both
+payload files and is written last, each file under a temporary name
+moved into place, so a torn or altered cache is recomputed rather than
+read.
 """
 
 from __future__ import annotations
@@ -344,6 +347,23 @@ class BlockKit(Packing):
         super().__init__(max(_row_bounds(self)).bit_length() + 2,
                          max(g.length) + 1)
 
+    def closure(self, xs) -> tuple:
+        """xs with the identity and every row the recursion builds them
+        from, sorted: the parent x' = s x of each x and the z with
+        mu(z, x') != 0 and s z < z, recursively."""
+        need = {0, *xs}
+        stack = list(need)
+        while stack:
+            x = stack.pop()
+            if x:
+                s = self.first_letter[x]
+                parent = self.left[s][x]
+                for z in (parent, *(t for t, _ in self.mu_down[s][parent])):
+                    if z not in need:
+                        need.add(z)
+                        stack.append(z)
+        return tuple(sorted(need))
+
 
 def _row_bounds(kit: BlockKit) -> list:
     """T_x, a bound on the sum of |coefficients| over row x of any block.
@@ -366,11 +386,14 @@ def _row_bounds(kit: BlockKit) -> list:
     return bound
 
 
-def _h_block(kit: BlockKit, y: int) -> list:
-    """All rows h_{x,y,.} for fixed y, x in index order, packed.
+def _h_block(kit: BlockKit, y: int, xs: tuple | None = None) -> list:
+    """Rows h_{x,y,.} for fixed y, indexed by x, packed: every row, or
+    those in xs, a sorted tuple closed under `BlockKit.closure`; the
+    other rows are None.
 
     Row x is built from row x' (x = s x', first-letter descent) through
     c_x c_y = c_s (c_x' c_y) - sum mu(z, x') c_z c_y over z with s z < z.
+    x' and every such z are shorter than x, so have smaller indices.
     Left multiplication by c_s in the c-basis needs only descents and mu.
     Row x has degrees within +-l(x) < off, so multiplying by v + v^-1 is
     the exact shift pair (p << bits) + (p >> bits).  mu is almost always
@@ -380,7 +403,7 @@ def _h_block(kit: BlockKit, y: int) -> list:
     lmask = kit.lmask
     rows = [None] * kit.size
     rows[0] = {y: 1 << bits * kit.off}
-    for x in range(1, kit.size):
+    for x in range(1, kit.size) if xs is None else xs[1:]:
         s = kit.first_letter[x]
         lrow = kit.left[s]
         down = kit.mu_down[s]
@@ -403,26 +426,28 @@ def _h_block(kit: BlockKit, y: int) -> list:
 
 
 def stream_h_blocks(store: KLStore, consumer, jobs: int = 1, ys=None,
-                    reduce=None):
+                    reduce=None, rows=None):
     """Run the h recursion block by block, in the order of ys.
 
-    ys selects which y-blocks to visit (all of them by default).  With no
-    reduce, `consumer(x, y, row)` receives every packed row dict.  With
-    reduce, `consumer(y, reduce(kit, y, block))` receives one result per
-    block, kit being the store's `BlockKit` (whose `unpack` and `lead`
-    decode an entry).  With jobs > 1 the blocks are computed and reduced
-    in worker processes, so only the reductions cross the pool; reduce
-    must then be picklable.
+    ys selects which y-blocks to visit (all of them by default).  rows,
+    when given, is indexed by y: block y then computes only the rows
+    rows[y], a closed set as `BlockKit.closure` returns, and the others
+    are None.  With no reduce, `consumer(x, y, row)` receives every row
+    of every block, packed.  With reduce, `consumer(y, reduce(kit, y,
+    block))` receives one result per block, kit being the store's
+    `BlockKit` (whose `unpack` and `lead` decode an entry).  With
+    jobs > 1 the blocks are computed and reduced in worker processes, so
+    only the reductions cross the pool; reduce must then be picklable.
     """
     kit = store.block_kit()
     targets = range(kit.size) if ys is None else list(ys)
+    work = [(y, None if rows is None else rows[y]) for y in targets]
     if reduce is not None:
-        for y, out in zip(targets, _reduced_blocks(kit, reduce, jobs,
-                                                   targets)):
+        for y, out in zip(targets, _reduced_blocks(kit, reduce, jobs, work)):
             consumer(y, out)
         return
     for y, block in zip(targets, _reduced_blocks(kit, _whole_block, jobs,
-                                                 targets)):
+                                                 work)):
         for x, row in enumerate(block):
             consumer(x, y, row)
 
@@ -431,11 +456,11 @@ def _whole_block(kit: BlockKit, y: int, block: list) -> list:
     return block
 
 
-def _reduced_blocks(kit: BlockKit, reduce, jobs: int, targets):
-    """Yield `reduce(kit, y, block)` for each y in targets, in order."""
+def _reduced_blocks(kit: BlockKit, reduce, jobs: int, work):
+    """Yield `reduce(kit, y, block)` for each (y, xs) in work, in order."""
     if jobs <= 1:
-        for y in targets:
-            yield reduce(kit, y, _h_block(kit, y))
+        for y, xs in work:
+            yield reduce(kit, y, _h_block(kit, y, xs))
         return
     import concurrent.futures as cf
 
@@ -444,8 +469,8 @@ def _reduced_blocks(kit: BlockKit, reduce, jobs: int, targets):
     ) as pool:
         # at most 2 * jobs blocks in flight, yielded in submission order
         window = collections.deque()
-        for y in targets:
-            window.append(pool.submit(_reduce_worker, y))
+        for y, xs in work:
+            window.append(pool.submit(_reduce_worker, y, xs))
             if len(window) == 2 * jobs:
                 yield window.popleft().result()
         for future in window:
@@ -460,9 +485,9 @@ def _init_worker(kit: BlockKit, reduce):
     _WORKER = (kit, reduce)
 
 
-def _reduce_worker(y: int):
+def _reduce_worker(y: int, xs):
     kit, reduce = _WORKER
-    return reduce(kit, y, _h_block(kit, y))
+    return reduce(kit, y, _h_block(kit, y, xs))
 
 
 # ---------------------------------------------------------------------------

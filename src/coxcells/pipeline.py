@@ -23,8 +23,8 @@ from .errors import CacheInvalidError, RefusalError
 from .jring import compute_cells, compute_gamma, distinguished_involutions
 from .klbase import cache_load, cache_save, compute_kl, generator_rows
 
-# Groups from this order up need --heavy: their leading scan covers more
-# than 120 000 h rows (order squared).
+# Groups from this order up need --heavy: they have more than 120 000 h
+# rows (order squared), of which the leading scan computes a fraction.
 HEAVY_ORDER = 347
 
 

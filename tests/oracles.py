@@ -10,8 +10,10 @@ over one common denominator, with the reflection characteristic
 polynomials taken from powers of the exact reflection matrices rather
 than from the character table, canonical-basis products through the T-basis,
 left cell modules with the v=1 sign convention they pin, the row-by-row
-leading scan over the all-pairs table, and the cross-cutting property
-checks on a finished classification live here for the same reason.
+leading scan over the all-pairs table, the leading scan over every row of
+every block (the program reads only the left-cell rows of one block per
+diagram-automorphism orbit), and the cross-cutting property checks on a
+finished classification live here for the same reason.
 
 So do the helpers only the tests use: the Bruhat order, descent sets, the
 CycloNumber reflection matrices, complex embeddings and powers, the
@@ -860,6 +862,53 @@ def leading_scan(htable):
                 cands[z][(x, y)] = p[1][-1]
     lead = {
         (x, y, z): c for z in range(size) for (x, y), c in cands[z].items()
+    }
+    return tuple(best), lead
+
+
+def full_block_leads(kit, y: int, block: list) -> dict:
+    """Per z, the top degree over every row of the block and the (x,
+    leading coefficient) pairs that reach it, x ascending."""
+    degree = kit.top_degree
+    best = {}
+    hits = {}
+    for x, row in enumerate(block):
+        for z, p in row.items():
+            d = degree(p)
+            b = best.get(z)
+            if b is None or d > b:
+                best[z] = d
+                hits[z] = [(x, p)]
+            elif d == b:
+                hits[z].append((x, p))
+    return {
+        z: (best[z], [(x, kit.lead(p)[1]) for x, p in xs])
+        for z, xs in hits.items()
+    }
+
+
+def full_leading_scan(store, jobs: int = 1):
+    """(a, lead) over every row of every block, with no cell or symmetry
+    taken into account; merging the blocks in order keeps the (y, x)
+    order of a scan row by row."""
+    size = store.group.size
+    best = [None] * size
+    cands = [None] * size
+
+    def merge(y, top):
+        for z, (d, xs) in top.items():
+            b = best[z]
+            if b is None or d > b:
+                best[z] = d
+                cands[z] = {(x, y): c for x, c in xs}
+            elif d == b:
+                cands[z].update(((x, y), c) for x, c in xs)
+
+    stream_h_blocks(store, merge, jobs=jobs, reduce=full_block_leads)
+    lead = {
+        (x, y, z): c
+        for z in range(size)
+        for (x, y), c in cands[z].items()
     }
     return tuple(best), lead
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from coxcells.chartab import character_table
+from coxcells.chartab import _Retry, _validate, character_table
 from coxcells.coxeter import build_group
 from coxcells.errors import InternalInconsistencyError
 from coxcells.exactnum import cyclo_rational
@@ -173,3 +173,16 @@ def test_multiplicity_rejects_fractional():
     half = tuple(cyclo_rational(M, Fraction(1, 2)) for _ in range(len(tab.classes)))
     with pytest.raises(InternalInconsistencyError):
         tab.multiplicity(half, 0)
+
+
+@pytest.mark.parametrize("sym", ["B3", "H3"])
+def test_validate_rejects_a_perturbed_value(sym):
+    # the finished table passes the integer orthogonality checks; one
+    # value moved by 1 off the identity class fails the row relations
+    g = build_group(sym)
+    tab = character_table(g)
+    _validate(g, tab.classes, tab.rows, tab.dims, tab.conductor)
+    rows = [list(row) for row in tab.rows]
+    rows[-1][1] = rows[-1][1] + 1
+    with pytest.raises(_Retry, match="row orthogonality fails"):
+        _validate(g, tab.classes, rows, tab.dims, tab.conductor)

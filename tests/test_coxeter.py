@@ -362,3 +362,31 @@ def test_fingerprint_stable_across_builds():
     b = build_group("A3").fingerprint()
     assert a == b
     assert a != build_group("B3").fingerprint()
+
+
+# ---------------------------------------------------------------------------
+# diagram automorphisms
+
+
+@pytest.mark.parametrize("symbol, count", [
+    ("I2(5)", 2), ("A3", 2), ("A4", 2), ("B3", 1), ("D4", 6), ("H3", 1),
+    ("F4", 2),
+])
+def test_diagram_automorphisms_are_group_automorphisms(symbol, count):
+    g = build_group(symbol)
+    autos = g.diagram_automorphisms()
+    assert len(autos) == count
+    assert autos[0] == tuple(range(g.size))
+    gens = [g.element_by_word((s,)) for s in range(g.datum.rank)]
+    for perm in autos:
+        assert sorted(perm) == list(range(g.size))
+        sigma = [gens.index(perm[e]) for e in gens]
+        m = g.datum.coxeter_matrix
+        assert all(m[sigma[i]][sigma[j]] == m[i][j]
+                   for i in range(g.datum.rank) for j in range(i))
+        for w in range(g.size):
+            assert g.length[perm[w]] == g.length[w]
+            assert perm[g.inverse[w]] == g.inverse[perm[w]]
+            for s, t in enumerate(sigma):
+                assert perm[g.right[s][w]] == g.right[t][perm[w]]
+                assert perm[g.left[s][w]] == g.left[t][perm[w]]

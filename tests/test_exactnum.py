@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from oracles import (
     RationalFunction,
@@ -32,6 +34,56 @@ from coxcells.exactnum import (
 
 # ---------------------------------------------------------------------------
 # cyclotomic numbers
+
+
+# field axioms of Q(zeta_M) as properties, on sums of roots of unity with
+# small rational coefficients
+
+_CONDUCTORS = (5, 12, 24, 60)
+
+
+def _cyclo_numbers(order: int, count: int):
+    term = st.tuples(
+        st.integers(min_value=0, max_value=order - 1),
+        st.fractions(min_value=-3, max_value=3, max_denominator=4),
+    )
+    number = st.lists(term, max_size=5).map(lambda terms: sum(
+        (c * root_of_unity(order, k) for k, c in terms),
+        cyclo_rational(order, 0),
+    ))
+    return st.tuples(*[number] * count)
+
+
+_triples = st.sampled_from(_CONDUCTORS).flatmap(
+    lambda order: _cyclo_numbers(order, 3))
+
+
+@given(_triples)
+def test_cyclo_ring_axioms(xyz):
+    x, y, z = xyz
+    assert (x + y) + z == x + (y + z)
+    assert (x * y) * z == x * (y * z)
+    assert x * y == y * x
+    assert x * (y + z) == x * y + x * z
+    assert x - x == 0 and x * 1 == x
+
+
+@given(_triples)
+def test_cyclo_multiplicative_inverse(xyz):
+    x, y, _ = xyz
+    if x:
+        assert x * x.inverse() == 1
+        assert (y / x) * x == y
+
+
+@given(_triples)
+def test_conjugate_is_ring_automorphism(xyz):
+    x, y, _ = xyz
+    one = cyclo_rational(x.ctx.order, 1)
+    assert (x + y).conjugate() == x.conjugate() + y.conjugate()
+    assert (x * y).conjugate() == x.conjugate() * y.conjugate()
+    assert one.conjugate() == one
+    assert x.conjugate().conjugate() == x
 
 
 def test_golden_ratio_relation():

@@ -1,19 +1,22 @@
 """Cells, a-function, leading constants, asymptotic ring."""
 
+import functools
 import random
 
 import pytest
 
 from coxcells.coxeter import build_group
 from coxcells.jring import (
+    _orbit_blocks,
     compute_cells,
     compute_gamma,
     distinguished_involutions,
 )
-from coxcells.klbase import compute_kl, generator_rows
+from coxcells.klbase import _h_block, compute_kl, generator_rows
 
 from oracles import (
     compute_h_table,
+    full_leading_scan,
     gamma,
     leading_scan,
     left_leq,
@@ -136,20 +139,69 @@ def test_streaming_gamma_matches_materialized():
     assert cached.by_xy == via_stream.by_xy
 
 
+@functools.lru_cache(maxsize=None)
+def _store_and_cells(symbol):
+    store = compute_kl(build_group(symbol))
+    return store, compute_cells(generator_rows(store))
+
+
 @pytest.mark.parametrize("symbol", ["I2(5)", "A3", "H3"])
-def test_reduced_scan_matches_full_scan(rig, symbol):
-    r = rig(symbol)
-    a, lead = leading_scan(r.htable)
-    assert r.gamma.a == a
-    assert list(r.gamma.lead.items()) == list(lead.items())
+def test_full_scan_matches_row_by_row_scan(symbol):
+    store, _ = _store_and_cells(symbol)
+    a, lead = leading_scan(compute_h_table(store))
+    full_a, full_lead = full_leading_scan(store)
+    assert full_a == a
+    assert list(full_lead.items()) == list(lead.items())
 
 
-@pytest.mark.parametrize("symbol", ["A3", "B3"])
-def test_reduced_scan_same_at_two_jobs(rig, symbol):
-    r = rig(symbol)
-    parallel = compute_gamma(r.store, r.cells, jobs=2)
-    assert parallel.a == r.gamma.a
-    assert list(parallel.lead.items()) == list(r.gamma.lead.items())
+@pytest.mark.parametrize("symbol", [
+    "I2(5)", "A3", "B3", "H3", "A4", "D4", "B4",
+    pytest.param("F4", marks=pytest.mark.heavy),
+])
+def test_reduced_scan_matches_full_scan(symbol):
+    # same a, same entries and the same dict order as the scan over every
+    # row of every block, serial and in a pool
+    store, cells = _store_and_cells(symbol)
+    a, lead = full_leading_scan(store, jobs=2)
+    for jobs in (1, 2):
+        reduced = compute_gamma(store, cells, jobs=jobs)
+        assert reduced.a == a, jobs
+        assert list(reduced.lead.items()) == list(lead.items()), jobs
+
+
+@pytest.mark.parametrize("symbol, blocks", [
+    ("I2(5)", 6), ("A3", 16), ("A4", 64), ("D4", 60), ("B4", 384),
+    ("H3", 120), pytest.param("F4", 584, marks=pytest.mark.heavy),
+])
+def test_one_block_per_diagram_orbit(symbol, blocks):
+    g = build_group(symbol)
+    orbits = _orbit_blocks(g, [0] * g.size)
+    assert len(orbits) == blocks
+    members = sorted(perm[r] for r, perms in orbits.items() for perm in perms)
+    assert members == list(range(g.size))
+
+
+def test_orbit_representative_has_least_cost():
+    g = build_group("A3")
+    cost = [(7 * w) % 5 for w in range(g.size)]
+    for r, perms in _orbit_blocks(g, cost).items():
+        assert perms[0] == tuple(range(g.size))
+        assert all((cost[r], r) <= (cost[p[r]], p[r]) for p in perms)
+
+
+@pytest.mark.parametrize("symbol", ["A3", "D4"])
+def test_diagram_automorphisms_preserve_h(symbol):
+    # h_{sigma x, sigma y, sigma z} = h_{x,y,z} over whole blocks
+    store, _ = _store_and_cells(symbol)
+    kit = store.block_kit()
+    blocks = [_h_block(kit, y) for y in range(kit.size)]
+    autos = store.group.diagram_automorphisms()
+    assert len(autos) > 1
+    for g in autos:
+        for y, block in enumerate(blocks):
+            moved = blocks[g[y]]
+            for x, row in enumerate(block):
+                assert moved[g[x]] == {g[z]: p for z, p in row.items()}
 
 
 # ---------------------------------------------------------------------------

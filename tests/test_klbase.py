@@ -448,6 +448,29 @@ def test_row_bounds_hold_every_row(symbol):
             assert total <= bounds[x], (x, y)
 
 
+@pytest.mark.parametrize("symbol", ["A3", "B3", "H3"])
+def test_closed_rows_match_whole_block(symbol):
+    # a block cut to the closure of a left cell holds exactly those rows,
+    # each equal to its row in the whole block
+    store = _store(symbol)
+    kit = store.block_kit()
+    cells = compute_cells(generator_rows(store))
+    whole = [_h_block(kit, y) for y in range(kit.size)]
+    for members in cells.left_cells:
+        xs = kit.closure(members)
+        assert xs[0] == 0 and list(xs) == sorted(set(xs))
+        assert set(members) <= set(xs)
+        for x in xs[1:]:
+            s = kit.first_letter[x]
+            parent = kit.left[s][x]
+            assert {parent, *(t for t, _ in kit.mu_down[s][parent])} <= set(xs)
+        for y in range(0, kit.size, 5):
+            block = _h_block(kit, y, xs)
+            assert [x for x, row in enumerate(block) if row is not None] \
+                == list(xs)
+            assert all(block[x] == whole[y][x] for x in xs)
+
+
 # ---------------------------------------------------------------------------
 # the dagger automorphism
 
