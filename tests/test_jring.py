@@ -169,6 +169,15 @@ def test_reduced_scan_matches_full_scan(symbol):
         assert list(reduced.lead.items()) == list(lead.items()), jobs
 
 
+@pytest.mark.parametrize("symbol", ["A3", "B3"])
+def test_reduced_scan_same_at_two_jobs(symbol):
+    store, cells = _store_and_cells(symbol)
+    serial = compute_gamma(store, cells, jobs=1)
+    parallel = compute_gamma(store, cells, jobs=2)
+    assert parallel.a == serial.a
+    assert list(parallel.lead.items()) == list(serial.lead.items())
+
+
 @pytest.mark.parametrize("symbol, blocks", [
     ("I2(5)", 6), ("A3", 16), ("A4", 64), ("D4", 60), ("B4", 384),
     ("H3", 120), pytest.param("F4", 584, marks=pytest.mark.heavy),
