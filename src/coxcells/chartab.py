@@ -196,17 +196,7 @@ def _pmul(a, b, p):
 
 
 def _pmod(a, f, p):
-    # f monic
-    a = a[:]
-    df = len(f) - 1
-    while len(a) - 1 >= df and a:
-        lead = a[-1]
-        if lead:
-            shift = len(a) - 1 - df
-            for i, c in enumerate(f):
-                a[shift + i] = (a[shift + i] - lead * c) % p
-        a.pop()
-    return _ptrim(a)
+    return _pdiv(a, f, p)[1]
 
 
 def _pmonic(a, p):
@@ -279,19 +269,20 @@ def _distinct_roots(f, p, rng):
 
 
 def _pdiv(a, b, p):
+    """(quotient, remainder) of a by a nonzero b over F_p, both trimmed."""
     b = _pmonic(b, p)
-    a = [c % p for c in a]
+    a = _ptrim([c % p for c in a])
     db = len(b) - 1
     q = [0] * max(len(a) - db, 0)
-    while len(a) - 1 >= db and _ptrim(a):
-        lead = a[-1]
-        shift = len(a) - 1 - db
-        if lead:
-            q[shift] = lead
-            for i, c in enumerate(b):
-                a[shift + i] = (a[shift + i] - lead * c) % p
-        a.pop()
-    return _ptrim(q), _ptrim(a)
+    while len(a) > db:
+        # a is trimmed, so its leading coefficient is nonzero
+        lead = a.pop()
+        shift = len(a) - db
+        q[shift] = lead
+        for i in range(db):
+            a[shift + i] = (a[shift + i] - lead * b[i]) % p
+        _ptrim(a)
+    return q, a
 
 
 # ---------------------------------------------------------------------------
@@ -427,16 +418,6 @@ class CharacterTable:
         for size, a, b in zip(self.classes.sizes, f, g):
             acc = acc + a * b.conjugate() * size
         return acc * Fraction(1, self.group.size)
-
-    def multiplicity(self, f, row_index: int) -> int:
-        """Exact multiplicity of an irreducible inside a character f."""
-        m = self.inner_product(f, self.rows[row_index])
-        if not m.is_rational():
-            raise InternalInconsistencyError("irrational multiplicity")
-        q = m.as_fraction()
-        if q.denominator != 1 or q < 0:
-            raise InternalInconsistencyError(f"multiplicity {q} not in N")
-        return int(q)
 
     def tensor_sign(self, row_index: int) -> tuple:
         """Pointwise product of a row with the sign character."""

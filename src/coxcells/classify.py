@@ -494,7 +494,7 @@ def classify_group_streamed(store, cells, gamma, dset, table,
     one right-hand side per nonzero coordinate of each character;
     ordinariness from the dual-trace parity test on every coordinate,
     which is equivalent to even parity of the generic traces through the
-    triangular T-basis expansion.
+    triangular T-basis expansion.  jobs is accepted and unused.
     """
     group = store.group
     size = group.size
@@ -504,7 +504,7 @@ def classify_group_streamed(store, cells, gamma, dset, table,
     lc = cells.left_cell_of
 
     ents = []
-    stream_h_blocks(store, lambda d, block: ents.extend(block), jobs=jobs,
+    stream_h_blocks(store, lambda d, block: ents.extend(block),
                     ys=sorted(dset), reduce=partial(_cell_entries, lc))
 
     trans = [dict() for _ in range(size)]

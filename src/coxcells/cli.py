@@ -47,7 +47,11 @@ def _parser() -> argparse.ArgumentParser:
         sp.add_argument(
             "--format", choices=("json", "csv", "text"), default="json",
         )
-        sp.add_argument("--jobs", type=int, default=1)
+        sp.add_argument(
+            "--jobs", type=int, default=1,
+            help="accepted and range-checked; every block pass runs in "
+            "this process",
+        )
         sp.add_argument(
             "--max-order", type=int, default=DEFAULT_MAX_ORDER,
             help="group-size cap; raise explicitly for E-family builds",
@@ -110,9 +114,7 @@ def _cmd_group(args) -> int:
 def _cmd_cells(args) -> int:
     group = _build(args)
     cache = args.cache_dir or os.environ.get(CACHE_ENV)
-    store, htable, cells, gamma, dset = pipeline.analysis(
-        group, cache, jobs=args.jobs
-    )
+    store, htable, cells, gamma, dset = pipeline.analysis(group, cache)
     report = pipeline.cells_report(group, cells, gamma, dset)
     _emit(args, report, pipeline.cells_text, pipeline.cells_csv)
     return 0
@@ -129,7 +131,7 @@ def _cmd_chartable(args) -> int:
 def _cmd_claims(args, report_fn, text_fn, csv_fn, pass_key) -> int:
     group = _build(args)
     cache = args.cache_dir or os.environ.get(CACHE_ENV)
-    result = pipeline.classification(group, cache, jobs=args.jobs)
+    result = pipeline.classification(group, cache)
     claims = pipeline.run_claims(result, _claim_selection(args))
     report = report_fn(result, claims)
     _emit(args, report, text_fn, csv_fn)

@@ -267,17 +267,18 @@ class CycloNumber:
         return self * o.inverse()
 
     def inverse(self) -> "CycloNumber":
-        """Multiplicative inverse via the extended Euclid algorithm mod Phi_M."""
+        """Multiplicative inverse of a nonzero rational element.
+
+        The engine divides only by rationals, so an irrational divisor is
+        a broken invariant rather than a case to compute.
+        """
         if not self:
             raise ZeroDivisionError("inverse of zero cyclotomic number")
-        if self.is_rational():
-            return cyclo_rational(self.ctx.order, 1 / self.coeffs[0])
-        mod = [Fraction(c) for c in self.ctx.modulus]
-        a = list(self.coeffs)
-        inv = _fracpoly_invmod(a, mod)
-        phi = self.ctx.degree
-        inv = inv + [_ZERO] * (phi - len(inv))
-        return CycloNumber(self.ctx, tuple(inv[:phi]))
+        if not self.is_rational():
+            raise InternalInconsistencyError(
+                f"inverse of irrational {self.render()} requested"
+            )
+        return cyclo_rational(self.ctx.order, 1 / self.coeffs[0])
 
     def conjugate(self) -> "CycloNumber":
         """Complex conjugation, i.e. the Galois map zeta -> zeta^(-1)."""
@@ -346,51 +347,6 @@ class CycloNumber:
 
     def __repr__(self) -> str:
         return f"CycloNumber({self.ctx.order}, {self.render()})"
-
-
-def _fracpoly_divmod(a: list, b: list):
-    """divmod for dense Fraction polynomials, ascending coefficients."""
-    a = list(a)
-    while a and not a[-1]:
-        a.pop()
-    db = len(b) - 1
-    lead = b[-1]
-    q = [_ZERO] * max(0, len(a) - db)
-    while len(a) - 1 >= db and a:
-        c = a[-1] / lead
-        k = len(a) - 1 - db
-        q[k] = c
-        for j in range(db + 1):
-            a[k + j] -= c * b[j]
-        while a and not a[-1]:
-            a.pop()
-    return q, a
-
-
-def _fracpoly_invmod(a: list, mod: list) -> list:
-    """Inverse of a modulo mod over Q, both dense ascending Fraction lists."""
-    r0, r1 = list(mod), [Fraction(x) for x in a]
-    s0, s1 = [_ZERO], [_ONE]
-    while True:
-        while r1 and not r1[-1]:
-            r1.pop()
-        if len(r1) == 1:
-            c = r1[0]
-            return [x / c for x in s1]
-        if not r1:
-            raise InternalInconsistencyError("non-invertible cyclotomic element")
-        q, r = _fracpoly_divmod(r0, r1)
-        qs = _dense_mul(q, s1)
-        news = [x - y for x, y in _zip_pad(s0, qs)]
-        r0, r1 = r1, r
-        s0, s1 = s1, news
-
-
-def _zip_pad(a: list, b: list):
-    n = max(len(a), len(b))
-    a = a + [_ZERO] * (n - len(a))
-    b = b + [_ZERO] * (n - len(b))
-    return zip(a, b)
 
 
 # -- constructors ----------------------------------------------------------

@@ -18,10 +18,10 @@ The single scan that produces a and the leading coefficients reads in
 block y only the rows x of the left cell of y^-1, where Lusztig's P8
 puts every leading term, computes only those rows and the rows they are
 built from, and computes one block per orbit of the diagram
-automorphisms.  Each block is reduced where it is computed, so no group
-ever holds the full table in memory and pool workers return only the
-block's leading terms.  The result is small enough to cache; a cached
-scan gets the same checks as a fresh one.
+automorphisms.  Each block is reduced to its leading terms as soon as
+it is computed, so no group ever holds the full table in memory.  The
+result is small enough to cache; a cached scan gets the same checks as a
+fresh one.
 """
 
 from __future__ import annotations
@@ -250,7 +250,7 @@ def _orbit_blocks(group: CoxeterGroup, cost: list) -> dict:
     return dict(sorted(out.items()))
 
 
-def _leading_scan(store: KLStore, cells: CellPartition, jobs: int = 1):
+def _leading_scan(store: KLStore, cells: CellPartition):
     """Per z the top degree of h_{x,y,z} and the leading coefficients
     at it with their (x, y).  Returns (a, lead).
 
@@ -292,7 +292,7 @@ def _leading_scan(store: KLStore, cells: CellPartition, jobs: int = 1):
                     cands[z].extend((y, g[x], c) for x, c in xs)
 
     reads = [cells.left_cells[c] for c in cell]
-    stream_h_blocks(store, merge, jobs=jobs, ys=list(orbits),
+    stream_h_blocks(store, merge, ys=list(orbits),
                     reduce=functools.partial(_cell_leads, reads),
                     rows=[built[c] for c in cell])
     lead = {
@@ -308,9 +308,10 @@ def compute_gamma(store: KLStore, cells: CellPartition, jobs: int = 1,
     The scan reads the left-cell rows of one block per diagram orbit
     (see `_leading_scan`), which is why it takes the cells.  scan, when
     given, is a cached (a, lead) pair that replaces it; it is checked
-    exactly like a fresh one.
+    exactly like a fresh one.  jobs is accepted and unused: every block
+    is computed in this process.
     """
-    a, lead = _leading_scan(store, cells, jobs) if scan is None else scan
+    a, lead = _leading_scan(store, cells) if scan is None else scan
     if a[0] != 0:
         raise InternalInconsistencyError(f"a(identity) = {a[0]}, not 0")
     for members in cells.two_sided_cells:

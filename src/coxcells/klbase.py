@@ -28,12 +28,12 @@ Products c_x c_y = sum over z of h_{x,y,z} c_z come in bulk from the
 left-multiplication recursion on blocks of fixed y (`stream_h_blocks`),
 which never touches the T-basis and is what makes the big groups
 affordable.  No all-pairs table is ever held: each block can be reduced
-where it is computed, in a worker process when there are several, and
-only the reduction comes back.  A block can also be cut to a set of rows
-closed under the recursion (`BlockKit.closure`); the leading scan cuts
-each block to the rows of one left cell (Lusztig's P8, see
-`jring._leading_scan`).  The test suite checks the blocks against
-products taken row by row through the T-basis.
+as soon as it is computed, and only the reduction is kept.  A block can
+also be cut to a set of rows closed under the recursion
+(`BlockKit.closure`); the leading scan cuts each block to the rows of
+one left cell (Lusztig's P8, see `jring._leading_scan`).  Every block
+is computed in the calling process.  The test suite checks the blocks
+against products taken row by row through the T-basis.
 
 The cache holds the P rows (mu is read off them again on load) and the
 result of the leading scan (a-values and leading coefficients), not the
@@ -45,7 +45,6 @@ read.
 
 from __future__ import annotations
 
-import collections
 import hashlib
 import io
 import json
@@ -425,8 +424,8 @@ def _h_block(kit: BlockKit, y: int, xs: tuple | None = None) -> list:
     return rows
 
 
-def stream_h_blocks(store: KLStore, consumer, jobs: int = 1, ys=None,
-                    reduce=None, rows=None):
+def stream_h_blocks(store: KLStore, consumer, ys=None, reduce=None,
+                    rows=None):
     """Run the h recursion block by block, in the order of ys.
 
     ys selects which y-blocks to visit (all of them by default).  rows,
@@ -435,59 +434,19 @@ def stream_h_blocks(store: KLStore, consumer, jobs: int = 1, ys=None,
     are None.  With no reduce, `consumer(x, y, row)` receives every row
     of every block, packed.  With reduce, `consumer(y, reduce(kit, y,
     block))` receives one result per block, kit being the store's
-    `BlockKit` (whose `unpack` and `lead` decode an entry).  With
-    jobs > 1 the blocks are computed and reduced in worker processes, so
-    only the reductions cross the pool; reduce must then be picklable.
+    `BlockKit` (whose `unpack` and `lead` decode an entry), and the
+    block is dropped before the next one is computed.
     """
     kit = store.block_kit()
-    targets = range(kit.size) if ys is None else list(ys)
-    work = [(y, None if rows is None else rows[y]) for y in targets]
-    if reduce is not None:
-        for y, out in zip(targets, _reduced_blocks(kit, reduce, jobs, work)):
-            consumer(y, out)
-        return
-    for y, block in zip(targets, _reduced_blocks(kit, _whole_block, jobs,
-                                                 work)):
-        for x, row in enumerate(block):
-            consumer(x, y, row)
-
-
-def _whole_block(kit: BlockKit, y: int, block: list) -> list:
-    return block
-
-
-def _reduced_blocks(kit: BlockKit, reduce, jobs: int, work):
-    """Yield `reduce(kit, y, block)` for each (y, xs) in work, in order."""
-    if jobs <= 1:
-        for y, xs in work:
-            yield reduce(kit, y, _h_block(kit, y, xs))
-        return
-    import concurrent.futures as cf
-
-    with cf.ProcessPoolExecutor(
-        max_workers=jobs, initializer=_init_worker, initargs=(kit, reduce)
-    ) as pool:
-        # at most 2 * jobs blocks in flight, yielded in submission order
-        window = collections.deque()
-        for y, xs in work:
-            window.append(pool.submit(_reduce_worker, y, xs))
-            if len(window) == 2 * jobs:
-                yield window.popleft().result()
-        for future in window:
-            yield future.result()
-
-
-_WORKER = None
-
-
-def _init_worker(kit: BlockKit, reduce):
-    global _WORKER
-    _WORKER = (kit, reduce)
-
-
-def _reduce_worker(y: int, xs):
-    kit, reduce = _WORKER
-    return reduce(kit, y, _h_block(kit, y, xs))
+    for y in range(kit.size) if ys is None else ys:
+        block = _h_block(kit, y, None if rows is None else rows[y])
+        if reduce is not None:
+            consumer(y, reduce(kit, y, block))
+        else:
+            for x, row in enumerate(block):
+                consumer(x, y, row)
+        # two whole blocks alive at once would raise the peak memory
+        del block
 
 
 # ---------------------------------------------------------------------------

@@ -60,17 +60,18 @@ def load_stores(group, cache_dir=None):
 def analysis(group, cache_dir=None, jobs=1):
     """Everything through cells, leading coefficients and distinguished
     involutions, as (store, None, cells, gamma, dset); the second slot
-    is kept for callers that unpack five values."""
+    is kept for callers that unpack five values.  jobs is accepted and
+    unused."""
     store, scan = load_stores(group, cache_dir)
     cells = compute_cells(generator_rows(store))
-    gamma = compute_gamma(store, cells, jobs=jobs, scan=scan)
+    gamma = compute_gamma(store, cells, scan=scan)
     if cache_dir and scan is None:
         cache_save(store, gamma, _cache_path(group, cache_dir))
     dset = distinguished_involutions(gamma, cells, store)
     return store, None, cells, gamma, dset
 
 
-def classification(group, cache_dir=None, jobs=1):
+def classification(group, cache_dir=None):
     """Full classification result.
 
     A heavy group that is not crystallographic is refused before any
@@ -83,9 +84,9 @@ def classification(group, cache_dir=None, jobs=1):
             f"{group.size}) is refused: from order {HEAVY_ORDER} up only "
             "crystallographic types are classified"
         )
-    store, _, cells, gamma, dset = analysis(group, cache_dir, jobs)
+    store, _, cells, gamma, dset = analysis(group, cache_dir)
     table = character_table(group)
-    return classify_group_streamed(store, cells, gamma, dset, table, jobs=jobs)
+    return classify_group_streamed(store, cells, gamma, dset, table)
 
 
 def run_claims(result, claim_ids=None):

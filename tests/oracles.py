@@ -16,9 +16,10 @@ diagram-automorphism orbit), and the cross-cutting property checks on a
 finished classification live here for the same reason.
 
 So do the helpers only the tests use: the Bruhat order, descent sets, the
-CycloNumber reflection matrices, complex embeddings and powers, the
-value-polynomial arithmetic (`vp` extends the library's constants), the
-packing that `klbase.unpack` inverts and a few LaurentPoly operations.
+CycloNumber reflection matrices, complex embeddings and powers, inverses
+of irrational CycloNumbers, character multiplicities, the value-polynomial
+arithmetic (`vp` extends the library's constants), the packing that
+`klbase.unpack` inverts and a few LaurentPoly operations.
 """
 
 import cmath
@@ -38,6 +39,7 @@ from coxcells.errors import InternalInconsistencyError, UsageError
 from coxcells.exactnum import (
     CycloNumber,
     LaurentPoly,
+    _dense_mul,
     cyclo_context,
     cyclo_rational,
     embed_cyclo,
@@ -171,10 +173,67 @@ def bar(p: LaurentPoly) -> LaurentPoly:
     return LaurentPoly({-e: c for e, c in p.coeffs.items()}, p.var)
 
 
+def cyclo_inverse(x: CycloNumber) -> CycloNumber:
+    """Inverse of any nonzero element of Q(zeta_M), by the extended
+    Euclid algorithm modulo Phi_M; the library inverts only rationals."""
+    if x.is_rational():
+        return x.inverse()
+    mod = [Fraction(c) for c in x.ctx.modulus]
+    inv = _fracpoly_invmod(list(x.coeffs), mod)
+    phi = x.ctx.degree
+    inv = inv + [Fraction(0)] * (phi - len(inv))
+    return CycloNumber(x.ctx, tuple(inv[:phi]))
+
+
+def _fracpoly_divmod(a: list, b: list):
+    """divmod for dense Fraction polynomials, ascending coefficients."""
+    a = list(a)
+    while a and not a[-1]:
+        a.pop()
+    db = len(b) - 1
+    lead = b[-1]
+    q = [Fraction(0)] * max(0, len(a) - db)
+    while len(a) - 1 >= db and a:
+        c = a[-1] / lead
+        k = len(a) - 1 - db
+        q[k] = c
+        for j in range(db + 1):
+            a[k + j] -= c * b[j]
+        while a and not a[-1]:
+            a.pop()
+    return q, a
+
+
+def _fracpoly_invmod(a: list, mod: list) -> list:
+    """Inverse of a modulo mod over Q, both dense ascending Fraction lists."""
+    r0, r1 = list(mod), [Fraction(x) for x in a]
+    s0, s1 = [Fraction(0)], [Fraction(1)]
+    while True:
+        while r1 and not r1[-1]:
+            r1.pop()
+        if len(r1) == 1:
+            c = r1[0]
+            return [x / c for x in s1]
+        if not r1:
+            raise InternalInconsistencyError("non-invertible cyclotomic element")
+        q, r = _fracpoly_divmod(r0, r1)
+        qs = _dense_mul(q, s1)
+        news = [x - y for x, y in _zip_pad(s0, qs)]
+        r0, r1 = r1, r
+        s0, s1 = s1, news
+
+
+def _zip_pad(a: list, b: list):
+    n = max(len(a), len(b))
+    a = a + [Fraction(0)] * (n - len(a))
+    b = b + [Fraction(0)] * (n - len(b))
+    return zip(a, b)
+
+
 def cyclo_pow(x: CycloNumber, n: int) -> CycloNumber:
     """x^n by repeated squaring; a negative n inverts first."""
     if n < 0:
-        return cyclo_pow(x.inverse(), -n)
+        return cyclo_pow(cyclo_inverse(x), -n)
     out = x.ctx.one
     while n:
         if n & 1:
@@ -887,7 +946,7 @@ def full_block_leads(kit, y: int, block: list) -> dict:
     }
 
 
-def full_leading_scan(store, jobs: int = 1):
+def full_leading_scan(store):
     """(a, lead) over every row of every block, with no cell or symmetry
     taken into account; merging the blocks in order keeps the (y, x)
     order of a scan row by row."""
@@ -904,7 +963,7 @@ def full_leading_scan(store, jobs: int = 1):
             elif d == b:
                 cands[z].update(((x, y), c) for x, c in xs)
 
-    stream_h_blocks(store, merge, jobs=jobs, reduce=full_block_leads)
+    stream_h_blocks(store, merge, reduce=full_block_leads)
     lead = {
         (x, y, z): c
         for z in range(size)
@@ -977,6 +1036,18 @@ def dagger_T_basis(store, x: int) -> dict:
 # ---------------------------------------------------------------------------
 # cell modules
 
+def multiplicity(table, f, i: int) -> int:
+    """Exact multiplicity of the irreducible of row i inside a character
+    f of the character table."""
+    m = table.inner_product(f, table.rows[i])
+    if not m.is_rational():
+        raise InternalInconsistencyError("irrational multiplicity")
+    q = m.as_fraction()
+    if q.denominator != 1 or q < 0:
+        raise InternalInconsistencyError(f"multiplicity {q} not in N")
+    return int(q)
+
+
 def left_cell_module(htable, cells, table, cell_id, orientation="standard"):
     """Multiset of irreducibles carried by one left cell, as a dict
     {row index: multiplicity}.
@@ -1027,7 +1098,7 @@ def left_cell_module(htable, cells, table, cell_id, orientation="standard"):
     fvals = tuple(cyclo_rational(M, t) for t in vals)
     mults = {}
     for i in range(len(table)):
-        m = table.multiplicity(fvals, i)
+        m = multiplicity(table, fvals, i)
         if m:
             mults[i] = m
     if sum(m * table.dims[i] for i, m in mults.items()) != n:
@@ -1420,7 +1491,7 @@ class RationalFunction:
         lead = den.coeffs[den.degree()]
         if lead != 1:
             if isinstance(lead, CycloNumber):
-                inv = lead.inverse()
+                inv = cyclo_inverse(lead)
             else:
                 inv = Fraction(1) / Fraction(lead)
             num = num * inv

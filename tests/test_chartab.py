@@ -4,12 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from coxcells.chartab import _Retry, _validate, character_table
+from coxcells.chartab import _Retry, _pdiv, _pmod, _validate, character_table
 from coxcells.coxeter import build_group
 from coxcells.errors import InternalInconsistencyError
 from coxcells.exactnum import cyclo_rational
 
-from oracles import dihedral_character_table
+from oracles import dihedral_character_table, multiplicity
 
 
 def _cyclo_row(group, row):
@@ -86,7 +86,7 @@ def test_regular_character_decomposes_by_dimension():
         for j in range(len(tab.classes))
     )
     for i, d in enumerate(tab.dims):
-        assert tab.multiplicity(reg, i) == d
+        assert multiplicity(tab, reg, i) == d
 
 
 def test_crystallographic_values_are_integers():
@@ -105,7 +105,7 @@ def test_conjugation_permutation_character_nonnegative():
         pi = tuple(
             cyclo_rational(M, g.size // n) for n in tab.classes.sizes
         )
-        mults = [tab.multiplicity(pi, i) for i in range(len(tab))]
+        mults = [multiplicity(tab, pi, i) for i in range(len(tab))]
         assert all(m >= 0 for m in mults)
         # the multiplicities reconstruct the permutation character
         for j in range(len(tab.classes)):
@@ -172,7 +172,14 @@ def test_multiplicity_rejects_fractional():
     M = tab.conductor
     half = tuple(cyclo_rational(M, Fraction(1, 2)) for _ in range(len(tab.classes)))
     with pytest.raises(InternalInconsistencyError):
-        tab.multiplicity(half, 0)
+        multiplicity(tab, half, 0)
+
+
+def test_pdiv_remainder_below_divisor_degree():
+    # x^3 = x (x^2 + 1) - x over F_7: the remainder falls below deg b
+    # after one step and must stop there
+    assert _pdiv([0, 0, 0, 1], [1, 0, 1], 7) == ([0, 1], [0, 6])
+    assert _pmod([0, 0, 0, 1], [1, 0, 1], 7) == [0, 6]
 
 
 @pytest.mark.parametrize("sym", ["B3", "H3"])

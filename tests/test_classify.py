@@ -490,9 +490,9 @@ def test_distinguished_blocks_streamed_once(rig, monkeypatch):
         r = rig(symbol)
         calls = []
 
-        def recorder(store, consumer, jobs=1, ys=None, reduce=None):
+        def recorder(store, consumer, ys=None, reduce=None):
             calls.append(list(ys))
-            return real(store, consumer, jobs=jobs, ys=ys, reduce=reduce)
+            return real(store, consumer, ys=ys, reduce=reduce)
 
         monkeypatch.setattr(classify_mod, "stream_h_blocks", recorder)
         got = classify_group_streamed(r.store, r.cells, r.gamma, r.dset,

@@ -156,7 +156,7 @@ def test_jobs_below_one_is_usage_error(capsys):
 
 
 def test_jobs_above_cpu_count_is_usage_error(capsys, monkeypatch):
-    # refused before any group is built, so no worker is ever started
+    # refused before any group is built
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     monkeypatch.setattr(cli, "build_group",
                         lambda *a, **k: pytest.fail("group built"))
@@ -164,6 +164,24 @@ def test_jobs_above_cpu_count_is_usage_error(capsys, monkeypatch):
     assert code == 2
     assert out == ""
     assert "--jobs" in err
+
+
+def test_jobs_changes_nothing(capsys, monkeypatch, tmp_path):
+    # every block pass runs in this process, whatever --jobs says
+    def no_pool(*args, **kwargs):
+        raise AssertionError("process pool started")
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
+    for argv in (("classify", "--type", "B3"), ("cells", "--type", "A3")):
+        outs = []
+        for jobs in ("1", "2"):
+            cache = str(tmp_path / f"{argv[0]}-{jobs}")
+            code, out, err = _run(capsys, *argv, "--jobs", jobs,
+                                  "--cache-dir", cache)
+            assert code == 0 and err == "", (argv, jobs)
+            outs.append(out)
+        assert outs[0] == outs[1], argv
 
 
 def test_bad_type_rejected(capsys):

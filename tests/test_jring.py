@@ -133,8 +133,6 @@ def test_streaming_gamma_matches_materialized():
     via_stream = compute_gamma(store, cells)
     assert via_stream.a == a
     assert via_stream.lead == lead
-    via_jobs = compute_gamma(store, cells, jobs=2)
-    assert via_jobs.lead == via_stream.lead
     cached = compute_gamma(store, cells, scan=(via_stream.a, via_stream.lead))
     assert cached.by_xy == via_stream.by_xy
 
@@ -160,22 +158,12 @@ def test_full_scan_matches_row_by_row_scan(symbol):
 ])
 def test_reduced_scan_matches_full_scan(symbol):
     # same a, same entries and the same dict order as the scan over every
-    # row of every block, serial and in a pool
+    # row of every block
     store, cells = _store_and_cells(symbol)
-    a, lead = full_leading_scan(store, jobs=2)
-    for jobs in (1, 2):
-        reduced = compute_gamma(store, cells, jobs=jobs)
-        assert reduced.a == a, jobs
-        assert list(reduced.lead.items()) == list(lead.items()), jobs
-
-
-@pytest.mark.parametrize("symbol", ["A3", "B3"])
-def test_reduced_scan_same_at_two_jobs(symbol):
-    store, cells = _store_and_cells(symbol)
-    serial = compute_gamma(store, cells, jobs=1)
-    parallel = compute_gamma(store, cells, jobs=2)
-    assert parallel.a == serial.a
-    assert list(parallel.lead.items()) == list(serial.lead.items())
+    a, lead = full_leading_scan(store)
+    reduced = compute_gamma(store, cells)
+    assert reduced.a == a
+    assert list(reduced.lead.items()) == list(lead.items())
 
 
 @pytest.mark.parametrize("symbol, blocks", [
