@@ -151,6 +151,16 @@ def _nullspace(mat, p):
     return out
 
 
+def _newton(traces, p):
+    """det(1 - X A) mod p, little-endian, from the power traces tr A^m,
+    m = 1..d, by Newton's identities: m c_m = -sum_j c_(m-j) tr A^j."""
+    c = [1] + [0] * len(traces)
+    for m in range(1, len(traces) + 1):
+        acc = sum(c[m - j] * traces[j - 1] for j in range(1, m + 1))
+        c[m] = -acc % p * pow(m, p - 2, p) % p
+    return c
+
+
 def _charpoly(mat, p):
     """Characteristic polynomial mod p from power traces, little-endian."""
     d = len(mat)
@@ -163,19 +173,8 @@ def _charpoly(mat, p):
                 [sum(cur[i][t] * mat[t][j] for t in range(d)) % p for j in range(d)]
                 for i in range(d)
             ]
-    e = [1] + [0] * d
-    for i in range(1, d + 1):
-        acc = 0
-        sign = 1
-        for j in range(1, i + 1):
-            acc += sign * e[i - j] * traces[j - 1]
-            sign = -sign
-        e[i] = acc % p * pow(i, p - 2, p) % p
-    out = [0] * (d + 1)
-    out[d] = 1
-    for m in range(1, d + 1):
-        out[d - m] = (e[m] if m % 2 == 0 else -e[m]) % p
-    return out
+    # det(X - A) is det(1 - X A) with its coefficients reversed
+    return _newton(traces, p)[::-1]
 
 
 def _ptrim(a):
@@ -270,7 +269,9 @@ def _distinct_roots(f, p, rng):
 
 def _pdiv(a, b, p):
     """(quotient, remainder) of a by a nonzero b over F_p, both trimmed."""
-    b = _pmonic(b, p)
+    b = _ptrim([c % p for c in b])
+    inv = pow(b[-1], p - 2, p)
+    b = [c * inv % p for c in b]
     a = _ptrim([c % p for c in a])
     db = len(b) - 1
     q = [0] * max(len(a) - db, 0)
@@ -282,7 +283,8 @@ def _pdiv(a, b, p):
         for i in range(db):
             a[shift + i] = (a[shift + i] - lead * b[i]) % p
         _ptrim(a)
-    return q, a
+    # q is the quotient by b / lead(b)
+    return [c * inv % p for c in q], a
 
 
 # ---------------------------------------------------------------------------

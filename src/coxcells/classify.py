@@ -25,10 +25,14 @@ rationals, verified exactly in integers (each column scaled by the lcm
 of its denominators) and reassembled in Q(zeta_M).  The parity test then
 runs on the dual-basis traces of every coordinate.
 
-Fake degrees follow Molien's formula one conjugacy class at a time: by
-Springer's theorem every det(1 - X w) divides prod_i (1 - X^d_i), so each
-class contributes an exact polynomial quotient of degree N (the number
-of positive roots) and no common denominator is formed.
+Fake degrees follow Molien's formula one conjugacy class at a time,
+modulo one prime p = 1 mod M above |W|, where zeta_M -> eta (a primitive
+M-th root mod p) is a ring map from Z[zeta_M], which holds the character
+values and, since det(1 - X w) has constant term 1, the class quotients
+of Springer's divisibility.  A coefficient c_e obeys 0 <= c_e chi(1) <=
+[X^e] Poincare < |W| < p, so its residue is c_e; a residue out of that
+bound, a division remainder, a wrong degree sum or a missed Poincare sum
+raises.
 """
 
 import time
@@ -37,13 +41,12 @@ from fractions import Fraction
 from functools import partial
 from math import gcd, isqrt, lcm
 
-from .chartab import _is_prime
+from .chartab import _is_prime, _newton, _pdiv, _primitive_root
 from .errors import InternalInconsistencyError, UsageError
 from .exactnum import (
     CycloNumber,
     LaurentPoly,
     cyclo_context,
-    exact_divide,
     is_palindromic,
 )
 from .klbase import stream_h_blocks, vp
@@ -109,100 +112,106 @@ def _parity_from_dual(trc_by_x, lengths) -> bool:
 # ---------------------------------------------------------------------------
 # fake degrees
 
-def _reflection_charpolys(group, table):
-    """det(1 - X rho(w)) per conjugacy class, in the table's conductor.
+def _residue_map(conductor, order):
+    """(p, to_fp): the first prime p = 1 mod conductor above order, and the
+    ring map Z[zeta_M] -> F_p sending zeta_M to a primitive M-th root of
+    unity.  The power-basis coordinates of the values mapped are integers
+    (chartab._validate checks them)."""
+    p = conductor + 1
+    while p <= order or not _is_prime(p):
+        p += conductor
+    eta = pow(_primitive_root(p), (p - 1) // conductor, p)
+    etas = [pow(eta, k, p) for k in range(cyclo_context(conductor).degree)]
+
+    def to_fp(v):
+        return sum(c.numerator * t for c, t in zip(v.coeffs, etas) if c) % p
+
+    return p, to_fp
+
+
+def _reflection_charpolys(group, table, p, to_fp):
+    """det(1 - X rho(w)) mod p per conjugacy class, little-endian.
 
     The power traces tr rho(w^k) are the reflection character's values
     at the classes of w^k; Newton's identities turn them into the
-    elementary symmetric functions of the eigenvalues."""
-    rank = group.datum.rank
-    refl = table.rows[table.reflection_index]
+    coefficients."""
+    refl = [to_fp(v) for v in table.rows[table.reflection_index]]
     class_of = table.classes.class_of
-    ctx = cyclo_context(table.conductor)
     polys = []
     for rep in table.classes.representatives:
         traces = []
         cur = rep
-        for _ in range(rank):
+        for _ in range(group.datum.rank):
             traces.append(refl[class_of[cur]])
             cur = group.multiply(cur, rep)
-        elem = [ctx.one]
-        for k in range(1, rank + 1):
-            acc = ctx.zero
-            sign = 1
-            for i in range(1, k + 1):
-                acc = acc + sign * elem[k - i] * traces[i - 1]
-                sign = -sign
-            elem.append(acc * Fraction(1, k))
-        polys.append(LaurentPoly(
-            {k: -e if k % 2 else e for k, e in enumerate(elem)}, var="X"
-        ))
+        polys.append(_newton(traces, p))
     return polys
 
 
-def _class_quotients(degrees, charpolys):
-    """Q_j = prod_i (1 - X^d_i) / det(1 - X w_j) per class, by exact
-    division: every det(1 - X w) divides that product (Springer,
-    Regular elements of finite reflection groups, Thm 3.4), so a
-    remainder means a wrong class polynomial."""
-    one = LaurentPoly.constant(1, var="X")
-    co = one
+def _class_quotients(degrees, charpolys, p):
+    """Q_j = prod_i (1 - X^d_i) / det(1 - X w_j) mod p per class: every
+    det(1 - X w) divides that product (Springer, Regular elements of
+    finite reflection groups, Thm 3.4), so a remainder means a wrong
+    class polynomial."""
+    co = [1]
     for d in degrees:
-        co = co * (one - LaurentPoly.monomial(d, var="X"))
-    return [exact_divide(co, p) for p in charpolys]
+        co = [a - b for a, b in zip(co + [0] * d, [0] * d + co)]
+    out = []
+    for poly in charpolys:
+        q, r = _pdiv(co, poly, p)
+        if r:
+            raise InternalInconsistencyError("inexact class quotient")
+        out.append(q)
+    return out
 
 
 def fake_degrees(group, table):
     """Graded multiplicities of every irreducible in the coinvariant
     algebra, as polynomials in X with nonnegative integer coefficients.
 
-    Molien's formula class by class: P_chi = (1/|W|) sum_j |C_j| chi(C_j)
-    Q_j with the per-class quotients of `_class_quotients`, each of
-    degree N, the number of positive roots.  The degree-sum identity
-    against the length generating function is asserted before returning.
+    Molien's formula class by class modulo the prime p of `_residue_map`:
+    P_chi = |W|^-1 sum_j |C_j| chi(C_j) Q_j with the quotients of
+    `_class_quotients`, of degree N, the number of positive roots.  One
+    prime is exact: zeta_M -> eta is a ring map from Z[zeta_M], which holds
+    the values and the quotients (det(1 - X w) has constant term 1), and
+    0 <= c_e chi(1) <= [X^e] Poincare < |W| < p, so a residue is the
+    coefficient.  A residue out of that bound raises, as do a series not
+    summing to chi(1) and degree-weighted series missing the Poincare
+    polynomial.
     """
+    p, to_fp = _residue_map(table.conductor, group.size)
     quots = _class_quotients(
-        group.datum.degrees, _reflection_charpolys(group, table)
+        group.datum.degrees, _reflection_charpolys(group, table, p, to_fp), p
     )
     top = group.datum.num_positive_roots
-    zero = cyclo_context(table.conductor).zero
-    out = []
-    for idx in range(len(table)):
-        row = table.rows[idx]
-        acc = [zero] * (top + 1)
-        for j, q in enumerate(quots):
-            scale = row[j] * table.classes.sizes[j]
+    poincare = [group.poincare_polynomial().coeff(e) for e in range(top + 1)]
+    inv_order = pow(group.size, p - 2, p)
+    series = []
+    for row, dim in zip(table.rows, table.dims):
+        acc = [0] * (top + 1)
+        for q, v, size in zip(quots, row, table.classes.sizes):
+            scale = to_fp(v) * size
             if scale:
-                for e, c in q.coeffs.items():
-                    acc[e] = acc[e] + scale * c
-        coeffs = {}
-        for e, c in enumerate(acc):
-            c = c / group.size
-            if not (c.is_rational() and c.is_integer()):
-                raise InternalInconsistencyError(
-                    f"graded multiplicity {c.render()} is not an integer"
-                )
-            iv = int(c.as_fraction())
-            if iv < 0:
-                raise InternalInconsistencyError(
-                    "negative term in a graded multiplicity series"
-                )
-            coeffs[e] = iv
-        p = LaurentPoly(coeffs, var="X")
-        if p.at_one() != table.dims[idx]:
+                for e, c in enumerate(q):
+                    acc[e] += scale * c
+        coeffs = [c * inv_order % p for c in acc]
+        if any(c * dim > bound for c, bound in zip(coeffs, poincare)):
+            raise InternalInconsistencyError(
+                "graded multiplicity outside [0, [X^e] Poincare / degree]"
+            )
+        if sum(coeffs) != dim:
             raise InternalInconsistencyError(
                 "graded multiplicities do not sum to the degree"
             )
-        out.append(p)
-    total = LaurentPoly.zero("X")
-    for d, p in zip(table.dims, out):
-        total = total + p * d
-    if total != group.poincare_polynomial():
+        series.append(coeffs)
+    total = [sum(d * c[e] for d, c in zip(table.dims, series))
+             for e in range(top + 1)]
+    if total != poincare:
         raise InternalInconsistencyError(
             "degree-weighted sum of graded series misses the length "
             "generating function"
         )
-    return tuple(out)
+    return tuple(LaurentPoly(dict(enumerate(c)), var="X") for c in series)
 
 
 # ---------------------------------------------------------------------------
@@ -525,7 +534,7 @@ def classify_group_streamed(store, cells, gamma, dset, table,
     for i, jt in enumerate(jts):
         if sum((jt[d] for d in dset), zero) != table.dims[i]:
             raise InternalInconsistencyError(
-                "unit trace differs from the degree in the streamed lane"
+                "unit trace differs from the degree"
             )
 
     # dual-basis traces per coordinate column, exponent dicts;

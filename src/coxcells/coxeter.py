@@ -34,9 +34,9 @@ from math import lcm
 from .errors import InternalInconsistencyError, RefusalError, UsageError
 from .exactnum import (
     LaurentPoly,
+    _cyclotomic_coeffs,
+    _dense_divmod,
     cyclo_context,
-    cyclotomic_polynomial,
-    poly_divmod,
     two_cos_pi_over,
 )
 
@@ -541,20 +541,22 @@ def degrees_from_poincare(poincare: LaurentPoly, rank: int, order: int) -> tuple
     """
     if poincare.at_one() != order:
         raise InternalInconsistencyError("Poincare polynomial mass mismatch")
+    if poincare.valuation() < 0:
+        raise UsageError("a Poincare polynomial has no negative exponents")
+    rem = [poincare.coeff(e) for e in range(poincare.degree() + 1)]
     mult = {}
-    rem = poincare
     e = 2
-    while rem.degree() > 0:
-        phi_e = cyclotomic_polynomial(e, poincare.var)
+    # phi(e) >= sqrt(e / 2), so Phi_e of degree <= deg rem has e <= 2 deg^2
+    while len(rem) > 1 and e <= 2 * (len(rem) - 1) ** 2:
+        phi_e = list(_cyclotomic_coeffs(e))
         while True:
-            q, r = poly_divmod(rem, phi_e)
-            if r.is_zero():
-                mult[e] = mult.get(e, 0) + 1
-                rem = q
-            else:
+            q, r = _dense_divmod(rem, phi_e)
+            if r:
                 break
+            mult[e] = mult.get(e, 0) + 1
+            rem = q
         e += 1
-    if rem != LaurentPoly.constant(1, poincare.var):
+    if rem != [1]:
         raise InternalInconsistencyError("Poincare polynomial is not cyclotomic")
     degrees = []
     for _ in range(rank):

@@ -8,13 +8,12 @@ Two number domains live here:
   single fixed conductor M, so no field towers ever appear.
 
 * ``LaurentPoly``: a sparse Laurent polynomial in one variable with exact
-  coefficients (int, Fraction or CycloNumber).  The variable ``v`` carries the
-  Hecke-algebra parameter; the same class with variable ``X`` carries Poincare
-  series and fake-degree polynomials.
+  coefficients (int, Fraction or CycloNumber).  The engine uses it, in the
+  variable ``X`` and with integer coefficients, for the Poincare series and
+  the fake degrees.
 
 Everything is immutable by convention and hash/compare-safe, so values can be
-shared freely across threads and used as dictionary keys.  No floating point
-is used anywhere.
+used as dictionary keys.  No floating point is used anywhere.
 
 >>> g = root_of_unity(5, 1) + root_of_unity(5, 4)
 >>> g * g + g == cyclo_rational(5, 1)
@@ -36,10 +35,7 @@ __all__ = [
     "LaurentPoly",
     "cyclo_context",
     "cyclo_rational",
-    "cyclotomic_polynomial",
-    "exact_divide",
     "is_palindromic",
-    "poly_divmod",
     "root_of_unity",
     "two_cos_pi_over",
 ]
@@ -69,23 +65,23 @@ def _dense_mul(a: list, b: list) -> list:
     return _dense_trim(out)
 
 
-def _dense_exact_div(num: list, den: list) -> list:
-    """Exact division of dense integer polynomials; remainder must vanish."""
-    num = list(num)
-    q = [0] * (len(num) - len(den) + 1)
+def _dense_divmod(num: list, den: list) -> tuple:
+    """Quotient and remainder of dense integer polynomials, the remainder
+    trimmed and below deg den; den must be trimmed, and a quotient
+    coefficient that is not an integer raises."""
+    rem = list(num)
+    q = [0] * max(len(num) - len(den) + 1, 0)
     lead = den[-1]
     for k in range(len(num) - len(den), -1, -1):
-        c = num[k + len(den) - 1]
+        c = rem[k + len(den) - 1]
         if c % lead:
             raise InternalInconsistencyError("inexact dense polynomial division")
         c //= lead
         q[k] = c
         if c:
             for j, dj in enumerate(den):
-                num[k + j] -= c * dj
-    if any(num):
-        raise InternalInconsistencyError("inexact dense polynomial division")
-    return q
+                rem[k + j] -= c * dj
+    return q, _dense_trim(rem[:len(den) - 1])
 
 
 @lru_cache(maxsize=None)
@@ -100,7 +96,10 @@ def _cyclotomic_coeffs(n: int) -> tuple:
     for d in range(1, n):
         if n % d == 0:
             den = _dense_mul(den, list(_cyclotomic_coeffs(d)))
-    return tuple(_dense_exact_div(num, den))
+    q, r = _dense_divmod(num, den)
+    if r:
+        raise InternalInconsistencyError("inexact cyclotomic division")
+    return tuple(q)
 
 
 # ---------------------------------------------------------------------------
@@ -611,7 +610,7 @@ class LaurentPoly:
         return f"LaurentPoly[{self.var}]({self.render()})"
 
 
-# -- predicates and division ----------------------------------------------
+# -- predicates ----------------------------------------------------------
 
 def is_palindromic(p: LaurentPoly):
     """Return the witness u with coeff(e) == coeff(u - e) for all e, else None.
@@ -629,71 +628,3 @@ def is_palindromic(p: LaurentPoly):
         if p.coeffs.get(u - e, 0) != c:
             return None
     return u
-
-
-def _coeff_div(a, b):
-    """Exact coefficient division a/b; raise when not exact over the ints."""
-    if isinstance(b, CycloNumber) or isinstance(a, CycloNumber):
-        if not isinstance(b, CycloNumber):
-            b = cyclo_rational(a.ctx.order, b)
-        return a * b.inverse() if isinstance(a, CycloNumber) else b.inverse() * a
-    if isinstance(a, Fraction) or isinstance(b, Fraction):
-        return Fraction(a) / Fraction(b)
-    q, r = divmod(a, b)
-    if r:
-        raise InternalInconsistencyError("inexact integer coefficient division")
-    return q
-
-
-def exact_divide(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
-    """Exact polynomial division; a nonzero remainder is an internal error."""
-    if not isinstance(num, LaurentPoly) or not isinstance(den, LaurentPoly):
-        raise UsageError("exact_divide expects LaurentPoly operands")
-    num._check(den)
-    if not den:
-        raise UsageError("division by the zero polynomial")
-    if not num:
-        return LaurentPoly.zero(num.var)
-    nv, dv = num.valuation(), den.valuation()
-    q, r = poly_divmod(num.shift(-nv), den.shift(-dv))
-    if r:
-        raise InternalInconsistencyError(
-            f"inexact division: remainder of degree {r.degree()}"
-        )
-    return q.shift(nv - dv)
-
-
-def poly_divmod(num: LaurentPoly, den: LaurentPoly):
-    """Quotient and remainder with deg(rem) < deg(den); exponents must be >= 0.
-
-    Coefficient divisions must stay exact (integer leading coefficients other
-    than +-1 can make them inexact; such a division raises).
-    """
-    num._check(den)
-    if not den:
-        raise UsageError("division by the zero polynomial")
-    if (num and num.valuation() < 0) or den.valuation() < 0:
-        raise UsageError("poly_divmod needs nonnegative exponents")
-    work = dict(num.coeffs)
-    dd = den.degree()
-    lead = den.coeffs[dd]
-    q = {}
-    while work and max(work) >= dd:
-        wd = max(work)
-        c = _coeff_div(work[wd], lead)
-        k = wd - dd
-        q[k] = c
-        for e, dc in den.coeffs.items():
-            t = work.get(k + e, 0) - c * dc
-            if _czero(t):
-                work.pop(k + e, None)
-            else:
-                work[k + e] = t
-    return LaurentPoly(q, num.var), LaurentPoly(work, num.var)
-
-
-@lru_cache(maxsize=None)
-def cyclotomic_polynomial(n: int, var: str = "X") -> LaurentPoly:
-    """The n-th cyclotomic polynomial with integer coefficients."""
-    coeffs = _cyclotomic_coeffs(n)
-    return LaurentPoly({e: c for e, c in enumerate(coeffs) if c}, var)

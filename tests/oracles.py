@@ -6,12 +6,13 @@ includes the direct classification lane: the all-pairs h-table, an exact
 dense rational inverse of the transport matrix, asymptotic traces from that
 inverse and generic-algebra traces through the dual-basis expansion.  The
 streamed lane in coxcells.classify is checked against it.  Fake degrees
-over one common denominator, with the reflection characteristic
-polynomials taken from powers of the exact reflection matrices rather
-than from the character table, canonical-basis products through the T-basis,
-left cell modules with the v=1 sign convention they pin, the row-by-row
-leading scan over the all-pairs table, the leading scan over every row of
-every block (the program reads only the left-cell rows of one block per
+in Q(zeta_M) over one common denominator (the library works modulo one
+prime), with the reflection characteristic polynomials taken from powers
+of the exact reflection matrices rather than from the character table,
+canonical-basis products through the T-basis, left cell modules with the
+v=1 sign convention they pin, the row-by-row leading scan over the
+all-pairs table, the leading scan over every row of every block (the
+program reads only the left-cell rows of one block per
 diagram-automorphism orbit), and the cross-cutting property checks on a
 finished classification live here for the same reason.
 
@@ -19,13 +20,16 @@ So do the helpers only the tests use: the Bruhat order, descent sets, the
 CycloNumber reflection matrices, complex embeddings and powers, inverses
 of irrational CycloNumbers, character multiplicities, the value-polynomial
 arithmetic (`vp` extends the library's constants), the packing that
-`klbase.unpack` inverts and a few LaurentPoly operations.
+`klbase.unpack` inverts, a few LaurentPoly operations, and the
+LaurentPoly division and cyclotomic polynomials that the Q(zeta) fake
+degrees above use (the library divides dense integer lists instead).
 """
 
 import cmath
 import hashlib
 import random
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial, gcd
 
 from coxcells.classify import (
@@ -39,11 +43,11 @@ from coxcells.errors import InternalInconsistencyError, UsageError
 from coxcells.exactnum import (
     CycloNumber,
     LaurentPoly,
+    _cyclotomic_coeffs,
     _dense_mul,
     cyclo_context,
     cyclo_rational,
     embed_cyclo,
-    exact_divide,
     two_cos_pi_over,
 )
 from coxcells.klbase import (
@@ -322,6 +326,78 @@ def bruhat_leq(group, x: int, y: int) -> bool:
         if group.right_descent_mask[x] >> s & 1:
             x = group.right[s][x]
     return x == 0
+
+
+# ---------------------------------------------------------------------------
+# LaurentPoly division and cyclotomic polynomials
+
+
+def _coeff_div(a, b):
+    """Exact coefficient division a/b; raise when not exact over the ints."""
+    if isinstance(b, CycloNumber) or isinstance(a, CycloNumber):
+        if not isinstance(b, CycloNumber):
+            b = cyclo_rational(a.ctx.order, b)
+        return a * b.inverse() if isinstance(a, CycloNumber) else b.inverse() * a
+    if isinstance(a, Fraction) or isinstance(b, Fraction):
+        return Fraction(a) / Fraction(b)
+    q, r = divmod(a, b)
+    if r:
+        raise InternalInconsistencyError("inexact integer coefficient division")
+    return q
+
+
+def exact_divide(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
+    """Exact polynomial division; a nonzero remainder is an internal error."""
+    if not isinstance(num, LaurentPoly) or not isinstance(den, LaurentPoly):
+        raise UsageError("exact_divide expects LaurentPoly operands")
+    num._check(den)
+    if not den:
+        raise UsageError("division by the zero polynomial")
+    if not num:
+        return LaurentPoly.zero(num.var)
+    nv, dv = num.valuation(), den.valuation()
+    q, r = poly_divmod(num.shift(-nv), den.shift(-dv))
+    if r:
+        raise InternalInconsistencyError(
+            f"inexact division: remainder of degree {r.degree()}"
+        )
+    return q.shift(nv - dv)
+
+
+def poly_divmod(num: LaurentPoly, den: LaurentPoly):
+    """Quotient and remainder with deg(rem) < deg(den); exponents must be >= 0.
+
+    Coefficient divisions must stay exact (integer leading coefficients other
+    than +-1 can make them inexact; such a division raises).
+    """
+    num._check(den)
+    if not den:
+        raise UsageError("division by the zero polynomial")
+    if (num and num.valuation() < 0) or den.valuation() < 0:
+        raise UsageError("poly_divmod needs nonnegative exponents")
+    work = dict(num.coeffs)
+    dd = den.degree()
+    lead = den.coeffs[dd]
+    q = {}
+    while work and max(work) >= dd:
+        wd = max(work)
+        c = _coeff_div(work[wd], lead)
+        k = wd - dd
+        q[k] = c
+        for e, dc in den.coeffs.items():
+            t = work.get(k + e, 0) - c * dc
+            if not t:
+                work.pop(k + e, None)
+            else:
+                work[k + e] = t
+    return LaurentPoly(q, num.var), LaurentPoly(work, num.var)
+
+
+@lru_cache(maxsize=None)
+def cyclotomic_polynomial(n: int, var: str = "X") -> LaurentPoly:
+    """The n-th cyclotomic polynomial with integer coefficients."""
+    coeffs = _cyclotomic_coeffs(n)
+    return LaurentPoly({e: c for e, c in enumerate(coeffs) if c}, var)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,15 @@ from fractions import Fraction
 
 import pytest
 
-from coxcells.chartab import _Retry, _pdiv, _pmod, _validate, character_table
+from coxcells.chartab import (
+    _Retry,
+    _pdiv,
+    _pmod,
+    _pmul,
+    _psub,
+    _validate,
+    character_table,
+)
 from coxcells.coxeter import build_group
 from coxcells.errors import InternalInconsistencyError
 from coxcells.exactnum import cyclo_rational
@@ -180,6 +188,15 @@ def test_pdiv_remainder_below_divisor_degree():
     # after one step and must stop there
     assert _pdiv([0, 0, 0, 1], [1, 0, 1], 7) == ([0, 1], [0, 6])
     assert _pmod([0, 0, 0, 1], [1, 0, 1], 7) == [0, 6]
+
+
+def test_pdiv_quotient_by_a_non_monic_divisor():
+    # the quotient is by b itself, not by b made monic: a - q b == r
+    assert _pdiv([1, 0, 0, 1], [1, 3], 7) == ([6, 3, 5], [2])
+    for a, b in (([1, 0, 0, 1], [1, 3]), ([1, 2, 3, 4, 5], [6, 0, 5])):
+        q, r = _pdiv(a, b, 7)
+        assert len(r) < len(b)
+        assert _psub(a, _pmul(q, b, 7), 7) == r
 
 
 @pytest.mark.parametrize("sym", ["B3", "H3"])

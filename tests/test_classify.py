@@ -31,11 +31,12 @@ from oracles import (
 )
 
 import coxcells.classify as classify_mod
-from coxcells.chartab import character_table
+from coxcells.chartab import CharacterTable, character_table
 from coxcells.classify import (
     _class_quotients,
     _coordinate_columns,
     _reflection_charpolys,
+    _residue_map,
     _signed_row,
     _streamed_traces,
     _verify_traces,
@@ -258,20 +259,42 @@ def test_fake_degrees_match_common_denominator_oracle():
 
 
 def test_table_charpolys_match_matrix_oracle():
+    # the mod-p class polynomials read off the table are the images, under
+    # the same zeta -> eta map, of those from the exact reflection matrices
     for symbol in ("I2(5)", "B3", "H3", "D4"):
         group = build_group(symbol)
         table = character_table(group)
-        assert _reflection_charpolys(group, table) == (
-            reflection_charpolys_by_matrices(group, table)
-        ), symbol
+        p, to_fp = _residue_map(table.conductor, group.size)
+        reduced = [
+            [to_fp(poly.coeff(k)) if poly.coeff(k) else 0
+             for k in range(group.datum.rank + 1)]
+            for poly in reflection_charpolys_by_matrices(group, table)
+        ]
+        assert _reflection_charpolys(group, table, p, to_fp) == reduced, symbol
 
 
 def test_class_quotient_rejects_a_non_divisor():
-    # 1 + X^2 is the fourth cyclotomic polynomial, which does not divide
-    # (1 - X^2)(1 - X^3)
-    bad = LaurentPoly({0: 1, 2: 1}, var="X")
+    # 1 + X^2 has no root mod 7, so it does not divide
+    # (1 - X^2)(1 - X^3), whose roots mod 7 are 1, -1, 2 and 4
+    p, _ = _residue_map(1, 6)
+    assert p == 7
     with pytest.raises(InternalInconsistencyError, match="inexact"):
-        _class_quotients((2, 3), [bad])
+        _class_quotients((2, 3), [[1, 0, 1]], p)
+
+
+@pytest.mark.parametrize("sym", ["B3", "H3"])
+def test_fake_degrees_reject_a_perturbed_table(sym):
+    # one value of one row moved by 1 off the identity class: the mod-p
+    # residues are then wrong, and fake_degrees must raise rather than
+    # return them
+    group = build_group(sym)
+    table = character_table(group)
+    rows = [list(row) for row in table.rows]
+    rows[-1][1] = rows[-1][1] + 1
+    bad = CharacterTable(group, table.classes, tuple(map(tuple, rows)),
+                         table.dims, table.names, table.conductor)
+    with pytest.raises(InternalInconsistencyError):
+        fake_degrees(group, bad)
 
 
 def test_b_value_is_fake_degree_valuation(rig):

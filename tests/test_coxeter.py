@@ -8,7 +8,7 @@ from coxcells.coxeter import (
     degrees_from_poincare,
     group_datum,
 )
-from coxcells.errors import RefusalError, UsageError
+from coxcells.errors import InternalInconsistencyError, RefusalError, UsageError
 from coxcells.exactnum import LaurentPoly, cyclo_context
 
 from oracles import (
@@ -340,10 +340,34 @@ def test_degrees_derived_from_poincare():
     assert build_group("B4").compute_degrees() == (2, 4, 6, 8)
 
 
+_ALL_SYMBOLS = (
+    [f"A{n}" for n in range(1, 9)] + [f"B{n}" for n in range(2, 9)]
+    + [f"D{n}" for n in range(4, 9)] + ["E6", "E7", "E8", "F4", "H3", "H4"]
+    + [f"I2({m})" for m in range(3, 31)]
+)
+
+
+@pytest.mark.parametrize("symbol", _ALL_SYMBOLS)
+def test_degrees_from_closed_form_poincare(symbol):
+    # prod_i [d_i]_X from the datum alone, so types never enumerated here
+    # (E6-E8, H4, large dihedral) are covered too
+    datum = group_datum(symbol)
+    poincare = LaurentPoly.constant(1, "X")
+    for d in datum.degrees:
+        poincare = poincare * LaurentPoly({e: 1 for e in range(d)}, "X")
+    assert degrees_from_poincare(poincare, datum.rank, datum.order) == (
+        datum.degrees
+    )
+
+
 def test_degrees_cover_rejects_non_group_series():
-    bad = LaurentPoly({0: 1, 1: 2, 2: 1}, "X")  # (1+X)^2 is not 1+2X+X^2... it is, but wrong mass
-    with pytest.raises(Exception):
-        degrees_from_poincare(bad, 2, 5)
+    for coeffs, rank, order in (
+        ({0: 1, 1: 2, 2: 1}, 2, 5),          # mass 4, not 5
+        ({0: 1, 1: 3, 2: 1}, 2, 5),          # no cyclotomic factor at all
+        ({0: 1, 1: 2, 2: 2, 3: 1}, 1, 6),    # (1 + X)(1 + X + X^2), rank 2
+    ):
+        with pytest.raises(InternalInconsistencyError):
+            degrees_from_poincare(LaurentPoly(coeffs, "X"), rank, order)
 
 
 def test_metadata_shape():

