@@ -19,11 +19,16 @@ each of them once: a single stream keeps the entries h_{x,d,z} with z in
 the left cell of d, and the transport matrix and the dual-basis traces
 are both read off that list.  Character values lie in Z[zeta_M], so each
 power-basis coordinate of a character is an integer class function and
-the transport system is rational: the asymptotic traces are solved one
-coordinate at a time modulo several word-sized primes, reconstructed as
-rationals, verified exactly in integers (each column scaled by the lcm
-of its denominators) and reassembled in Q(zeta_M).  The parity test then
-runs on the dual-basis traces of every coordinate.
+the transport system is rational.  It is block triangular by right
+cells: h_{x,d,z} != 0 implies z <=_R x, so a(z) >= a(x) (P4), and z ~R x
+when a(z) = a(x) (P9).  That shape is checked on every entry; the right
+cells are then solved in order of decreasing a, each diagonal block by
+one row reduction modulo several word-sized primes, and the matrix is
+invertible exactly when every diagonal block is.  The solutions are
+reconstructed as rationals, scaled per column by the lcm of their
+denominators, verified exactly in integers and reassembled in
+Q(zeta_M).  The parity test then runs on the integer dual-basis traces
+of every coordinate, which the positive scale does not change.
 
 Fake degrees follow Molien's formula one conjugacy class at a time,
 modulo one prime p = 1 mod M above |W|, where zeta_M -> eta (a primitive
@@ -41,7 +46,7 @@ from fractions import Fraction
 from functools import partial
 from math import gcd, isqrt, lcm
 
-from .chartab import _is_prime, _newton, _pdiv, _primitive_root
+from .chartab import _is_prime, _newton, _pdiv, _primitive_root, _rref
 from .errors import InternalInconsistencyError, UsageError
 from .exactnum import (
     CycloNumber,
@@ -411,37 +416,44 @@ def _crt(residues, moduli):
     return acc % mod, mod
 
 
-def _solve_many_modp(rows, rhs_cols, size, p):
-    """Solve the sparse integer system for several right-hand sides mod p;
-    returns the solution columns or None when the matrix degenerates."""
-    import numpy as np  # deferred: only classification needs it
+def _transport_blocks(trans, cells, a):
+    """The right cells in order of decreasing a, after checking that they
+    cut the transport matrix into triangular blocks: every entry (x, z)
+    must have a(z) > a(x), or z ~R x."""
+    rc = cells.right_cell_of
+    for x, row in enumerate(trans):
+        for z in row:
+            if a[z] < a[x] or (a[z] == a[x] and rc[z] != rc[x]):
+                raise InternalInconsistencyError(
+                    "transport entry outside the right-cell blocks"
+                )
+    return sorted(cells.right_cells, key=lambda b: -a[b[0]])
 
-    w = len(rhs_cols)
-    aug = np.zeros((size, size + w), dtype=np.int64)
-    for x in range(size):
-        for z, c in rows[x].items():
-            aug[x, z] = c % p
-    for j, col in enumerate(rhs_cols):
-        for x in range(size):
-            aug[x, size + j] = col[x] % p
-    for col in range(size):
-        block = aug[col:, col]
-        nz = np.nonzero(block)[0]
-        if len(nz) == 0:
+
+def _solve_modp(trans, blocks, rhs_cols, p):
+    """Solve the transport system for several right-hand sides mod p, one
+    diagonal block at a time in the order of `_transport_blocks`; returns
+    the solution columns or None when a block is singular mod p.
+
+    The columns of a block's rows outside the block are solved before it,
+    and its own columns are still zero when the solved ones are taken
+    off the right-hand sides."""
+    sols = [[0] * len(trans) for _ in rhs_cols]
+    for block in blocks:
+        n = len(block)
+        aug = [
+            [trans[x].get(z, 0) % p for z in block]
+            + [(rhs[x] - sum(c * sol[z] for z, c in trans[x].items())) % p
+               for rhs, sol in zip(rhs_cols, sols)]
+            for x in block
+        ]
+        red, pivots = _rref(aug, p)
+        if pivots != list(range(n)):
             return None
-        piv = col + int(nz[0])
-        if piv != col:
-            aug[[col, piv]] = aug[[piv, col]]
-        inv = pow(int(aug[col, col]), p - 2, p)
-        aug[col] = aug[col] * inv % p
-        factors = aug[:, col].copy()
-        factors[col] = 0
-        mask = factors != 0
-        if mask.any():
-            aug[mask] = (aug[mask] - factors[mask, None] * aug[col]) % p
-    return [
-        [int(aug[z, size + j]) for z in range(size)] for j in range(w)
-    ]
+        for z, row in zip(block, red):
+            for sol, r in zip(sols, row[n:]):
+                sol[z] = r
+    return sols
 
 
 def _coordinate_columns(table, size):
@@ -466,15 +478,15 @@ def _coordinate_columns(table, size):
 
 def _assemble_traces(columns, sols, table, size):
     """Per irreducible, the tuple of asymptotic traces in Q(zeta_M) whose
-    power-basis coordinates are the solved columns."""
+    power-basis coordinates are the solved (den, ints) columns."""
     ctx = cyclo_context(table.conductor)
     jts = [[ctx.zero] * size for _ in range(len(table))]
-    for (i, k, _), sol in zip(columns, sols):
+    for (i, k, _), (den, ints) in zip(columns, sols):
         jt = jts[i]
-        for z, q in enumerate(sol):
+        for z, q in enumerate(ints):
             if q:
                 coeffs = list(jt[z].coeffs)
-                coeffs[k] = q
+                coeffs[k] = Fraction(q, den)
                 jt[z] = CycloNumber(ctx, tuple(coeffs))
     return [tuple(jt) for jt in jts]
 
@@ -528,7 +540,8 @@ def classify_group_streamed(store, cells, gamma, dset, table,
         signed = _signed_row(store, x).items()
         for rhs, (_, _, chi) in zip(rhs_cols, columns):
             rhs[x] = sum(c * chi[u] for u, c in signed)
-    sols = _streamed_traces(trans, rhs_cols, size)
+    sols = _streamed_traces(trans, _transport_blocks(trans, cells, gamma.a),
+                            rhs_cols)
     jts = _assemble_traces(columns, sols, table, size)
     zero = cyclo_context(table.conductor).zero
     for i, jt in enumerate(jts):
@@ -537,12 +550,12 @@ def classify_group_streamed(store, cells, gamma, dset, table,
                 "unit trace differs from the degree"
             )
 
-    # dual-basis traces per coordinate column, exponent dicts;
-    # single-cell support keeps the per-z hit list short
+    # dual-basis traces per coordinate column scaled by its den, exponent
+    # dicts; single-cell support keeps the per-z hit list short
     trc = [[{} for _ in range(size)] for _ in columns]
     hits = [[] for _ in range(size)]
-    for j, col in enumerate(sols):
-        for z, q in enumerate(col):
+    for j, (_, ints) in enumerate(sols):
+        for z, q in enumerate(ints):
             if q:
                 hits[z].append((j, q))
     for x, z, (val, coeffs) in ents:
@@ -560,8 +573,9 @@ def classify_group_streamed(store, cells, gamma, dset, table,
     lengths = group.length
     flags = [True] * len(table)
     for j, (i, _, _) in enumerate(columns):
+        den = sols[j][0]
         for x in range(size):
-            if sum(trc[j][x].values()) != rhs_cols[j][x]:
+            if sum(trc[j][x].values()) != den * rhs_cols[j][x]:
                 raise InternalInconsistencyError(
                     "streamed dual trace at v=1 disagrees with the character"
                 )
@@ -578,24 +592,22 @@ def classify_group_streamed(store, cells, gamma, dset, table,
     )
 
 
-def _streamed_traces(trans, rhs_cols, size):
-    """Rational solution columns of the transport system, via modular
+def _streamed_traces(trans, blocks, rhs_cols):
+    """Solution columns of the transport system, each as (den, ints): the
+    lcm of its denominators and the column scaled by it.  Modular block
     solves, CRT, rational reconstruction, and an exact final check."""
     primes = _word_primes()
     used = []
-    residues = None
+    residues = [[[] for _ in trans] for _ in rhs_cols]
     for _ in range(6):
         p = next(primes)
-        sol = _solve_many_modp(trans, rhs_cols, size, p)
+        sol = _solve_modp(trans, blocks, rhs_cols, p)
         if sol is None:
             continue
         used.append(p)
-        if residues is None:
-            residues = [[[r] for r in col] for col in sol]
-        else:
-            for col, new in zip(residues, sol):
-                for cell, r in zip(col, new):
-                    cell.append(r)
+        for col, new in zip(residues, sol):
+            for cell, r in zip(col, new):
+                cell.append(r)
         if len(used) < 2:
             continue
         out = []
@@ -611,7 +623,9 @@ def _streamed_traces(trans, rhs_cols, size):
                 vals.append(q)
             if not ok:
                 break
-            out.append(vals)
+            den = lcm(*(q.denominator for q in vals))
+            out.append((den, [q.numerator * (den // q.denominator)
+                              for q in vals]))
         if not ok:
             continue
         if _verify_traces(trans, rhs_cols, out):
@@ -622,11 +636,9 @@ def _streamed_traces(trans, rhs_cols, size):
 
 
 def _verify_traces(trans, rhs_cols, sols):
-    """Exact check of the solved columns in integers: with L the lcm of a
-    column's denominators, the integer column L*col must map to L*rhs."""
-    for col, rhs in zip(sols, rhs_cols):
-        den = lcm(*(q.denominator for q in col))
-        ints = [q.numerator * (den // q.denominator) for q in col]
+    """Exact check of the solved (den, ints) columns in integers: ints
+    must map to den * rhs."""
+    for (den, ints), rhs in zip(sols, rhs_cols):
         for x, row in enumerate(trans):
             if sum(c * ints[z] for z, c in row.items()) != den * rhs[x]:
                 return False

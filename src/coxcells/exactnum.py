@@ -255,30 +255,6 @@ class CycloNumber:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            if not other:
-                raise ZeroDivisionError("division by zero scalar")
-            return self * (Fraction(1) / Fraction(other))
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def inverse(self) -> "CycloNumber":
-        """Multiplicative inverse of a nonzero rational element.
-
-        The engine divides only by rationals, so an irrational divisor is
-        a broken invariant rather than a case to compute.
-        """
-        if not self:
-            raise ZeroDivisionError("inverse of zero cyclotomic number")
-        if not self.is_rational():
-            raise InternalInconsistencyError(
-                f"inverse of irrational {self.render()} requested"
-            )
-        return cyclo_rational(self.ctx.order, 1 / self.coeffs[0])
-
     def conjugate(self) -> "CycloNumber":
         """Complex conjugation, i.e. the Galois map zeta -> zeta^(-1)."""
         ctx = self.ctx
@@ -541,13 +517,6 @@ class LaurentPoly:
         return out
 
     __rmul__ = __mul__
-
-    def shift(self, k: int) -> "LaurentPoly":
-        """Multiply by var^k."""
-        out = LaurentPoly.__new__(LaurentPoly)
-        out.var = self.var
-        out.coeffs = {e + k: c for e, c in self.coeffs.items()}
-        return out
 
     # -- evaluation --------------------------------------------------------
 

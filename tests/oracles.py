@@ -5,11 +5,12 @@ point is to recompute the same quantities along different routes.  That
 includes the direct classification lane: the all-pairs h-table, an exact
 dense rational inverse of the transport matrix, asymptotic traces from that
 inverse and generic-algebra traces through the dual-basis expansion.  The
-streamed lane in coxcells.classify is checked against it.  Fake degrees
-in Q(zeta_M) over one common denominator (the library works modulo one
-prime), with the reflection characteristic polynomials taken from powers
-of the exact reflection matrices rather than from the character table,
-canonical-basis products through the T-basis, left cell modules with the
+streamed lane in coxcells.classify is checked against it, and its block
+solve against one row reduction of the whole transport system mod p.
+Fake degrees in Q(zeta_M) over one common denominator (the library works
+modulo one prime), with the reflection characteristic polynomials taken
+from powers of the exact reflection matrices rather than from the
+character table, canonical-basis products through the T-basis, left cell modules with the
 v=1 sign convention they pin, the row-by-row leading scan over the
 all-pairs table, the leading scan over every row of every block (the
 program reads only the left-cell rows of one block per
@@ -17,8 +18,8 @@ diagram-automorphism orbit), and the cross-cutting property checks on a
 finished classification live here for the same reason.
 
 So do the helpers only the tests use: the Bruhat order, descent sets, the
-CycloNumber reflection matrices, complex embeddings and powers, inverses
-of irrational CycloNumbers, character multiplicities, the value-polynomial
+CycloNumber reflection matrices, complex embeddings, powers and inverses
+of CycloNumbers, character multiplicities, the value-polynomial
 arithmetic (`vp` extends the library's constants), the packing that
 `klbase.unpack` inverts, a few LaurentPoly operations, and the
 LaurentPoly division and cyclotomic polynomials that the Q(zeta) fake
@@ -32,6 +33,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial, gcd
 
+from coxcells.chartab import _rref
 from coxcells.classify import (
     ClassifyResult,
     _finish_records,
@@ -178,10 +180,10 @@ def bar(p: LaurentPoly) -> LaurentPoly:
 
 
 def cyclo_inverse(x: CycloNumber) -> CycloNumber:
-    """Inverse of any nonzero element of Q(zeta_M), by the extended
-    Euclid algorithm modulo Phi_M; the library inverts only rationals."""
+    """Inverse of any nonzero element of Q(zeta_M): a rational directly,
+    anything else by the extended Euclid algorithm modulo Phi_M."""
     if x.is_rational():
-        return x.inverse()
+        return cyclo_rational(x.ctx.order, 1 / x.coeffs[0])
     mod = [Fraction(c) for c in x.ctx.modulus]
     inv = _fracpoly_invmod(list(x.coeffs), mod)
     phi = x.ctx.degree
@@ -254,6 +256,11 @@ def from_pairs(pairs, var: str = "v") -> LaurentPoly:
     for e, c in pairs:
         d[e] = d.get(e, 0) + c
     return LaurentPoly(d, var)
+
+
+def shift(p: LaurentPoly, k: int) -> LaurentPoly:
+    """Multiply by var^k."""
+    return LaurentPoly({e + k: c for e, c in p.coeffs.items()}, p.var)
 
 
 def stretch(p: LaurentPoly, k: int) -> LaurentPoly:
@@ -333,11 +340,16 @@ def bruhat_leq(group, x: int, y: int) -> bool:
 
 
 def _coeff_div(a, b):
-    """Exact coefficient division a/b; raise when not exact over the ints."""
+    """Exact coefficient division a/b; raise when not exact over the ints
+    or when b is an irrational cyclotomic number."""
     if isinstance(b, CycloNumber) or isinstance(a, CycloNumber):
         if not isinstance(b, CycloNumber):
             b = cyclo_rational(a.ctx.order, b)
-        return a * b.inverse() if isinstance(a, CycloNumber) else b.inverse() * a
+        if not b.is_rational():
+            raise InternalInconsistencyError(
+                f"division by irrational {b.render()}"
+            )
+        return cyclo_inverse(b) * a
     if isinstance(a, Fraction) or isinstance(b, Fraction):
         return Fraction(a) / Fraction(b)
     q, r = divmod(a, b)
@@ -356,12 +368,12 @@ def exact_divide(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
     if not num:
         return LaurentPoly.zero(num.var)
     nv, dv = num.valuation(), den.valuation()
-    q, r = poly_divmod(num.shift(-nv), den.shift(-dv))
+    q, r = poly_divmod(shift(num, -nv), shift(den, -dv))
     if r:
         raise InternalInconsistencyError(
             f"inexact division: remainder of degree {r.degree()}"
         )
-    return q.shift(nv - dv)
+    return shift(q, nv - dv)
 
 
 def poly_divmod(num: LaurentPoly, den: LaurentPoly):
@@ -525,7 +537,7 @@ class RPolyOracle:
         )
         out = LaurentPoly.zero("q") - low
         # consistency: the defining identity must hold on the nose
-        lhs = bar(out).shift(L) - out
+        lhs = shift(bar(out), L) - out
         if lhs != rhs:
             raise AssertionError(
                 f"R/P inversion identity failed at ({x}, {y})"
@@ -550,7 +562,7 @@ def naive_c_product(group, oracle: RPolyOracle, x, y):
             p = oracle.P(u, w)
             if p.is_zero():
                 continue
-            out[u] = stretch(rename(p, v), 2).shift(-lw)
+            out[u] = shift(stretch(rename(p, v), 2), -lw)
         return out
 
     def t_s_times(s, vec):
@@ -560,8 +572,8 @@ def naive_c_product(group, oracle: RPolyOracle, x, y):
             if group.length[su] > group.length[u]:
                 out[su] = out.get(su, LaurentPoly.zero(v)) + p
             else:
-                out[su] = out.get(su, LaurentPoly.zero(v)) + p.shift(2)
-                out[u] = out.get(u, LaurentPoly.zero(v)) + p.shift(2) - p
+                out[su] = out.get(su, LaurentPoly.zero(v)) + shift(p, 2)
+                out[u] = out.get(u, LaurentPoly.zero(v)) + shift(p, 2) - p
         return {u: p for u, p in out.items() if not p.is_zero()}
 
     xv = cvec(x)
@@ -578,7 +590,7 @@ def naive_c_product(group, oracle: RPolyOracle, x, y):
     rows = []
     while total:
         w = max(total)
-        h = total[w].shift(group.length[w])
+        h = shift(total[w], group.length[w])
         rows.append((w, h))
         for u, p in cvec(w).items():
             r = total.get(u, LaurentPoly.zero(v)) - h * p
@@ -1245,6 +1257,21 @@ def _transport_rows(htable, cells, dset):
     return rows
 
 
+def dense_solve_modp(trans, rhs_cols, p):
+    """Solution columns of the whole transport system mod p by one row
+    reduction of the augmented matrix, or None when it is singular mod p."""
+    size = len(trans)
+    aug = [
+        [row.get(z, 0) % p for z in range(size)]
+        + [rhs[x] % p for rhs in rhs_cols]
+        for x, row in enumerate(trans)
+    ]
+    red, pivots = _rref(aug, p)
+    if pivots != list(range(size)):
+        return None
+    return [[row[size + j] for row in red] for j in range(len(rhs_cols))]
+
+
 def build_phi(store, htable, cells, dset) -> PhiIso:
     """The transport matrix on group-element rows and its exact inverse."""
     group = store.group
@@ -1562,8 +1589,8 @@ class RationalFunction:
         if num:
             k = min(num.valuation(), den.valuation())
             if k:
-                num = num.shift(-k)
-                den = den.shift(-k)
+                num = shift(num, -k)
+                den = shift(den, -k)
         lead = den.coeffs[den.degree()]
         if lead != 1:
             if isinstance(lead, CycloNumber):

@@ -9,6 +9,9 @@ on element numbering.
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -22,6 +25,7 @@ from oracles import (
     check_longest_twist,
     check_parity_bridge,
     check_phi_multiplicative,
+    dense_solve_modp,
     detect_orientation,
     dihedral3_coinvariant_graded_characters,
     fake_degrees_common_denominator,
@@ -38,7 +42,9 @@ from coxcells.classify import (
     _reflection_charpolys,
     _residue_map,
     _signed_row,
+    _solve_modp,
     _streamed_traces,
+    _transport_blocks,
     _verify_traces,
     classify_group_streamed,
     expected_exceptional_profile,
@@ -490,8 +496,9 @@ def test_streamed_lane_matches_direct(rig):
         assert r.result.orientation == direct.orientation
 
 
-def test_integer_trace_check_rejects_a_perturbed_entry(rig):
-    r = rig("H3")
+def _transport_system(r):
+    """(trans, rhs_cols) of the streamed lane, built from the oracle's
+    all-pairs table."""
     size = r.group.size
     trans = _transport_rows(r.htable, r.cells, r.dset)
     rhs_cols = [
@@ -501,10 +508,44 @@ def test_integer_trace_check_rejects_a_perturbed_entry(rig):
         ]
         for _, _, chi in _coordinate_columns(r.table, size)
     ]
-    sols = _streamed_traces(trans, rhs_cols, size)
+    return trans, rhs_cols
+
+
+def test_integer_trace_check_rejects_a_perturbed_entry(rig):
+    r = rig("H3")
+    trans, rhs_cols = _transport_system(r)
+    blocks = _transport_blocks(trans, r.cells, r.gamma.a)
+    sols = _streamed_traces(trans, blocks, rhs_cols)
     assert _verify_traces(trans, rhs_cols, sols)
-    sols[0][0] += Fraction(1, 7)
+    sols[0][1][0] += 1
     assert not _verify_traces(trans, rhs_cols, sols)
+
+
+def test_transport_blocks_are_right_cells_by_decreasing_a(rig):
+    r = rig("H3")
+    a = r.gamma.a
+    trans, _ = _transport_system(r)
+    blocks = _transport_blocks(trans, r.cells, a)
+    assert sorted(blocks) == sorted(r.cells.right_cells)
+    assert [a[b[0]] for b in blocks] == sorted(
+        (a[b[0]] for b in blocks), reverse=True
+    )
+    x = r.group.size - 1
+    z = next(z for z in range(r.group.size) if a[z] < a[x])
+    trans[x][z] = 1
+    with pytest.raises(InternalInconsistencyError, match="right-cell"):
+        _transport_blocks(trans, r.cells, a)
+
+
+def test_block_solve_matches_dense_reference(rig):
+    p = (1 << 31) - 1
+    for symbol in ("A3", "B3", "H3"):
+        r = rig(symbol)
+        trans, rhs_cols = _transport_system(r)
+        blocks = _transport_blocks(trans, r.cells, r.gamma.a)
+        got = _solve_modp(trans, blocks, rhs_cols, p)
+        assert got is not None, symbol
+        assert got == dense_solve_modp(trans, rhs_cols, p), symbol
 
 
 def test_distinguished_blocks_streamed_once(rig, monkeypatch):
@@ -545,3 +586,23 @@ def test_classify_reports_pinned(rig):
         text = json.dumps(classify_report(r.result, r.claims), indent=2)
         got = hashlib.sha256((text + "\n").encode()).hexdigest()
         assert got == want, symbol
+
+
+def test_classify_needs_no_numpy():
+    # a None entry in sys.modules makes every import of numpy fail
+    code = (
+        "import sys; sys.modules['numpy'] = None; "
+        "from coxcells.cli import main; sys.exit(main())"
+    )
+    src = os.path.dirname(os.path.dirname(classify_mod.__file__))
+    env = {k: v for k, v in os.environ.items() if k != "COXCELLS_CACHE"}
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    run = subprocess.run(
+        [sys.executable, "-c", code, "classify", "--type", "H3"],
+        capture_output=True, env=env, timeout=300,
+    )
+    assert run.returncode == 0, run.stderr.decode()
+    got = hashlib.sha256(run.stdout).hexdigest()
+    assert got == REPORT_SHA256["H3"]
