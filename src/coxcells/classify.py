@@ -15,20 +15,21 @@ into ordinary and exceptional; the same parity language applies to
 involutions through l(x) - a(x) mod 2.
 
 Only the table columns at distinguished involutions are ever generated,
-each of them once: a single stream keeps the entries h_{x,d,z} with z in
-the left cell of d, and the transport matrix and the dual-basis traces
-are both read off that list.  Character values lie in Z[zeta_M], so each
-power-basis coordinate of a character is an integer class function and
-the transport system is rational.  It is block triangular by right
-cells: h_{x,d,z} != 0 implies z <=_R x, so a(z) >= a(x) (P4), and z ~R x
-when a(z) = a(x) (P9).  That shape is checked on every entry; the right
-cells are then solved in order of decreasing a, each diagonal block by
-one row reduction modulo several word-sized primes, and the matrix is
+each of them once: a single stream computes the entries h_{x,d,z} with z
+in the left cell of d and no others, and the transport matrix and the
+dual-basis traces are both read off that list.  Character values lie in
+Z[zeta_M], so each power-basis coordinate of a character is an integer
+class function and the transport system is rational.  It is block
+triangular by right cells: h_{x,d,z} != 0 implies z <=_R x, so a(z) >=
+a(x) (P4), and z ~R x when a(z) = a(x) (P9).  That shape is checked on
+every entry; the right cells are then solved in order of decreasing a,
+each diagonal block by one row reduction modulo one prime, and another
+only when reconstruction or the exact check fails; the matrix is
 invertible exactly when every diagonal block is.  The solutions are
 reconstructed as rationals, scaled per column by the lcm of their
-denominators, verified exactly in integers and reassembled in
-Q(zeta_M).  The parity test then runs on the integer dual-basis traces
-of every coordinate, which the positive scale does not change.
+denominators, verified exactly in integers and reassembled in Q(zeta_M).
+The parity test then runs on the integer dual-basis traces of every
+coordinate, which the positive scale does not change.
 
 Fake degrees follow Molien's formula one conjugacy class at a time,
 modulo one prime p = 1 mod M above |W|, where zeta_M -> eta (a primitive
@@ -43,8 +44,8 @@ raises.
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from math import gcd, isqrt, lcm
+from operator import mul
 
 from .chartab import _is_prime, _newton, _pdiv, _primitive_root, _rref
 from .errors import InternalInconsistencyError, UsageError
@@ -491,15 +492,13 @@ def _assemble_traces(columns, sols, table, size):
     return [tuple(jt) for jt in jts]
 
 
-def _cell_entries(left_cell_of, kit, d, block) -> list:
-    """The decoded entries (x, z, h_{x,d,z}) of block d with z in the
-    left cell of d."""
-    target = left_cell_of[d]
+def _cell_entries(kit, d, block) -> list:
+    """The decoded entries (x, z, h_{x,d,z}) of a block cut to the left
+    cell of d."""
     return [
         (x, z, kit.unpack(p))
         for x, row in enumerate(block)
         for z, p in row.items()
-        if left_cell_of[z] == target
     ]
 
 
@@ -508,9 +507,10 @@ def classify_group_streamed(store, cells, gamma, dset, table,
     """Classification from the table columns at distinguished involutions
     only, each generated once.
 
-    The blocks h_{x,d,.} are streamed once and reduced to the entries
-    (x, z, h_{x,d,z}) with z in the left cell of d; both the transport
-    matrix at v=1 and the dual traces are read off that list.
+    The blocks h_{x,d,.} are streamed once, cut to the columns z in the
+    left cell of d, and decoded to the entries (x, z, h_{x,d,z}); both
+    the transport matrix at v=1 and the dual traces are read off that
+    list.
     Asymptotic traces come from a modular solve with exact verification,
     one right-hand side per nonzero coordinate of each character;
     ordinariness from the dual-trace parity test on every coordinate,
@@ -522,11 +522,11 @@ def classify_group_streamed(store, cells, gamma, dset, table,
     # {e} is a left cell and c_s c_e = c_s has no c_e term: trivial module
     orientation = "standard"
     _d_by_left_cell(cells, dset)
-    lc = cells.left_cell_of
 
     ents = []
     stream_h_blocks(store, lambda d, block: ents.extend(block),
-                    ys=sorted(dset), reduce=partial(_cell_entries, lc))
+                    ys=sorted(dset), reduce=_cell_entries,
+                    cell=cells.left_cell_of)
 
     trans = [dict() for _ in range(size)]
     for x, z, p in ents:
@@ -534,12 +534,19 @@ def classify_group_streamed(store, cells, gamma, dset, table,
         if val:
             trans[x][z] = val
 
+    # rhs[x] = sum over u of (-1)^l(u) P_{u,x}(1) chi(u), chi a class
+    # function: the signed row is summed per class once for every column
     columns = _coordinate_columns(table, size)
+    cof = table.classes.class_of
+    reps = table.classes.representatives
+    class_vals = [[chi[w] for w in reps] for _, _, chi in columns]
     rhs_cols = [[0] * size for _ in columns]
     for x in range(size):
-        signed = _signed_row(store, x).items()
-        for rhs, (_, _, chi) in zip(rhs_cols, columns):
-            rhs[x] = sum(c * chi[u] for u, c in signed)
+        sums = [0] * len(reps)
+        for u, c in _signed_row(store, x).items():
+            sums[cof[u]] += c
+        for rhs, vals in zip(rhs_cols, class_vals):
+            rhs[x] = sum(map(mul, sums, vals))
     sols = _streamed_traces(trans, _transport_blocks(trans, cells, gamma.a),
                             rhs_cols)
     jts = _assemble_traces(columns, sols, table, size)
@@ -595,7 +602,12 @@ def classify_group_streamed(store, cells, gamma, dset, table,
 def _streamed_traces(trans, blocks, rhs_cols):
     """Solution columns of the transport system, each as (den, ints): the
     lcm of its denominators and the column scaled by it.  Modular block
-    solves, CRT, rational reconstruction, and an exact final check."""
+    solves, CRT, rational reconstruction, and an exact final check.
+
+    Reconstruction is tried after every prime, the first one included;
+    another prime is taken only when it fails or when the exact check
+    rejects what it gave, so a solution is accepted only once it has
+    passed that check."""
     primes = _word_primes()
     used = []
     residues = [[[] for _ in trans] for _ in rhs_cols]
@@ -608,8 +620,6 @@ def _streamed_traces(trans, blocks, rhs_cols):
         for col, new in zip(residues, sol):
             for cell, r in zip(col, new):
                 cell.append(r)
-        if len(used) < 2:
-            continue
         out = []
         ok = True
         for col in residues:

@@ -17,11 +17,11 @@ polynomial P at (identity, z), then every defining property is checked.
 The single scan that produces a and the leading coefficients reads in
 block y only the rows x of the left cell of y^-1, where Lusztig's P8
 puts every leading term, computes only those rows and the rows they are
-built from, and computes one block per orbit of the diagram
-automorphisms.  Each block is reduced to its leading terms as soon as
-it is computed, so no group ever holds the full table in memory.  The
-result is small enough to cache; a cached scan gets the same checks as a
-fresh one.
+built from, keeps only the columns in the left cell of y, and computes
+one block per orbit of the diagram automorphisms.  Each block is reduced
+to its leading terms as soon as it is computed, so no group ever holds
+the full table in memory.  The result is small enough to cache; a cached
+scan gets the same checks as a fresh one.
 """
 
 from __future__ import annotations
@@ -261,7 +261,9 @@ def _leading_scan(store: KLStore, cells: CellPartition):
     gamma_{x,y,z^-1} is nonzero only when x ~L y^-1, so every leading
     term lies there, and a(z) is reached there too: t_z t_d = t_z for
     the distinguished involution d of the left cell of z.  Block y
-    computes those rows and the rows they are built from, no others.
+    computes those rows and the rows they are built from, no others, and
+    only their columns z in the left cell of y: P8 also gives y ~L z for
+    every leading term (see `klbase._h_block` for why the cut is exact).
 
     A diagram automorphism sigma fixes the canonical basis, so
     h_{sigma x, sigma y, sigma z} = h_{x,y,z}: one block per orbit is
@@ -294,7 +296,8 @@ def _leading_scan(store: KLStore, cells: CellPartition):
     reads = [cells.left_cells[c] for c in cell]
     stream_h_blocks(store, merge, ys=list(orbits),
                     reduce=functools.partial(_cell_leads, reads),
-                    rows=[built[c] for c in cell])
+                    rows=[built[c] for c in cell],
+                    cell=cells.left_cell_of)
     lead = {
         (x, y, z): c for z in range(size) for y, x, c in sorted(cands[z])
     }

@@ -31,8 +31,14 @@ affordable.  No all-pairs table is ever held: each block can be reduced
 as soon as it is computed, and only the reduction is kept.  A block can
 also be cut to a set of rows closed under the recursion
 (`BlockKit.closure`); the leading scan cuts each block to the rows of
-one left cell (Lusztig's P8, see `jring._leading_scan`).  Every block
-is computed in the calling process.  The test suite checks the blocks
+one left cell (Lusztig's P8, see `jring._leading_scan`).  And a block y
+can be cut to the columns z in the left cell of y, which is all that
+the leading scan and the transport pass read: the c_z with z <_L y span
+a left ideal, and modulo it the products c_x c_y live in the left cell
+module of Kazhdan-Lusztig (Invent. Math. 53, 1979), with basis the left
+cell of y, where the same recursion runs.  A cut row is a sub-sum of
+the whole row, so the slot width bound still holds.  Every block is
+computed in the calling process.  The test suite checks the blocks
 against products taken row by row through the T-basis.
 
 The cache holds the P rows (mu is read off them again on load) and the
@@ -385,10 +391,12 @@ def _row_bounds(kit: BlockKit) -> list:
     return bound
 
 
-def _h_block(kit: BlockKit, y: int, xs: tuple | None = None) -> list:
+def _h_block(kit: BlockKit, y: int, xs: tuple | None = None,
+             cell=None) -> list:
     """Rows h_{x,y,.} for fixed y, indexed by x, packed: every row, or
     those in xs, a sorted tuple closed under `BlockKit.closure`; the
-    other rows are None.
+    other rows are None.  With cell, the left-cell array, each row keeps
+    only the columns z in the left cell of y.
 
     Row x is built from row x' (x = s x', first-letter descent) through
     c_x c_y = c_s (c_x' c_y) - sum mu(z, x') c_z c_y over z with s z < z.
@@ -397,11 +405,22 @@ def _h_block(kit: BlockKit, y: int, xs: tuple | None = None) -> list:
     Row x has degrees within +-l(x) < off, so multiplying by v + v^-1 is
     the exact shift pair (p << bits) + (p >> bits).  mu is almost always
     1, and skipping that product saves a copy of a wide integer.
+
+    The cut to the left cell is exact: every c_x c_y lies in the left
+    ideal spanned by the c_z with z <=_L y, and those with z <_L y span a
+    left ideal I' inside it.  Modulo I' the recursion is the same, with
+    basis the left cell of y (the left cell module, Kazhdan-Lusztig,
+    Invent. Math. 53, 1979), so dropping the terms that c_s c_z sends out of
+    the cell at every step leaves the other entries exact.  A cut row
+    is a sub-sum of the whole one, so `_row_bounds` still bounds it.
     """
     bits = kit.bits
     lmask = kit.lmask
     rows = [None] * kit.size
     rows[0] = {y: 1 << bits * kit.off}
+    if cell is None:
+        cell = bytes(kit.size)  # one cell holding every element
+    home = cell[y]
     for x in range(1, kit.size) if xs is None else xs[1:]:
         s = kit.first_letter[x]
         lrow = kit.left[s]
@@ -414,9 +433,11 @@ def _h_block(kit: BlockKit, y: int, xs: tuple | None = None) -> list:
                 acc[z] = get(z, 0) + (p << bits) + (p >> bits)
             else:
                 sz = lrow[z]
-                acc[sz] = get(sz, 0) + p
+                if cell[sz] == home:
+                    acc[sz] = get(sz, 0) + p
                 for t, m in down[z]:
-                    acc[t] = get(t, 0) + (p if m == 1 else p * m)
+                    if cell[t] == home:
+                        acc[t] = get(t, 0) + (p if m == 1 else p * m)
         for z, m in down[parent]:
             for t, p in rows[z].items():
                 acc[t] = get(t, 0) - (p if m == 1 else p * m)
@@ -425,21 +446,23 @@ def _h_block(kit: BlockKit, y: int, xs: tuple | None = None) -> list:
 
 
 def stream_h_blocks(store: KLStore, consumer, ys=None, reduce=None,
-                    rows=None):
+                    rows=None, cell=None):
     """Run the h recursion block by block, in the order of ys.
 
     ys selects which y-blocks to visit (all of them by default).  rows,
     when given, is indexed by y: block y then computes only the rows
     rows[y], a closed set as `BlockKit.closure` returns, and the others
-    are None.  With no reduce, `consumer(x, y, row)` receives every row
-    of every block, packed.  With reduce, `consumer(y, reduce(kit, y,
-    block))` receives one result per block, kit being the store's
-    `BlockKit` (whose `unpack` and `lead` decode an entry), and the
-    block is dropped before the next one is computed.
+    are None.  cell, when given, is the left-cell array (the cell id of
+    every element): block y then holds only the columns z in the left
+    cell of y (see `_h_block`).  With no reduce, `consumer(x, y, row)`
+    receives every row of every block, packed.  With reduce,
+    `consumer(y, reduce(kit, y, block))` receives one result per block,
+    kit being the store's `BlockKit` (whose `unpack` and `lead` decode
+    an entry), and the block is dropped before the next one is computed.
     """
     kit = store.block_kit()
     for y in range(kit.size) if ys is None else ys:
-        block = _h_block(kit, y, None if rows is None else rows[y])
+        block = _h_block(kit, y, None if rows is None else rows[y], cell)
         if reduce is not None:
             consumer(y, reduce(kit, y, block))
         else:

@@ -548,15 +548,41 @@ def test_block_solve_matches_dense_reference(rig):
         assert got == dense_solve_modp(trans, rhs_cols, p), symbol
 
 
+def test_one_prime_unless_reconstruction_fails(rig, monkeypatch):
+    # H3's solutions are small integers, which the first prime already
+    # reconstructs; scaled by 2^20 they exceed the reconstruction bound of
+    # one prime, and a second one is taken
+    r = rig("H3")
+    trans, rhs_cols = _transport_system(r)
+    blocks = _transport_blocks(trans, r.cells, r.gamma.a)
+    real = classify_mod._solve_modp
+    primes = []
+
+    def counting(trans, blocks, rhs_cols, p):
+        primes.append(p)
+        return real(trans, blocks, rhs_cols, p)
+
+    monkeypatch.setattr(classify_mod, "_solve_modp", counting)
+    sols = _streamed_traces(trans, blocks, rhs_cols)
+    assert len(primes) == 1
+    primes.clear()
+    big = 1 << 20
+    scaled = _streamed_traces(
+        trans, blocks, [[big * v for v in rhs] for rhs in rhs_cols]
+    )
+    assert len(primes) == 2
+    assert scaled == [(den, [big * q for q in ints]) for den, ints in sols]
+
+
 def test_distinguished_blocks_streamed_once(rig, monkeypatch):
     real = classify_mod.stream_h_blocks
     for symbol in ("H3", "B3"):
         r = rig(symbol)
         calls = []
 
-        def recorder(store, consumer, ys=None, reduce=None):
+        def recorder(store, consumer, ys=None, reduce=None, **kw):
             calls.append(list(ys))
-            return real(store, consumer, ys=ys, reduce=reduce)
+            return real(store, consumer, ys=ys, reduce=reduce, **kw)
 
         monkeypatch.setattr(classify_mod, "stream_h_blocks", recorder)
         got = classify_group_streamed(r.store, r.cells, r.gamma, r.dset,
@@ -569,7 +595,9 @@ def test_distinguished_blocks_streamed_once(rig, monkeypatch):
 
 
 # SHA-256 of `coxcells classify --type G` stdout (the JSON report with a
-# trailing newline), recorded before the direct lane left the program
+# trailing newline), recorded before the direct lane left the program;
+# I2(8), A4, D4 and B4 (the last with --heavy) recorded before the h blocks
+# were cut to left cells and the transport solve to one prime
 REPORT_SHA256 = {
     "I2(3)": "545fbeeee940a5f2f9fb494fb8648ee47ff7ff61f0884cf5e353aa30b2fb0c6f",
     "I2(5)": "2559ccb9f5d70cfdd7eed93ed364ac6c962896da509724a1e4629b40048b0124",
@@ -577,6 +605,10 @@ REPORT_SHA256 = {
     "A3": "26ce448a371a227fdcc92b75e3a71552ae69000318a6a745d8539828f94f603d",
     "B3": "13f1865b3433a428d7dc36cd14d1e0f5974f4b2930047dd80c4f2379d70c5537",
     "H3": "d77fbab7a999dfed2746148f05fa6a77ae387b5a665991c2637dff2e8928b1fe",
+    "I2(8)": "b267c339f3c5f696b1b08f77af175fe2010fe5da55da7e30a173230d02d76544",
+    "A4": "fd15f959eee0fc56ac8c44525d8f1ef26e378d88e9908c832bcc98b97d219b99",
+    "D4": "be916756bb3a6f7247e17badfa07dd4b7f9f3657f58dcc69943385023da9ad73",
+    "B4": "65c5767033e137994de6476235a6f16ec554ace3856294252864a587947e3e60",
 }
 
 

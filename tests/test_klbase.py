@@ -432,15 +432,20 @@ def test_slot_width_below_bound_raises_or_is_exact(bits, reduce):
 
 @pytest.mark.parametrize("symbol", ["I2(5)", "A3", "B3", "H3", "A4", "D4"])
 def test_row_bounds_hold_every_row(symbol):
-    # T_x bounds the sum of |coefficients| over row x of every block, and
-    # the slot width leaves every digit below 2^(bits-2)
-    kit = _store(symbol).block_kit()
+    # T_x bounds the sum of |coefficients| over row x of every block,
+    # whole or cut to the left cell of y, and the slot width leaves every
+    # digit below 2^(bits-2)
+    store = _store(symbol)
+    kit = store.block_kit()
     bounds = _row_bounds(kit)
     assert max(bounds) < 1 << kit.bits - 2
+    cell = compute_cells(generator_rows(store)).left_cell_of
     for y in range(kit.size):
-        for x, row in enumerate(_h_block(kit, y)):
-            total = sum(abs(c) for p in row.values() for c in kit.unpack(p)[1])
-            assert total <= bounds[x], (x, y)
+        for cut in (None, cell):
+            for x, row in enumerate(_h_block(kit, y, cell=cut)):
+                total = sum(abs(c) for p in row.values()
+                            for c in kit.unpack(p)[1])
+                assert total <= bounds[x], (x, y, cut is None)
 
 
 @pytest.mark.parametrize("symbol", ["A3", "B3", "H3"])
@@ -464,6 +469,27 @@ def test_closed_rows_match_whole_block(symbol):
             assert [x for x, row in enumerate(block) if row is not None] \
                 == list(xs)
             assert all(block[x] == whole[y][x] for x in xs)
+
+
+@pytest.mark.parametrize("symbol", ["A3", "B3", "H3", "D4"])
+def test_cell_truncated_blocks_match_whole_block(symbol):
+    # a block cut to the left cell of y equals the whole block with only
+    # the columns in that cell kept, on every row and on the rows of each
+    # closure
+    store = _store(symbol)
+    kit = store.block_kit()
+    cells = compute_cells(generator_rows(store))
+    cell = cells.left_cell_of
+    closures = [kit.closure(members) for members in cells.left_cells]
+    for y in range(kit.size):
+        want = [{z: p for z, p in row.items() if cell[z] == cell[y]}
+                for row in _h_block(kit, y)]
+        assert _h_block(kit, y, cell=cell) == want, y
+        for xs in closures:
+            keep = set(xs)
+            assert _h_block(kit, y, xs, cell) == [
+                want[x] if x in keep else None for x in range(kit.size)
+            ], (y, xs[-1])
 
 
 # ---------------------------------------------------------------------------
