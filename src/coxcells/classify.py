@@ -23,11 +23,11 @@ class function and the transport system is rational.  It is block
 triangular by right cells: h_{x,d,z} != 0 implies z <=_R x, so a(z) >=
 a(x) (P4), and z ~R x when a(z) = a(x) (P9).  That shape is checked on
 every entry; the right cells are then solved in order of decreasing a,
-each diagonal block by one row reduction modulo one prime, and another
-only when reconstruction or the exact check fails; the matrix is
-invertible exactly when every diagonal block is.  The solutions are
-reconstructed as rationals, scaled per column by the lcm of their
-denominators, verified exactly in integers and reassembled in Q(zeta_M).
+each diagonal block by one fraction-free elimination in integers
+(Bareiss), so the solve is exact and needs no primes; the matrix is
+invertible exactly when every diagonal block is.  Each solution column
+is kept scaled by the lcm of its denominators, verified exactly in
+integers and reassembled in Q(zeta_M).
 The parity test then runs on the integer dual-basis traces of every
 coordinate, which the positive scale does not change.
 
@@ -44,10 +44,10 @@ raises.
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd
 from operator import mul
 
-from .chartab import _is_prime, _newton, _pdiv, _primitive_root, _rref
+from .chartab import _is_prime, _newton, _pdiv, _primitive_root
 from .errors import InternalInconsistencyError, UsageError
 from .exactnum import (
     CycloNumber,
@@ -378,44 +378,7 @@ def _finish_records(group, table, cells, gamma, dset, jts, ordinary_flags):
 
 
 # ---------------------------------------------------------------------------
-# the modular transport solve
-
-def _word_primes():
-    p = (1 << 31) - 1
-    while p > (1 << 30):
-        if _is_prime(p):
-            yield p
-        p -= 2
-
-
-def _rational_reconstruct(r, m):
-    """The unique fraction with small numerator and denominator congruent
-    to r mod m, or None."""
-    bound = isqrt(m // 2)
-    a0, a1 = m, r % m
-    s0, s1 = 0, 1
-    while a1 > bound:
-        q = a0 // a1
-        a0, a1 = a1, a0 - q * a1
-        s0, s1 = s1, s0 - q * s1
-    if s1 == 0:
-        return None
-    num, den = a1, s1
-    if den < 0:
-        num, den = -num, -den
-    if den > bound or gcd(num, den) != 1:
-        return None
-    return Fraction(num, den)
-
-
-def _crt(residues, moduli):
-    acc, mod = 0, 1
-    for r, m in zip(residues, moduli):
-        inv = pow(mod % m, m - 2, m)
-        acc = acc + mod * ((r - acc) % m * inv % m)
-        mod *= m
-    return acc % mod, mod
-
+# the exact transport solve
 
 def _transport_blocks(trans, cells, a):
     """The right cells in order of decreasing a, after checking that they
@@ -431,29 +394,58 @@ def _transport_blocks(trans, cells, a):
     return sorted(cells.right_cells, key=lambda b: -a[b[0]])
 
 
-def _solve_modp(trans, blocks, rhs_cols, p):
-    """Solve the transport system for several right-hand sides mod p, one
-    diagonal block at a time in the order of `_transport_blocks`; returns
-    the solution columns or None when a block is singular mod p.
+def _block_solve(trans, blocks, rhs_cols):
+    """Solution columns of the transport system, each as (den, ints): the
+    lcm of its denominators and the column scaled by it.
 
-    The columns of a block's rows outside the block are solved before it,
-    and its own columns are still zero when the solved ones are taken
-    off the right-hand sides."""
-    sols = [[0] * len(trans) for _ in rhs_cols]
+    The diagonal blocks are solved in the order of `_transport_blocks`,
+    by fraction-free Gauss-Jordan elimination in integers (Bareiss, Math.
+    Comp. 22, 1968): every division by the previous pivot is exact, and
+    at the end row i holds det * y_i, det being the last pivot.  The
+    columns of a block's rows outside the block are solved before it, and
+    its own columns are still zero when the solved ones are taken off the
+    right-hand sides, which are scaled by den.  When a block's solution
+    needs a further denominator, that column's den and its solved entries
+    are multiplied by it.  The result must pass `_verify_traces`."""
+    sols = [(1, [0] * len(trans)) for _ in rhs_cols]
     for block in blocks:
         n = len(block)
-        aug = [
-            [trans[x].get(z, 0) % p for z in block]
-            + [(rhs[x] - sum(c * sol[z] for z, c in trans[x].items())) % p
-               for rhs, sol in zip(rhs_cols, sols)]
+        rows = [
+            [trans[x].get(z, 0) for z in block]
+            + [den * rhs[x] - sum(c * ints[z] for z, c in trans[x].items())
+               for (den, ints), rhs in zip(sols, rhs_cols)]
             for x in block
         ]
-        red, pivots = _rref(aug, p)
-        if pivots != list(range(n)):
-            return None
-        for z, row in zip(block, red):
-            for sol, r in zip(sols, row[n:]):
-                sol[z] = r
+        prev = 1
+        for k in range(n):
+            sel = next((i for i in range(k, n) if rows[i][k]), None)
+            if sel is None:
+                raise InternalInconsistencyError("singular diagonal block")
+            rows[k], rows[sel] = rows[sel], rows[k]
+            pivot = rows[k]
+            piv = pivot[k]
+            for i, row in enumerate(rows):
+                if i != k:
+                    f = row[k]
+                    row[k + 1:] = [(piv * a - f * b) // prev
+                                   for a, b in zip(row[k + 1:], pivot[k + 1:])]
+            prev = piv
+        for j, (den, ints) in enumerate(sols):
+            nums = [row[n + j] for row in rows]
+            g = gcd(prev, *nums)
+            if prev < 0:
+                g = -g
+            scale = prev // g
+            if scale > 1:
+                den *= scale
+                ints = [q * scale for q in ints]
+                sols[j] = (den, ints)
+            for z, q in zip(block, nums):
+                ints[z] = q // g
+    if not _verify_traces(trans, rhs_cols, sols):
+        raise InternalInconsistencyError(
+            "transport solution fails the exact integer check"
+        )
     return sols
 
 
@@ -511,8 +503,8 @@ def classify_group_streamed(store, cells, gamma, dset, table,
     left cell of d, and decoded to the entries (x, z, h_{x,d,z}); both
     the transport matrix at v=1 and the dual traces are read off that
     list.
-    Asymptotic traces come from a modular solve with exact verification,
-    one right-hand side per nonzero coordinate of each character;
+    Asymptotic traces come from an exact block solve in integers, one
+    right-hand side per nonzero coordinate of each character;
     ordinariness from the dual-trace parity test on every coordinate,
     which is equivalent to even parity of the generic traces through the
     triangular T-basis expansion.  jobs is accepted and unused.
@@ -547,8 +539,8 @@ def classify_group_streamed(store, cells, gamma, dset, table,
             sums[cof[u]] += c
         for rhs, vals in zip(rhs_cols, class_vals):
             rhs[x] = sum(map(mul, sums, vals))
-    sols = _streamed_traces(trans, _transport_blocks(trans, cells, gamma.a),
-                            rhs_cols)
+    sols = _block_solve(trans, _transport_blocks(trans, cells, gamma.a),
+                        rhs_cols)
     jts = _assemble_traces(columns, sols, table, size)
     zero = cyclo_context(table.conductor).zero
     for i, jt in enumerate(jts):
@@ -596,52 +588,6 @@ def classify_group_streamed(store, cells, gamma, dset, table,
     return ClassifyResult(
         group, table, cells, gamma, dset, records, involutions,
         orientation, cell_ordinary, profile, consistent,
-    )
-
-
-def _streamed_traces(trans, blocks, rhs_cols):
-    """Solution columns of the transport system, each as (den, ints): the
-    lcm of its denominators and the column scaled by it.  Modular block
-    solves, CRT, rational reconstruction, and an exact final check.
-
-    Reconstruction is tried after every prime, the first one included;
-    another prime is taken only when it fails or when the exact check
-    rejects what it gave, so a solution is accepted only once it has
-    passed that check."""
-    primes = _word_primes()
-    used = []
-    residues = [[[] for _ in trans] for _ in rhs_cols]
-    for _ in range(6):
-        p = next(primes)
-        sol = _solve_modp(trans, blocks, rhs_cols, p)
-        if sol is None:
-            continue
-        used.append(p)
-        for col, new in zip(residues, sol):
-            for cell, r in zip(col, new):
-                cell.append(r)
-        out = []
-        ok = True
-        for col in residues:
-            vals = []
-            for cell in col:
-                r, m = _crt(cell, used)
-                q = _rational_reconstruct(r, m)
-                if q is None:
-                    ok = False
-                    break
-                vals.append(q)
-            if not ok:
-                break
-            den = lcm(*(q.denominator for q in vals))
-            out.append((den, [q.numerator * (den // q.denominator)
-                              for q in vals]))
-        if not ok:
-            continue
-        if _verify_traces(trans, rhs_cols, out):
-            return out
-    raise InternalInconsistencyError(
-        "modular transport solve failed to stabilize over 6 primes"
     )
 
 

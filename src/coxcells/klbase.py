@@ -497,12 +497,17 @@ _LEAD = struct.Struct("<IIIq")
 
 
 def _replace_file(directory: str, name: str, data: bytes):
-    """Write data under a temporary sibling name, then move it into place."""
+    """Write data under a temporary sibling name, then move it into place;
+    the temporary is removed when either step fails."""
     path = os.path.join(directory, name)
     tmp = f"{path}.{os.getpid()}.tmp"
-    with open(tmp, "wb") as f:
-        f.write(data)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as f:
+            f.write(data)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
 
 
 def cache_save(store: KLStore, gamma, directory: str):

@@ -6,7 +6,7 @@ includes the direct classification lane: the all-pairs h-table, an exact
 dense rational inverse of the transport matrix, asymptotic traces from that
 inverse and generic-algebra traces through the dual-basis expansion.  The
 streamed lane in coxcells.classify is checked against it, and its block
-solve against one row reduction of the whole transport system mod p.
+solve against that inverse.
 Fake degrees in Q(zeta_M) over one common denominator (the library works
 modulo one prime), with the reflection characteristic polynomials taken
 from powers of the exact reflection matrices rather than from the
@@ -31,9 +31,8 @@ import hashlib
 import random
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, gcd
+from math import factorial, gcd, lcm
 
-from coxcells.chartab import _rref
 from coxcells.classify import (
     ClassifyResult,
     _finish_records,
@@ -1257,19 +1256,16 @@ def _transport_rows(htable, cells, dset):
     return rows
 
 
-def dense_solve_modp(trans, rhs_cols, p):
-    """Solution columns of the whole transport system mod p by one row
-    reduction of the augmented matrix, or None when it is singular mod p."""
-    size = len(trans)
-    aug = [
-        [row.get(z, 0) % p for z in range(size)]
-        + [rhs[x] % p for rhs in rhs_cols]
-        for x, row in enumerate(trans)
-    ]
-    red, pivots = _rref(aug, p)
-    if pivots != list(range(size)):
-        return None
-    return [[row[size + j] for row in red] for j in range(len(rhs_cols))]
+def rational_solve(trans, rhs_cols):
+    """Solution columns of the whole transport system, each as (den, ints)
+    with den the lcm of its denominators, from the exact rational inverse."""
+    inverse = _invert_rational(trans, len(trans))
+    out = []
+    for rhs in rhs_cols:
+        ys = [sum(q * v for q, v in zip(row, rhs) if q) for row in inverse]
+        den = lcm(*(Fraction(y).denominator for y in ys))
+        out.append((den, [int(y * den) for y in ys]))
+    return out
 
 
 def build_phi(store, htable, cells, dset) -> PhiIso:

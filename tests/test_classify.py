@@ -10,6 +10,7 @@ on element numbering.
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -25,25 +26,24 @@ from oracles import (
     check_longest_twist,
     check_parity_bridge,
     check_phi_multiplicative,
-    dense_solve_modp,
     detect_orientation,
     dihedral3_coinvariant_graded_characters,
     fake_degrees_common_denominator,
     hecke_character,
     left_cell_module,
+    rational_solve,
     reflection_charpolys_by_matrices,
 )
 
 import coxcells.classify as classify_mod
 from coxcells.chartab import CharacterTable, character_table
 from coxcells.classify import (
+    _block_solve,
     _class_quotients,
     _coordinate_columns,
     _reflection_charpolys,
     _residue_map,
     _signed_row,
-    _solve_modp,
-    _streamed_traces,
     _transport_blocks,
     _verify_traces,
     classify_group_streamed,
@@ -515,7 +515,7 @@ def test_integer_trace_check_rejects_a_perturbed_entry(rig):
     r = rig("H3")
     trans, rhs_cols = _transport_system(r)
     blocks = _transport_blocks(trans, r.cells, r.gamma.a)
-    sols = _streamed_traces(trans, blocks, rhs_cols)
+    sols = _block_solve(trans, blocks, rhs_cols)
     assert _verify_traces(trans, rhs_cols, sols)
     sols[0][1][0] += 1
     assert not _verify_traces(trans, rhs_cols, sols)
@@ -537,41 +537,72 @@ def test_transport_blocks_are_right_cells_by_decreasing_a(rig):
         _transport_blocks(trans, r.cells, a)
 
 
-def test_block_solve_matches_dense_reference(rig):
-    p = (1 << 31) - 1
+def test_block_solve_matches_rational_inverse(rig):
+    # random integer right-hand sides have solutions that are not
+    # integral, so their columns need a denominator
     for symbol in ("A3", "B3", "H3"):
         r = rig(symbol)
+        size = r.group.size
         trans, rhs_cols = _transport_system(r)
+        rng = random.Random(symbol)
+        rand_cols = [[rng.randint(-3, 3) for _ in range(size)]
+                     for _ in range(2)]
         blocks = _transport_blocks(trans, r.cells, r.gamma.a)
-        got = _solve_modp(trans, blocks, rhs_cols, p)
-        assert got is not None, symbol
-        assert got == dense_solve_modp(trans, rhs_cols, p), symbol
+        cols = rhs_cols + rand_cols
+        got = _block_solve(trans, blocks, cols)
+        assert got == rational_solve(trans, cols), symbol
+        assert all(den > 1 for den, _ in got[len(rhs_cols):]), symbol
 
 
-def test_one_prime_unless_reconstruction_fails(rig, monkeypatch):
-    # H3's solutions are small integers, which the first prime already
-    # reconstructs; scaled by 2^20 they exceed the reconstruction bound of
-    # one prime, and a second one is taken
+# SHA-256 of the JSON (den, ints) columns that the transport solve of
+# `classify_group_streamed` returned, recorded from the modular solve with
+# rational reconstruction that the exact block solve replaced
+SOLVE_SHA256 = {
+    "A3": "bb9670f3c170850501678c46ea222d97ab04fd1643e39a33857e063d24c7cf2d",
+    "B3": "2547a2c9a04e7eb5728b523b782e93ddbebe1b0b8e63f6c2e6c61b6e2fcd740d",
+    "H3": "79858853374b7e1fdbcba46c5731e2791808f331cd55760bca7a6fa75217a95d",
+    "B4": "0e44a1be01fbbc3e44d6ae4c09c470057bf0337a541335b60b42c5269d6abf37",
+}
+
+
+def test_block_solve_pinned(rig, monkeypatch):
+    real = classify_mod._block_solve
+    got = []
+
+    def recorder(trans, blocks, rhs_cols):
+        got.append(real(trans, blocks, rhs_cols))
+        return got[-1]
+
+    monkeypatch.setattr(classify_mod, "_block_solve", recorder)
+    for symbol, want in SOLVE_SHA256.items():
+        r = rig(symbol)
+        classify_group_streamed(r.store, r.cells, r.gamma, r.dset, r.table)
+        text = json.dumps(got.pop())
+        assert hashlib.sha256(text.encode()).hexdigest() == want, symbol
+
+
+def test_block_solve_scales_exactly_and_rejects_a_singular_block(rig):
     r = rig("H3")
     trans, rhs_cols = _transport_system(r)
     blocks = _transport_blocks(trans, r.cells, r.gamma.a)
-    real = classify_mod._solve_modp
-    primes = []
-
-    def counting(trans, blocks, rhs_cols, p):
-        primes.append(p)
-        return real(trans, blocks, rhs_cols, p)
-
-    monkeypatch.setattr(classify_mod, "_solve_modp", counting)
-    sols = _streamed_traces(trans, blocks, rhs_cols)
-    assert len(primes) == 1
-    primes.clear()
+    sols = _block_solve(trans, blocks, rhs_cols)
     big = 1 << 20
-    scaled = _streamed_traces(
+    scaled = _block_solve(
         trans, blocks, [[big * v for v in rhs] for rhs in rhs_cols]
     )
-    assert len(primes) == 2
     assert scaled == [(den, [big * q for q in ints]) for den, ints in sols]
+    # one equation times -1 flips the sign of its block's determinant
+    block = next(b for b in blocks if len(b) > 1)
+    x = block[0]
+    flipped = list(trans)
+    flipped[x] = {z: -c for z, c in trans[x].items()}
+    flipped_rhs = [list(rhs) for rhs in rhs_cols]
+    for rhs in flipped_rhs:
+        rhs[x] = -rhs[x]
+    assert _block_solve(flipped, blocks, flipped_rhs) == sols
+    trans[x] = {z: c for z, c in trans[x].items() if z not in block}
+    with pytest.raises(InternalInconsistencyError, match="singular"):
+        _block_solve(trans, blocks, rhs_cols)
 
 
 def test_distinguished_blocks_streamed_once(rig, monkeypatch):
@@ -597,7 +628,9 @@ def test_distinguished_blocks_streamed_once(rig, monkeypatch):
 # SHA-256 of `coxcells classify --type G` stdout (the JSON report with a
 # trailing newline), recorded before the direct lane left the program;
 # I2(8), A4, D4 and B4 (the last with --heavy) recorded before the h blocks
-# were cut to left cells and the transport solve to one prime
+# were cut to left cells and the transport solve to one prime; I2(60), the
+# widest elimination (two right cells of 59 elements, 257 coordinate
+# columns), recorded before the modular solve became an exact one
 REPORT_SHA256 = {
     "I2(3)": "545fbeeee940a5f2f9fb494fb8648ee47ff7ff61f0884cf5e353aa30b2fb0c6f",
     "I2(5)": "2559ccb9f5d70cfdd7eed93ed364ac6c962896da509724a1e4629b40048b0124",
@@ -609,6 +642,7 @@ REPORT_SHA256 = {
     "A4": "fd15f959eee0fc56ac8c44525d8f1ef26e378d88e9908c832bcc98b97d219b99",
     "D4": "be916756bb3a6f7247e17badfa07dd4b7f9f3657f58dcc69943385023da9ad73",
     "B4": "65c5767033e137994de6476235a6f16ec554ace3856294252864a587947e3e60",
+    "I2(60)": "af3b4026503dde28434fb2dd784f730354fab82884256f98ea446299d6010053",
 }
 
 

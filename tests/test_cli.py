@@ -213,6 +213,23 @@ def test_unusable_cache_dir_exits_3(capsys, tmp_path):
     assert "Traceback" not in err
 
 
+def test_failed_cache_write_leaves_no_temporary(capsys, tmp_path):
+    # a directory in the place of kl.bin makes the move into place fail
+    cache = tmp_path / "store"
+    (cache / "A3" / "kl.bin").mkdir(parents=True)
+    args = ("cells", "--type", "A3", "--cache-dir", str(cache))
+    for _ in range(2):
+        code, out, _ = _run(capsys, *args)
+        assert code == 3
+        assert out == ""
+        assert not list(cache.rglob("*.tmp"))
+    (cache / "A3" / "kl.bin").rmdir()
+    code, _, _ = _run(capsys, *args)
+    assert code == 0
+    assert (cache / "A3" / "manifest.json").exists()
+    assert not list(cache.rglob("*.tmp"))
+
+
 def test_internal_error_exits_3(capsys, monkeypatch):
     def broken(group):
         raise InternalInconsistencyError("invariant failed")
