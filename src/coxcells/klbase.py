@@ -41,19 +41,19 @@ the whole row, so the slot width bound still holds.  Every block is
 computed in the calling process.  The test suite checks the blocks
 against products taken row by row through the T-basis.
 
-The cache holds the P rows (mu is read off them again on load) and the
-result of the leading scan (a-values and leading coefficients), not the
-rows themselves.  Its manifest records the length and SHA-256 of both
-payload files and is written last, each file under a temporary name
-moved into place, so a torn or altered cache is recomputed rather than
-read.
+The cache is one file, cache.bin, per type.  It holds the P rows (mu is
+read off them again on load) and the result of the leading scan
+(a-values and leading coefficients), not the h rows themselves, and
+ends with the SHA-256 of everything before it.  It is written under a
+temporary name and moved into place in one step, so a reader sees
+either a whole file or none; a torn or altered file fails its digest
+and is recomputed rather than read.
 """
 
 from __future__ import annotations
 
 import hashlib
 import io
-import json
 import os
 import struct
 
@@ -73,7 +73,7 @@ __all__ = [
     "vp",
 ]
 
-CACHE_FORMAT_VERSION = 4
+CACHE_FORMAT_VERSION = 5
 
 
 # ---------------------------------------------------------------------------
@@ -492,8 +492,11 @@ def _read_record(f) -> bytes:
     return payload
 
 
-# one (x, y, z, leading coefficient) entry of lead.bin
+# one (x, y, z, leading coefficient) entry of the lead record
 _LEAD = struct.Struct("<IIIq")
+
+_CACHE_FILE = "cache.bin"
+_MAGIC = b"CXCC"
 
 
 def _replace_file(directory: str, name: str, data: bytes):
@@ -511,112 +514,67 @@ def _replace_file(directory: str, name: str, data: bytes):
 
 
 def cache_save(store: KLStore, gamma, directory: str):
-    """Write kl.bin, lead.bin and, last, manifest.json.
+    """Write cache.bin in one move into place.
 
-    kl.bin holds one record of P rows per element; mu is not stored.
-    lead.bin holds the leading scan of gamma (a GammaTable): the a-values
-    and the (x, y, z, lead) entries, one record each.  The manifest
-    records the length and SHA-256 of both.
+    It holds magic and version, the fingerprint record, the element
+    count, one record of P rows per element (mu is not stored), the
+    a-values and (x, y, z, lead) records of gamma's leading scan, and
+    last the SHA-256 of everything before it.
     """
     os.makedirs(directory, exist_ok=True)
-    group = store.group
-    kl = io.BytesIO()
-    kl.write(b"CXKL")
-    kl.write(struct.pack("<I", CACHE_FORMAT_VERSION))
-    _write_record(kl, store.fingerprint.encode())
-    kl.write(struct.pack("<I", group.size))
-    for w in range(group.size):
-        row = store.P_by_w[w]
+    size = store.group.size
+    f = io.BytesIO()
+    f.write(_MAGIC + struct.pack("<I", CACHE_FORMAT_VERSION))
+    _write_record(f, store.fingerprint.encode())
+    f.write(struct.pack("<I", size))
+    for row in store.P_by_w:
         parts = [struct.pack("<I", len(row))]
         for y in sorted(row):
             qc = row[y]
             parts.append(struct.pack(f"<IH{len(qc)}q", y, len(qc), *qc))
-        _write_record(kl, b"".join(parts))
-    lead = io.BytesIO()
-    lead.write(b"CXLD")
-    lead.write(struct.pack("<I", CACHE_FORMAT_VERSION))
-    _write_record(lead, store.fingerprint.encode())
-    _write_record(lead, struct.pack(f"<{group.size}I", *gamma.a))
-    _write_record(lead, b"".join(
+        _write_record(f, b"".join(parts))
+    _write_record(f, struct.pack(f"<{size}I", *gamma.a))
+    _write_record(f, b"".join(
         _LEAD.pack(x, y, z, c) for (x, y, z), c in gamma.lead.items()
     ))
-    files = {}
-    for name, buf in (("kl.bin", kl), ("lead.bin", lead)):
-        data = buf.getvalue()
-        _replace_file(directory, name, data)
-        files[name] = {
-            "bytes": len(data),
-            "sha256": hashlib.sha256(data).hexdigest(),
-        }
-    manifest = {
-        "format_version": CACHE_FORMAT_VERSION,
-        "type": group.datum.type_symbol,
-        "order": group.size,
-        "rank": group.datum.rank,
-        "fingerprint": store.fingerprint,
-        "files": files,
-    }
-    text = json.dumps(manifest, indent=1, sort_keys=True) + "\n"
-    _replace_file(directory, "manifest.json", text.encode())
+    data = f.getvalue()
+    data += hashlib.sha256(data).digest()
+    _replace_file(directory, _CACHE_FILE, data)
 
 
 def cache_load(directory: str, group: CoxeterGroup):
-    """Load (KLStore, (a, lead)) for this group; validate everything.
+    """(KLStore, (a, lead)) for this group, or None without cache.bin.
 
     (a, lead) is the cached leading scan, as compute_gamma takes it.
-    Every way the files can fail to decode (missing or unreadable file,
-    malformed JSON, a payload whose length or digest differs from the
-    manifest, short or oversized record, bad text) is raised as
-    CacheInvalidError.
+    Every way the file can fail to decode (unreadable, a digest that
+    does not match, another format or group, short or oversized record,
+    an index out of range) is raised as CacheInvalidError.
     """
-    manifest_path = os.path.join(directory, "manifest.json")
-    if not os.path.exists(manifest_path):
-        raise CacheInvalidError(f"no manifest at {manifest_path}")
+    path = os.path.join(directory, _CACHE_FILE)
+    if not os.path.exists(path):
+        return None
     try:
-        return _read_cache(directory, manifest_path, group)
+        with open(path, "rb") as f:
+            return _decode_cache(f.read(), group)
     except (OSError, ValueError, struct.error) as exc:
         raise CacheInvalidError(f"unreadable cache: {exc}") from exc
 
 
-def _read_payload(directory: str, manifest: dict, name: str) -> io.BytesIO:
-    """One payload file, checked against the manifest's length and digest."""
-    files = manifest.get("files")
-    entry = files.get(name) if isinstance(files, dict) else None
-    if not isinstance(entry, dict):
-        raise CacheInvalidError(f"manifest lists no {name}")
-    with open(os.path.join(directory, name), "rb") as f:
-        data = f.read()
-    if (len(data) != entry.get("bytes")
-            or hashlib.sha256(data).hexdigest() != entry.get("sha256")):
-        raise CacheInvalidError(f"{name} does not match the manifest digest")
-    return io.BytesIO(data)
-
-
-def _read_cache(directory: str, manifest_path: str, group: CoxeterGroup):
-    with open(manifest_path) as f:
-        manifest = json.load(f)
-    if not isinstance(manifest, dict):
-        raise CacheInvalidError("manifest is not a JSON object")
-    if manifest.get("format_version") != CACHE_FORMAT_VERSION:
-        raise CacheInvalidError(
-            f"cache format {manifest.get('format_version')} != "
-            f"{CACHE_FORMAT_VERSION}"
-        )
-    fp = group.fingerprint()
-    if manifest.get("fingerprint") != fp or manifest.get("type") != group.datum.type_symbol:
-        raise CacheInvalidError("cache belongs to a different group")
-
-    f = _read_payload(directory, manifest, "kl.bin")
-    if f.read(4) != b"CXKL":
-        raise CacheInvalidError("bad kl.bin magic")
+def _decode_cache(data: bytes, group: CoxeterGroup):
+    body = data[:-32]
+    if hashlib.sha256(body).digest() != data[-32:]:
+        raise CacheInvalidError("cache.bin does not match its digest")
+    f = io.BytesIO(body)
+    if f.read(4) != _MAGIC:
+        raise CacheInvalidError("bad cache magic")
     (ver,) = struct.unpack("<I", f.read(4))
     if ver != CACHE_FORMAT_VERSION:
-        raise CacheInvalidError("kl.bin version mismatch")
-    if _read_record(f).decode() != fp:
-        raise CacheInvalidError("kl.bin fingerprint mismatch")
+        raise CacheInvalidError(f"cache format {ver} != {CACHE_FORMAT_VERSION}")
+    if _read_record(f).decode() != group.fingerprint():
+        raise CacheInvalidError("cache belongs to a different group")
     (size,) = struct.unpack("<I", f.read(4))
     if size != group.size:
-        raise CacheInvalidError("kl.bin element count mismatch")
+        raise CacheInvalidError("cache element count mismatch")
     P_by_w = [None] * size
     mu_by_w = [None] * size
     for w in range(size):
@@ -626,31 +584,22 @@ def _read_cache(directory: str, manifest_path: str, group: CoxeterGroup):
         for _ in range(nrow):
             y, nq = struct.unpack("<IH", buf.read(6))
             if y >= size:
-                raise CacheInvalidError("kl.bin entry out of range")
+                raise CacheInvalidError("P entry out of range")
             row[y] = struct.unpack(f"<{nq}q", buf.read(8 * nq))
         if buf.read(1):
-            raise CacheInvalidError("kl.bin record longer than its rows")
+            raise CacheInvalidError("P record longer than its rows")
         P_by_w[w] = row
         mu_by_w[w] = _mu_row(row, w, group.length)
-    if f.read(1):
-        raise CacheInvalidError("trailing bytes after kl.bin records")
-    store = KLStore(group, P_by_w, mu_by_w)
-
-    f = _read_payload(directory, manifest, "lead.bin")
-    if f.read(8) != b"CXLD" + struct.pack("<I", CACHE_FORMAT_VERSION):
-        raise CacheInvalidError("bad lead.bin header")
-    if _read_record(f) != fp.encode():
-        raise CacheInvalidError("lead.bin fingerprint mismatch")
     a_raw = _read_record(f)
     lead_raw = _read_record(f)
     if f.read(1):
-        raise CacheInvalidError("trailing bytes after lead.bin records")
+        raise CacheInvalidError("trailing bytes after the lead record")
     if len(a_raw) != 4 * size or len(lead_raw) % _LEAD.size:
-        raise CacheInvalidError("lead.bin record size mismatch")
+        raise CacheInvalidError("a or lead record size mismatch")
     a = struct.unpack(f"<{size}I", a_raw)
     lead = {}
     for x, y, z, c in _LEAD.iter_unpack(lead_raw):
         if max(x, y, z) >= size:
-            raise CacheInvalidError("lead.bin entry out of range")
+            raise CacheInvalidError("lead entry out of range")
         lead[(x, y, z)] = c
-    return store, (a, lead)
+    return KLStore(group, P_by_w, mu_by_w), (a, lead)

@@ -48,13 +48,13 @@ def load_stores(group, cache_dir=None):
     recomputed with a notice.  Without a usable cache the store is
     computed and the scan is left to the caller.
     """
+    cached = None
     if cache_dir:
         try:
-            return cache_load(_cache_path(group, cache_dir), group)
+            cached = cache_load(_cache_path(group, cache_dir), group)
         except CacheInvalidError as exc:
-            if "no manifest" not in str(exc):
-                notice(f"cache invalid ({exc}); recomputing")
-    return compute_kl(group), None
+            notice(f"cache invalid ({exc}); recomputing")
+    return cached or (compute_kl(group), None)
 
 
 def analysis(group, cache_dir=None, jobs=1):

@@ -2,7 +2,6 @@
 
 import contextlib
 import csv
-import hashlib
 import io
 import json
 import os
@@ -21,6 +20,8 @@ import coxcells.classify as classify_mod
 from coxcells import cli
 from coxcells.cli import CACHE_ENV, main
 from coxcells.errors import InternalInconsistencyError
+
+from oracles import reseal_cache
 
 
 def _run(capsys, *argv):
@@ -195,7 +196,7 @@ def test_cache_round_trip_byte_identical(capsys, tmp_path):
     args = ("classify", "--type", "I2(5)", "--cache-dir", cache)
     code, cold, _ = _run(capsys, *args)
     assert code == 0
-    assert os.path.exists(os.path.join(cache, "I2(5)", "manifest.json"))
+    assert os.listdir(os.path.join(cache, "I2(5)")) == ["cache.bin"]
     code, warm, _ = _run(capsys, *args)
     assert code == 0
     assert cold == warm
@@ -214,19 +215,19 @@ def test_unusable_cache_dir_exits_3(capsys, tmp_path):
 
 
 def test_failed_cache_write_leaves_no_temporary(capsys, tmp_path):
-    # a directory in the place of kl.bin makes the move into place fail
+    # a directory in the place of cache.bin makes the move into place fail
     cache = tmp_path / "store"
-    (cache / "A3" / "kl.bin").mkdir(parents=True)
+    (cache / "A3" / "cache.bin").mkdir(parents=True)
     args = ("cells", "--type", "A3", "--cache-dir", str(cache))
     for _ in range(2):
         code, out, _ = _run(capsys, *args)
         assert code == 3
         assert out == ""
         assert not list(cache.rglob("*.tmp"))
-    (cache / "A3" / "kl.bin").rmdir()
+    (cache / "A3" / "cache.bin").rmdir()
     code, _, _ = _run(capsys, *args)
     assert code == 0
-    assert (cache / "A3" / "manifest.json").exists()
+    assert (cache / "A3" / "cache.bin").is_file()
     assert not list(cache.rglob("*.tmp"))
 
 
@@ -260,7 +261,7 @@ def test_cache_env_variable(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv(CACHE_ENV, str(cache))
     code, _, _ = _run(capsys, "cells", "--type", "I2(3)")
     assert code == 0
-    assert (cache / "I2(3)" / "manifest.json").exists()
+    assert (cache / "I2(3)" / "cache.bin").exists()
 
 
 def test_corrupt_cache_recomputed(capsys, tmp_path):
@@ -268,88 +269,87 @@ def test_corrupt_cache_recomputed(capsys, tmp_path):
     args = ("cells", "--type", "I2(3)", "--cache-dir", str(cache))
     code, first, _ = _run(capsys, *args)
     assert code == 0
-    (cache / "I2(3)" / "lead.bin").write_bytes(b"garbage")
+    (cache / "I2(3)" / "cache.bin").write_bytes(b"garbage")
     code, again, err = _run(capsys, *args)
     assert code == 0
     assert first == again
     assert "cache" in err
 
 
-def _not_json(d):
-    (d / "manifest.json").write_text("{not json")
-
-
-def _not_an_object(d):
-    (d / "manifest.json").write_text("[1, 2]")
-
-
-def _no_kl_file(d):
-    (d / "kl.bin").unlink()
-
-
-def _resign(d, name):
-    """Record an edited payload's length and digest in the manifest, so
-    that the decode checks behind the digest check are the ones tested."""
-    data = (d / name).read_bytes()
-    manifest = json.loads((d / "manifest.json").read_text())
-    manifest["files"][name] = {
-        "bytes": len(data), "sha256": hashlib.sha256(data).hexdigest(),
-    }
-    (d / "manifest.json").write_text(json.dumps(manifest))
-
-
-def _edit_kl(d, edit):
-    path = d / "kl.bin"
-    data = bytearray(path.read_bytes())
-    edit(data)
-    path.write_bytes(bytes(data))
-    _resign(d, "kl.bin")
+# cache.bin: magic, version, fingerprint record, element count, then one
+# record per element whose first field is its row length, the a record,
+# the lead record and the digest
+def _first_record_at(data):
+    (fp_len,) = struct.unpack_from("<I", data, 8)
+    return 12 + fp_len + 4
 
 
 def _oversized_record(d):
-    # kl.bin: magic, version, fingerprint record, element count, then one
-    # record per element whose first field is its row length
+    # a row count beyond the record's length
     def edit(data):
-        (fp_len,) = struct.unpack_from("<I", data, 8)
-        struct.pack_into("<I", data, 12 + fp_len + 4 + 4, 10**6)
+        struct.pack_into("<I", data, _first_record_at(data) + 4, 10**6)
 
-    _edit_kl(d, edit)
+    reseal_cache(d, edit)
 
 
 def _record_with_trailing_bytes(d):
     def edit(data):
-        (fp_len,) = struct.unpack_from("<I", data, 8)
-        at = 12 + fp_len + 4
+        at = _first_record_at(data)
         (n,) = struct.unpack_from("<I", data, at)
         struct.pack_into("<I", data, at, n + 4)
         data[at + 4 + n:at + 4 + n] = b"JUNK"
 
-    _edit_kl(d, edit)
+    reseal_cache(d, edit)
+
+
+def _no_p_rows(d):
+    # the P rows, what kl.bin held, cut out of the file
+    def edit(data):
+        at = _first_record_at(data)
+        (size,) = struct.unpack_from("<I", data, at - 4)
+        for _ in range(size):
+            (n,) = struct.unpack_from("<I", data, at)
+            del data[at:at + 4 + n]
+
+    reseal_cache(d, edit)
 
 
 def _lead_with_trailing_bytes(d):
-    path = d / "lead.bin"
-    path.write_bytes(path.read_bytes() + b"JUNK")
-    _resign(d, "lead.bin")
+    reseal_cache(d, lambda data: data.extend(b"JUNK"))
 
 
 def _fingerprint_not_utf8(d):
     def edit(data):
         data[12] = 0xFF
 
-    _edit_kl(d, edit)
+    reseal_cache(d, edit)
+
+
+def _digest_mismatch(d):
+    path = d / "cache.bin"
+    data = bytearray(path.read_bytes())
+    data[-1] ^= 1
+    path.write_bytes(bytes(data))
+
+
+def _empty_file(d):
+    (d / "cache.bin").write_bytes(b"")
 
 
 @pytest.mark.parametrize(
-    "corrupt",
-    [_not_json, _not_an_object, _no_kl_file, _oversized_record,
-     _record_with_trailing_bytes, _lead_with_trailing_bytes,
-     _fingerprint_not_utf8],
-    ids=["manifest-not-json", "manifest-not-object", "kl-missing",
-         "record-oversized", "record-trailing-bytes", "lead-trailing-bytes",
-         "fingerprint-not-utf8"],
+    "corrupt, reason",
+    [(_no_p_rows, "record longer than its rows"),
+     (_oversized_record, "unreadable cache"),
+     (_record_with_trailing_bytes, "record longer than its rows"),
+     (_lead_with_trailing_bytes, "trailing bytes after the lead record"),
+     (_fingerprint_not_utf8, "unreadable cache"),
+     (_digest_mismatch, "does not match its digest"),
+     (_empty_file, "does not match its digest")],
+    ids=["kl-missing", "record-oversized", "record-trailing-bytes",
+         "lead-trailing-bytes", "fingerprint-not-utf8", "digest-mismatch",
+         "empty-file"],
 )
-def test_undecodable_cache_recomputed(capsys, tmp_path, corrupt):
+def test_undecodable_cache_recomputed(capsys, tmp_path, corrupt, reason):
     args = ("cells", "--type", "I2(3)", "--cache-dir", str(tmp_path))
     code, cold, _ = _run(capsys, *args)
     assert code == 0
@@ -357,8 +357,8 @@ def test_undecodable_cache_recomputed(capsys, tmp_path, corrupt):
     code, again, err = _run(capsys, *args)
     assert code == 0
     assert again == cold
-    assert "cache invalid" in err and "recomputing" in err
-    assert "digest" not in err
+    assert err.startswith("coxcells: cache invalid (") and reason in err
+    assert err.endswith("); recomputing\n") and err.count("\n") == 1
 
 
 def _run_quiet(argv):
@@ -380,24 +380,20 @@ def filled_cache(tmp_path_factory):
     return root / "I2(5)", cold
 
 
-_CACHE_FILES = ("manifest.json", "kl.bin", "lead.bin")
-
-
 @given(
-    name=st.sampled_from(_CACHE_FILES),
     truncate=st.booleans(),
     at=st.integers(min_value=0, max_value=2**20),
     bit=st.integers(min_value=0, max_value=7),
 )
 def test_mutated_cache_is_recomputed_or_read_intact(
-    filled_cache, name, truncate, at, bit
+    filled_cache, truncate, at, bit
 ):
-    # one flipped bit or a truncation anywhere in the cache: the warm run
-    # prints the cold report, and a changed payload is always noticed
+    # one flipped bit or a truncation anywhere in cache.bin: the warm run
+    # prints the cold report, and every change is noticed
     pristine, cold = filled_cache
     with tempfile.TemporaryDirectory() as work:
         shutil.copytree(pristine, os.path.join(work, "I2(5)"))
-        path = os.path.join(work, "I2(5)", name)
+        path = os.path.join(work, "I2(5)", "cache.bin")
         with open(path, "rb") as f:
             data = bytearray(f.read())
         at %= len(data)
@@ -412,24 +408,55 @@ def test_mutated_cache_is_recomputed_or_read_intact(
         )
     assert code == 0, err
     assert warm == cold
-    noticed = (err.startswith("coxcells: cache invalid (")
-               and err.endswith("); recomputing\n") and err.count("\n") == 1)
-    assert noticed or (err == "" and name == "manifest.json"), err
+    assert err.startswith("coxcells: cache invalid ("), err
+    assert err.endswith("); recomputing\n") and err.count("\n") == 1, err
+
+
+def _forbid_streaming(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("an h block was streamed")
+
+    monkeypatch.setattr("coxcells.jring.stream_h_blocks", forbidden)
 
 
 def test_warm_cells_never_stream(capsys, tmp_path, monkeypatch):
     args = ("cells", "--type", "A3", "--cache-dir", str(tmp_path))
     code, cold, _ = _run(capsys, *args)
     assert code == 0
-
-    def forbidden(*args, **kwargs):
-        raise AssertionError("an h block was streamed")
-
-    monkeypatch.setattr("coxcells.jring.stream_h_blocks", forbidden)
+    _forbid_streaming(monkeypatch)
     code, warm, err = _run(capsys, *args)
     assert code == 0
     assert warm == cold
     assert err == ""
+
+
+def test_format_4_files_are_ignored(capsys, tmp_path, monkeypatch):
+    # a type directory holding only the files of cache format 4: the run
+    # is cold and silent, leaves them as they are, and the rerun is warm
+    code, cold, _ = _run(capsys, "cells", "--type", "A3")
+    assert code == 0
+    d = tmp_path / "A3"
+    d.mkdir()
+    old = {
+        "kl.bin": b"CXKL" + struct.pack("<I", 4),
+        "lead.bin": b"CXLD" + struct.pack("<I", 4),
+        "manifest.json": json.dumps({"format_version": 4}).encode(),
+    }
+    for name, data in old.items():
+        (d / name).write_bytes(data)
+    args = ("cells", "--type", "A3", "--cache-dir", str(tmp_path))
+    code, out, err = _run(capsys, *args)
+    assert code == 0
+    assert out == cold
+    assert err == ""
+    _forbid_streaming(monkeypatch)
+    code, warm, err = _run(capsys, *args)
+    assert code == 0
+    assert warm == cold
+    assert err == ""
+    assert sorted(os.listdir(d)) == ["cache.bin", *sorted(old)]
+    for name, data in old.items():
+        assert (d / name).read_bytes() == data
 
 
 def test_concurrent_cold_writers_share_a_cache(capsys, tmp_path):

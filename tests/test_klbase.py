@@ -1,7 +1,9 @@
 """Canonical basis, structure constants, dagger, cache."""
 
 import hashlib
+import os
 import random
+import struct
 
 import pytest
 from hypothesis import given
@@ -11,6 +13,7 @@ from coxcells.coxeter import build_group
 from coxcells.errors import CacheInvalidError, InternalInconsistencyError
 from coxcells.jring import compute_cells, compute_gamma
 from coxcells.klbase import (
+    CACHE_FORMAT_VERSION,
     BlockKit,
     Packing,
     _h_block,
@@ -31,6 +34,7 @@ from oracles import (
     dagger_T_basis,
     naive_c_product,
     pack,
+    reseal_cache,
     vp,
 )
 
@@ -552,100 +556,86 @@ def test_cache_round_trip(tmp_path):
         assert lead == gamma.lead
 
 
-def test_cache_without_h_table(tmp_path):
-    import os
-
+def test_cache_is_one_file(tmp_path):
     g = build_group("I2(3)")
     store = compute_kl(g)
-    d = str(tmp_path / "c")
-    cache_save(store, _gamma(store), d)
-    assert sorted(os.listdir(d)) == ["kl.bin", "lead.bin", "manifest.json"]
-    store2, _ = cache_load(d, g)
+    d = tmp_path / "c"
+    cache_save(store, _gamma(store), str(d))
+    assert sorted(os.listdir(d)) == ["cache.bin"]
+    store2, _ = cache_load(str(d), g)
     assert store2.P_by_w == store.P_by_w
 
 
-def test_cache_without_lead_file_rejected(tmp_path):
-    import os
+def test_cache_load_without_file_is_none(tmp_path):
+    assert cache_load(str(tmp_path / "c"), build_group("I2(3)")) is None
 
-    g = build_group("I2(3)")
+
+def _saved(tmp_path, symbol="I2(3)"):
+    """A group and the directory of its freshly saved cache."""
+    g = build_group(symbol)
     store = compute_kl(g)
-    d = str(tmp_path / "c")
-    cache_save(store, _gamma(store), d)
-    os.remove(os.path.join(d, "lead.bin"))
-    with pytest.raises(CacheInvalidError):
-        cache_load(d, g)
+    d = tmp_path / "c"
+    cache_save(store, _gamma(store), str(d))
+    return g, d
+
+
+def test_cache_without_lead_file_rejected(tmp_path):
+    # the a and lead records, what lead.bin held, cut off the file
+    g, d = _saved(tmp_path)
+    _, (_, lead) = cache_load(str(d), g)
+    # two length fields, 4 bytes per a-value, 24 per (x, y, z, lead)
+    tail = 4 + 4 * g.size + 4 + 24 * len(lead)
+
+    def edit(data):
+        del data[-tail:]
+
+    reseal_cache(d, edit)
+    with pytest.raises(CacheInvalidError, match="truncated cache record"):
+        cache_load(str(d), g)
 
 
 def test_cache_rejects_wrong_group(tmp_path):
-    g5 = build_group("I2(5)")
-    g3 = build_group("I2(3)")
-    d = str(tmp_path / "c")
-    store = compute_kl(g5)
-    cache_save(store, _gamma(store), d)
-    with pytest.raises(CacheInvalidError):
-        cache_load(d, g3)
+    _, d = _saved(tmp_path, "I2(5)")
+    with pytest.raises(CacheInvalidError, match="different group"):
+        cache_load(str(d), build_group("I2(3)"))
 
 
 def test_cache_rejects_version_bump(tmp_path):
-    import json
-    import os
+    g, d = _saved(tmp_path)
 
-    g = build_group("I2(3)")
-    d = str(tmp_path / "c")
-    store = compute_kl(g)
-    cache_save(store, _gamma(store), d)
-    mpath = os.path.join(d, "manifest.json")
-    with open(mpath) as f:
-        manifest = json.load(f)
-    manifest["format_version"] += 1
-    with open(mpath, "w") as f:
-        json.dump(manifest, f)
-    with pytest.raises(CacheInvalidError):
-        cache_load(d, g)
+    def edit(data):
+        struct.pack_into("<I", data, 4, CACHE_FORMAT_VERSION + 1)
+
+    reseal_cache(d, edit)
+    with pytest.raises(CacheInvalidError, match="cache format"):
+        cache_load(str(d), g)
 
 
 def test_cache_rejects_corrupt_payload(tmp_path):
-    import os
-
-    g = build_group("I2(3)")
-    d = str(tmp_path / "c")
-    store = compute_kl(g)
-    cache_save(store, _gamma(store), d)
-    kpath = os.path.join(d, "kl.bin")
-    with open(kpath, "r+b") as f:
-        f.seek(0)
+    g, d = _saved(tmp_path)
+    path = d / "cache.bin"
+    with open(path, "r+b") as f:
         f.write(b"XXXX")
-    with pytest.raises(CacheInvalidError):
-        cache_load(d, g)
+    with pytest.raises(CacheInvalidError, match="digest"):
+        cache_load(str(d), g)
+    reseal_cache(d, lambda data: None)
+    with pytest.raises(CacheInvalidError, match="magic"):
+        cache_load(str(d), g)
 
 
 def test_cache_rejects_mismatched_digest_and_out_of_range_row(tmp_path):
-    import json
-    import os
-    import struct
-
-    g = build_group("I2(3)")
-    d = str(tmp_path / "c")
-    store = compute_kl(g)
-    cache_save(store, _gamma(store), d)
-    kpath = os.path.join(d, "kl.bin")
-    with open(kpath, "rb") as f:
-        data = bytearray(f.read())
+    g, d = _saved(tmp_path)
+    path = d / "cache.bin"
+    data = bytearray(path.read_bytes())
     # first row of the first element record: magic, version, fingerprint
     # record, element count, record length, row count, then y
     (fp_len,) = struct.unpack_from("<I", data, 8)
     struct.pack_into("<I", data, 12 + fp_len + 4 + 4 + 4, g.size + 5)
-    with open(kpath, "wb") as f:
-        f.write(data)
+    path.write_bytes(bytes(data))
     with pytest.raises(CacheInvalidError, match="digest"):
-        cache_load(d, g)
+        cache_load(str(d), g)
     # with the digest made to match, the structural check still refuses it
-    mpath = os.path.join(d, "manifest.json")
-    with open(mpath) as f:
-        manifest = json.load(f)
-    manifest["files"]["kl.bin"]["sha256"] = hashlib.sha256(data).hexdigest()
-    with open(mpath, "w") as f:
-        json.dump(manifest, f)
+    reseal_cache(d, lambda data: None)
     with pytest.raises(CacheInvalidError, match="out of range"):
-        cache_load(d, g)
+        cache_load(str(d), g)
 
