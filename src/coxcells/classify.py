@@ -22,12 +22,13 @@ Z[zeta_M], so each power-basis coordinate of a character is an integer
 class function and the transport system is rational.  It is block
 triangular by right cells: h_{x,d,z} != 0 implies z <=_R x, so a(z) >=
 a(x) (P4), and z ~R x when a(z) = a(x) (P9).  That shape is checked on
-every entry; the right cells are then solved in order of decreasing a,
-each diagonal block by one fraction-free elimination in integers
-(Bareiss), so the solve is exact and needs no primes; the matrix is
-invertible exactly when every diagonal block is.  Each solution column
-is kept scaled by the lcm of its denominators, verified exactly in
-integers and reassembled in Q(zeta_M).
+every entry.  Each irreducible lives on one two-sided cell (J is the sum
+of the J_c: Lusztig, Cells in affine Weyl groups II, J. Algebra 109,
+1987), where the matrix is block diagonal by right cells, and the
+right-hand side is linear in its k class values: each right cell is
+solved once, uncoupled, by one fraction-free elimination in integers
+(Bareiss) on k class columns, and each coordinate column is assembled
+from them, checked exactly in integers and reassembled in Q(zeta_M).
 The parity test then runs on the integer dual-basis traces of every
 coordinate, which the positive scale does not change.
 
@@ -44,7 +45,7 @@ raises.
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from operator import mul
 
 from .chartab import _is_prime, _newton, _pdiv, _primitive_root
@@ -81,17 +82,6 @@ def _signed_row(store, x):
         if s
     }
 
-
-def _d_by_left_cell(cells, dset):
-    out = {}
-    for d in dset:
-        c = cells.left_cell_of[d]
-        if c in out:
-            raise InternalInconsistencyError("two distinguished in one cell")
-        out[c] = d
-    if len(out) != len(cells.left_cells):
-        raise InternalInconsistencyError("left cell without a distinguished")
-    return out
 
 # ---------------------------------------------------------------------------
 # asymptotic and dual-basis traces
@@ -381,9 +371,9 @@ def _finish_records(group, table, cells, gamma, dset, jts, ordinary_flags):
 # the exact transport solve
 
 def _transport_blocks(trans, cells, a):
-    """The right cells in order of decreasing a, after checking that they
-    cut the transport matrix into triangular blocks: every entry (x, z)
-    must have a(z) > a(x), or z ~R x."""
+    """The right cells, after checking that they cut the transport matrix
+    into triangular blocks: every entry (x, z) must have a(z) > a(x), or
+    z ~R x."""
     rc = cells.right_cell_of
     for x, row in enumerate(trans):
         for z in row:
@@ -391,69 +381,74 @@ def _transport_blocks(trans, cells, a):
                 raise InternalInconsistencyError(
                     "transport entry outside the right-cell blocks"
                 )
-    return sorted(cells.right_cells, key=lambda b: -a[b[0]])
+    return cells.right_cells
 
 
-def _block_solve(trans, blocks, rhs_cols):
-    """Solution columns of the transport system, each as (den, ints): the
-    lcm of its denominators and the column scaled by it.
+def _cell_solve(trans, block, rhs_rows):
+    """(det, rows): the diagonal block of one right cell solved against
+    rhs_rows, one list per element, by fraction-free Gauss-Jordan
+    elimination in integers (Bareiss, Math. Comp. 22, 1968).  Every
+    division by the previous pivot is exact; det is the last pivot and
+    rows[i] is det times the solution at block[i]."""
+    n = len(block)
+    rows = [[trans[x].get(z, 0) for z in block] + list(rhs)
+            for x, rhs in zip(block, rhs_rows)]
+    prev = 1
+    for k in range(n):
+        sel = next((i for i in range(k, n) if rows[i][k]), None)
+        if sel is None:
+            raise InternalInconsistencyError("singular diagonal block")
+        rows[k], rows[sel] = rows[sel], rows[k]
+        pivot = rows[k]
+        piv = pivot[k]
+        for i, row in enumerate(rows):
+            if i != k:
+                f = row[k]
+                row[k + 1:] = [(piv * a - f * b) // prev
+                               for a, b in zip(row[k + 1:], pivot[k + 1:])]
+        prev = piv
+    return prev, [row[n:] for row in rows]
 
-    The diagonal blocks are solved in the order of `_transport_blocks`,
-    by fraction-free Gauss-Jordan elimination in integers (Bareiss, Math.
-    Comp. 22, 1968): every division by the previous pivot is exact, and
-    at the end row i holds det * y_i, det being the last pivot.  The
-    columns of a block's rows outside the block are solved before it, and
-    its own columns are still zero when the solved ones are taken off the
-    right-hand sides, which are scaled by den.  When a block's solution
-    needs a further denominator, that column's den and its solved entries
-    are multiplied by it.  The result must pass `_verify_traces`."""
-    sols = [(1, [0] * len(trans)) for _ in rhs_cols]
-    for block in blocks:
-        n = len(block)
-        rows = [
-            [trans[x].get(z, 0) for z in block]
-            + [den * rhs[x] - sum(c * ints[z] for z, c in trans[x].items())
-               for (den, ints), rhs in zip(sols, rhs_cols)]
-            for x in block
-        ]
-        prev = 1
-        for k in range(n):
-            sel = next((i for i in range(k, n) if rows[i][k]), None)
-            if sel is None:
-                raise InternalInconsistencyError("singular diagonal block")
-            rows[k], rows[sel] = rows[sel], rows[k]
-            pivot = rows[k]
-            piv = pivot[k]
-            for i, row in enumerate(rows):
-                if i != k:
-                    f = row[k]
-                    row[k + 1:] = [(piv * a - f * b) // prev
-                                   for a, b in zip(row[k + 1:], pivot[k + 1:])]
-            prev = piv
-        for j, (den, ints) in enumerate(sols):
-            nums = [row[n + j] for row in rows]
-            g = gcd(prev, *nums)
-            if prev < 0:
-                g = -g
-            scale = prev // g
-            if scale > 1:
-                den *= scale
-                ints = [q * scale for q in ints]
-                sols[j] = (den, ints)
+
+def _solve_columns(trans, cells, a, sums, columns):
+    """(rhs_cols, sols) for the coordinate columns (i, k, class values v):
+    rhs = S v, and the solution as (den, ints), the lcm of its
+    denominators and the column scaled by it.  Each right cell is solved
+    once against the class sums S.  A column lives on the two-sided cell
+    of the x of largest a with rhs[x] != 0 (the identity's when rhs is
+    zero), where it is the solution of each right cell times v; that
+    support is checked, not trusted, by `_verify_traces`."""
+    two = cells.two_sided_of
+    by_cell = {}
+    for block in _transport_blocks(trans, cells, a):
+        by_cell.setdefault(two[block[0]], []).append(
+            (block, _cell_solve(trans, block, [sums[x] for x in block]))
+        )
+    rhs_cols, sols = [], []
+    for _, _, vals in columns:
+        rhs = [sum(map(mul, s, vals)) for s in sums]
+        top = max((x for x, r in enumerate(rhs) if r), key=a.__getitem__,
+                  default=0)
+        parts = [(block, det, [sum(map(mul, row, vals)) for row in rows])
+                 for block, (det, rows) in by_cell[two[top]]]
+        den = lcm(*(det // gcd(det, *nums) for _, det, nums in parts))
+        ints = [0] * len(rhs)
+        for block, det, nums in parts:
             for z, q in zip(block, nums):
-                ints[z] = q // g
+                ints[z] = q * den // det
+        rhs_cols.append(rhs)
+        sols.append((den, ints))
     if not _verify_traces(trans, rhs_cols, sols):
         raise InternalInconsistencyError(
             "transport solution fails the exact integer check"
         )
-    return sols
+    return rhs_cols, sols
 
 
-def _coordinate_columns(table, size):
+def _coordinate_columns(table):
     """One integer class function per nonzero power-basis coordinate of
     each irreducible's values over Q(zeta_M), as (row index, coordinate,
-    values per group element)."""
-    cof = table.classes.class_of
+    values per class)."""
     degree = cyclo_context(table.conductor).degree
     out = []
     for i, row in enumerate(table.rows):
@@ -465,7 +460,7 @@ def _coordinate_columns(table, size):
                 raise InternalInconsistencyError(
                     f"coordinate {k} of {table.names[i]} is not integral"
                 )
-            out.append((i, k, [int(coords[cof[w]]) for w in range(size)]))
+            out.append((i, k, [int(c) for c in coords]))
     return out
 
 
@@ -503,8 +498,9 @@ def classify_group_streamed(store, cells, gamma, dset, table,
     left cell of d, and decoded to the entries (x, z, h_{x,d,z}); both
     the transport matrix at v=1 and the dual traces are read off that
     list.
-    Asymptotic traces come from an exact block solve in integers, one
-    right-hand side per nonzero coordinate of each character;
+    Asymptotic traces come from an exact solve in integers, one per
+    right cell on the class columns, assembled per nonzero coordinate of
+    each character;
     ordinariness from the dual-trace parity test on every coordinate,
     which is equivalent to even parity of the generic traces through the
     triangular T-basis expansion.  jobs is accepted and unused.
@@ -513,7 +509,6 @@ def classify_group_streamed(store, cells, gamma, dset, table,
     size = group.size
     # {e} is a left cell and c_s c_e = c_s has no c_e term: trivial module
     orientation = "standard"
-    _d_by_left_cell(cells, dset)
 
     ents = []
     stream_h_blocks(store, lambda d, block: ents.extend(block),
@@ -527,20 +522,15 @@ def classify_group_streamed(store, cells, gamma, dset, table,
             trans[x][z] = val
 
     # rhs[x] = sum over u of (-1)^l(u) P_{u,x}(1) chi(u), chi a class
-    # function: the signed row is summed per class once for every column
-    columns = _coordinate_columns(table, size)
+    # function: the signed row is summed per class once, into S[x]
     cof = table.classes.class_of
-    reps = table.classes.representatives
-    class_vals = [[chi[w] for w in reps] for _, _, chi in columns]
-    rhs_cols = [[0] * size for _ in columns]
-    for x in range(size):
-        sums = [0] * len(reps)
+    sums = [[0] * len(table.classes.representatives) for _ in range(size)]
+    for x, row in enumerate(sums):
         for u, c in _signed_row(store, x).items():
-            sums[cof[u]] += c
-        for rhs, vals in zip(rhs_cols, class_vals):
-            rhs[x] = sum(map(mul, sums, vals))
-    sols = _block_solve(trans, _transport_blocks(trans, cells, gamma.a),
-                        rhs_cols)
+            row[cof[u]] += c
+    columns = _coordinate_columns(table)
+    rhs_cols, sols = _solve_columns(trans, cells, gamma.a, sums, columns)
+    del sums
     jts = _assemble_traces(columns, sols, table, size)
     zero = cyclo_context(table.conductor).zero
     for i, jt in enumerate(jts):

@@ -499,14 +499,15 @@ _CACHE_FILE = "cache.bin"
 _MAGIC = b"CXCC"
 
 
-def _replace_file(directory: str, name: str, data: bytes):
-    """Write data under a temporary sibling name, then move it into place;
-    the temporary is removed when either step fails."""
+def _replace_file(directory: str, name: str, *chunks):
+    """Write the chunks under a temporary sibling name, then move it into
+    place; the temporary is removed when either step fails."""
     path = os.path.join(directory, name)
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as f:
-            f.write(data)
+            for chunk in chunks:
+                f.write(chunk)
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
@@ -537,9 +538,9 @@ def cache_save(store: KLStore, gamma, directory: str):
     _write_record(f, b"".join(
         _LEAD.pack(x, y, z, c) for (x, y, z), c in gamma.lead.items()
     ))
-    data = f.getvalue()
-    data += hashlib.sha256(data).digest()
-    _replace_file(directory, _CACHE_FILE, data)
+    with f.getbuffer() as body:
+        _replace_file(directory, _CACHE_FILE, body,
+                      hashlib.sha256(body).digest())
 
 
 def cache_load(directory: str, group: CoxeterGroup):
@@ -561,10 +562,11 @@ def cache_load(directory: str, group: CoxeterGroup):
 
 
 def _decode_cache(data: bytes, group: CoxeterGroup):
-    body = data[:-32]
-    if hashlib.sha256(body).digest() != data[-32:]:
+    # a view and a truncated BytesIO of data share its bytes: no copy
+    if hashlib.sha256(memoryview(data)[:-32]).digest() != data[-32:]:
         raise CacheInvalidError("cache.bin does not match its digest")
-    f = io.BytesIO(body)
+    f = io.BytesIO(data)
+    f.truncate(len(data) - 32)
     if f.read(4) != _MAGIC:
         raise CacheInvalidError("bad cache magic")
     (ver,) = struct.unpack("<I", f.read(4))
@@ -577,6 +579,7 @@ def _decode_cache(data: bytes, group: CoxeterGroup):
         raise CacheInvalidError("cache element count mismatch")
     P_by_w = [None] * size
     mu_by_w = [None] * size
+    interned = {}  # most P rows repeat a handful of tuples, as in compute_kl
     for w in range(size):
         buf = io.BytesIO(_read_record(f))
         (nrow,) = struct.unpack("<I", buf.read(4))
@@ -585,7 +588,8 @@ def _decode_cache(data: bytes, group: CoxeterGroup):
             y, nq = struct.unpack("<IH", buf.read(6))
             if y >= size:
                 raise CacheInvalidError("P entry out of range")
-            row[y] = struct.unpack(f"<{nq}q", buf.read(8 * nq))
+            qc = struct.unpack(f"<{nq}q", buf.read(8 * nq))
+            row[y] = interned.setdefault(qc, qc)
         if buf.read(1):
             raise CacheInvalidError("P record longer than its rows")
         P_by_w[w] = row

@@ -38,12 +38,13 @@ from oracles import (
 import coxcells.classify as classify_mod
 from coxcells.chartab import CharacterTable, character_table
 from coxcells.classify import (
-    _block_solve,
+    _cell_solve,
     _class_quotients,
     _coordinate_columns,
     _reflection_charpolys,
     _residue_map,
     _signed_row,
+    _solve_columns,
     _transport_blocks,
     _verify_traces,
     classify_group_streamed,
@@ -497,39 +498,37 @@ def test_streamed_lane_matches_direct(rig):
 
 
 def _transport_system(r):
-    """(trans, rhs_cols) of the streamed lane, built from the oracle's
-    all-pairs table."""
-    size = r.group.size
+    """(trans, sums, columns) of the streamed lane: the transport matrix
+    built from the oracle's all-pairs table, the class sums S[x][C] and
+    the coordinate columns."""
+    cof = r.table.classes.class_of
+    sums = [[0] * len(r.table.classes.representatives)
+            for _ in range(r.group.size)]
+    for x, row in enumerate(sums):
+        for u, c in _signed_row(r.store, x).items():
+            row[cof[u]] += c
     trans = _transport_rows(r.htable, r.cells, r.dset)
-    rhs_cols = [
-        [
-            sum(c * chi[u] for u, c in _signed_row(r.store, x).items())
-            for x in range(size)
-        ]
-        for _, _, chi in _coordinate_columns(r.table, size)
-    ]
-    return trans, rhs_cols
+    return trans, sums, _coordinate_columns(r.table)
+
+
+def _solve(r, trans, sums, columns):
+    return _solve_columns(trans, r.cells, r.gamma.a, sums, columns)
 
 
 def test_integer_trace_check_rejects_a_perturbed_entry(rig):
     r = rig("H3")
-    trans, rhs_cols = _transport_system(r)
-    blocks = _transport_blocks(trans, r.cells, r.gamma.a)
-    sols = _block_solve(trans, blocks, rhs_cols)
+    trans, sums, columns = _transport_system(r)
+    rhs_cols, sols = _solve(r, trans, sums, columns)
     assert _verify_traces(trans, rhs_cols, sols)
     sols[0][1][0] += 1
     assert not _verify_traces(trans, rhs_cols, sols)
 
 
-def test_transport_blocks_are_right_cells_by_decreasing_a(rig):
+def test_transport_blocks_check_the_right_cell_shape(rig):
     r = rig("H3")
     a = r.gamma.a
-    trans, _ = _transport_system(r)
-    blocks = _transport_blocks(trans, r.cells, a)
-    assert sorted(blocks) == sorted(r.cells.right_cells)
-    assert [a[b[0]] for b in blocks] == sorted(
-        (a[b[0]] for b in blocks), reverse=True
-    )
+    trans, _, _ = _transport_system(r)
+    assert _transport_blocks(trans, r.cells, a) == r.cells.right_cells
     x = r.group.size - 1
     z = next(z for z in range(r.group.size) if a[z] < a[x])
     trans[x][z] = 1
@@ -538,20 +537,54 @@ def test_transport_blocks_are_right_cells_by_decreasing_a(rig):
 
 
 def test_block_solve_matches_rational_inverse(rig):
-    # random integer right-hand sides have solutions that are not
-    # integral, so their columns need a denominator
+    # each right cell against the exact inverse of its diagonal block, on
+    # its class sums and two random integer columns, whose solutions are
+    # not integral, so they need a denominator; then the assembled
+    # character columns against the inverse of the whole matrix
     for symbol in ("A3", "B3", "H3"):
         r = rig(symbol)
-        size = r.group.size
-        trans, rhs_cols = _transport_system(r)
+        trans, sums, columns = _transport_system(r)
         rng = random.Random(symbol)
-        rand_cols = [[rng.randint(-3, 3) for _ in range(size)]
-                     for _ in range(2)]
-        blocks = _transport_blocks(trans, r.cells, r.gamma.a)
-        cols = rhs_cols + rand_cols
-        got = _block_solve(trans, blocks, cols)
-        assert got == rational_solve(trans, cols), symbol
-        assert all(den > 1 for den, _ in got[len(rhs_cols):]), symbol
+        rand_dens = []
+        for block in _transport_blocks(trans, r.cells, r.gamma.a):
+            at = {z: i for i, z in enumerate(block)}
+            sub = [{at[z]: c for z, c in trans[x].items() if z in at}
+                   for x in block]
+            rhs_rows = [sums[x] + [rng.randint(-3, 3), rng.randint(-3, 3)]
+                        for x in block]
+            det, rows = _cell_solve(trans, block, rhs_rows)
+            want = rational_solve(sub, [list(c) for c in zip(*rhs_rows)])
+            assert [[Fraction(q, det) for q in c] for c in zip(*rows)] == [
+                [Fraction(q, den) for q in ints] for den, ints in want
+            ], symbol
+            rand_dens += [den for den, _ in want[-2:]]
+        assert max(rand_dens) > 1, symbol
+        rhs_cols, sols = _solve(r, trans, sums, columns)
+        assert sols == rational_solve(trans, rhs_cols), symbol
+
+
+def test_column_on_two_cells_fails_the_exact_check(rig):
+    # the sum of two irreducibles' columns on different two-sided cells
+    # solves to one of its parts only: the support read off the
+    # right-hand side is caught by the exact check, not trusted; D4 has
+    # three two-sided cells of a = 2 and three of a = 6
+    ties = 0
+    for symbol in ("D4", "H3"):
+        r = rig(symbol)
+        trans, sums, columns = _transport_system(r)
+        cell = [rec.cell for rec in r.result.irreps]
+        a_of = [rec.a_value for rec in r.result.irreps]
+        first = {}
+        for i, _, vals in columns:
+            first.setdefault(i, vals)
+        pairs = [(i, j) for i in first for j in first
+                 if i < j and cell[i] != cell[j]]
+        ties += sum(a_of[i] == a_of[j] for i, j in pairs)
+        for i, j in pairs:
+            mixed = [(i, 0, [u + v for u, v in zip(first[i], first[j])])]
+            with pytest.raises(InternalInconsistencyError, match="exact"):
+                _solve(r, trans, sums, mixed)
+    assert ties
 
 
 # SHA-256 of the JSON (den, ints) columns that the transport solve of
@@ -566,14 +599,15 @@ SOLVE_SHA256 = {
 
 
 def test_block_solve_pinned(rig, monkeypatch):
-    real = classify_mod._block_solve
+    real = classify_mod._solve_columns
     got = []
 
-    def recorder(trans, blocks, rhs_cols):
-        got.append(real(trans, blocks, rhs_cols))
-        return got[-1]
+    def recorder(*args):
+        rhs_cols, sols = real(*args)
+        got.append(sols)
+        return rhs_cols, sols
 
-    monkeypatch.setattr(classify_mod, "_block_solve", recorder)
+    monkeypatch.setattr(classify_mod, "_solve_columns", recorder)
     for symbol, want in SOLVE_SHA256.items():
         r = rig(symbol)
         classify_group_streamed(r.store, r.cells, r.gamma, r.dset, r.table)
@@ -583,26 +617,26 @@ def test_block_solve_pinned(rig, monkeypatch):
 
 def test_block_solve_scales_exactly_and_rejects_a_singular_block(rig):
     r = rig("H3")
-    trans, rhs_cols = _transport_system(r)
-    blocks = _transport_blocks(trans, r.cells, r.gamma.a)
-    sols = _block_solve(trans, blocks, rhs_cols)
+    trans, sums, _ = _transport_system(r)
+    block = next(b for b in _transport_blocks(trans, r.cells, r.gamma.a)
+                 if len(b) > 1)
+    rhs_rows = [sums[x] for x in block]
+    det, rows = _cell_solve(trans, block, rhs_rows)
     big = 1 << 20
-    scaled = _block_solve(
-        trans, blocks, [[big * v for v in rhs] for rhs in rhs_cols]
-    )
-    assert scaled == [(den, [big * q for q in ints]) for den, ints in sols]
+    assert _cell_solve(
+        trans, block, [[big * v for v in rhs] for rhs in rhs_rows]
+    ) == (det, [[big * q for q in row] for row in rows])
     # one equation times -1 flips the sign of its block's determinant
-    block = next(b for b in blocks if len(b) > 1)
     x = block[0]
     flipped = list(trans)
     flipped[x] = {z: -c for z, c in trans[x].items()}
-    flipped_rhs = [list(rhs) for rhs in rhs_cols]
-    for rhs in flipped_rhs:
-        rhs[x] = -rhs[x]
-    assert _block_solve(flipped, blocks, flipped_rhs) == sols
+    flipped_rhs = [[-v for v in rhs_rows[0]]] + rhs_rows[1:]
+    assert _cell_solve(flipped, block, flipped_rhs) == (
+        -det, [[-q for q in row] for row in rows]
+    )
     trans[x] = {z: c for z, c in trans[x].items() if z not in block}
     with pytest.raises(InternalInconsistencyError, match="singular"):
-        _block_solve(trans, blocks, rhs_cols)
+        _cell_solve(trans, block, rhs_rows)
 
 
 def test_distinguished_blocks_streamed_once(rig, monkeypatch):
@@ -654,21 +688,43 @@ def test_classify_reports_pinned(rig):
         assert got == want, symbol
 
 
-def test_classify_needs_no_numpy():
-    # a None entry in sys.modules makes every import of numpy fail
-    code = (
-        "import sys; sys.modules['numpy'] = None; "
-        "from coxcells.cli import main; sys.exit(main())"
-    )
+def _cli_digest(*argv, prelude=""):
+    """SHA-256 of the stdout of `coxcells argv`, run without a cache in a
+    fresh interpreter after the statements in prelude."""
+    code = ("import sys; " + prelude
+            + "from coxcells.cli import main; sys.exit(main())")
     src = os.path.dirname(os.path.dirname(classify_mod.__file__))
     env = {k: v for k, v in os.environ.items() if k != "COXCELLS_CACHE"}
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
     )
     run = subprocess.run(
-        [sys.executable, "-c", code, "classify", "--type", "H3"],
-        capture_output=True, env=env, timeout=300,
+        [sys.executable, "-c", code, *argv],
+        capture_output=True, env=env, timeout=600,
     )
     assert run.returncode == 0, run.stderr.decode()
-    got = hashlib.sha256(run.stdout).hexdigest()
+    return hashlib.sha256(run.stdout).hexdigest()
+
+
+def test_classify_needs_no_numpy():
+    # a None entry in sys.modules makes every import of numpy fail
+    got = _cli_digest("classify", "--type", "H3",
+                      prelude="sys.modules['numpy'] = None; ")
     assert got == REPORT_SHA256["H3"]
+
+
+# SHA-256 of `coxcells classify --type G --heavy` stdout, recorded before
+# the transport was solved once per right cell on the class columns;
+# I2(100) has 1205 coordinate columns on 53 classes
+HEAVY_REPORT_SHA256 = {
+    "F4": "a7ee212c1e7e9f18be6776322e49145ca714c032b909a89ffd833fb937c7ba89",
+    "D5": "b0f5b9f7445d6df3d45b3427f6e2c01eb857bc857fbbafad7ef8b6a6879d5baf",
+    "I2(100)": "f40c820970d5a0aa01a0cbc79e76a4292f50d2880609d0009c1f61ff93ed2e4d",
+}
+
+
+@pytest.mark.heavy
+@pytest.mark.parametrize("symbol", sorted(HEAVY_REPORT_SHA256))
+def test_heavy_classify_reports_pinned(symbol):
+    got = _cli_digest("classify", "--type", symbol, "--heavy")
+    assert got == HEAVY_REPORT_SHA256[symbol]
