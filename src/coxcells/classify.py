@@ -49,6 +49,7 @@ from math import gcd, lcm
 from operator import mul
 
 from .chartab import _is_prime, _newton, _pdiv, _primitive_root
+from .coxeter import word_name
 from .errors import InternalInconsistencyError, UsageError
 from .exactnum import (
     CycloNumber,
@@ -59,13 +60,6 @@ from .exactnum import (
 from .klbase import stream_h_blocks, vp
 
 CLAIM_IDS = ("1.2b", "1.3a", "1.3c", "1.5a", "1.6b")
-
-
-def word_name(group, w: int) -> str:
-    """Readable word for an element, 'e' for the identity."""
-    if w == 0:
-        return "e"
-    return "".join(f"s{s + 1}" for s in group.words[w])
 
 
 # ---------------------------------------------------------------------------
@@ -583,11 +577,25 @@ def classify_group_streamed(store, cells, gamma, dset, table,
 
 def _verify_traces(trans, rhs_cols, sols):
     """Exact check of the solved (den, ints) columns in integers: ints
-    must map to den * rhs."""
+    must map to den * rhs on every row.  The product walks the transpose
+    of the matrix over the z where ints is nonzero, which for a solved
+    column lie on its own two-sided cell."""
+    # column z of the matrix as parallel lists, a third of the memory of
+    # (x, c) pairs
+    xs = [[] for _ in trans]
+    cs = [[] for _ in trans]
+    for x, row in enumerate(trans):
+        for z, c in row.items():
+            xs[z].append(x)
+            cs[z].append(c)
     for (den, ints), rhs in zip(sols, rhs_cols):
-        for x, row in enumerate(trans):
-            if sum(c * ints[z] for z, c in row.items()) != den * rhs[x]:
-                return False
+        acc = [0] * len(trans)
+        for z, q in enumerate(ints):
+            if q:
+                for x, c in zip(xs[z], cs[z]):
+                    acc[x] += c * q
+        if acc != [den * r for r in rhs]:
+            return False
     return True
 
 

@@ -5,6 +5,10 @@ stdout in json (default), csv, or text form; diagnostics go to stderr.
 Exit codes: 0 success, 1 claim failure, 2 usage or resource refusal,
 3 an operating-system error (an unusable cache directory, say) or a
 broken engine invariant.
+
+Each subcommand loads only the layers it runs: `group` and `cells` never
+import the character table or the classifier, and `chartable` never
+imports the classifier.
 """
 
 import argparse
@@ -13,8 +17,6 @@ import os
 import sys
 
 from . import pipeline
-from .chartab import character_table
-from .classify import CLAIM_IDS
 from .coxeter import DEFAULT_MAX_ORDER, build_group
 from .errors import InternalInconsistencyError, RefusalError, UsageError
 
@@ -64,23 +66,27 @@ def _parser() -> argparse.ArgumentParser:
         if name in ("classify", "verify"):
             sp.add_argument(
                 "--claims", default=None,
-                help=f"comma-separated subset of {','.join(CLAIM_IDS)}",
+                help="comma-separated claim ids (default: all)",
             )
     return parser
 
 
 def _claim_selection(args):
+    from .classify import CLAIM_IDS
+
     raw = getattr(args, "claims", None)
     if raw is None:
         return None
     picked = tuple(part.strip() for part in raw.split(",") if part.strip())
     if not picked:
         raise UsageError("--claims selected nothing")
-    for cid in picked:
+    for i, cid in enumerate(picked):
         if cid not in CLAIM_IDS:
             raise UsageError(
                 f"unknown claim {cid!r}; expected one of {', '.join(CLAIM_IDS)}"
             )
+        if cid in picked[:i]:
+            raise UsageError(f"claim {cid!r} is selected twice")
     return picked
 
 
@@ -121,6 +127,8 @@ def _cmd_cells(args) -> int:
 
 
 def _cmd_chartable(args) -> int:
+    from .chartab import character_table
+
     group = build_group(args.type_symbol, max_order=args.max_order)
     table = character_table(group)
     report = pipeline.chartable_report(group, table)
@@ -129,10 +137,11 @@ def _cmd_chartable(args) -> int:
 
 
 def _cmd_claims(args, report_fn, text_fn, csv_fn, pass_key) -> int:
+    picked = _claim_selection(args)
     group = _build(args)
     cache = args.cache_dir or os.environ.get(CACHE_ENV)
     result = pipeline.classification(group, cache)
-    claims = pipeline.run_claims(result, _claim_selection(args))
+    claims = pipeline.run_claims(result, picked)
     report = report_fn(result, claims)
     _emit(args, report, text_fn, csv_fn)
     return 0 if report[pass_key] else 1
@@ -158,6 +167,10 @@ def main(argv=None) -> int:
     try:
         if args.jobs < 1:
             raise UsageError(f"--jobs must be at least 1, not {args.jobs}")
+        if args.max_order < 1:
+            raise UsageError(
+                f"--max-order must be at least 1, not {args.max_order}"
+            )
         cpus = os.cpu_count()
         if cpus is not None and args.jobs > cpus:
             raise UsageError(

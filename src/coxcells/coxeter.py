@@ -47,6 +47,7 @@ __all__ = [
     "build_group",
     "degrees_from_poincare",
     "group_datum",
+    "word_name",
 ]
 
 DEFAULT_MAX_ORDER = 20000
@@ -464,6 +465,13 @@ class CoxeterGroup:
             "longest_element_word": [s + 1 for s in self.words[self.w0]],
             "fingerprint": self.fingerprint(),
         }
+
+
+def word_name(group, w: int) -> str:
+    """Readable word for an element, 'e' for the identity."""
+    if w == 0:
+        return "e"
+    return "".join(f"s{s + 1}" for s in group.words[w])
 
 
 def build_group(source, max_order: int = DEFAULT_MAX_ORDER) -> CoxeterGroup:

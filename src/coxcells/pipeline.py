@@ -5,6 +5,9 @@ deterministic report assembly.
 Reports are plain dicts of ints, strings and booleans, rendered by the
 exact canonical renderers only, so serializing one twice gives the same
 bytes; diagnostics go to the error stream, never into a report.
+
+The character table and the classifier are imported by the functions
+that run them, so a `group` or `cells` run never loads either.
 """
 
 import csv
@@ -12,13 +15,7 @@ import io
 import os
 import sys
 
-from .chartab import character_table
-from .classify import (
-    CLAIM_IDS,
-    classify_group_streamed,
-    verify_claim,
-    word_name,
-)
+from .coxeter import word_name
 from .errors import CacheInvalidError, RefusalError
 from .jring import compute_cells, compute_gamma, distinguished_involutions
 from .klbase import cache_load, cache_save, compute_kl, generator_rows
@@ -84,12 +81,17 @@ def classification(group, cache_dir=None):
             f"{group.size}) is refused: from order {HEAVY_ORDER} up only "
             "crystallographic types are classified"
         )
+    from .chartab import character_table
+    from .classify import classify_group_streamed
+
     store, _, cells, gamma, dset = analysis(group, cache_dir)
     table = character_table(group)
     return classify_group_streamed(store, cells, gamma, dset, table)
 
 
 def run_claims(result, claim_ids=None):
+    from .classify import CLAIM_IDS, verify_claim
+
     ids = CLAIM_IDS if claim_ids is None else tuple(claim_ids)
     return [verify_claim(cid, result) for cid in ids]
 

@@ -30,6 +30,17 @@ def _run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def _subprocess_env():
+    """This environment with the package importable and no cache from
+    outside."""
+    env = {k: v for k, v in os.environ.items() if k != CACHE_ENV}
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.dirname(os.path.dirname(coxcells.__file__)),
+                    env.get("PYTHONPATH")) if p
+    )
+    return env
+
+
 def test_group_json(capsys):
     code, out, err = _run(capsys, "group", "--type", "I2(5)")
     assert code == 0
@@ -124,6 +135,19 @@ def test_unknown_claim_is_usage_error(capsys):
     assert "1.9x" in err
 
 
+def test_repeated_claim_is_usage_error(capsys, monkeypatch):
+    # refused before any group is built
+    monkeypatch.setattr(cli, "build_group",
+                        lambda *a, **k: pytest.fail("group built"))
+    code, out, err = _run(
+        capsys, "verify", "--type", "A3", "--claims", "1.2b,1.2b"
+    )
+    assert code == 2
+    assert out == ""
+    assert "usage error" in err
+    assert "1.2b" in err
+
+
 def test_oversize_group_refused(capsys):
     code, _, err = _run(capsys, "group", "--type", "E8")
     assert code == 2
@@ -154,6 +178,18 @@ def test_jobs_below_one_is_usage_error(capsys):
     assert code == 2
     assert out == ""
     assert "--jobs" in err
+
+
+@pytest.mark.parametrize("cap", ["0", "-5"])
+def test_max_order_below_one_is_usage_error(capsys, monkeypatch, cap):
+    # refused before any group is built, not read as a size refusal
+    monkeypatch.setattr(cli, "build_group",
+                        lambda *a, **k: pytest.fail("group built"))
+    code, out, err = _run(capsys, "group", "--type", "A3", "--max-order", cap)
+    assert code == 2
+    assert out == ""
+    assert err == ("coxcells: usage error: --max-order must be at least 1, "
+                   f"not {cap}\n")
 
 
 def test_jobs_above_cpu_count_is_usage_error(capsys, monkeypatch):
@@ -235,7 +271,7 @@ def test_internal_error_exits_3(capsys, monkeypatch):
     def broken(group):
         raise InternalInconsistencyError("invariant failed")
 
-    monkeypatch.setattr(cli, "character_table", broken)
+    monkeypatch.setattr("coxcells.chartab.character_table", broken)
     code, out, err = _run(capsys, "chartable", "--type", "I2(3)")
     assert code == 3
     assert out == ""
@@ -465,15 +501,10 @@ def test_concurrent_cold_writers_share_a_cache(capsys, tmp_path):
     code, cold, _ = _run(capsys, "cells", "--type", "A3")
     assert code == 0
     args = ("cells", "--type", "A3", "--cache-dir", str(tmp_path))
-    env = {k: v for k, v in os.environ.items() if k != CACHE_ENV}
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (os.path.dirname(os.path.dirname(coxcells.__file__)),
-                    env.get("PYTHONPATH")) if p
-    )
     procs = [
         subprocess.Popen([sys.executable, "-m", "coxcells.cli", *args],
                          stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                         env=env)
+                         env=_subprocess_env())
         for _ in range(2)
     ]
     try:
@@ -496,3 +527,29 @@ def test_reports_are_deterministic(capsys):
         _run(capsys, "classify", "--type", "A3")[1] for _ in range(2)
     ]
     assert runs[0] == runs[1]
+
+
+def test_each_subcommand_loads_only_its_layers():
+    # a fresh interpreter runs group, cells and chartable in turn and
+    # lists the coxcells modules loaded after each
+    script = (
+        "import contextlib, io, json, sys\n"
+        "from coxcells.cli import main\n"
+        "seen = {}\n"
+        "for cmd in ('group', 'cells', 'chartable'):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert main([cmd, '--type', 'A3']) == 0\n"
+        "    seen[cmd] = sorted(m for m in sys.modules\n"
+        "                       if m.startswith('coxcells.'))\n"
+        "print(json.dumps(seen))\n"
+    )
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                         env=_subprocess_env(), timeout=120)
+    assert run.returncode == 0, run.stderr.decode()
+    seen = json.loads(run.stdout)
+    engine = [f"coxcells.{m}" for m in ("cli", "coxeter", "errors",
+                                        "exactnum", "jring", "klbase",
+                                        "pipeline")]
+    assert seen["group"] == engine
+    assert seen["cells"] == engine
+    assert seen["chartable"] == sorted(engine + ["coxcells.chartab"])
