@@ -28,41 +28,18 @@ from math import isqrt, lcm
 from .errors import InternalInconsistencyError, UsageError
 from .exactnum import (
     CycloNumber,
+    _dense_trim,
+    _is_prime,
+    _primitive_root,
     cyclo_context,
     cyclo_rational,
-    embed_cyclo,
+    residue_map,
     root_of_unity,
 )
 
 
 # ---------------------------------------------------------------------------
 # primes
-
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
-def _is_prime(m: int) -> bool:
-    if m < 2:
-        return False
-    for q in _MR_BASES:
-        if m % q == 0:
-            return m == q
-    d, r = m - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in _MR_BASES:
-        x = pow(a, d, m)
-        if x == 1 or x == m - 1:
-            continue
-        for _ in range(r - 1):
-            x = x * x % m
-            if x == m - 1:
-                break
-        else:
-            return False
-    return True
-
 
 def _admissible_primes(exponent: int, order: int, max_class: int):
     """Primes p = 1 mod exponent with p^2 > 4 |W| max_class^2, ascending."""
@@ -72,25 +49,6 @@ def _admissible_primes(exponent: int, order: int, max_class: int):
         if p * p > floor and _is_prime(p):
             yield p
         p += exponent
-
-
-def _primitive_root(p: int) -> int:
-    fac = []
-    m = p - 1
-    q = 2
-    while q * q <= m:
-        if m % q == 0:
-            fac.append(q)
-            while m % q == 0:
-                m //= q
-        q += 1
-    if m > 1:
-        fac.append(m)
-    g = 2
-    while True:
-        if all(pow(g, (p - 1) // q, p) != 1 for q in fac):
-            return g
-        g += 1
 
 
 # ---------------------------------------------------------------------------
@@ -177,12 +135,6 @@ def _charpoly(mat, p):
     return _newton(traces, p)[::-1]
 
 
-def _ptrim(a):
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
 def _pmul(a, b, p):
     if not a or not b:
         return []
@@ -191,7 +143,7 @@ def _pmul(a, b, p):
         if x:
             for j, y in enumerate(b):
                 out[i + j] = (out[i + j] + x * y) % p
-    return _ptrim(out)
+    return _dense_trim(out)
 
 
 def _pmod(a, f, p):
@@ -199,7 +151,7 @@ def _pmod(a, f, p):
 
 
 def _pmonic(a, p):
-    a = _ptrim(a[:])
+    a = _dense_trim(a[:])
     if not a:
         return a
     inv = pow(a[-1], p - 2, p)
@@ -207,7 +159,7 @@ def _pmonic(a, p):
 
 
 def _pgcd(a, b, p):
-    a, b = _ptrim(a[:]), _ptrim(b[:])
+    a, b = _dense_trim(a[:]), _dense_trim(b[:])
     while b:
         a, b = b, _pmod(a, _pmonic(b, p), p)
     return _pmonic(a, p)
@@ -231,7 +183,7 @@ def _psub(a, b, p):
         out[i] = c % p
     for i, c in enumerate(b):
         out[i] = (out[i] - c) % p
-    return _ptrim(out)
+    return _dense_trim(out)
 
 
 def _distinct_roots(f, p, rng):
@@ -269,10 +221,10 @@ def _distinct_roots(f, p, rng):
 
 def _pdiv(a, b, p):
     """(quotient, remainder) of a by a nonzero b over F_p, both trimmed."""
-    b = _ptrim([c % p for c in b])
+    b = _dense_trim([c % p for c in b])
     inv = pow(b[-1], p - 2, p)
     b = [c * inv % p for c in b]
-    a = _ptrim([c % p for c in a])
+    a = _dense_trim([c % p for c in a])
     db = len(b) - 1
     q = [0] * max(len(a) - db, 0)
     while len(a) > db:
@@ -282,7 +234,7 @@ def _pdiv(a, b, p):
         q[shift] = lead
         for i in range(db):
             a[shift + i] = (a[shift + i] - lead * b[i]) % p
-        _ptrim(a)
+        _dense_trim(a)
     # q is the quotient by b / lead(b)
     return [c * inv % p for c in q], a
 
@@ -393,26 +345,33 @@ class CharacterTable:
         return idx
 
     def _locate_reflection(self) -> int:
-        """The row of the reflection character: traces of the integer
-        reflection matrices of the class representatives."""
+        """The row of the reflection character, found modulo the prime of
+        `residue_map`: the traces of the reflection matrices mod p of the
+        class representatives against each row's image under zeta_M ->
+        eta.  Exactly one row must match, and its degree must be the rank.
+        Two rows cannot share an image: for p > |W|, sum |C| chi psi-bar =
+        sum |C| chi chi-bar mod p would make p divide |W|."""
         g = self.group
         n = g.datum.rank
         ident, right_mul = g.datum.reflection_action()
-        ctx = cyclo_context(g.datum.refl_conductor)
+        p, _, to_fp = residue_map(self.conductor, g.size)
         traces = []
         for z in self.classes.representatives:
             mat = ident
             for s in g.words[z]:
                 mat = right_mul(mat, s)
-            tr = [sum(c) for c in zip(*(mat[i * n + i] for i in range(n)))]
-            traces.append(embed_cyclo(
-                CycloNumber(ctx, tuple(Fraction(c) for c in tr)),
-                self.conductor,
-            ))
-        idx = self.find_row(tuple(traces))
-        if self.dims[idx] != g.datum.rank:
+            traces.append(sum(mat[i * n + i] for i in range(n)) % p)
+        hits = [
+            i for i, row in enumerate(self.rows)
+            if all(to_fp(v) == t for v, t in zip(row, traces))
+        ]
+        if len(hits) != 1:
+            raise InternalInconsistencyError(
+                f"{len(hits)} rows match the reflection traces mod {p}"
+            )
+        if self.dims[hits[0]] != n:
             raise InternalInconsistencyError("reflection row has wrong degree")
-        return idx
+        return hits[0]
 
     def inner_product(self, f, g) -> CycloNumber:
         """Hermitian pairing |W|^-1 sum over classes of size * f * conj(g)."""

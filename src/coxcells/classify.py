@@ -48,7 +48,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 
-from .chartab import _is_prime, _newton, _pdiv, _primitive_root
+from .chartab import _newton, _pdiv
 from .coxeter import word_name
 from .errors import InternalInconsistencyError, UsageError
 from .exactnum import (
@@ -56,6 +56,7 @@ from .exactnum import (
     LaurentPoly,
     cyclo_context,
     is_palindromic,
+    residue_map,
 )
 from .klbase import stream_h_blocks, vp
 
@@ -102,23 +103,6 @@ def _parity_from_dual(trc_by_x, lengths) -> bool:
 # ---------------------------------------------------------------------------
 # fake degrees
 
-def _residue_map(conductor, order):
-    """(p, to_fp): the first prime p = 1 mod conductor above order, and the
-    ring map Z[zeta_M] -> F_p sending zeta_M to a primitive M-th root of
-    unity.  The power-basis coordinates of the values mapped are integers
-    (chartab._validate checks them)."""
-    p = conductor + 1
-    while p <= order or not _is_prime(p):
-        p += conductor
-    eta = pow(_primitive_root(p), (p - 1) // conductor, p)
-    etas = [pow(eta, k, p) for k in range(cyclo_context(conductor).degree)]
-
-    def to_fp(v):
-        return sum(c.numerator * t for c, t in zip(v.coeffs, etas) if c) % p
-
-    return p, to_fp
-
-
 def _reflection_charpolys(group, table, p, to_fp):
     """det(1 - X rho(w)) mod p per conjugacy class, little-endian.
 
@@ -159,7 +143,7 @@ def fake_degrees(group, table):
     """Graded multiplicities of every irreducible in the coinvariant
     algebra, as polynomials in X with nonnegative integer coefficients.
 
-    Molien's formula class by class modulo the prime p of `_residue_map`:
+    Molien's formula class by class modulo the prime p of `residue_map`:
     P_chi = |W|^-1 sum_j |C_j| chi(C_j) Q_j with the quotients of
     `_class_quotients`, of degree N, the number of positive roots.  One
     prime is exact: zeta_M -> eta is a ring map from Z[zeta_M], which holds
@@ -169,7 +153,7 @@ def fake_degrees(group, table):
     summing to chi(1) and degree-weighted series missing the Poincare
     polynomial.
     """
-    p, to_fp = _residue_map(table.conductor, group.size)
+    p, _, to_fp = residue_map(table.conductor, group.size)
     quots = _class_quotients(
         group.datum.degrees, _reflection_charpolys(group, table, p, to_fp), p
     )
@@ -309,7 +293,7 @@ def classify_involutions(group, cells, a):
     return tuple(out)
 
 
-def _finish_records(group, table, cells, gamma, dset, jts, ordinary_flags):
+def _finish_records(group, table, cells, gamma, jts, ordinary_flags):
     fakes = fake_degrees(group, table)
     records = []
     for i in range(len(table)):
@@ -566,7 +550,7 @@ def classify_group_streamed(store, cells, gamma, dset, table,
             flags[i] = False
 
     records, cell_ordinary, profile, consistent = _finish_records(
-        group, table, cells, gamma, dset, jts, flags
+        group, table, cells, gamma, jts, flags
     )
     involutions = classify_involutions(group, cells, gamma.a)
     return ClassifyResult(

@@ -5,8 +5,13 @@ A group is specified by a type symbol ("A3", "B4", "D5", "I2(7)", "H3", "H4",
 representation: generator s sends alpha_s to -alpha_s and alpha_t to
 alpha_t + 2cos(pi/m_st) * alpha_s.  Elements are enumerated by breadth-first
 closure over generator multiplication, with element identity decided by the
-exact matrix of the representation (never by word rewriting), so the
-enumeration is collision-free by construction.
+matrix of the representation modulo a prime p = 1 mod M above |W| (never
+by word rewriting).  The reduced generators satisfy the Coxeter relations,
+since zeta_M -> eta is a ring map, so they generate a quotient of W: two
+elements sharing a matrix mod p would close the enumeration below |W|,
+which raises, as does running past |W|.  (Reduction modulo an odd prime
+not dividing M is injective on a finite group anyway, by Minkowski's
+lemma.)
 
 Generator numbering per type (0-based internally, reported as s1..sn):
 
@@ -36,8 +41,7 @@ from .exactnum import (
     LaurentPoly,
     _cyclotomic_coeffs,
     _dense_divmod,
-    cyclo_context,
-    two_cos_pi_over,
+    residue_map,
 )
 
 __all__ = [
@@ -156,9 +160,10 @@ class CoxeterDatum:
     E6/E7/E8.  ``conductor`` is the working field for character-level work,
     lcm of the group exponent and 2*m_st over all Coxeter matrix entries;
     ``refl_conductor`` is the smaller field that already holds every entry of
-    the reflection matrices.  ``crystallographic`` marks the Weyl types,
-    whose Coxeter matrix entries are all 2, 3, 4 or 6: exactly the finite
-    Coxeter groups with integer character values.
+    the reflection matrices; the group fingerprint records it.
+    ``crystallographic`` marks the Weyl types, whose Coxeter matrix entries
+    are all 2, 3, 4 or 6: exactly the finite Coxeter groups with integer
+    character values.
     """
 
     __slots__ = (
@@ -193,58 +198,43 @@ class CoxeterDatum:
         return f"CoxeterDatum({self.type_symbol})"
 
     def reflection_action(self):
-        """The reflection representation on integer power-basis matrices,
-        as (identity, right_mul).
+        """The reflection representation modulo the prime of
+        `residue_map(conductor, order)`, as (identity, right_mul).
 
-        A matrix is a flat tuple with entry (i, j) at index i*rank + j;
-        each entry is the length-phi integer vector of a number of
-        Z[zeta_M], M = refl_conductor.  Generator s sends alpha_s to
-        -alpha_s and alpha_j to alpha_j + c_sj alpha_s with
-        c_sj = 2cos(pi/m_sj), so right_mul(mat, s) negates column s and
-        adds c_sj times column s to every bonded column j.  Products stay
-        integral because the reduction rows are integral.
+        A matrix is a flat tuple of residues mod p with entry (i, j) at
+        index i*rank + j: the image of the exact matrix under zeta_M ->
+        eta, M = conductor.  Generator s sends alpha_s to -alpha_s and
+        alpha_j to alpha_j + c_sj alpha_s with c_sj = 2cos(pi/m_sj) =
+        zeta_2m + zeta_2m^-1, whose image is eta^(M/2m) + eta^(-M/2m)
+        (2m divides M); right_mul(mat, s) negates column s and adds c_sj
+        times column s to every bonded column j.
         """
         n = self.rank
-        ctx = cyclo_context(self.refl_conductor)
-        phi = ctx.degree
-        zero = (0,) * phi
-        one = (1,) + (0,) * (phi - 1)
+        M = self.conductor
+        p, eta, _ = residue_map(M, self.order)
 
-        def cosine(m: int) -> tuple:
-            if m == 3:
-                return one
-            out = []
-            for c in two_cos_pi_over(self.refl_conductor, m).coeffs:
-                if c.denominator != 1:
-                    raise InternalInconsistencyError(
-                        "reflection matrix entry is not an algebraic integer"
-                    )
-                out.append(c.numerator)
-            return tuple(out)
+        def cosine(m: int) -> int:
+            k = M // (2 * m)
+            return (pow(eta, k, p) + pow(eta, M - k, p)) % p
 
         neighbors = tuple(
             tuple(
-                (j, cosine(self.coxeter_matrix[s][j]))
-                for j in range(n)
-                if j != s and self.coxeter_matrix[s][j] != 2
+                (j, cosine(m))
+                for j, m in enumerate(self.coxeter_matrix[s])
+                if j != s and m != 2
             )
             for s in range(n)
         )
-        identity = tuple(
-            one if i == j else zero for i in range(n) for j in range(n)
-        )
+        identity = tuple(int(i == j) for i in range(n) for j in range(n))
 
         def right_mul(mat: tuple, s: int) -> tuple:
             out = list(mat)
-            for i in range(n):
-                base = i * n
-                col_s = mat[base + s]
-                out[base + s] = tuple(-c for c in col_s)
-                if col_s != zero:
+            for base in range(0, n * n, n):
+                a = mat[base + s]
+                if a:
+                    out[base + s] = p - a
                     for j, c in neighbors[s]:
-                        cur = out[base + j]
-                        prod = ctx.mul_coeffs(col_s, c)
-                        out[base + j] = tuple(a + b for a, b in zip(cur, prod))
+                        out[base + j] = (out[base + j] + a * c) % p
             return tuple(out)
 
         return identity, right_mul
@@ -475,8 +465,11 @@ def word_name(group, w: int) -> str:
 
 
 def build_group(source, max_order: int = DEFAULT_MAX_ORDER) -> CoxeterGroup:
-    """Enumerate the group by BFS over exact reflection matrices.
+    """Enumerate the group by BFS over the reflection matrices mod p.
 
+    Elements are keyed on their `CoxeterDatum.reflection_action` matrices;
+    an enumeration that runs past the known order or closes below it
+    raises InternalInconsistencyError, so a collision mod p cannot pass.
     Refuses types whose known order exceeds max_order, reporting that order,
     so E6/E7/E8 need an explicit override to build.
     """

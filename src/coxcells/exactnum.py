@@ -12,6 +12,9 @@ Two number domains live here:
   variable ``X`` and with integer coefficients, for the Poincare series and
   the fake degrees.
 
+``residue_map`` reduces Z[zeta_M] modulo one prime p = 1 mod M above |W|;
+the group enumeration, the reflection row and the fake degrees share it.
+
 Everything is immutable by convention and hash/compare-safe, so values can be
 used as dictionary keys.  No floating point is used anywhere.
 
@@ -36,8 +39,8 @@ __all__ = [
     "cyclo_context",
     "cyclo_rational",
     "is_palindromic",
+    "residue_map",
     "root_of_unity",
-    "two_cos_pi_over",
 ]
 
 _ZERO = Fraction(0)
@@ -340,45 +343,74 @@ def root_of_unity(order: int, k: int) -> CycloNumber:
     return CycloNumber(ctx, tuple(Fraction(c) for c in ctx.zeta_vector(k)))
 
 
-def embed_cyclo(x: CycloNumber, order: int) -> CycloNumber:
-    """Carry x from Q(zeta_m) into Q(zeta_order) via zeta_m -> zeta_order^(order/m).
+# ---------------------------------------------------------------------------
+# reduction modulo a prime
 
-    Requires m to divide order; the identity map when the orders agree.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _is_prime(m: int) -> bool:
+    if m < 2:
+        return False
+    for q in _MR_BASES:
+        if m % q == 0:
+            return m == q
+    d, r = m - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for a in _MR_BASES:
+        x = pow(a, d, m)
+        if x == 1 or x == m - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % m
+            if x == m - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _primitive_root(p: int) -> int:
+    fac = []
+    m = p - 1
+    q = 2
+    while q * q <= m:
+        if m % q == 0:
+            fac.append(q)
+            while m % q == 0:
+                m //= q
+        q += 1
+    if m > 1:
+        fac.append(m)
+    g = 2
+    while True:
+        if all(pow(g, (p - 1) // q, p) != 1 for q in fac):
+            return g
+        g += 1
+
+
+def residue_map(conductor: int, order: int) -> tuple:
+    """(p, eta, to_fp): the first prime p = 1 mod conductor above order,
+    a primitive conductor-th root of unity eta mod p, and the ring map
+    Z[zeta_M] -> F_p, zeta_M -> eta, on CycloNumbers of conductor M with
+    integer power-basis coordinates.
+
+    The group enumeration, the reflection row of the character table and
+    the fake degrees all reduce through this one map, with M the group's
+    conductor and order its size.
     """
-    src = x.ctx.order
-    if src == order:
-        return x
-    if order % src:
-        raise UsageError(
-            f"cannot embed conductor {src} into conductor {order}"
-        )
-    ctx = cyclo_context(order)
-    step = order // src
-    out = [Fraction(0)] * ctx.degree
-    for i, c in enumerate(x.coeffs):
-        if c:
-            for j, z in enumerate(ctx.zeta_vector((step * i) % order)):
-                if z:
-                    out[j] += c * z
-    return CycloNumber(ctx, tuple(out))
+    p = conductor + 1
+    while p <= order or not _is_prime(p):
+        p += conductor
+    eta = pow(_primitive_root(p), (p - 1) // conductor, p)
+    etas = [pow(eta, k, p) for k in range(conductor)]
 
+    def to_fp(v):
+        return sum(c.numerator * t for c, t in zip(v.coeffs, etas) if c) % p
 
-def two_cos_pi_over(order: int, m: int) -> CycloNumber:
-    """2*cos(pi/m) inside Q(zeta_order).
-
-    Written as zeta_{2m} + zeta_{2m}^(-1) when zeta_{2m} lies in the field;
-    for odd m the identity zeta_{2m} = -zeta_m^((m+1)/2) lets the value live
-    in Q(zeta_m) already.
-    """
-    if m < 1:
-        raise UsageError("cosine denominator must be positive")
-    if order % (2 * m) == 0:
-        k = order // (2 * m)
-        return root_of_unity(order, k) + root_of_unity(order, -k % order)
-    if m % 2 == 1 and order % m == 0:
-        k = (order // m) * ((m + 1) // 2)
-        return -(root_of_unity(order, k) + root_of_unity(order, -k % order))
-    raise UsageError(f"2*cos(pi/{m}) does not lie in Q(zeta_{order})")
+    return p, eta, to_fp
 
 
 # ---------------------------------------------------------------------------

@@ -18,11 +18,12 @@ diagram-automorphism orbit), and the cross-cutting property checks on a
 finished classification live here for the same reason.
 
 So do the helpers only the tests use: the Bruhat order, descent sets, the
-CycloNumber reflection matrices, complex embeddings, powers and inverses
-of CycloNumbers, character multiplicities, the value-polynomial
-arithmetic (`vp` extends the library's constants), the packing that
-`klbase.unpack` inverts, a few LaurentPoly operations, and the
-LaurentPoly division and cyclotomic polynomials that the Q(zeta) fake
+CycloNumber reflection matrices with their 2cos(pi/m) entries, the
+embedding of one cyclotomic field into a larger one, complex embeddings,
+powers and inverses of CycloNumbers, character multiplicities, the
+value-polynomial arithmetic (`vp` extends the library's constants), the
+packing that `klbase.unpack` inverts, a few LaurentPoly operations, and
+the LaurentPoly division and cyclotomic polynomials that the Q(zeta) fake
 degrees above use (the library divides dense integer lists instead).
 `reseal_cache` edits a cache file behind its digest.
 """
@@ -49,8 +50,7 @@ from coxcells.exactnum import (
     _dense_mul,
     cyclo_context,
     cyclo_rational,
-    embed_cyclo,
-    two_cos_pi_over,
+    root_of_unity,
 )
 from coxcells.klbase import (
     HTable,
@@ -299,6 +299,47 @@ def cyclo_zero(order: int) -> CycloNumber:
 
 def cyclo_one(order: int) -> CycloNumber:
     return cyclo_context(order).one
+
+
+def embed_cyclo(x: CycloNumber, order: int) -> CycloNumber:
+    """Carry x from Q(zeta_m) into Q(zeta_order) via zeta_m -> zeta_order^(order/m).
+
+    Requires m to divide order; the identity map when the orders agree.
+    """
+    src = x.ctx.order
+    if src == order:
+        return x
+    if order % src:
+        raise UsageError(
+            f"cannot embed conductor {src} into conductor {order}"
+        )
+    ctx = cyclo_context(order)
+    step = order // src
+    out = [Fraction(0)] * ctx.degree
+    for i, c in enumerate(x.coeffs):
+        if c:
+            for j, z in enumerate(ctx.zeta_vector((step * i) % order)):
+                if z:
+                    out[j] += c * z
+    return CycloNumber(ctx, tuple(out))
+
+
+def two_cos_pi_over(order: int, m: int) -> CycloNumber:
+    """2*cos(pi/m) inside Q(zeta_order).
+
+    Written as zeta_{2m} + zeta_{2m}^(-1) when zeta_{2m} lies in the field;
+    for odd m the identity zeta_{2m} = -zeta_m^((m+1)/2) lets the value live
+    in Q(zeta_m) already.
+    """
+    if m < 1:
+        raise UsageError("cosine denominator must be positive")
+    if order % (2 * m) == 0:
+        k = order // (2 * m)
+        return root_of_unity(order, k) + root_of_unity(order, -k % order)
+    if m % 2 == 1 and order % m == 0:
+        k = (order // m) * ((m + 1) // 2)
+        return -(root_of_unity(order, k) + root_of_unity(order, -k % order))
+    raise UsageError(f"2*cos(pi/{m}) does not lie in Q(zeta_{order})")
 
 
 def gamma(table, x: int, y: int, z: int) -> int:
@@ -1553,7 +1594,7 @@ def classify_group(store, htable, cells, gamma, dset, table, phi=None,
         jts.append(jt)
         flags.append(is_ordinary(hc))
     records, cell_ordinary, profile, consistent = _finish_records(
-        group, table, cells, gamma, dset, jts, flags
+        group, table, cells, gamma, jts, flags
     )
     involutions = classify_involutions(group, cells, gamma.a)
     return ClassifyResult(

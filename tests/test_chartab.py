@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from coxcells.chartab import (
+    CharacterTable,
     _Retry,
     _pdiv,
     _pmod,
@@ -156,6 +157,25 @@ def test_reflection_row_identified_by_matrix_traces():
         if d == 3 and row[gen_class] == 1
     ]
     assert len(cands) == 2 and h3.reflection_index in cands
+
+
+@pytest.mark.parametrize("sym", ["B3", "H3"])
+def test_reflection_row_lookup_needs_exactly_one_match(sym):
+    # the table rebuilt without its reflection row, then with it twice
+    g = build_group(sym)
+    tab = character_table(g)
+    r = tab.reflection_index
+    without = [i for i in range(len(tab)) if i != r]
+    for picks, count in ((without, 0), (list(range(len(tab))) + [r], 2)):
+        with pytest.raises(InternalInconsistencyError,
+                           match=f"{count} rows match"):
+            CharacterTable(
+                g, tab.classes,
+                tuple(tab.rows[i] for i in picks),
+                tuple(tab.dims[i] for i in picks),
+                tuple(tab.names[i] for i in picks),
+                tab.conductor,
+            )
 
 
 def test_find_row_rejects_non_rows():

@@ -42,7 +42,6 @@ from coxcells.classify import (
     _class_quotients,
     _coordinate_columns,
     _reflection_charpolys,
-    _residue_map,
     _signed_row,
     _solve_columns,
     _transport_blocks,
@@ -55,7 +54,7 @@ from coxcells.classify import (
 )
 from coxcells.coxeter import build_group
 from coxcells.errors import InternalInconsistencyError, UsageError
-from coxcells.exactnum import LaurentPoly
+from coxcells.exactnum import LaurentPoly, residue_map
 from coxcells.klbase import generator_rows
 from coxcells.pipeline import classify_report
 
@@ -271,7 +270,7 @@ def test_table_charpolys_match_matrix_oracle():
     for symbol in ("I2(5)", "B3", "H3", "D4"):
         group = build_group(symbol)
         table = character_table(group)
-        p, to_fp = _residue_map(table.conductor, group.size)
+        p, _, to_fp = residue_map(table.conductor, group.size)
         reduced = [
             [to_fp(poly.coeff(k)) if poly.coeff(k) else 0
              for k in range(group.datum.rank + 1)]
@@ -283,7 +282,7 @@ def test_table_charpolys_match_matrix_oracle():
 def test_class_quotient_rejects_a_non_divisor():
     # 1 + X^2 has no root mod 7, so it does not divide
     # (1 - X^2)(1 - X^3), whose roots mod 7 are 1, -1, 2 and 4
-    p, _ = _residue_map(1, 6)
+    p, _, _ = residue_map(1, 6)
     assert p == 7
     with pytest.raises(InternalInconsistencyError, match="inexact"):
         _class_quotients((2, 3), [[1, 0, 1]], p)

@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import os
@@ -49,6 +50,30 @@ def test_group_json(capsys):
     assert data["order"] == 10
     assert data["degrees"] == [2, 5]
     assert data["num_positive_roots"] == 5
+
+
+# SHA-256 of `coxcells group --type G` stdout, recorded while the group
+# was still enumerated through exact cyclotomic matrices: each pin covers
+# the fingerprint, so the ShortLex words and the element numbering
+GROUP_SHA256 = {
+    "A4": "5e5dfc5af3b7132911e638dc5edd85ee4a4f5e8e4bb7c61e2119fc91852fb799",
+    "B4": "4878ec35e8491b0e22fe4672853123403a529dfd209b9ab5e76ee2a918af421b",
+    "D4": "3b4d6a75c56826b9d11fcbeb8529adefbb8179f2ac6fd01acd048c30d07406a9",
+    "D5": "95bb5b6660f472462330df45f7d6f37972d3454dfcb8dd90534ff4286b2aa3ef",
+    "F4": "85a5555d16aafce678f6b8fffde914c4d98d9ac95014aea6eab1f3ac2cf8e6fd",
+    "H3": "3301f3b59281aed6f064ede4785dda7c28cafb03ef4186f5f63f8560e1ca8f5d",
+    "H4": "9a944e750706c3a575d3fa5ce9b8b3354044c67c2cca5c222700bf761bfc7ac7",
+    "I2(5)": "e28e9f6ed5fb5b2513ca7cdf5775aba1982b5844ad3a4ead6edf8ea8a0022e0a",
+    "I2(60)": "17a3c3f5ec8585eee13f5ef9dc85dd2d40ee4baf36c53af032d1d533388ea87e",
+    "I2(100)": "128d24c0d1e9f9b37260e14aaed2421352cba08b07ee6d1853602d6f2f87314e",
+}
+
+
+@pytest.mark.parametrize("symbol", sorted(GROUP_SHA256))
+def test_group_output_pinned(capsys, symbol):
+    code, out, _ = _run(capsys, "group", "--type", symbol)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GROUP_SHA256[symbol]
 
 
 def test_group_text_format(capsys):

@@ -3,16 +3,18 @@ from math import lcm
 
 import pytest
 
+import coxcells.coxeter as coxeter_mod
 from coxcells.coxeter import (
     build_group,
     degrees_from_poincare,
     group_datum,
 )
 from coxcells.errors import InternalInconsistencyError, RefusalError, UsageError
-from coxcells.exactnum import LaurentPoly, cyclo_context
+from coxcells.exactnum import LaurentPoly, cyclo_context, residue_map
 
 from oracles import (
     bruhat_leq,
+    embed_cyclo,
     left_descents,
     matrix_of,
     reflection_matrices,
@@ -201,11 +203,14 @@ def test_matrix_of_respects_multiplication():
 
 
 def test_reflection_action_matches_cyclo_matrices():
-    # the integer kernel behind build_group and the reflection row of the
+    # the mod-p kernel behind build_group and the reflection row of the
     # character table, against the CycloNumber matrices of the oracle
+    # carried into Q(zeta_M) and mapped through the same zeta_M -> eta
     for symbol in ("I2(5)", "B3", "H3"):
         g = build_group(symbol)
         n = g.datum.rank
+        M = g.datum.conductor
+        _, _, to_fp = residue_map(M, g.size)
         ident, right_mul = g.datum.reflection_action()
         for w in range(g.size):
             mat = ident
@@ -213,9 +218,28 @@ def test_reflection_action_matches_cyclo_matrices():
                 mat = right_mul(mat, s)
             want = matrix_of(g, w)
             assert all(
-                tuple(want[i][j].coeffs) == mat[i * n + j]
+                to_fp(embed_cyclo(want[i][j], M)) == mat[i * n + j]
                 for i in range(n) for j in range(n)
             ), (symbol, w)
+
+
+@pytest.mark.parametrize("symbol, prime, message", [
+    ("H3", None, "overshot the known order 120"),
+    ("B3", 3, "closed at 24 elements"),
+])
+def test_collision_mod_p_raises(monkeypatch, symbol, prime, message):
+    # with eta = 1 every 2cos(pi/m) reduces to 2, so the reduced matrices
+    # are no longer those of W: on H3 the enumeration runs past |W| = 120,
+    # and on B3 mod 3 it closes at 24 elements, below |W| = 48
+    real = coxeter_mod.residue_map
+
+    def eta_one(conductor, order):
+        p, _, to_fp = real(conductor, order)
+        return prime or p, 1, to_fp
+
+    monkeypatch.setattr(coxeter_mod, "residue_map", eta_one)
+    with pytest.raises(InternalInconsistencyError, match=message):
+        build_group(symbol)
 
 
 def test_element_orders_divide_exponent():

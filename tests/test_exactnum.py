@@ -14,6 +14,7 @@ from oracles import (
     cyclo_pow,
     cyclo_zero,
     cyclotomic_polynomial,
+    embed_cyclo,
     evaluate,
     even_parity,
     exact_divide,
@@ -21,6 +22,7 @@ from oracles import (
     poly_divmod,
     shift,
     stretch,
+    two_cos_pi_over,
 )
 
 from coxcells.errors import InternalInconsistencyError, UsageError
@@ -28,10 +30,8 @@ from coxcells.exactnum import (
     CycloNumber,
     LaurentPoly,
     cyclo_rational,
-    embed_cyclo,
     is_palindromic,
     root_of_unity,
-    two_cos_pi_over,
 )
 
 
