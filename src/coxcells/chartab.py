@@ -15,17 +15,24 @@ multiplicities lift uniquely from their residues.  A failed split or an
 inconsistent lift moves to the next admissible prime; persistent failure
 is reported as an internal error, never silently absorbed.
 
-All returned values are exact cyclotomic numbers in the group's ambient
-conductor, and the finished table is checked against full row and column
-orthogonality before being handed back.
+The eigenspaces split along the roots of characteristic polynomials,
+taken by Hessenberg reduction mod p.  All returned values are exact
+cyclotomic numbers in the group's ambient conductor, each lifted as a
+sum of chi(1) roots of unity, and the finished table is checked against
+full row and column orthogonality before being handed back: modulo one
+prime q = 1 mod M above |W|^2 + |W|, under all phi(M) maps zeta_M ->
+eta^j.  Every such sum is at most |W|^2 in absolute value under each
+complex embedding, so agreement under all those maps makes the relation
+exact (see `_validate`).
 """
 
 import hashlib
 import random
 from fractions import Fraction
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
+from operator import mul
 
-from .errors import InternalInconsistencyError, UsageError
+from .errors import InternalInconsistencyError
 from .exactnum import (
     CycloNumber,
     _dense_trim,
@@ -34,7 +41,6 @@ from .exactnum import (
     cyclo_context,
     cyclo_rational,
     residue_map,
-    root_of_unity,
 )
 
 
@@ -120,19 +126,48 @@ def _newton(traces, p):
 
 
 def _charpoly(mat, p):
-    """Characteristic polynomial mod p from power traces, little-endian."""
+    """det(X - A) mod p, little-endian, in O(d^3): A is brought to upper
+    Hessenberg form H by similarity transforms, then p_m = det(X - H_m)
+    for the leading m x m blocks follows from
+
+        p_m = (X - h_mm) p_(m-1) - sum_i h_(m-i),m h_m,(m-1) ...
+              h_(m-i+1),(m-i) p_(m-i-1)
+
+    (1-based indices; Cohen, A Course in Computational Algebraic Number
+    Theory, GTM 138, Algorithm 2.2.9)."""
     d = len(mat)
-    traces = []
-    cur = [row[:] for row in mat]
-    for m in range(1, d + 1):
-        traces.append(sum(cur[i][i] for i in range(d)) % p)
-        if m < d:
-            cur = [
-                [sum(cur[i][t] * mat[t][j] for t in range(d)) % p for j in range(d)]
-                for i in range(d)
-            ]
-    # det(X - A) is det(1 - X A) with its coefficients reversed
-    return _newton(traces, p)[::-1]
+    h = [[a % p for a in row] for row in mat]
+    for m in range(1, d - 1):
+        sel = next((i for i in range(m, d) if h[i][m - 1]), None)
+        if sel is None:
+            continue
+        if sel != m:
+            h[m], h[sel] = h[sel], h[m]
+            for row in h:
+                row[m], row[sel] = row[sel], row[m]
+        inv = pow(h[m][m - 1], p - 2, p)
+        for i in range(m + 1, d):
+            u = h[i][m - 1] * inv % p
+            if u:
+                # row i -= u row m, then column m += u column i
+                h[i] = [(a - u * b) % p for a, b in zip(h[i], h[m])]
+                for row in h:
+                    row[m] = (row[m] + u * row[i]) % p
+    polys = [[1]]
+    for m in range(d):
+        cur = [0] + polys[m]
+        for t, c in enumerate(polys[m]):
+            cur[t] -= h[m][m] * c
+        prod = 1
+        for i in range(1, m + 1):
+            prod = prod * h[m - i + 1][m - i] % p
+            if not prod:
+                break
+            f = h[m - i][m] * prod
+            for t, c in enumerate(polys[m - i]):
+                cur[t] -= f * c
+        polys.append([c % p for c in cur])
+    return polys[d]
 
 
 def _pmul(a, b, p):
@@ -439,40 +474,96 @@ def _modular_rows(group, classes, jstar, p, rng):
     return rows, dims
 
 
-def _lift_row(row_p, dim, powmaps, orders, eta, n, conductor, p):
+def _pack(rows, bound):
+    """rows packed for `_dots` (Kronecker substitution): (width, columns),
+    column c one integer holding rows[r][c] in slot r of width bits, wide
+    enough for a sum below bound."""
+    width = bound.bit_length()
+    return width, [sum(v << width * r for r, v in enumerate(col))
+                   for col in zip(*rows)]
+
+
+def _dots(vec, packed, count):
+    """[sum_c vec[c] rows[r][c] for r < count], rows packed by `_pack`;
+    one product of big integers, exact while the entries are nonnegative
+    and each sum stays below the packing bound."""
+    width, cols = packed
+    n = sum(map(mul, vec, cols))
+    mask = (1 << width) - 1
+    return [n >> width * r & mask for r in range(count)]
+
+
+def _inverse_dfts(orders, eta, n, p):
+    """Per class, the inverse DFT over <z> mod p for z of order o, packed,
+    one per order: row s holds o^-1 eta_o^(-t s) over t, with eta_o =
+    eta^(n / o) a primitive o-th root of unity."""
+    by_order = {}
+    for o in set(orders):
+        eta_o = pow(eta, n // o, p)
+        pows = [pow(o, p - 2, p)]
+        for _ in range(1, o):
+            pows.append(pows[-1] * eta_o % p)
+        by_order[o] = _pack(
+            [[pows[-t * s % o] for t in range(o)] for s in range(o)],
+            o * p * p,
+        )
+    return [by_order[o] for o in orders]
+
+
+def _lift_row(row_p, dim, powmaps, dfts, ctx, p):
     """Exact cyclotomic values from a mod-p row, class by class.
 
     For z of order o the value is sum m_s zeta_o^s with m_s the
     multiplicity of the eigenvalue; the inverse DFT over <z> recovers
-    each m_s as a residue, which must lift into [0, dim].
+    each m_s as a residue, which must lift into [0, dim].  The sum runs
+    on integer power-basis vectors, one `CycloNumber` per value.
     """
+    zero = Fraction(0)
     out = []
-    for j, o in enumerate(orders):
-        eta_o = pow(eta, n // o, p)
-        pows = [1] * o
-        for t in range(1, o):
-            pows[t] = pows[t - 1] * eta_o % p
-        inv_o = pow(o, p - 2, p)
-        vals = [row_p[c] for c in powmaps[j]]
-        acc = cyclo_rational(conductor, 0)
+    for chain, dft in zip(powmaps, dfts):
+        vals = [row_p[c] for c in chain]
+        step = ctx.order // len(chain)
+        acc = [0] * ctx.degree
         total = 0
-        for s in range(o):
-            m = sum(vals[t] * pows[(-t * s) % o] for t in range(o)) * inv_o % p
+        for s, m in enumerate(_dots(vals, dft, len(chain))):
+            m %= p
             if m > dim:
                 raise _Retry(f"multiplicity {m} exceeds degree {dim}")
             total += m
             if m:
-                acc = acc + m * root_of_unity(conductor, s * (conductor // o))
+                for t, c in enumerate(ctx.zeta_vector(s * step)):
+                    if c:
+                        acc[t] += m * c
         if total != dim:
             raise _Retry("eigenvalue multiplicities do not sum to the degree")
-        out.append(acc)
+        out.append(CycloNumber(
+            ctx, tuple(Fraction(c) if c else zero for c in acc)
+        ))
     return tuple(out)
 
 
 def _validate(group, classes, rows, dims, conductor):
     """Integrality, row and column orthogonality and the degree sum of a
-    lifted table; the sums run on integer power-basis vectors."""
+    lifted table; the orthogonality is checked modulo one prime q, under
+    every embedding.
+
+    A lifted value is a sum of chi(1) roots of unity (`_lift_row` checks
+    the multiplicities), so under every complex embedding sigma a row sum
+    alpha = sum |C| chi psi-bar has |sigma(alpha)| <= |W| chi(1) psi(1)
+    <= |W|^2, a column sum has |sigma(beta)| <= sum chi(1)^2 = |W|, and
+    the wanted value is at most |W|.  q, the prime of `residue_map` for
+    the bound |W|^2 + |W|, is 1 mod M, so it splits completely in
+    Z[zeta_M], and the phi(M) maps zeta -> eta^j, j a unit mod M, are the
+    reductions modulo the primes above it.  A sum that matches its wanted
+    value under all of them differs from it by q times an algebraic
+    integer whose conjugates all lie below 1 in absolute value; the norm
+    of that integer is an integer below 1, so it is 0, and the relation
+    holds exactly.
+    """
     k = len(classes)
+    # each value as the index of its integer power-basis vector
+    index = {}
+    at = []
     for row in rows:
         for v in row:
             if any(c.denominator != 1 for c in v.coeffs):
@@ -481,30 +572,36 @@ def _validate(group, classes, rows, dims, conductor):
                 v.is_rational() and v.is_integer()
             ):
                 raise _Retry("irrational value in a crystallographic type")
-    ctx = cyclo_context(conductor)
-    vals = [[tuple(map(int, v.coeffs)) for v in row] for row in rows]
-    bars = [[tuple(map(int, v.conjugate().coeffs)) for v in row]
-            for row in rows]
-
-    def is_scalar(terms, want: int) -> bool:
-        acc = [0] * ctx.degree
-        for n, a, b in terms:
-            for t, c in enumerate(ctx.mul_coeffs(a, b)):
-                acc[t] += n * c
-        return acc[0] == want and not any(acc[1:])
-
-    for i in range(k):
-        for j in range(i, k):
-            want = group.size if i == j else 0
-            if not is_scalar(zip(classes.sizes, vals[i], bars[j]), want):
-                raise _Retry(f"row orthogonality fails at ({i}, {j})")
-    for a in range(k):
-        for b in range(a, k):
-            want = group.size // classes.sizes[a] if a == b else 0
-            terms = ((1, vals[r][a], bars[r][b]) for r in range(len(rows)))
-            if not is_scalar(terms, want):
-                raise _Retry(f"column orthogonality fails at ({a}, {b})")
-    if sum(d * d for d in dims) != group.size:
+        at.append([index.setdefault(tuple(map(int, v.coeffs)), len(index))
+                   for v in row])
+    size = group.size
+    q, eta, _ = residue_map(conductor, size * size + size)
+    etas = [pow(eta, t, q) for t in range(conductor)]
+    # images[j][i]: distinct value i under zeta -> eta^j, j a unit mod M
+    images = {
+        j: [sum(c * etas[j * t % conductor] for t, c in enumerate(vec) if c)
+            % q for vec in index]
+        for j in range(conductor) if gcd(j, conductor) == 1
+    }
+    sizes = classes.sizes
+    for j, img in images.items():
+        # the conjugate's image under zeta -> eta^j is the value's under
+        # zeta -> eta^-j
+        bar = images[-j % conductor]
+        vals = [[img[i] for i in row] for row in at]
+        bars = [[bar[i] for i in row] for row in at]
+        packed = _pack(bars, k * q * q)
+        for i in range(k):
+            weighted = [n * a % q for n, a in zip(sizes, vals[i])]
+            for r, got in enumerate(_dots(weighted, packed, k)):
+                if (got - (size if i == r else 0)) % q:
+                    raise _Retry(f"row orthogonality fails at ({i}, {r})")
+        packed = _pack(list(zip(*bars)), k * q * q)
+        for a, col in enumerate(zip(*vals)):
+            for b, got in enumerate(_dots(col, packed, k)):
+                if (got - (size // sizes[a] if a == b else 0)) % q:
+                    raise _Retry(f"column orthogonality fails at ({a}, {b})")
+    if sum(d * d for d in dims) != size:
         raise _Retry("degree squares do not sum to the group order")
 
 
@@ -520,6 +617,7 @@ def character_table(group) -> CharacterTable:
         raise InternalInconsistencyError(
             f"exponent {n} outside the ambient conductor {conductor}"
         )
+    ctx = cyclo_context(conductor)
     jstar = [classes.class_of[group.inverse[z]] for z in reps]
     powmaps = []
     for j, z in enumerate(reps):
@@ -541,21 +639,17 @@ def character_table(group) -> CharacterTable:
         try:
             rows_p, dims_p = _modular_rows(group, classes, jstar, p, rng)
             eta = pow(_primitive_root(p), (p - 1) // n, p)
-            lifted = [
-                _lift_row(r, d, powmaps, orders, eta, n, conductor, p)
-                for r, d in zip(rows_p, dims_p)
-            ]
+            dfts = _inverse_dfts(orders, eta, n, p)
+            lifted = [_lift_row(r, d, powmaps, dfts, ctx, p)
+                      for r, d in zip(rows_p, dims_p)]
             _validate(group, classes, lifted, dims_p, conductor)
         except _Retry as exc:
             failures.append(f"p={p}: {exc}")
             continue
-        order = sorted(
-            range(k),
-            key=lambda i: (
-                dims_p[i],
-                tuple(tuple(-c for c in v.coeffs) for v in lifted[i]),
-            ),
-        )
+        # by degree, then by values in descending power-basis order
+        order = sorted(range(k), key=lambda i: [v.coeffs for v in lifted[i]],
+                       reverse=True)
+        order.sort(key=dims_p.__getitem__)
         rows = tuple(lifted[i] for i in order)
         dims = tuple(dims_p[i] for i in order)
         if any(v != 1 for v in rows[0]):

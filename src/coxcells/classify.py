@@ -16,8 +16,9 @@ involutions through l(x) - a(x) mod 2.
 
 Only the table columns at distinguished involutions are ever generated,
 each of them once: a single stream computes the entries h_{x,d,z} with z
-in the left cell of d and no others, and the transport matrix and the
-dual-basis traces are both read off that list.  Character values lie in
+in the left cell of d and no others.  The transport matrix is read off
+the packed entries at v = 1 as residues, with no decode, and only the
+entries that can break parity are kept (below).  Character values lie in
 Z[zeta_M], so each power-basis coordinate of a character is an integer
 class function and the transport system is rational.  It is block
 triangular by right cells: h_{x,d,z} != 0 implies z <=_R x, so a(z) >=
@@ -29,8 +30,32 @@ right-hand side is linear in its k class values: each right cell is
 solved once, uncoupled, by one fraction-free elimination in integers
 (Bareiss) on k class columns, and each coordinate column is assembled
 from them, checked exactly in integers and reassembled in Q(zeta_M).
-The parity test then runs on the integer dual-basis traces of every
-coordinate, which the positive scale does not change.
+
+Parity.  The quadratic relation (T_s + 1)(T_s - v^2) = 0 involves only
+v^2, so H has the ring automorphism v -> -v, T_w -> T_w.  It sends c_w =
+v^-l(w) sum P_{y,w}(v^2) T_y to (-1)^l(w) c_w, and applied to c_x c_y =
+sum_z h_{x,y,z} c_z, with the c_z a basis, it gives
+
+    h_{x,y,z}(-v) = (-1)^(l(x) + l(y) + l(z)) h_{x,y,z}(v),
+
+that is, every exponent of h_{x,y,z} is l(x) + l(y) + l(z) mod 2.  (The
+recursion of `klbase._h_block` shows the same step by step: v + v^-1,
+c_{sz}, each c_t with mu(t, z) != 0, for which l(z) - l(t) is odd, and
+the correction mu(z, x') c_z c_y all move the exponent parity and the
+length parity together.)  The cut to a left cell drops entries and
+leaves the others exact, so the lemma holds for every streamed entry.
+The generic trace of a solved coordinate column q on the dual
+basis element at x is sum over d and z of q(z) h_{x,d,z}, and the
+column is ordinary when all its exponents are l(x) mod 2.  The terms
+with l(d) + l(z) even meet that by the lemma, and those with l(d) +
+l(z) odd have only exponents of the other parity, so nothing cancels
+between the two: the column is ordinary iff the odd part vanishes for
+every x.  So only the odd entries are kept, and only those whose z
+carries a nonzero solved coordinate are decoded (none on A4, B3, B4,
+D4, F4, I2(5), I2(8) and I2(60); 66 of 2793 on H3).  The positive
+scale of a solved column does not change the test.  At v = 1 the dual
+trace is the integer sum_z h_{x,d,z}(1) q(z), which `_verify_traces`
+compares with the scaled character on every row.
 
 Fake degrees follow Molien's formula one conjugacy class at a time,
 modulo one prime p = 1 mod M above |W|, where zeta_M -> eta (a primitive
@@ -58,7 +83,7 @@ from .exactnum import (
     is_palindromic,
     residue_map,
 )
-from .klbase import stream_h_blocks, vp
+from .klbase import stream_h_blocks
 
 CLAIM_IDS = ("1.2b", "1.3a", "1.3c", "1.5a", "1.6b")
 
@@ -79,7 +104,7 @@ def _signed_row(store, x):
 
 
 # ---------------------------------------------------------------------------
-# asymptotic and dual-basis traces
+# asymptotic traces
 
 def support_cell(jt, cells) -> int:
     """The unique two-sided cell carrying nonzero asymptotic traces."""
@@ -89,15 +114,6 @@ def support_cell(jt, cells) -> int:
             f"asymptotic traces meet {len(hit)} two-sided cells"
         )
     return hit.pop()
-
-def _parity_from_dual(trc_by_x, lengths) -> bool:
-    """Equivalent parity test on dual-basis traces: every exponent at x
-    must match l(x) mod 2."""
-    for x, row in enumerate(trc_by_x):
-        par = lengths[x] % 2
-        if any(e % 2 != par for e in row):
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -457,47 +473,47 @@ def _assemble_traces(columns, sols, table, size):
     return [tuple(jt) for jt in jts]
 
 
-def _cell_entries(kit, d, block) -> list:
-    """The decoded entries (x, z, h_{x,d,z}) of a block cut to the left
-    cell of d."""
-    return [
-        (x, z, kit.unpack(p))
-        for x, row in enumerate(block)
-        for z, p in row.items()
-    ]
-
-
 def classify_group_streamed(store, cells, gamma, dset, table,
                             jobs=1) -> ClassifyResult:
     """Classification from the table columns at distinguished involutions
     only, each generated once.
 
     The blocks h_{x,d,.} are streamed once, cut to the columns z in the
-    left cell of d, and decoded to the entries (x, z, h_{x,d,z}); both
-    the transport matrix at v=1 and the dual traces are read off that
-    list.
+    left cell of d.  The transport matrix at v=1 is read off every packed
+    entry as a residue (`Packing.at_one`); only the entries with l(d) +
+    l(z) odd are kept, with their zero low slots shifted off.
     Asymptotic traces come from an exact solve in integers, one per
     right cell on the class columns, assembled per nonzero coordinate of
-    each character;
-    ordinariness from the dual-trace parity test on every coordinate,
-    which is equivalent to even parity of the generic traces through the
-    triangular T-basis expansion.  jobs is accepted and unused.
+    each character.  A coordinate column q is ordinary iff sum_z q(z)
+    h_{x,d,z} over the kept entries vanishes for every x (the parity
+    lemma of the module docstring); only the kept entries whose z carries
+    a nonzero q are decoded.  jobs is accepted and unused.
     """
     group = store.group
     size = group.size
+    lengths = group.length
+    kit = store.block_kit()
+    bits = kit.bits
     # {e} is a left cell and c_s c_e = c_s has no c_e term: trivial module
     orientation = "standard"
 
-    ents = []
-    stream_h_blocks(store, lambda d, block: ents.extend(block),
-                    ys=sorted(dset), reduce=_cell_entries,
-                    cell=cells.left_cell_of)
-
     trans = [dict() for _ in range(size)]
-    for x, z, p in ents:
-        val = vp.at_one(p)
-        if val:
-            trans[x][z] = val
+    # per z, the entries of odd l(d) + l(z) as (x, valuation, packed
+    # entry with its zero low slots shifted off)
+    odd = [[] for _ in range(size)]
+
+    def take(x, d, row):
+        tx = trans[x]
+        ld = lengths[d]
+        for z, n in row.items():
+            h1 = kit.at_one(n)
+            if h1:
+                tx[z] = h1
+            if (ld + lengths[z]) & 1:
+                lo = ((n & -n).bit_length() - 1) // bits
+                odd[z].append((x, lo - kit.off, n >> lo * bits))
+
+    stream_h_blocks(store, take, ys=sorted(dset), cell=cells.left_cell_of)
 
     # rhs[x] = sum over u of (-1)^l(u) P_{u,x}(1) chi(u), chi a class
     # function: the signed row is summed per class once, into S[x]
@@ -507,46 +523,26 @@ def classify_group_streamed(store, cells, gamma, dset, table,
         for u, c in _signed_row(store, x).items():
             row[cof[u]] += c
     columns = _coordinate_columns(table)
-    rhs_cols, sols = _solve_columns(trans, cells, gamma.a, sums, columns)
-    del sums
-    jts = _assemble_traces(columns, sols, table, size)
-    zero = cyclo_context(table.conductor).zero
-    for i, jt in enumerate(jts):
-        if sum((jt[d] for d in dset), zero) != table.dims[i]:
+    _, sols = _solve_columns(trans, cells, gamma.a, sums, columns)
+    del sums, trans
+    # the unit trace sum_d tr(t_d) is chi(1), coordinate by coordinate
+    for (i, k, _), (den, ints) in zip(columns, sols):
+        if sum(ints[d] for d in dset) != (den * table.dims[i] if k == 0
+                                          else 0):
             raise InternalInconsistencyError(
                 "unit trace differs from the degree"
             )
+    jts = _assemble_traces(columns, sols, table, size)
 
-    # dual-basis traces per coordinate column scaled by its den, exponent
-    # dicts; single-cell support keeps the per-z hit list short
-    trc = [[{} for _ in range(size)] for _ in columns]
-    hits = [[] for _ in range(size)]
-    for j, (_, ints) in enumerate(sols):
+    flags = [True] * len(table)
+    for (i, _, _), (_, ints) in zip(columns, sols):
+        acc = {}
         for z, q in enumerate(ints):
             if q:
-                hits[z].append((j, q))
-    for x, z, (val, coeffs) in ents:
-        for j, q in hits[z]:
-            acc = trc[j][x]
-            for t, c in enumerate(coeffs):
-                if c:
-                    e = val + t
-                    nv = acc.get(e, 0) + c * q
-                    if nv:
-                        acc[e] = nv
-                    else:
-                        acc.pop(e, None)
-
-    lengths = group.length
-    flags = [True] * len(table)
-    for j, (i, _, _) in enumerate(columns):
-        den = sols[j][0]
-        for x in range(size):
-            if sum(trc[j][x].values()) != den * rhs_cols[j][x]:
-                raise InternalInconsistencyError(
-                    "streamed dual trace at v=1 disagrees with the character"
-                )
-        if not _parity_from_dual(trc[j], lengths):
+                for x, val, n in odd[z]:
+                    for e, c in enumerate(kit.unpack(n)[1], val):
+                        acc[x, e] = acc.get((x, e), 0) + q * c
+        if any(acc.values()):
             flags[i] = False
 
     records, cell_ordinary, profile, consistent = _finish_records(

@@ -16,11 +16,12 @@ l(w0) + 1, i.e. one signed coefficient per slot of `bits` bits
 (Kronecker substitution).  Addition and integer scaling are then the int
 operations and multiplication by v + v^-1 is a shift pair.  `Packing`
 holds the encoding: `lead` reads the top degree and leading coefficient
-off the bit length, and `unpack` decodes balanced digits back to a pair
-(val, coeffs) meaning sum coeffs[i] * v^(val + i).  The slot width comes
-from a bound on the coefficients of every row that does not assume
-positivity, and that bound is what makes the encoding exact; the
-decoders' digit check is only a sanity check.  `vp` keeps the constants
+off the bit length, `at_one` reads p(1) as a residue mod 2^bits - 1,
+and `unpack` decodes balanced digits back to a pair (val, coeffs)
+meaning sum coeffs[i] * v^(val + i).  The slot width comes from a bound
+on the coefficients of every row that does not assume positivity, and
+that bound is what makes the encoding exact; the decoders' digit check
+is only a sanity check.  `vp` keeps the constants
 of the (val, coeffs) form for the generator rows; the test oracles
 extend it with the arithmetic.
 
@@ -88,10 +89,6 @@ class vp:
     # v + v^-1, the eigenvalue sum of c_s acting on its own line
     GATE = (-1, (1, 0, 1))
 
-    @staticmethod
-    def at_one(a: tuple) -> int:
-        return sum(a[1])
-
 
 # ---------------------------------------------------------------------------
 # packed h entries: p(v) as the integer p(2^bits) * 2^(bits * off)
@@ -135,6 +132,19 @@ class Packing:
         if max(map(abs, coeffs)) >= half >> 1:
             raise InternalInconsistencyError("h coefficient overflows its slot")
         return (lo - self.off, tuple(coeffs))
+
+    def at_one(self, n: int) -> int:
+        """p(1) of a packed entry, no decode: its balanced residue mod
+        2^bits - 1, since 2^bits = 1 there.  |p(1)| is at most the sum of
+        |coefficients|, below 2^(bits - 2), so the residue is exact; one
+        outside that range raises."""
+        m = (1 << self.bits) - 1
+        r = n % m
+        if r > m >> 1:
+            r -= m
+        if abs(r) >= 1 << (self.bits - 2):
+            raise InternalInconsistencyError("h coefficient overflows its slot")
+        return r
 
     def top_degree(self, n: int) -> int:
         """Top degree of a nonzero packed entry.

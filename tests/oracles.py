@@ -25,6 +25,8 @@ value-polynomial arithmetic (`vp` extends the library's constants), the
 packing that `klbase.unpack` inverts, a few LaurentPoly operations, and
 the LaurentPoly division and cyclotomic polynomials that the Q(zeta) fake
 degrees above use (the library divides dense integer lists instead).
+The characteristic polynomial mod p from power traces cross-checks the
+character table's Hessenberg one.
 `reseal_cache` edits a cache file behind its digest.
 """
 
@@ -35,6 +37,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial, gcd, lcm
 
+from coxcells.chartab import _newton
 from coxcells.classify import (
     ClassifyResult,
     _finish_records,
@@ -68,7 +71,12 @@ class vp(_vp):
     """The library's value-polynomial constants plus the arithmetic the
     oracles and tests use: normalization, sums, scaling, products,
     subtraction, shifts, coefficients, degree, bar symmetry and
-    conversions."""
+    conversions, with the value at v = 1 that the library reads off the
+    packed form instead (`Packing.at_one`)."""
+
+    @staticmethod
+    def at_one(a: tuple) -> int:
+        return sum(a[1])
 
     @staticmethod
     def norm(val: int, coeffs: list) -> tuple:
@@ -1674,6 +1682,29 @@ class RationalFunction:
 
     def __repr__(self) -> str:
         return f"RationalFunction(({self.num.render()}) / ({self.den.render()}))"
+
+
+# ---------------------------------------------------------------------------
+# characteristic polynomials mod p from power traces
+
+
+def charpoly_by_power_traces(mat, p):
+    """det(X - A) mod p, little-endian, from the power traces tr A^m,
+    m = 1..d, by d matrix products and Newton's identities, in O(d^4);
+    p must exceed d.  The library reduces to Hessenberg form instead."""
+    d = len(mat)
+    traces = []
+    cur = [row[:] for row in mat]
+    for m in range(1, d + 1):
+        traces.append(sum(cur[i][i] for i in range(d)) % p)
+        if m < d:
+            cur = [
+                [sum(cur[i][t] * mat[t][j] for t in range(d)) % p
+                 for j in range(d)]
+                for i in range(d)
+            ]
+    # det(X - A) is det(1 - X A) with its coefficients reversed
+    return _newton(traces, p)[::-1]
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,15 @@
 """Character table construction against independent oracles and frozen facts."""
 
+import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
+import coxcells.chartab as chartab_mod
 from coxcells.chartab import (
     CharacterTable,
+    _charpoly,
     _Retry,
     _pdiv,
     _pmod,
@@ -16,9 +20,18 @@ from coxcells.chartab import (
 )
 from coxcells.coxeter import build_group
 from coxcells.errors import InternalInconsistencyError
-from coxcells.exactnum import cyclo_rational
+from coxcells.exactnum import (
+    CycloNumber,
+    cyclo_rational,
+    residue_map,
+    root_of_unity,
+)
 
-from oracles import dihedral_character_table, multiplicity
+from oracles import (
+    charpoly_by_power_traces,
+    dihedral_character_table,
+    multiplicity,
+)
 
 
 def _cyclo_row(group, row):
@@ -230,3 +243,102 @@ def test_validate_rejects_a_perturbed_value(sym):
     rows[-1][1] = rows[-1][1] + 1
     with pytest.raises(_Retry, match="row orthogonality fails"):
         _validate(g, tab.classes, rows, tab.dims, tab.conductor)
+
+
+def _galois(v, j):
+    """The image of v under zeta_M -> zeta_M^j."""
+    ctx = v.ctx
+    acc = [0] * ctx.degree
+    for t, c in enumerate(v.coeffs):
+        if c:
+            for u, e in enumerate(ctx.zeta_vector(j * t)):
+                acc[u] += c * e
+    return CycloNumber(ctx, tuple(map(Fraction, acc)))
+
+
+def test_validate_rejects_a_galois_conjugate_row(monkeypatch):
+    # sqrt5 -> -sqrt5 on one row of H3 leaves an integral row, another
+    # row of the table, so the relations fail; they are checked modulo a
+    # prime q = 1 mod M above |W|^2 + |W|
+    g = build_group("H3")
+    tab = character_table(g)
+    M = tab.conductor
+    i = next(i for i, row in enumerate(tab.rows)
+             if not all(v.is_rational() for v in row))
+    j = next(j for j in range(2, M) if gcd(j, M) == 1
+             and [_galois(v, j) for v in tab.rows[i]] != list(tab.rows[i]))
+    rows = [list(row) for row in tab.rows]
+    rows[i] = [_galois(v, j) for v in rows[i]]
+    assert all(c.denominator == 1 for v in rows[i] for c in v.coeffs)
+    assert tuple(rows[i]) in tab.rows[:i] + tab.rows[i + 1:]
+    primes = []
+    real = chartab_mod.residue_map
+
+    def recorder(conductor, bound):
+        out = real(conductor, bound)
+        primes.append((conductor, bound, out[0]))
+        return out
+
+    monkeypatch.setattr(chartab_mod, "residue_map", recorder)
+    _validate(g, tab.classes, tab.rows, tab.dims, M)
+    with pytest.raises(_Retry, match="orthogonality fails"):
+        _validate(g, tab.classes, rows, tab.dims, M)
+    bound = g.size * g.size + g.size
+    assert primes == [(M, bound, primes[0][2])] * 2
+    q = primes[0][2]
+    assert q % M == 1 and q > bound
+
+
+def test_validate_checks_every_embedding():
+    # (zeta - eta)(zeta - eta^-1) vanishes under zeta -> eta^1 and
+    # zeta -> eta^-1, the maps mod q that a value and its conjugate take
+    # on the first unit, and under no other: added to one value, it is
+    # seen only because every map zeta -> eta^j is checked
+    g = build_group("H3")
+    tab = character_table(g)
+    M = tab.conductor
+    q, eta, to_fp = residue_map(M, g.size * g.size + g.size)
+    zeta = root_of_unity(M, 1)
+    shift = (zeta - eta) * (zeta - pow(eta, q - 2, q))
+    assert to_fp(shift) == to_fp(shift.conjugate()) == 0
+    rows = [list(row) for row in tab.rows]
+    rows[-1][1] = rows[-1][1] + shift
+    with pytest.raises(_Retry, match="orthogonality fails"):
+        _validate(g, tab.classes, rows, tab.dims, M)
+
+
+_P = 1_000_003
+
+
+def _random_matrix(rng, d, zeros):
+    return [[0 if rng.random() < zeros else rng.randrange(_P)
+             for _ in range(d)] for _ in range(d)]
+
+
+def test_hessenberg_charpoly_matches_power_traces():
+    rng = random.Random(20)
+    cases = [_random_matrix(rng, d, zeros)
+             for d in range(1, 9) for zeros in (0.0, 0.5, 0.8)]
+    # a zero at (1, 0) with a nonzero below it needs a row swap; a block
+    # triangular matrix leaves a zero on the subdiagonal
+    cases.append([[1, 2, 3], [0, 4, 5], [6, 7, 8]])
+    cases.append([[1, 2, 3, 4], [5, 6, 7, 8], [0, 0, 9, 1], [0, 0, 2, 3]])
+    cases.append([[0] * 5 for _ in range(5)])
+    for mat in cases:
+        assert _charpoly(mat, _P) == charpoly_by_power_traces(mat, _P), mat
+
+
+@pytest.mark.parametrize("sym", ["B4", "H3"])
+def test_charpoly_of_every_split_matches_power_traces(sym, monkeypatch):
+    seen = []
+
+    def recorder(mat, p):
+        got = _charpoly(mat, p)
+        seen.append((mat, p, got))
+        return got
+
+    monkeypatch.setattr(chartab_mod, "_charpoly", recorder)
+    character_table(build_group(sym))
+    assert any(len(mat) > 2 for mat, _, _ in seen)
+    for mat, p, got in seen:
+        assert got == charpoly_by_power_traces(mat, p)

@@ -33,6 +33,7 @@ from oracles import (
     left_cell_module,
     rational_solve,
     reflection_charpolys_by_matrices,
+    vp,
 )
 
 import coxcells.classify as classify_mod
@@ -55,7 +56,7 @@ from coxcells.classify import (
 from coxcells.coxeter import build_group
 from coxcells.errors import InternalInconsistencyError, UsageError
 from coxcells.exactnum import LaurentPoly, residue_map
-from coxcells.klbase import generator_rows
+from coxcells.klbase import generator_rows, stream_h_blocks
 from coxcells.pipeline import classify_report
 
 DEFAULT_SYMBOLS = ("I2(3)", "I2(5)", "I2(7)", "A3", "B3", "H3")
@@ -656,6 +657,65 @@ def test_distinguished_blocks_streamed_once(rig, monkeypatch):
         assert got.irreps == r.result.irreps
         assert got.involutions == r.result.involutions
         assert got.cell_ordinary == r.result.cell_ordinary
+
+
+def test_unit_trace_check_rejects_a_wrong_column(rig, monkeypatch):
+    # the trivial character's solved column moved off the distinguished
+    # involutions, after the exact check: sum_d tr(t_d) is no longer 1
+    r = rig("B3")
+    real = classify_mod._solve_columns
+
+    def moved(*args):
+        rhs_cols, sols = real(*args)
+        den, ints = sols[0]
+        d = min(r.dset)
+        ints = list(ints)
+        ints[d] += den
+        return rhs_cols, [(den, ints)] + sols[1:]
+
+    monkeypatch.setattr(classify_mod, "_solve_columns", moved)
+    with pytest.raises(InternalInconsistencyError, match="unit trace"):
+        classify_group_streamed(r.store, r.cells, r.gamma, r.dset, r.table)
+
+
+@pytest.mark.parametrize("symbol", ["A3", "B3", "H3", "B4", "I2(5)"])
+def test_distinguished_blocks_obey_the_parity_lemma(rig, symbol):
+    # every exponent of h_{x,d,z} is l(x) + l(d) + l(z) mod 2, and the
+    # transport's value at v = 1, read as a residue, is the decoded one
+    r = rig(symbol)
+    kit = r.store.block_kit()
+    length = r.group.length
+    seen = []
+
+    def check(x, d, row):
+        for z, p in row.items():
+            val, coeffs = kit.unpack(p)
+            par = length[x] + length[d] + length[z]
+            assert all((val + t - par) % 2 == 0
+                       for t, c in enumerate(coeffs) if c), (x, d, z)
+            assert kit.at_one(p) == vp.at_one((val, coeffs)), (x, d, z)
+            seen.append(par % 2)
+
+    stream_h_blocks(r.store, check, ys=sorted(r.dset),
+                    cell=r.cells.left_cell_of)
+    assert 0 in seen and 1 in seen
+
+
+def test_out_of_range_residue_raises(rig, monkeypatch):
+    # h_{e,d,d} = 1 forged to 2^(bits - 2), one past what a slot holds
+    r = rig("A3")
+    kit = r.store.block_kit()
+    forged = (1 << kit.bits - 2) << kit.bits * kit.off
+    real = classify_mod.stream_h_blocks
+
+    def forging(store, consumer, ys=None, **kw):
+        def take(x, d, row):
+            consumer(x, d, {d: forged} if x == 0 else row)
+        return real(store, take, ys=ys, **kw)
+
+    monkeypatch.setattr(classify_mod, "stream_h_blocks", forging)
+    with pytest.raises(InternalInconsistencyError, match="overflows"):
+        classify_group_streamed(r.store, r.cells, r.gamma, r.dset, r.table)
 
 
 # SHA-256 of `coxcells classify --type G` stdout (the JSON report with a

@@ -27,7 +27,6 @@ from oracles import (
 
 from coxcells.errors import InternalInconsistencyError, UsageError
 from coxcells.exactnum import (
-    CycloNumber,
     LaurentPoly,
     cyclo_rational,
     is_palindromic,
