@@ -9,11 +9,13 @@ degrees are recovered from the orthogonality relation and the exact
 cyclotomic values by a discrete Fourier transform over each cyclic group
 <z_j>, reading eigenvalue multiplicities off the mod-p data.
 
-The prime p is chosen with p = 1 mod exponent(W) so that F_p contains
-the needed roots of unity, and large enough that degrees and
-multiplicities lift uniquely from their residues.  A failed split or an
-inconsistent lift moves to the next admissible prime; persistent failure
-is reported as an internal error, never silently absorbed.
+The prime p and a primitive exponent(W)-th root of unity eta mod p come
+from `exactnum.residue_map`: p = 1 mod exponent(W), so that F_p contains
+the needed roots of unity, and p^2 > 4 |W| max_class^2, so that degrees
+and multiplicities lift uniquely from their residues.  A failed split or
+an inconsistent lift moves to the next such prime, `residue_map` above
+the failed one; persistent failure is reported as an internal error,
+never silently absorbed.
 
 The eigenspaces split along the roots of characteristic polynomials,
 taken by Hessenberg reduction mod p.  All returned values are exact
@@ -36,25 +38,10 @@ from .errors import InternalInconsistencyError
 from .exactnum import (
     CycloNumber,
     _dense_trim,
-    _is_prime,
-    _primitive_root,
     cyclo_context,
     cyclo_rational,
     residue_map,
 )
-
-
-# ---------------------------------------------------------------------------
-# primes
-
-def _admissible_primes(exponent: int, order: int, max_class: int):
-    """Primes p = 1 mod exponent with p^2 > 4 |W| max_class^2, ascending."""
-    floor = 4 * order * max_class * max_class
-    p = exponent + 1
-    while True:
-        if p * p > floor and _is_prime(p):
-            yield p
-        p += exponent
 
 
 # ---------------------------------------------------------------------------
@@ -113,16 +100,6 @@ def _nullspace(mat, p):
             v[pc] = (-red[r][fc]) % p
         out.append(v)
     return out
-
-
-def _newton(traces, p):
-    """det(1 - X A) mod p, little-endian, from the power traces tr A^m,
-    m = 1..d, by Newton's identities: m c_m = -sum_j c_(m-j) tr A^j."""
-    c = [1] + [0] * len(traces)
-    for m in range(1, len(traces) + 1):
-        acc = sum(c[m - j] * traces[j - 1] for j in range(1, m + 1))
-        c[m] = -acc % p * pow(m, p - 2, p) % p
-    return c
 
 
 def _charpoly(mat, p):
@@ -381,21 +358,18 @@ class CharacterTable:
 
     def _locate_reflection(self) -> int:
         """The row of the reflection character, found modulo the prime of
-        `residue_map`: the traces of the reflection matrices mod p of the
-        class representatives against each row's image under zeta_M ->
+        `residue_map`: the traces of the class representatives'
+        `_reflection_matrices` against each row's image under zeta_M ->
         eta.  Exactly one row must match, and its degree must be the rank.
         Two rows cannot share an image: for p > |W|, sum |C| chi psi-bar =
         sum |C| chi chi-bar mod p would make p divide |W|."""
         g = self.group
         n = g.datum.rank
-        ident, right_mul = g.datum.reflection_action()
         p, _, to_fp = residue_map(self.conductor, g.size)
-        traces = []
-        for z in self.classes.representatives:
-            mat = ident
-            for s in g.words[z]:
-                mat = right_mul(mat, s)
-            traces.append(sum(mat[i * n + i] for i in range(n)) % p)
+        traces = [
+            sum(mat[i][i] for i in range(n)) % p
+            for mat in _reflection_matrices(g, self.classes.representatives)
+        ]
         hits = [
             i for i, row in enumerate(self.rows)
             if all(to_fp(v) == t for v, t in zip(row, traces))
@@ -427,6 +401,22 @@ class CharacterTable:
 
     def tensor_sign_index(self, row_index: int) -> int:
         return self.find_row(self.tensor_sign(row_index))
+
+
+def _reflection_matrices(group, elements):
+    """The reflection matrices of elements modulo the prime p of
+    `residue_map(conductor, |W|)`, as n x n lists of rows: the
+    `CoxeterDatum.reflection_action` images of the exact matrices, built
+    along each element's word."""
+    n = group.datum.rank
+    ident, right_mul = group.datum.reflection_action()
+    out = []
+    for w in elements:
+        mat = ident
+        for s in group.words[w]:
+            mat = right_mul(mat, s)
+        out.append([mat[i:i + n] for i in range(0, n * n, n)])
+    return out
 
 
 def _class_matrix(group, classes, i):
@@ -629,16 +619,16 @@ def character_table(group) -> CharacterTable:
         powmaps.append(chain)
 
     failures = []
-    primes = _admissible_primes(n, group.size, max(classes.sizes))
+    # the primes p = 1 mod n with p^2 > 4 |W| max_class^2, ascending
+    p = isqrt(4 * group.size * max(classes.sizes) ** 2)
     for _ in range(6):
-        p = next(primes)
+        p, eta, _ = residue_map(n, p)
         seed = hashlib.sha256(
             f"{group.fingerprint()}:{p}:chartab".encode()
         ).hexdigest()
         rng = random.Random(int(seed, 16))
         try:
             rows_p, dims_p = _modular_rows(group, classes, jstar, p, rng)
-            eta = pow(_primitive_root(p), (p - 1) // n, p)
             dfts = _inverse_dfts(orders, eta, n, p)
             lifted = [_lift_row(r, d, powmaps, dfts, ctx, p)
                       for r, d in zip(rows_p, dims_p)]

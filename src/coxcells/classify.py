@@ -58,13 +58,16 @@ trace is the integer sum_z h_{x,d,z}(1) q(z), which `_verify_traces`
 compares with the scaled character on every row.
 
 Fake degrees follow Molien's formula one conjugacy class at a time,
-modulo one prime p = 1 mod M above |W|, where zeta_M -> eta (a primitive
-M-th root mod p) is a ring map from Z[zeta_M], which holds the character
-values and, since det(1 - X w) has constant term 1, the class quotients
-of Springer's divisibility.  A coefficient c_e obeys 0 <= c_e chi(1) <=
-[X^e] Poincare < |W| < p, so its residue is c_e; a residue out of that
-bound, a division remainder, a wrong degree sum or a missed Poincare sum
-raises.
+modulo the prime p = 1 mod M above |W| of `residue_map`, where zeta_M ->
+eta (a primitive M-th root mod p) is a ring map from Z[zeta_M].  That
+ring holds the character values and the entries of the reflection
+matrices, so det(1 - X w) mod p is the reversed characteristic
+polynomial of w's reflection matrix mod p, the one the group enumeration
+uses; and since det(1 - X w) has constant term 1, it also holds the
+class quotients of Springer's divisibility.  A coefficient c_e obeys
+0 <= c_e chi(1) <= [X^e] Poincare < |W| < p, so its residue is c_e; a
+residue out of that bound, a division remainder, a wrong degree sum or
+a missed Poincare sum raises.
 """
 
 import time
@@ -73,7 +76,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 
-from .chartab import _newton, _pdiv
+from .chartab import _charpoly, _pdiv, _reflection_matrices
 from .coxeter import word_name
 from .errors import InternalInconsistencyError, UsageError
 from .exactnum import (
@@ -104,38 +107,15 @@ def _signed_row(store, x):
 
 
 # ---------------------------------------------------------------------------
-# asymptotic traces
-
-def support_cell(jt, cells) -> int:
-    """The unique two-sided cell carrying nonzero asymptotic traces."""
-    hit = {cells.two_sided_of[z] for z, v in enumerate(jt) if v}
-    if len(hit) != 1:
-        raise InternalInconsistencyError(
-            f"asymptotic traces meet {len(hit)} two-sided cells"
-        )
-    return hit.pop()
-
-
-# ---------------------------------------------------------------------------
 # fake degrees
 
-def _reflection_charpolys(group, table, p, to_fp):
-    """det(1 - X rho(w)) mod p per conjugacy class, little-endian.
-
-    The power traces tr rho(w^k) are the reflection character's values
-    at the classes of w^k; Newton's identities turn them into the
-    coefficients."""
-    refl = [to_fp(v) for v in table.rows[table.reflection_index]]
-    class_of = table.classes.class_of
-    polys = []
-    for rep in table.classes.representatives:
-        traces = []
-        cur = rep
-        for _ in range(group.datum.rank):
-            traces.append(refl[class_of[cur]])
-            cur = group.multiply(cur, rep)
-        polys.append(_newton(traces, p))
-    return polys
+def _reflection_charpolys(group, table, p):
+    """det(1 - X rho(w)) mod p per conjugacy class, little-endian: the
+    characteristic polynomial det(X - rho(w)) of the representative's
+    reflection matrix mod p, reversed."""
+    reps = table.classes.representatives
+    return [_charpoly(mat, p)[::-1]
+            for mat in _reflection_matrices(group, reps)]
 
 
 def _class_quotients(degrees, charpolys, p):
@@ -161,9 +141,10 @@ def fake_degrees(group, table):
 
     Molien's formula class by class modulo the prime p of `residue_map`:
     P_chi = |W|^-1 sum_j |C_j| chi(C_j) Q_j with the quotients of
-    `_class_quotients`, of degree N, the number of positive roots.  One
-    prime is exact: zeta_M -> eta is a ring map from Z[zeta_M], which holds
-    the values and the quotients (det(1 - X w) has constant term 1), and
+    `_class_quotients` by the `_reflection_charpolys`, of degree N, the
+    number of positive roots.  One prime is exact: zeta_M -> eta is a ring
+    map from Z[zeta_M], which holds the values, the reflection matrices and
+    the quotients (det(1 - X w) has constant term 1), and
     0 <= c_e chi(1) <= [X^e] Poincare < |W| < p, so a residue is the
     coefficient.  A residue out of that bound raises, as do a series not
     summing to chi(1) and degree-weighted series missing the Poincare
@@ -171,7 +152,7 @@ def fake_degrees(group, table):
     """
     p, _, to_fp = residue_map(table.conductor, group.size)
     quots = _class_quotients(
-        group.datum.degrees, _reflection_charpolys(group, table, p, to_fp), p
+        group.datum.degrees, _reflection_charpolys(group, table, p), p
     )
     top = group.datum.num_positive_roots
     poincare = [group.poincare_polynomial().coeff(e) for e in range(top + 1)]
@@ -309,11 +290,11 @@ def classify_involutions(group, cells, a):
     return tuple(out)
 
 
-def _finish_records(group, table, cells, gamma, jts, ordinary_flags):
+def _finish_records(group, table, cells, gamma, jts, ordinary_flags,
+                    irrep_cells):
     fakes = fake_degrees(group, table)
     records = []
-    for i in range(len(table)):
-        cell = support_cell(jts[i], cells)
+    for i, cell in enumerate(irrep_cells):
         p = fakes[i]
         b = p.valuation()
         a_val = gamma.a[cells.two_sided_cells[cell][0]]
@@ -405,20 +386,21 @@ def _cell_solve(trans, block, rhs_rows):
 
 
 def _solve_columns(trans, cells, a, sums, columns):
-    """(rhs_cols, sols) for the coordinate columns (i, k, class values v):
-    rhs = S v, and the solution as (den, ints), the lcm of its
-    denominators and the column scaled by it.  Each right cell is solved
-    once against the class sums S.  A column lives on the two-sided cell
-    of the x of largest a with rhs[x] != 0 (the identity's when rhs is
-    zero), where it is the solution of each right cell times v; that
-    support is checked, not trusted, by `_verify_traces`."""
+    """(rhs_cols, sols, col_cells) for the coordinate columns (i, k, class
+    values v): rhs = S v, the solution as (den, ints), the lcm of its
+    denominators and the column scaled by it, and the two-sided cell it
+    lives on.  Each right cell is solved once against the class sums S.
+    A column lives on the two-sided cell of the x of largest a with
+    rhs[x] != 0 (the identity's when rhs is zero), where it is the
+    solution of each right cell times v; that support is checked, not
+    trusted, by `_verify_traces`."""
     two = cells.two_sided_of
     by_cell = {}
     for block in _transport_blocks(trans, cells, a):
         by_cell.setdefault(two[block[0]], []).append(
             (block, _cell_solve(trans, block, [sums[x] for x in block]))
         )
-    rhs_cols, sols = [], []
+    rhs_cols, sols, col_cells = [], [], []
     for _, _, vals in columns:
         rhs = [sum(map(mul, s, vals)) for s in sums]
         top = max((x for x, r in enumerate(rhs) if r), key=a.__getitem__,
@@ -432,11 +414,12 @@ def _solve_columns(trans, cells, a, sums, columns):
                 ints[z] = q * den // det
         rhs_cols.append(rhs)
         sols.append((den, ints))
+        col_cells.append(two[top])
     if not _verify_traces(trans, rhs_cols, sols):
         raise InternalInconsistencyError(
             "transport solution fails the exact integer check"
         )
-    return rhs_cols, sols
+    return rhs_cols, sols, col_cells
 
 
 def _coordinate_columns(table):
@@ -523,8 +506,16 @@ def classify_group_streamed(store, cells, gamma, dset, table,
         for u, c in _signed_row(store, x).items():
             row[cof[u]] += c
     columns = _coordinate_columns(table)
-    _, sols = _solve_columns(trans, cells, gamma.a, sums, columns)
+    _, sols, col_cells = _solve_columns(trans, cells, gamma.a, sums, columns)
     del sums, trans
+    # each irreducible lives on the one two-sided cell of all its columns
+    irrep_cells = [None] * len(table)
+    for (i, _, _), cell in zip(columns, col_cells):
+        if irrep_cells[i] not in (None, cell):
+            raise InternalInconsistencyError(
+                f"the columns of {table.names[i]} lie on two two-sided cells"
+            )
+        irrep_cells[i] = cell
     # the unit trace sum_d tr(t_d) is chi(1), coordinate by coordinate
     for (i, k, _), (den, ints) in zip(columns, sols):
         if sum(ints[d] for d in dset) != (den * table.dims[i] if k == 0
@@ -546,7 +537,7 @@ def classify_group_streamed(store, cells, gamma, dset, table,
             flags[i] = False
 
     records, cell_ordinary, profile, consistent = _finish_records(
-        group, table, cells, gamma, jts, flags
+        group, table, cells, gamma, jts, flags, irrep_cells
     )
     involutions = classify_involutions(group, cells, gamma.a)
     return ClassifyResult(

@@ -37,19 +37,13 @@ from functools import lru_cache
 from math import lcm
 
 from .errors import InternalInconsistencyError, RefusalError, UsageError
-from .exactnum import (
-    LaurentPoly,
-    _cyclotomic_coeffs,
-    _dense_divmod,
-    residue_map,
-)
+from .exactnum import LaurentPoly, _dense_mul, residue_map
 
 __all__ = [
     "ConjugacyClasses",
     "CoxeterDatum",
     "CoxeterGroup",
     "build_group",
-    "degrees_from_poincare",
     "group_datum",
     "word_name",
 ]
@@ -406,24 +400,6 @@ class CoxeterGroup:
         self._classes = ConjugacyClasses(class_of, members)
         return self._classes
 
-    # -- degrees -----------------------------------------------------------
-
-    def compute_degrees(self) -> tuple:
-        """Derive the fundamental degrees from the length generating function.
-
-        Factors the Poincare polynomial into cyclotomics and solves the cover
-        by rank-many factors 1 + X + ... + X^(d-1); the result is checked
-        against the closed-form degrees carried by the datum.
-        """
-        degs = degrees_from_poincare(
-            self.poincare_polynomial(), self.datum.rank, self.size
-        )
-        if degs != self.datum.degrees:
-            raise InternalInconsistencyError(
-                f"derived degrees {degs} disagree with closed form"
-            )
-        return degs
-
     # -- identity ----------------------------------------------------------
 
     def fingerprint(self) -> str:
@@ -469,9 +445,10 @@ def build_group(source, max_order: int = DEFAULT_MAX_ORDER) -> CoxeterGroup:
 
     Elements are keyed on their `CoxeterDatum.reflection_action` matrices;
     an enumeration that runs past the known order or closes below it
-    raises InternalInconsistencyError, so a collision mod p cannot pass.
-    Refuses types whose known order exceeds max_order, reporting that order,
-    so E6/E7/E8 need an explicit override to build.
+    raises InternalInconsistencyError, so a collision mod p cannot pass,
+    and so do length counts that miss the datum's degrees.  Refuses
+    types whose known order exceeds max_order, reporting that order, so
+    E6/E7/E8 need an explicit override to build.
     """
     datum = source if isinstance(source, CoxeterDatum) else group_datum(source)
     if datum.order > max_order:
@@ -529,56 +506,28 @@ def build_group(source, max_order: int = DEFAULT_MAX_ORDER) -> CoxeterGroup:
             raise InternalInconsistencyError("inverse table is not an involution")
 
     group = CoxeterGroup(datum, words, length, right, inverse)
-    group.compute_degrees()
+    _check_length_counts(length, datum.degrees)
     return group
 
 
-def degrees_from_poincare(poincare: LaurentPoly, rank: int, order: int) -> tuple:
-    """Solve W(X) = prod_i (1 + X + ... + X^(d_i - 1)) for the degrees d_i.
+def _check_length_counts(length, degrees):
+    """Raise unless the elements counted by length are the coefficients of
+    prod_i [d_i]_X, with [d]_X = 1 + X + ... + X^(d-1) (the product
+    formula for the Poincare polynomial).
 
-    Factors W into cyclotomic polynomials, then peels the largest index as
-    the largest degree repeatedly; each factor 1 + ... + X^(d-1) contributes
-    exactly the cyclotomics Phi_e with e | d, e > 1.
+    [d]_X = prod Phi_e over e | d, e > 1, so the product fixes the multiset
+    of degrees: peeling off the largest Phi_e as a degree recovers it.  A
+    match therefore means the length counts carry exactly the closed-form
+    degrees of the datum.
     """
-    if poincare.at_one() != order:
-        raise InternalInconsistencyError("Poincare polynomial mass mismatch")
-    if poincare.valuation() < 0:
-        raise UsageError("a Poincare polynomial has no negative exponents")
-    rem = [poincare.coeff(e) for e in range(poincare.degree() + 1)]
-    mult = {}
-    e = 2
-    # phi(e) >= sqrt(e / 2), so Phi_e of degree <= deg rem has e <= 2 deg^2
-    while len(rem) > 1 and e <= 2 * (len(rem) - 1) ** 2:
-        phi_e = list(_cyclotomic_coeffs(e))
-        while True:
-            q, r = _dense_divmod(rem, phi_e)
-            if r:
-                break
-            mult[e] = mult.get(e, 0) + 1
-            rem = q
-        e += 1
-    if rem != [1]:
-        raise InternalInconsistencyError("Poincare polynomial is not cyclotomic")
-    degrees = []
-    for _ in range(rank):
-        live = [e for e, k in mult.items() if k > 0]
-        if not live:
-            raise InternalInconsistencyError("cyclotomic cover ran dry early")
-        d = max(live)
-        for f in range(2, d + 1):
-            if d % f == 0:
-                mult[f] = mult.get(f, 0) - 1
-                if mult[f] < 0:
-                    raise InternalInconsistencyError(
-                        f"cyclotomic cover infeasible at Phi_{f}"
-                    )
-        degrees.append(d)
-    if any(k > 0 for k in mult.values()):
-        raise InternalInconsistencyError("cyclotomic cover left residue")
-    degrees.sort()
-    prod = 1
+    counts = [0] * (max(length) + 1)
+    for l in length:
+        counts[l] += 1
+    product = [1]
     for d in degrees:
-        prod *= d
-    if prod != order:
-        raise InternalInconsistencyError("degree product does not match order")
-    return tuple(degrees)
+        product = _dense_mul(product, [1] * d)
+    if counts != product:
+        raise InternalInconsistencyError(
+            "length counts are not the product of [d]_X over the degrees "
+            f"{degrees}"
+        )

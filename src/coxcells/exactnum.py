@@ -12,17 +12,22 @@ Two number domains live here:
   variable ``X`` and with integer coefficients, for the Poincare series and
   the fake degrees.
 
-``residue_map`` reduces Z[zeta_M] modulo one prime p = 1 mod M above |W|;
-the group enumeration, the reflection row and the fake degrees share it.
+``residue_map`` reduces Z[zeta_M] modulo a prime p = 1 mod M above a
+bound, and is the one prime search of the engine: above |W| for the group
+enumeration, the reflection matrices and the fake degrees, above larger
+bounds for the character table's split and validation primes.
 
 Everything is immutable by convention and hash/compare-safe, so values can be
 used as dictionary keys.  No floating point is used anywhere.
 
->>> g = root_of_unity(5, 1) + root_of_unity(5, 4)
+>>> ctx = cyclo_context(5)
+>>> zeta = CycloNumber(ctx, tuple(map(Fraction, ctx.zeta_vector(1))))
+>>> g = zeta + zeta * zeta * zeta * zeta
 >>> g * g + g == cyclo_rational(5, 1)
 True
 
-The value above is 2*cos(2*pi/5), a root of x^2 + x - 1.
+The value g = zeta + zeta^4 above is 2*cos(2*pi/5), a root of
+x^2 + x - 1.
 """
 
 from __future__ import annotations
@@ -40,7 +45,6 @@ __all__ = [
     "cyclo_rational",
     "is_palindromic",
     "residue_map",
-    "root_of_unity",
 ]
 
 _ZERO = Fraction(0)
@@ -188,8 +192,8 @@ def cyclo_context(order: int) -> CycloContext:
 class CycloNumber:
     """An element of Q(zeta_M) in the reduced power basis.
 
-    Construct through the module-level helpers (:func:`cyclo_rational`,
-    :func:`root_of_unity`, ...) rather than directly.  Arithmetic between
+    Construct through :func:`cyclo_rational` or from a context's
+    ``zero``, ``one`` and ``zeta_vector`` rows.  Arithmetic between
     different conductors is a usage error by design: one group, one field.
     """
 
@@ -337,12 +341,6 @@ def cyclo_rational(order: int, value) -> CycloNumber:
     return CycloNumber(ctx, (v,) + (_ZERO,) * (ctx.degree - 1))
 
 
-def root_of_unity(order: int, k: int) -> CycloNumber:
-    """zeta_M^k as an exact field element."""
-    ctx = cyclo_context(order)
-    return CycloNumber(ctx, tuple(Fraction(c) for c in ctx.zeta_vector(k)))
-
-
 # ---------------------------------------------------------------------------
 # reduction modulo a prime
 
@@ -397,9 +395,13 @@ def residue_map(conductor: int, order: int) -> tuple:
     Z[zeta_M] -> F_p, zeta_M -> eta, on CycloNumbers of conductor M with
     integer power-basis coordinates.
 
-    The group enumeration, the reflection row of the character table and
-    the fake degrees all reduce through this one map, with M the group's
-    conductor and order its size.
+    Every prime of the engine comes from here.  With M the group's
+    conductor and order its size, the group enumeration, the reflection
+    matrices of the character table and the fake degrees all reduce
+    through this one map.  The character table takes its split primes
+    (M the exponent of W, order a bound on the lifted integers, then each
+    failed prime) and its validation prime (order |W|^2 + |W|) from it
+    too.
     """
     p = conductor + 1
     while p <= order or not _is_prime(p):

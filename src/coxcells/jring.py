@@ -121,7 +121,6 @@ class CellPartition:
         "right_cells",
         "two_sided_of",
         "two_sided_cells",
-        "distinguished",
     )
 
     def __init__(self, group, left, right, two):
@@ -129,7 +128,6 @@ class CellPartition:
         self.left_cell_of, self.left_cells = left
         self.right_cell_of, self.right_cells = right
         self.two_sided_of, self.two_sided_cells = two
-        self.distinguished = None  # filled by distinguished_involutions
 
 
 def compute_cells(gen_table: HTable) -> CellPartition:
@@ -422,6 +420,4 @@ def distinguished_involutions(
                     f"t_d t_x nonzero off the diagonal at x={x}, d={d}"
                 )
 
-    out = tuple(sorted(dlist))
-    cells.distinguished = out
-    return out
+    return tuple(sorted(dlist))

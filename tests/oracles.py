@@ -7,26 +7,32 @@ dense rational inverse of the transport matrix, asymptotic traces from that
 inverse and generic-algebra traces through the dual-basis expansion.  The
 streamed lane in coxcells.classify is checked against it, and its block
 solve against that inverse.
+The lane reads each irreducible's two-sided cell off its asymptotic
+traces (the library takes it from the solve).
 Fake degrees in Q(zeta_M) over one common denominator (the library works
 modulo one prime), with the reflection characteristic polynomials taken
-from powers of the exact reflection matrices rather than from the
-character table, canonical-basis products through the T-basis, left cell modules with the
+from powers of the exact reflection matrices, and modulo that prime from
+the character table's reflection row by Newton's identities (the library
+reduces the matrices), the degrees peeled off a Poincare polynomial (the
+library checks the product over the closed-form degrees),
+canonical-basis products through the T-basis, left cell modules with the
 v=1 sign convention they pin, the row-by-row leading scan over the
 all-pairs table, the leading scan over every row of every block (the
 program reads only the left-cell rows of one block per
 diagram-automorphism orbit), and the cross-cutting property checks on a
 finished classification live here for the same reason.
 
-So do the helpers only the tests use: the Bruhat order, descent sets, the
-CycloNumber reflection matrices with their 2cos(pi/m) entries, the
-embedding of one cyclotomic field into a larger one, complex embeddings,
-powers and inverses of CycloNumbers, character multiplicities, the
-value-polynomial arithmetic (`vp` extends the library's constants), the
-packing that `klbase.unpack` inverts, a few LaurentPoly operations, and
-the LaurentPoly division and cyclotomic polynomials that the Q(zeta) fake
-degrees above use (the library divides dense integer lists instead).
-The characteristic polynomial mod p from power traces cross-checks the
-character table's Hessenberg one.
+So do the helpers only the tests use: the Bruhat order, descent sets,
+roots of unity as CycloNumbers, the CycloNumber reflection matrices with
+their 2cos(pi/m) entries, the embedding of one cyclotomic field into a
+larger one, complex embeddings, powers and inverses of CycloNumbers,
+character multiplicities, the value-polynomial arithmetic (`vp` extends
+the library's constants), the packing that `klbase.unpack` inverts, a few
+LaurentPoly operations, and the LaurentPoly division and cyclotomic
+polynomials that the Q(zeta) fake degrees above use (the library divides
+dense integer lists instead).  The characteristic polynomial mod p from
+power traces, by Newton's identities, cross-checks the library's
+Hessenberg one.
 `reseal_cache` edits a cache file behind its digest.
 """
 
@@ -37,7 +43,6 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial, gcd, lcm
 
-from coxcells.chartab import _newton
 from coxcells.classify import (
     ClassifyResult,
     _finish_records,
@@ -50,10 +55,10 @@ from coxcells.exactnum import (
     CycloNumber,
     LaurentPoly,
     _cyclotomic_coeffs,
+    _dense_divmod,
     _dense_mul,
     cyclo_context,
     cyclo_rational,
-    root_of_unity,
 )
 from coxcells.klbase import (
     HTable,
@@ -301,6 +306,12 @@ def complex_value(x: CycloNumber, embedding: int = 1) -> complex:
     return sum(float(c) * z ** k for k, c in enumerate(x.coeffs))
 
 
+def root_of_unity(order: int, k: int) -> CycloNumber:
+    """zeta_M^k as an exact field element."""
+    ctx = cyclo_context(order)
+    return CycloNumber(ctx, tuple(Fraction(c) for c in ctx.zeta_vector(k)))
+
+
 def cyclo_zero(order: int) -> CycloNumber:
     return cyclo_context(order).zero
 
@@ -459,6 +470,59 @@ def cyclotomic_polynomial(n: int, var: str = "X") -> LaurentPoly:
     """The n-th cyclotomic polynomial with integer coefficients."""
     coeffs = _cyclotomic_coeffs(n)
     return LaurentPoly({e: c for e, c in enumerate(coeffs) if c}, var)
+
+
+def degrees_from_poincare(poincare: LaurentPoly, rank: int, order: int) -> tuple:
+    """Solve W(X) = prod_i (1 + X + ... + X^(d_i - 1)) for the degrees d_i.
+
+    Factors W into cyclotomic polynomials, then peels the largest index as
+    the largest degree repeatedly; each factor 1 + ... + X^(d-1) contributes
+    exactly the cyclotomics Phi_e with e | d, e > 1.  The library compares
+    the length counts with the product over the closed-form degrees
+    instead; this peeling is why a match there fixes the degrees.
+    """
+    if poincare.at_one() != order:
+        raise InternalInconsistencyError("Poincare polynomial mass mismatch")
+    if poincare.valuation() < 0:
+        raise UsageError("a Poincare polynomial has no negative exponents")
+    rem = [poincare.coeff(e) for e in range(poincare.degree() + 1)]
+    mult = {}
+    e = 2
+    # phi(e) >= sqrt(e / 2), so Phi_e of degree <= deg rem has e <= 2 deg^2
+    while len(rem) > 1 and e <= 2 * (len(rem) - 1) ** 2:
+        phi_e = list(_cyclotomic_coeffs(e))
+        while True:
+            q, r = _dense_divmod(rem, phi_e)
+            if r:
+                break
+            mult[e] = mult.get(e, 0) + 1
+            rem = q
+        e += 1
+    if rem != [1]:
+        raise InternalInconsistencyError("Poincare polynomial is not cyclotomic")
+    degrees = []
+    for _ in range(rank):
+        live = [e for e, k in mult.items() if k > 0]
+        if not live:
+            raise InternalInconsistencyError("cyclotomic cover ran dry early")
+        d = max(live)
+        for f in range(2, d + 1):
+            if d % f == 0:
+                mult[f] = mult.get(f, 0) - 1
+                if mult[f] < 0:
+                    raise InternalInconsistencyError(
+                        f"cyclotomic cover infeasible at Phi_{f}"
+                    )
+        degrees.append(d)
+    if any(k > 0 for k in mult.values()):
+        raise InternalInconsistencyError("cyclotomic cover left residue")
+    degrees.sort()
+    prod = 1
+    for d in degrees:
+        prod *= d
+    if prod != order:
+        raise InternalInconsistencyError("degree product does not match order")
+    return tuple(degrees)
 
 
 # ---------------------------------------------------------------------------
@@ -809,8 +873,6 @@ def dihedral_character_table(group):
     Returns a list of (dim, row) with row a tuple of exact CycloNumber or
     int values aligned to group.conjugacy_classes().representatives.
     """
-    from coxcells.exactnum import root_of_unity
-
     m = group.datum.coxeter_matrix[0][1]
     M = group.datum.conductor
     classes = group.conjugacy_classes()
@@ -1582,6 +1644,16 @@ def is_ordinary(hecke_traces) -> bool:
     return all(even_parity(p) for p in hecke_traces)
 
 
+def support_cell(jt, cells) -> int:
+    """The unique two-sided cell carrying nonzero asymptotic traces."""
+    hit = {cells.two_sided_of[z] for z, v in enumerate(jt) if v}
+    if len(hit) != 1:
+        raise InternalInconsistencyError(
+            f"asymptotic traces meet {len(hit)} two-sided cells"
+        )
+    return hit.pop()
+
+
 def classify_group(store, htable, cells, gamma, dset, table, phi=None,
                    sample_pairs=200) -> ClassifyResult:
     """Direct-lane classification from a fully materialized table; phi,
@@ -1602,7 +1674,8 @@ def classify_group(store, htable, cells, gamma, dset, table, phi=None,
         jts.append(jt)
         flags.append(is_ordinary(hc))
     records, cell_ordinary, profile, consistent = _finish_records(
-        group, table, cells, gamma, jts, flags
+        group, table, cells, gamma, jts, flags,
+        [support_cell(jt, cells) for jt in jts],
     )
     involutions = classify_involutions(group, cells, gamma.a)
     return ClassifyResult(
@@ -1688,6 +1761,16 @@ class RationalFunction:
 # characteristic polynomials mod p from power traces
 
 
+def newton_identities(traces, p):
+    """det(1 - X A) mod p, little-endian, from the power traces tr A^m,
+    m = 1..d, by Newton's identities: m c_m = -sum_j c_(m-j) tr A^j."""
+    c = [1] + [0] * len(traces)
+    for m in range(1, len(traces) + 1):
+        acc = sum(c[m - j] * traces[j - 1] for j in range(1, m + 1))
+        c[m] = -acc % p * pow(m, p - 2, p) % p
+    return c
+
+
 def charpoly_by_power_traces(mat, p):
     """det(X - A) mod p, little-endian, from the power traces tr A^m,
     m = 1..d, by d matrix products and Newton's identities, in O(d^4);
@@ -1704,7 +1787,26 @@ def charpoly_by_power_traces(mat, p):
                 for i in range(d)
             ]
     # det(X - A) is det(1 - X A) with its coefficients reversed
-    return _newton(traces, p)[::-1]
+    return newton_identities(traces, p)[::-1]
+
+
+def reflection_charpolys_by_table(group, table, p, to_fp):
+    """det(1 - X rho(w)) mod p per conjugacy class, little-endian, from
+    the table alone: the power traces tr rho(w^k) are the reflection
+    character's values at the classes of w^k, and Newton's identities turn
+    them into the coefficients.  The library takes the characteristic
+    polynomials of the reflection matrices mod p instead."""
+    refl = [to_fp(v) for v in table.rows[table.reflection_index]]
+    class_of = table.classes.class_of
+    polys = []
+    for rep in table.classes.representatives:
+        traces = []
+        cur = rep
+        for _ in range(group.datum.rank):
+            traces.append(refl[class_of[cur]])
+            cur = group.multiply(cur, rep)
+        polys.append(newton_identities(traces, p))
+    return polys
 
 
 # ---------------------------------------------------------------------------

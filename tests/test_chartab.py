@@ -24,13 +24,13 @@ from coxcells.exactnum import (
     CycloNumber,
     cyclo_rational,
     residue_map,
-    root_of_unity,
 )
 
 from oracles import (
     charpoly_by_power_traces,
     dihedral_character_table,
     multiplicity,
+    root_of_unity,
 )
 
 

@@ -33,6 +33,7 @@ from oracles import (
     left_cell_module,
     rational_solve,
     reflection_charpolys_by_matrices,
+    reflection_charpolys_by_table,
     vp,
 )
 
@@ -266,7 +267,7 @@ def test_fake_degrees_match_common_denominator_oracle():
 
 
 def test_table_charpolys_match_matrix_oracle():
-    # the mod-p class polynomials read off the table are the images, under
+    # the mod-p class polynomials of the fake degrees are the images, under
     # the same zeta -> eta map, of those from the exact reflection matrices
     for symbol in ("I2(5)", "B3", "H3", "D4"):
         group = build_group(symbol)
@@ -277,7 +278,22 @@ def test_table_charpolys_match_matrix_oracle():
              for k in range(group.datum.rank + 1)]
             for poly in reflection_charpolys_by_matrices(group, table)
         ]
-        assert _reflection_charpolys(group, table, p, to_fp) == reduced, symbol
+        assert _reflection_charpolys(group, table, p) == reduced, symbol
+
+
+def test_matrix_charpolys_match_newton_from_the_table_row():
+    # det(1 - X w) by Hessenberg reduction of the reflection matrix mod p
+    # against Newton's identities on the table's reflection row at the
+    # classes of w^k: the table checked against the geometry, every class
+    for symbol in ("I2(5)", "B3", "H3", "D4"):
+        group = build_group(symbol)
+        table = character_table(group)
+        p, _, to_fp = residue_map(table.conductor, group.size)
+        polys = _reflection_charpolys(group, table, p)
+        assert len(polys) == len(table.classes)
+        assert polys == reflection_charpolys_by_table(
+            group, table, p, to_fp
+        ), symbol
 
 
 def test_class_quotient_rejects_a_non_divisor():
@@ -512,7 +528,8 @@ def _transport_system(r):
 
 
 def _solve(r, trans, sums, columns):
-    return _solve_columns(trans, r.cells, r.gamma.a, sums, columns)
+    """(rhs_cols, sols) of `_solve_columns`, without the column cells."""
+    return _solve_columns(trans, r.cells, r.gamma.a, sums, columns)[:2]
 
 
 def test_integer_trace_check_rejects_a_perturbed_entry(rig):
@@ -603,9 +620,9 @@ def test_block_solve_pinned(rig, monkeypatch):
     got = []
 
     def recorder(*args):
-        rhs_cols, sols = real(*args)
-        got.append(sols)
-        return rhs_cols, sols
+        out = real(*args)
+        got.append(out[1])
+        return out
 
     monkeypatch.setattr(classify_mod, "_solve_columns", recorder)
     for symbol, want in SOLVE_SHA256.items():
@@ -666,15 +683,49 @@ def test_unit_trace_check_rejects_a_wrong_column(rig, monkeypatch):
     real = classify_mod._solve_columns
 
     def moved(*args):
-        rhs_cols, sols = real(*args)
+        rhs_cols, sols, col_cells = real(*args)
         den, ints = sols[0]
         d = min(r.dset)
         ints = list(ints)
         ints[d] += den
-        return rhs_cols, [(den, ints)] + sols[1:]
+        return rhs_cols, [(den, ints)] + sols[1:], col_cells
 
     monkeypatch.setattr(classify_mod, "_solve_columns", moved)
     with pytest.raises(InternalInconsistencyError, match="unit trace"):
+        classify_group_streamed(r.store, r.cells, r.gamma, r.dset, r.table)
+
+
+def test_irreducible_cells_come_from_the_solve(rig, monkeypatch):
+    # the cell each column was solved on is the irreducible's record cell,
+    # the one the oracle lane reads off the asymptotic traces; a column of
+    # an irreducible with two coordinates moved to another cell raises
+    r = rig("H3")
+    real = classify_mod._solve_columns
+    seen = []
+
+    def recorder(*args):
+        out = real(*args)
+        seen.append(out[2])
+        return out
+
+    monkeypatch.setattr(classify_mod, "_solve_columns", recorder)
+    got = classify_group_streamed(r.store, r.cells, r.gamma, r.dset, r.table)
+    columns = _coordinate_columns(r.table)
+    for (i, _, _), cell in zip(columns, seen.pop()):
+        assert cell == got.irreps[i].cell == r.oracle.irreps[i].cell
+    i = next(i for i, _, _ in columns
+             if sum(j == i for j, _, _ in columns) > 1)
+    last = max(t for t, (j, _, _) in enumerate(columns) if j == i)
+
+    def moved(*args):
+        rhs_cols, sols, col_cells = real(*args)
+        col_cells = list(col_cells)
+        col_cells[last] = next(c for c in range(len(r.cells.two_sided_cells))
+                               if c != col_cells[last])
+        return rhs_cols, sols, col_cells
+
+    monkeypatch.setattr(classify_mod, "_solve_columns", moved)
+    with pytest.raises(InternalInconsistencyError, match="two-sided cells"):
         classify_group_streamed(r.store, r.cells, r.gamma, r.dset, r.table)
 
 

@@ -4,16 +4,13 @@ from math import lcm
 import pytest
 
 import coxcells.coxeter as coxeter_mod
-from coxcells.coxeter import (
-    build_group,
-    degrees_from_poincare,
-    group_datum,
-)
+from coxcells.coxeter import build_group, group_datum
 from coxcells.errors import InternalInconsistencyError, RefusalError, UsageError
 from coxcells.exactnum import LaurentPoly, cyclo_context, residue_map
 
 from oracles import (
     bruhat_leq,
+    degrees_from_poincare,
     embed_cyclo,
     left_descents,
     matrix_of,
@@ -358,10 +355,13 @@ def test_poincare_product_formula():
 
 
 def test_degrees_derived_from_poincare():
-    assert build_group("A2").compute_degrees() == (2, 3)
-    assert build_group("I2(7)").compute_degrees() == (2, 7)
-    assert build_group("H3").compute_degrees() == (2, 6, 10)
-    assert build_group("B4").compute_degrees() == (2, 4, 6, 8)
+    # the degrees peeled off an enumerated group's length counts
+    for symbol, degrees in (("A2", (2, 3)), ("I2(7)", (2, 7)),
+                            ("H3", (2, 6, 10)), ("B4", (2, 4, 6, 8))):
+        g = build_group(symbol)
+        assert degrees_from_poincare(
+            g.poincare_polynomial(), g.datum.rank, g.size
+        ) == degrees
 
 
 _ALL_SYMBOLS = (
@@ -374,7 +374,8 @@ _ALL_SYMBOLS = (
 @pytest.mark.parametrize("symbol", _ALL_SYMBOLS)
 def test_degrees_from_closed_form_poincare(symbol):
     # prod_i [d_i]_X from the datum alone, so types never enumerated here
-    # (E6-E8, H4, large dihedral) are covered too
+    # (E6-E8, H4, large dihedral) are covered too: the product that
+    # build_group compares the length counts with gives the degrees back
     datum = group_datum(symbol)
     poincare = LaurentPoly.constant(1, "X")
     for d in datum.degrees:
@@ -392,6 +393,21 @@ def test_degrees_cover_rejects_non_group_series():
     ):
         with pytest.raises(InternalInconsistencyError):
             degrees_from_poincare(LaurentPoly(coeffs, "X"), rank, order)
+
+
+def test_length_check_rejects_counts_off_the_degree_product():
+    # one element moved from length 1 to length 2 keeps the order, the
+    # longest length and its uniqueness, but the counts are no longer
+    # prod [d]_X over the degrees
+    g = build_group("H3")
+    coxeter_mod._check_length_counts(g.length, g.datum.degrees)
+    forged = list(g.length)
+    forged[forged.index(1)] = 2
+    assert len(forged) == g.datum.order
+    assert max(forged) == g.datum.num_positive_roots
+    assert forged.count(max(forged)) == 1
+    with pytest.raises(InternalInconsistencyError, match="length counts"):
+        coxeter_mod._check_length_counts(forged, g.datum.degrees)
 
 
 def test_metadata_shape():

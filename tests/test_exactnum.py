@@ -20,6 +20,7 @@ from oracles import (
     exact_divide,
     from_pairs,
     poly_divmod,
+    root_of_unity,
     shift,
     stretch,
     two_cos_pi_over,
@@ -30,7 +31,6 @@ from coxcells.exactnum import (
     LaurentPoly,
     cyclo_rational,
     is_palindromic,
-    root_of_unity,
 )
 
 

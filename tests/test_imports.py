@@ -1,10 +1,17 @@
-"""Every name a library module imports is used in that module.
+"""Every name a library module imports is used in that module, and every
+function the library defines is reached from the library.
 
-A standard-library scan of the source: a name bound by an import
+Standard-library scans of the source.  A name bound by an import
 statement in a module under src/coxcells/ must be read somewhere in that
 module, as a name or as the root of an attribute chain.  Names listed in
 the module's __all__ are exported, so they count as used, and the
 package's __init__.py, which only re-exports, is not scanned.
+
+A function or method defined under src/coxcells/ must have its name read
+somewhere in src/coxcells/, as a name or as an attribute; code that only
+the tests reach belongs in tests/oracles.py.  Dunder methods are reached
+through Python's protocols, and the few names kept for a caller outside
+src/ are listed in REACHED_FROM_OUTSIDE with the reason.
 """
 
 import ast
@@ -74,3 +81,85 @@ def test_the_scan_finds_an_unused_import():
         "print(os.sep, gcd)\n"
     )
     assert unused_imports(source) == [(1, "system"), (3, "UsageError")]
+
+
+# functions and methods that no src/ code reads, each with its caller
+REACHED_FROM_OUTSIDE = {
+    "CharacterTable.inner_product": "tests/test_acceptance.py calls it",
+    "LaurentPoly.is_zero": "tests/test_acceptance.py calls it",
+    "LaurentPoly.at_one": "tests/test_acceptance.py calls it",
+    "LaurentPoly.monomial": "the LaurentPoly docstring example calls it",
+}
+
+
+def _definitions(node, owner=""):
+    """(qualified name, name) of every function and method under node,
+    nested functions included; methods are qualified by their class."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield owner + child.name, child.name
+            yield from _definitions(child, owner)
+        elif isinstance(child, ast.ClassDef):
+            yield from _definitions(child, child.name + ".")
+        else:
+            yield from _definitions(child, owner)
+
+
+def unreferenced(sources: dict) -> list:
+    """(module, qualified name) of every function or method defined in the
+    {module: source} dict whose name no Name or Attribute node of any of
+    the sources reads; dunder methods are skipped."""
+    trees = {mod: ast.parse(src) for mod, src in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return sorted(
+        (mod, qual)
+        for mod, tree in trees.items()
+        for qual, name in _definitions(tree)
+        if name not in read and not (name.startswith("__")
+                                     and name.endswith("__"))
+    )
+
+
+def _library_sources():
+    return {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
+
+
+def test_every_function_is_reached_from_the_library():
+    found = [(mod, qual) for mod, qual in unreferenced(_library_sources())
+             if qual not in REACHED_FROM_OUTSIDE]
+    assert found == []
+
+
+def test_the_allowlist_names_library_functions():
+    defined = {qual for src in _library_sources().values()
+               for qual, _ in _definitions(ast.parse(src))}
+    assert set(REACHED_FROM_OUTSIDE) <= defined
+    assert all(REACHED_FROM_OUTSIDE.values())
+
+
+def test_the_scan_finds_an_unreferenced_function():
+    sources = {
+        "a": (
+            "def used():\n"
+            "    def inner():\n"
+            "        return 1\n"
+            "    return inner()\n"
+            "def orphan():\n"
+            "    return used()\n"
+            "class K:\n"
+            "    def __len__(self):\n"
+            "        return 0\n"
+            "    def method(self):\n"
+            "        return 0\n"
+            "    def stray(self):\n"
+            "        return self.method()\n"
+        ),
+        "b": "from a import K\nK().stray()\n",
+    }
+    assert unreferenced(sources) == [("a", "orphan")]
