@@ -324,7 +324,8 @@ class CharacterTable:
 
     __slots__ = (
         "group", "classes", "rows", "dims", "names", "conductor",
-        "trivial_index", "sign_index", "reflection_index", "_by_values",
+        "trivial_index", "sign_index", "reflection_charpolys",
+        "reflection_index", "_by_values",
     )
 
     def __init__(self, group, classes, rows, dims, names, conductor):
@@ -342,6 +343,9 @@ class CharacterTable:
                 for z in classes.representatives
             )
         )
+        self.reflection_charpolys = _reflection_charpolys(
+            group, classes.representatives
+        )
         self.reflection_index = self._locate_reflection()
 
     def __len__(self) -> int:
@@ -358,18 +362,16 @@ class CharacterTable:
 
     def _locate_reflection(self) -> int:
         """The row of the reflection character, found modulo the prime of
-        `residue_map`: the traces of the class representatives'
-        `_reflection_matrices` against each row's image under zeta_M ->
-        eta.  Exactly one row must match, and its degree must be the rank.
+        `residue_map`: the traces of the class representatives' reflection
+        matrices, read off `reflection_charpolys` (det(1 - X w) = 1 -
+        tr(w) X + ...), against each row's image under zeta_M -> eta.
+        Exactly one row must match, and its degree must be the rank.
         Two rows cannot share an image: for p > |W|, sum |C| chi psi-bar =
         sum |C| chi chi-bar mod p would make p divide |W|."""
         g = self.group
         n = g.datum.rank
         p, _, to_fp = residue_map(self.conductor, g.size)
-        traces = [
-            sum(mat[i][i] for i in range(n)) % p
-            for mat in _reflection_matrices(g, self.classes.representatives)
-        ]
+        traces = [-poly[1] % p for poly in self.reflection_charpolys]
         hits = [
             i for i, row in enumerate(self.rows)
             if all(to_fp(v) == t for v, t in zip(row, traces))
@@ -403,19 +405,22 @@ class CharacterTable:
         return self.find_row(self.tensor_sign(row_index))
 
 
-def _reflection_matrices(group, elements):
-    """The reflection matrices of elements modulo the prime p of
-    `residue_map(conductor, |W|)`, as n x n lists of rows: the
-    `CoxeterDatum.reflection_action` images of the exact matrices, built
-    along each element's word."""
+def _reflection_charpolys(group, elements):
+    """det(1 - X rho(w)) mod p per element, little-endian, p the prime of
+    `residue_map(conductor, |W|)`: the characteristic polynomial
+    det(X - rho(w)) of the reflection matrix mod p, reversed.  The matrix
+    is the `CoxeterDatum.reflection_action` image of the exact one, built
+    along the element's word."""
     n = group.datum.rank
     ident, right_mul = group.datum.reflection_action()
+    p = residue_map(group.datum.conductor, group.datum.order)[0]
     out = []
     for w in elements:
         mat = ident
         for s in group.words[w]:
             mat = right_mul(mat, s)
-        out.append([mat[i:i + n] for i in range(0, n * n, n)])
+        out.append(_charpoly([mat[i:i + n] for i in range(0, n * n, n)],
+                             p)[::-1])
     return out
 
 

@@ -14,11 +14,12 @@ the exponents appearing in those generic traces splits the irreducibles
 into ordinary and exceptional; the same parity language applies to
 involutions through l(x) - a(x) mod 2.
 
-Only the table columns at distinguished involutions are ever generated,
-each of them once: a single stream computes the entries h_{x,d,z} with z
-in the left cell of d and no others.  The transport matrix is read off
-the packed entries at v = 1 as residues, with no decode, and only the
-entries that can break parity are kept (below).  Character values lie in
+Only the table columns at distinguished involutions are ever generated:
+one stream computes the entries h_{x,d,z} with z in the left cell of d
+and no others, at slot width 0, where the block recursion runs on the
+values at v = 1 (v -> 1 is a ring map), so the transport matrix comes
+out of it as integers.  Only the blocks that can break parity are
+streamed again as polynomials (below).  Character values lie in
 Z[zeta_M], so each power-basis coordinate of a character is an integer
 class function and the transport system is rational.  It is block
 triangular by right cells: h_{x,d,z} != 0 implies z <=_R x, so a(z) >=
@@ -50,12 +51,13 @@ column is ordinary when all its exponents are l(x) mod 2.  The terms
 with l(d) + l(z) even meet that by the lemma, and those with l(d) +
 l(z) odd have only exponents of the other parity, so nothing cancels
 between the two: the column is ordinary iff the odd part vanishes for
-every x.  So only the odd entries are kept, and only those whose z
-carries a nonzero solved coordinate are decoded (none on A4, B3, B4,
-D4, F4, I2(5), I2(8) and I2(60); 66 of 2793 on H3).  The positive
-scale of a solved column does not change the test.  At v = 1 the dual
-trace is the integer sum_z h_{x,d,z}(1) q(z), which `_verify_traces`
-compares with the scaled character on every row.
+every x.  So only the odd entries whose z carries a nonzero solved
+coordinate are read, and only the blocks d holding one are streamed
+again, packed (none on A3, A4, B3, B4, D4, D5, F4, I2(5), I2(8) and
+I2(60); 4 of 22 on H3).  The positive scale of a solved column does
+not change the test.  At v = 1 the dual trace is the integer sum_z
+h_{x,d,z}(1) q(z), which `_verify_traces` compares with the scaled
+character on every row.
 
 Fake degrees follow Molien's formula one conjugacy class at a time,
 modulo the prime p = 1 mod M above |W| of `residue_map`, where zeta_M ->
@@ -76,7 +78,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 
-from .chartab import _charpoly, _pdiv, _reflection_matrices
+from .chartab import _pdiv
 from .coxeter import word_name
 from .errors import InternalInconsistencyError, UsageError
 from .exactnum import (
@@ -109,15 +111,6 @@ def _signed_row(store, x):
 # ---------------------------------------------------------------------------
 # fake degrees
 
-def _reflection_charpolys(group, table, p):
-    """det(1 - X rho(w)) mod p per conjugacy class, little-endian: the
-    characteristic polynomial det(X - rho(w)) of the representative's
-    reflection matrix mod p, reversed."""
-    reps = table.classes.representatives
-    return [_charpoly(mat, p)[::-1]
-            for mat in _reflection_matrices(group, reps)]
-
-
 def _class_quotients(degrees, charpolys, p):
     """Q_j = prod_i (1 - X^d_i) / det(1 - X w_j) mod p per class: every
     det(1 - X w) divides that product (Springer, Regular elements of
@@ -141,10 +134,10 @@ def fake_degrees(group, table):
 
     Molien's formula class by class modulo the prime p of `residue_map`:
     P_chi = |W|^-1 sum_j |C_j| chi(C_j) Q_j with the quotients of
-    `_class_quotients` by the `_reflection_charpolys`, of degree N, the
-    number of positive roots.  One prime is exact: zeta_M -> eta is a ring
-    map from Z[zeta_M], which holds the values, the reflection matrices and
-    the quotients (det(1 - X w) has constant term 1), and
+    `_class_quotients` by the table's `reflection_charpolys`, of degree
+    N, the number of positive roots.  One prime is exact: zeta_M -> eta
+    is a ring map from Z[zeta_M], which holds the values, the reflection
+    matrices and the quotients (det(1 - X w) has constant term 1), and
     0 <= c_e chi(1) <= [X^e] Poincare < |W| < p, so a residue is the
     coefficient.  A residue out of that bound raises, as do a series not
     summing to chi(1) and degree-weighted series missing the Poincare
@@ -152,7 +145,7 @@ def fake_degrees(group, table):
     """
     p, _, to_fp = residue_map(table.conductor, group.size)
     quots = _class_quotients(
-        group.datum.degrees, _reflection_charpolys(group, table, p), p
+        group.datum.degrees, table.reflection_charpolys, p
     )
     top = group.datum.num_positive_roots
     poincare = [group.poincare_polynomial().coeff(e) for e in range(top + 1)]
@@ -461,42 +454,29 @@ def classify_group_streamed(store, cells, gamma, dset, table,
     """Classification from the table columns at distinguished involutions
     only, each generated once.
 
-    The blocks h_{x,d,.} are streamed once, cut to the columns z in the
-    left cell of d.  The transport matrix at v=1 is read off every packed
-    entry as a residue (`Packing.at_one`); only the entries with l(d) +
-    l(z) odd are kept, with their zero low slots shifted off.
-    Asymptotic traces come from an exact solve in integers, one per
-    right cell on the class columns, assembled per nonzero coordinate of
-    each character.  A coordinate column q is ordinary iff sum_z q(z)
-    h_{x,d,z} over the kept entries vanishes for every x (the parity
-    lemma of the module docstring); only the kept entries whose z carries
-    a nonzero q are decoded.  jobs is accepted and unused.
+    The blocks h_{x,d,.} are streamed once at slot width 0, cut to the
+    columns z in the left cell of d: each entry is then the integer
+    h_{x,d,z}(1), the transport matrix at v=1.  Asymptotic traces come
+    from an exact solve in integers, one per right cell on the class
+    columns, assembled per nonzero coordinate of each character.  A
+    coordinate column q is ordinary iff sum_z q(z) h_{x,d,z} over the
+    entries with l(d) + l(z) odd vanishes for every x (the parity lemma
+    of the module docstring), so only the blocks d whose left cell holds
+    such a z with a nonzero solved coordinate are streamed again, packed,
+    and only those entries are decoded.  jobs is accepted and unused.
     """
     group = store.group
     size = group.size
     lengths = group.length
-    kit = store.block_kit()
-    bits = kit.bits
+    lc = cells.left_cell_of
+    # each left cell holds one distinguished involution
+    d_of = {lc[d]: d for d in dset}
     # {e} is a left cell and c_s c_e = c_s has no c_e term: trivial module
     orientation = "standard"
 
     trans = [dict() for _ in range(size)]
-    # per z, the entries of odd l(d) + l(z) as (x, valuation, packed
-    # entry with its zero low slots shifted off)
-    odd = [[] for _ in range(size)]
-
-    def take(x, d, row):
-        tx = trans[x]
-        ld = lengths[d]
-        for z, n in row.items():
-            h1 = kit.at_one(n)
-            if h1:
-                tx[z] = h1
-            if (ld + lengths[z]) & 1:
-                lo = ((n & -n).bit_length() - 1) // bits
-                odd[z].append((x, lo - kit.off, n >> lo * bits))
-
-    stream_h_blocks(store, take, ys=sorted(dset), cell=cells.left_cell_of)
+    stream_h_blocks(store, lambda x, _, row: trans[x].update(row),
+                    ys=sorted(dset), cell=lc, bits=0)
 
     # rhs[x] = sum over u of (-1)^l(u) P_{u,x}(1) chi(u), chi a class
     # function: the signed row is summed per class once, into S[x]
@@ -525,13 +505,28 @@ def classify_group_streamed(store, cells, gamma, dset, table,
             )
     jts = _assemble_traces(columns, sols, table, size)
 
+    # per z of odd l(d) + l(z) with a nonzero solved coordinate, the
+    # entries h_{x,d,z} as (x, valuation, coefficients)
+    odd = {z: [] for _, ints in sols for z, q in enumerate(ints)
+           if q and (lengths[z] + lengths[d_of[lc[z]]]) & 1}
+    unpack = store.block_kit().unpack
+
+    def keep(x, _, row):
+        for z, n in row.items():
+            if z in odd:
+                odd[z].append((x, *unpack(n)))
+
+    parity = sorted({d_of[lc[z]] for z in odd})
+    if parity:
+        stream_h_blocks(store, keep, ys=parity, cell=lc)
     flags = [True] * len(table)
     for (i, _, _), (_, ints) in zip(columns, sols):
         acc = {}
-        for z, q in enumerate(ints):
+        for z, entries in odd.items():
+            q = ints[z]
             if q:
-                for x, val, n in odd[z]:
-                    for e, c in enumerate(kit.unpack(n)[1], val):
+                for x, val, coeffs in entries:
+                    for e, c in enumerate(coeffs, val):
                         acc[x, e] = acc.get((x, e), 0) + q * c
         if any(acc.values()):
             flags[i] = False

@@ -16,12 +16,13 @@ l(w0) + 1, i.e. one signed coefficient per slot of `bits` bits
 (Kronecker substitution).  Addition and integer scaling are then the int
 operations and multiplication by v + v^-1 is a shift pair.  `Packing`
 holds the encoding: `lead` reads the top degree and leading coefficient
-off the bit length, `at_one` reads p(1) as a residue mod 2^bits - 1,
-and `unpack` decodes balanced digits back to a pair (val, coeffs)
-meaning sum coeffs[i] * v^(val + i).  The slot width comes from a bound
-on the coefficients of every row that does not assume positivity, and
-that bound is what makes the encoding exact; the decoders' digit check
-is only a sanity check.  `vp` keeps the constants
+off the bit length, and `unpack` decodes balanced digits back to a pair
+(val, coeffs) meaning sum coeffs[i] * v^(val + i).  The slot width comes
+from a bound on the coefficients of every row that does not assume
+positivity, and that bound is what makes the encoding exact; the
+decoders' digit check is only a sanity check.  The same recursion at
+width 0 runs on the values at v = 1: p(2^0) = p(1), and v -> 1 is a
+ring map Z[v, v^-1] -> Z.  `vp` keeps the constants
 of the (val, coeffs) form for the generator rows; the test oracles
 extend it with the arithmetic.
 
@@ -132,19 +133,6 @@ class Packing:
         if max(map(abs, coeffs)) >= half >> 1:
             raise InternalInconsistencyError("h coefficient overflows its slot")
         return (lo - self.off, tuple(coeffs))
-
-    def at_one(self, n: int) -> int:
-        """p(1) of a packed entry, no decode: its balanced residue mod
-        2^bits - 1, since 2^bits = 1 there.  |p(1)| is at most the sum of
-        |coefficients|, below 2^(bits - 2), so the residue is exact; one
-        outside that range raises."""
-        m = (1 << self.bits) - 1
-        r = n % m
-        if r > m >> 1:
-            r -= m
-        if abs(r) >= 1 << (self.bits - 2):
-            raise InternalInconsistencyError("h coefficient overflows its slot")
-        return r
 
     def top_degree(self, n: int) -> int:
         """Top degree of a nonzero packed entry.
@@ -402,11 +390,14 @@ def _row_bounds(kit: BlockKit) -> list:
 
 
 def _h_block(kit: BlockKit, y: int, xs: tuple | None = None,
-             cell=None) -> list:
-    """Rows h_{x,y,.} for fixed y, indexed by x, packed: every row, or
-    those in xs, a sorted tuple closed under `BlockKit.closure`; the
-    other rows are None.  With cell, the left-cell array, each row keeps
-    only the columns z in the left cell of y.
+             cell=None, bits: int | None = None) -> list:
+    """Rows h_{x,y,.} for fixed y, indexed by x, packed in slots of
+    `bits` bits (the kit's width by default): every row, or those in xs,
+    a sorted tuple closed under `BlockKit.closure`; the other rows are
+    None.  With cell, the left-cell array, each row keeps only the
+    columns z in the left cell of y.  At width 0 an entry is the integer
+    h_{x,y,z}(1) and the shift pair below is 2p, the value of v + v^-1
+    at v = 1; v -> 1 is a ring map, so those values are exact too.
 
     Row x is built from row x' (x = s x', first-letter descent) through
     c_x c_y = c_s (c_x' c_y) - sum mu(z, x') c_z c_y over z with s z < z.
@@ -424,7 +415,7 @@ def _h_block(kit: BlockKit, y: int, xs: tuple | None = None,
     the cell at every step leaves the other entries exact.  A cut row
     is a sub-sum of the whole one, so `_row_bounds` still bounds it.
     """
-    bits = kit.bits
+    bits = kit.bits if bits is None else bits
     lmask = kit.lmask
     rows = [None] * kit.size
     rows[0] = {y: 1 << bits * kit.off}
@@ -456,7 +447,7 @@ def _h_block(kit: BlockKit, y: int, xs: tuple | None = None,
 
 
 def stream_h_blocks(store: KLStore, consumer, ys=None, reduce=None,
-                    rows=None, cell=None):
+                    rows=None, cell=None, bits=None):
     """Run the h recursion block by block, in the order of ys.
 
     ys selects which y-blocks to visit (all of them by default).  rows,
@@ -464,15 +455,18 @@ def stream_h_blocks(store: KLStore, consumer, ys=None, reduce=None,
     rows[y], a closed set as `BlockKit.closure` returns, and the others
     are None.  cell, when given, is the left-cell array (the cell id of
     every element): block y then holds only the columns z in the left
-    cell of y (see `_h_block`).  With no reduce, `consumer(x, y, row)`
-    receives every row of every block, packed.  With reduce,
-    `consumer(y, reduce(kit, y, block))` receives one result per block,
-    kit being the store's `BlockKit` (whose `unpack` and `lead` decode
-    an entry), and the block is dropped before the next one is computed.
+    cell of y (see `_h_block`).  bits, when given, is the slot width of
+    the entries in place of the kit's: 0 gives the values at v = 1.
+    With no reduce, `consumer(x, y, row)` receives every row of every
+    block, packed.  With reduce, `consumer(y, reduce(kit, y, block))`
+    receives one result per block, kit being the store's `BlockKit`
+    (whose `unpack` and `lead` decode an entry of its width), and the
+    block is dropped before the next one is computed.
     """
     kit = store.block_kit()
     for y in range(kit.size) if ys is None else ys:
-        block = _h_block(kit, y, None if rows is None else rows[y], cell)
+        block = _h_block(kit, y, None if rows is None else rows[y], cell,
+                         bits)
         if reduce is not None:
             consumer(y, reduce(kit, y, block))
         else:

@@ -76,8 +76,8 @@ class vp(_vp):
     """The library's value-polynomial constants plus the arithmetic the
     oracles and tests use: normalization, sums, scaling, products,
     subtraction, shifts, coefficients, degree, bar symmetry and
-    conversions, with the value at v = 1 that the library reads off the
-    packed form instead (`Packing.at_one`)."""
+    conversions, with the value at v = 1 that the library takes from
+    the block recursion at slot width 0 instead (`klbase._h_block`)."""
 
     @staticmethod
     def at_one(a: tuple) -> int:

@@ -37,13 +37,13 @@ from oracles import (
     vp,
 )
 
+import coxcells.chartab as chartab_mod
 import coxcells.classify as classify_mod
 from coxcells.chartab import CharacterTable, character_table
 from coxcells.classify import (
     _cell_solve,
     _class_quotients,
     _coordinate_columns,
-    _reflection_charpolys,
     _signed_row,
     _solve_columns,
     _transport_blocks,
@@ -57,8 +57,8 @@ from coxcells.classify import (
 from coxcells.coxeter import build_group
 from coxcells.errors import InternalInconsistencyError, UsageError
 from coxcells.exactnum import LaurentPoly, residue_map
-from coxcells.klbase import generator_rows, stream_h_blocks
-from coxcells.pipeline import classify_report
+from coxcells.klbase import _h_block, generator_rows
+from coxcells.pipeline import classification, classify_report
 
 DEFAULT_SYMBOLS = ("I2(3)", "I2(5)", "I2(7)", "A3", "B3", "H3")
 
@@ -278,7 +278,7 @@ def test_table_charpolys_match_matrix_oracle():
              for k in range(group.datum.rank + 1)]
             for poly in reflection_charpolys_by_matrices(group, table)
         ]
-        assert _reflection_charpolys(group, table, p) == reduced, symbol
+        assert table.reflection_charpolys == reduced, symbol
 
 
 def test_matrix_charpolys_match_newton_from_the_table_row():
@@ -289,11 +289,28 @@ def test_matrix_charpolys_match_newton_from_the_table_row():
         group = build_group(symbol)
         table = character_table(group)
         p, _, to_fp = residue_map(table.conductor, group.size)
-        polys = _reflection_charpolys(group, table, p)
+        polys = table.reflection_charpolys
         assert len(polys) == len(table.classes)
         assert polys == reflection_charpolys_by_table(
             group, table, p, to_fp
         ), symbol
+
+
+def test_reflection_matrices_walked_once_per_classification(monkeypatch):
+    # the reflection row and the fake degrees read the same class
+    # polynomials, built once with the table
+    real = chartab_mod._reflection_charpolys
+    walks = []
+
+    def counting(group, elements):
+        walks.append(len(elements))
+        return real(group, elements)
+
+    monkeypatch.setattr(chartab_mod, "_reflection_charpolys", counting)
+    for symbol in ("I2(5)", "B3", "H3"):
+        walks.clear()
+        classification(build_group(symbol))
+        assert len(walks) == 1, symbol
 
 
 def test_class_quotient_rejects_a_non_divisor():
@@ -656,24 +673,74 @@ def test_block_solve_scales_exactly_and_rejects_a_singular_block(rig):
         _cell_solve(trans, block, rhs_rows)
 
 
-def test_distinguished_blocks_streamed_once(rig, monkeypatch):
+def _parity_blocks(r):
+    """The blocks d whose left cell holds a z with l(d) + l(z) odd and a
+    nonzero asymptotic trace."""
+    lc = r.cells.left_cell_of
+    length = r.group.length
+    return sorted(
+        d for d in r.dset
+        if any((length[d] + length[z]) % 2
+               and any(rec.j_traces[z] for rec in r.result.irreps)
+               for z in r.cells.left_cells[lc[d]])
+    )
+
+
+def _record_streams(monkeypatch, transform=None):
+    """Every stream_h_blocks call of the classification as (ys, bits);
+    transform(ys, bits) may drop blocks from a call."""
     real = classify_mod.stream_h_blocks
-    for symbol in ("H3", "B3"):
+    calls = []
+
+    def recorder(store, consumer, ys=None, reduce=None, **kw):
+        calls.append((list(ys), kw.get("bits")))
+        if transform is not None:
+            ys = transform(list(ys), kw.get("bits"))
+        return real(store, consumer, ys=ys, reduce=reduce, **kw)
+
+    monkeypatch.setattr(classify_mod, "stream_h_blocks", recorder)
+    return calls
+
+
+def test_distinguished_blocks_streamed_once(rig, monkeypatch):
+    # one width-0 pass over every distinguished block, then one packed
+    # pass over the blocks that can break parity: H3's 4, none on B3
+    for symbol, packed in (("H3", 4), ("B3", 0)):
         r = rig(symbol)
-        calls = []
-
-        def recorder(store, consumer, ys=None, reduce=None, **kw):
-            calls.append(list(ys))
-            return real(store, consumer, ys=ys, reduce=reduce, **kw)
-
-        monkeypatch.setattr(classify_mod, "stream_h_blocks", recorder)
+        calls = _record_streams(monkeypatch)
         got = classify_group_streamed(r.store, r.cells, r.gamma, r.dset,
                                       r.table)
         monkeypatch.undo()
-        assert calls == [sorted(r.dset)], symbol
+        want = [(sorted(r.dset), 0)]
+        if packed:
+            want.append((_parity_blocks(r), None))
+        assert calls == want, symbol
+        assert len(_parity_blocks(r)) == packed, symbol
         assert got.irreps == r.result.irreps
         assert got.involutions == r.result.involutions
         assert got.cell_ordinary == r.result.cell_ordinary
+
+
+def test_exceptional_pair_comes_from_the_packed_pass(rig, monkeypatch):
+    # H3's two exceptional irreducibles are flagged from the 4 blocks of
+    # the packed pass: each block alone carries the odd part of both, and
+    # without all four every irreducible reads as ordinary
+    r = rig("H3")
+    flags = [rec.ordinary for rec in r.result.irreps]
+    assert [rec.dim for rec in r.result.irreps
+            if not rec.ordinary] == [4, 4]
+    blocks = _parity_blocks(r)
+    assert len(blocks) == 4
+    everything_ordinary = [True] * len(flags)
+    for keep, want in [([d], flags) for d in blocks] + [
+            ([], everything_ordinary)]:
+        calls = _record_streams(
+            monkeypatch, lambda ys, bits: ys if bits == 0 else keep)
+        got = classify_group_streamed(r.store, r.cells, r.gamma, r.dset,
+                                      r.table)
+        monkeypatch.undo()
+        assert calls[-1] == (blocks, None)
+        assert [rec.ordinary for rec in got.irreps] == want, keep
 
 
 def test_unit_trace_check_rejects_a_wrong_column(rig, monkeypatch):
@@ -732,37 +799,40 @@ def test_irreducible_cells_come_from_the_solve(rig, monkeypatch):
 @pytest.mark.parametrize("symbol", ["A3", "B3", "H3", "B4", "I2(5)"])
 def test_distinguished_blocks_obey_the_parity_lemma(rig, symbol):
     # every exponent of h_{x,d,z} is l(x) + l(d) + l(z) mod 2, and the
-    # transport's value at v = 1, read as a residue, is the decoded one
+    # width-0 block holds the decoded entries' values at v = 1
     r = rig(symbol)
     kit = r.store.block_kit()
     length = r.group.length
+    cell = r.cells.left_cell_of
     seen = []
-
-    def check(x, d, row):
-        for z, p in row.items():
-            val, coeffs = kit.unpack(p)
-            par = length[x] + length[d] + length[z]
-            assert all((val + t - par) % 2 == 0
-                       for t, c in enumerate(coeffs) if c), (x, d, z)
-            assert kit.at_one(p) == vp.at_one((val, coeffs)), (x, d, z)
-            seen.append(par % 2)
-
-    stream_h_blocks(r.store, check, ys=sorted(r.dset),
-                    cell=r.cells.left_cell_of)
+    for d in sorted(r.dset):
+        at_one = []
+        for x, row in enumerate(_h_block(kit, d, cell=cell)):
+            for z, p in row.items():
+                val, coeffs = kit.unpack(p)
+                par = length[x] + length[d] + length[z]
+                assert all((val + t - par) % 2 == 0
+                           for t, c in enumerate(coeffs) if c), (x, d, z)
+                seen.append(par % 2)
+            at_one.append({z: h1 for z, p in row.items()
+                           if (h1 := vp.at_one(kit.unpack(p)))})
+        assert _h_block(kit, d, cell=cell, bits=0) == at_one, d
     assert 0 in seen and 1 in seen
 
 
-def test_out_of_range_residue_raises(rig, monkeypatch):
-    # h_{e,d,d} = 1 forged to 2^(bits - 2), one past what a slot holds
-    r = rig("A3")
+def test_over_wide_digit_in_the_parity_pass_raises(rig, monkeypatch):
+    # every entry of H3's packed parity pass forged to 2^(bits - 2), one
+    # past what a slot holds: the decode of a kept entry raises
+    r = rig("H3")
     kit = r.store.block_kit()
     forged = (1 << kit.bits - 2) << kit.bits * kit.off
     real = classify_mod.stream_h_blocks
 
     def forging(store, consumer, ys=None, **kw):
         def take(x, d, row):
-            consumer(x, d, {d: forged} if x == 0 else row)
-        return real(store, take, ys=ys, **kw)
+            consumer(x, d, {z: forged for z in row})
+        packed = kw.get("bits") is None
+        return real(store, take if packed else consumer, ys=ys, **kw)
 
     monkeypatch.setattr(classify_mod, "stream_h_blocks", forging)
     with pytest.raises(InternalInconsistencyError, match="overflows"):

@@ -379,23 +379,6 @@ def test_lead_is_decoded_top_term(case):
 
 
 @given(_packed_cases)
-def test_at_one_is_the_residue_of_the_packed_entry(case):
-    # the balanced residue mod 2^bits - 1 is p(1) while |p(1)| stays below
-    # 2^(bits - 2), as every row sum does; a residue up to 2^(bits-1)
-    # raises
-    bits, off, val, coeffs = case
-    p = _poly(val, coeffs, off - 1)
-    n = pack(p, bits, off)
-    want = vp.at_one(p)
-    codec = Packing(bits, off)
-    if abs(want) < 1 << bits - 2:
-        assert codec.at_one(n) == want
-    elif abs(want) < 1 << bits - 1:
-        with pytest.raises(InternalInconsistencyError, match="overflows"):
-            codec.at_one(n)
-
-
-@given(_packed_cases)
 def test_shift_pair_multiplies_by_gate(case):
     # halved coefficients keep the sums of two inside a slot, and degrees
     # within +-(off - 2) stay within +-(off - 1) after v + v^-1
