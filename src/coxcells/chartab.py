@@ -324,8 +324,7 @@ class CharacterTable:
 
     __slots__ = (
         "group", "classes", "rows", "dims", "names", "conductor",
-        "trivial_index", "sign_index", "reflection_charpolys",
-        "reflection_index", "_by_values",
+        "reflection_charpolys", "_by_values",
     )
 
     def __init__(self, group, classes, rows, dims, names, conductor):
@@ -336,8 +335,8 @@ class CharacterTable:
         self.names = names
         self.conductor = conductor
         self._by_values = {r: i for i, r in enumerate(rows)}
-        self.trivial_index = 0
-        self.sign_index = self.find_row(
+        # the sign character and the reflection character are rows
+        self.find_row(
             tuple(
                 cyclo_rational(conductor, -1 if group.length[z] % 2 else 1)
                 for z in classes.representatives
@@ -346,7 +345,7 @@ class CharacterTable:
         self.reflection_charpolys = _reflection_charpolys(
             group, classes.representatives
         )
-        self.reflection_index = self._locate_reflection()
+        self._locate_reflection()
 
     def __len__(self) -> int:
         return len(self.rows)

@@ -72,7 +72,6 @@ residue out of that bound, a division remainder, a wrong degree sum or
 a missed Poincare sum raises.
 """
 
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -96,16 +95,21 @@ CLAIM_IDS = ("1.2b", "1.3a", "1.3c", "1.5a", "1.6b")
 # ---------------------------------------------------------------------------
 # the transport system
 
-def _signed_row(store, x):
-    """{u: (-1)^l(u) P_{u,x}(1)}: the v=1 coordinates of the dual basis
-    element attached to x."""
-    lengths = store.group.length
-    return {
-        u: (-s if lengths[u] % 2 else s)
-        for u, qc in store.P_by_w[x].items()
-        for s in (sum(qc),)
-        if s
-    }
+def _class_sums(store, table):
+    """S[x][C] = sum over u in the class C of (-1)^l(u) P_{u,x}(1): the
+    v=1 coordinates of the dual basis element attached to x, summed per
+    conjugacy class, the right-hand side of the transport for any class
+    function."""
+    cof = table.classes.class_of
+    sign = [-1 if n % 2 else 1 for n in store.group.length]
+    width = len(table.classes.representatives)
+    sums = []
+    for column in store.P_by_w:
+        row = [0] * width
+        for u, qc in column.items():
+            row[cof[u]] += sign[u] * sum(qc)
+        sums.append(row)
+    return sums
 
 
 # ---------------------------------------------------------------------------
@@ -217,26 +221,24 @@ class ClaimReport:
     claim_id: str
     status: str
     witness: dict
-    timing: float
 
 
 class ClassifyResult:
     """Everything the classification pipeline produces for one group."""
 
     __slots__ = (
-        "group", "table", "cells", "gamma", "dset", "irreps", "involutions",
+        "group", "table", "cells", "gamma", "irreps", "involutions",
         "orientation", "cell_ordinary", "expected_profile",
         "profile_consistent",
     )
 
-    def __init__(self, group, table, cells, gamma, dset, irreps,
-                 involutions, orientation, cell_ordinary, expected_profile,
+    def __init__(self, group, table, cells, gamma, irreps, involutions,
+                 orientation, cell_ordinary, expected_profile,
                  profile_consistent):
         self.group = group
         self.table = table
         self.cells = cells
         self.gamma = gamma
-        self.dset = dset
         self.irreps = irreps
         self.involutions = involutions
         self.orientation = orientation
@@ -268,7 +270,7 @@ def expected_exceptional_profile(datum):
 def classify_involutions(group, cells, a):
     out = []
     for x in range(group.size):
-        if group.multiply(x, x) != 0:
+        if group.inverse[x] != x:
             continue
         out.append(
             InvolutionRecord(
@@ -478,13 +480,7 @@ def classify_group_streamed(store, cells, gamma, dset, table,
     stream_h_blocks(store, lambda x, _, row: trans[x].update(row),
                     ys=sorted(dset), cell=lc, bits=0)
 
-    # rhs[x] = sum over u of (-1)^l(u) P_{u,x}(1) chi(u), chi a class
-    # function: the signed row is summed per class once, into S[x]
-    cof = table.classes.class_of
-    sums = [[0] * len(table.classes.representatives) for _ in range(size)]
-    for x, row in enumerate(sums):
-        for u, c in _signed_row(store, x).items():
-            row[cof[u]] += c
+    sums = _class_sums(store, table)
     columns = _coordinate_columns(table)
     _, sols, col_cells = _solve_columns(trans, cells, gamma.a, sums, columns)
     del sums, trans
@@ -536,7 +532,7 @@ def classify_group_streamed(store, cells, gamma, dset, table,
     )
     involutions = classify_involutions(group, cells, gamma.a)
     return ClassifyResult(
-        group, table, cells, gamma, dset, records, involutions,
+        group, table, cells, gamma, records, involutions,
         orientation, cell_ordinary, profile, consistent,
     )
 
@@ -730,6 +726,4 @@ def verify_claim(claim_id, result) -> ClaimReport:
         raise UsageError(
             f"unknown claim {claim_id!r}; expected one of {', '.join(CLAIM_IDS)}"
         )
-    t0 = time.perf_counter()
-    status, witness = fn(result)
-    return ClaimReport(claim_id, status, witness, time.perf_counter() - t0)
+    return ClaimReport(claim_id, *fn(result))

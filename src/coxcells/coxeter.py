@@ -90,8 +90,8 @@ def _coxeter_matrix(family: str, rank: int, bond) -> tuple:
     for i in range(rank):
         m[i][i] = 1
 
-    def link(i, j, order=3):
-        m[i][j] = m[j][i] = order
+    def link(i, j):
+        m[i][j] = m[j][i] = 3
 
     if family == "A":
         for i in range(rank - 1):
@@ -161,15 +161,13 @@ class CoxeterDatum:
     """
 
     __slots__ = (
-        "type_symbol", "family", "rank", "bond", "coxeter_matrix", "degrees",
+        "type_symbol", "rank", "coxeter_matrix", "degrees",
         "order", "num_positive_roots", "exponent", "conductor",
         "refl_conductor", "crystallographic",
     )
 
     def __init__(self, family: str, rank: int, bond):
-        self.family = family
         self.rank = rank
-        self.bond = bond
         self.type_symbol = f"I2({bond})" if family == "I" else f"{family}{rank}"
         self.coxeter_matrix = _coxeter_matrix(family, rank, bond)
         self.degrees = _closed_form_degrees(family, rank, bond)
@@ -269,7 +267,7 @@ class CoxeterGroup:
 
     __slots__ = (
         "datum", "size", "words", "length", "right", "left", "inverse",
-        "w0", "right_descent_mask", "left_descent_mask",
+        "w0", "left_descent_mask",
         "_classes", "_fingerprint",
     )
 
@@ -301,17 +299,13 @@ class CoxeterGroup:
             raise InternalInconsistencyError(
                 f"longest length {maxlen} does not match the root count"
             )
-        rmask = [0] * self.size
         lmask = [0] * self.size
         for s in range(n):
-            rrow, lrow = right[s], left[s]
+            lrow = left[s]
             bit = 1 << s
             for w in range(self.size):
-                if lengths[rrow[w]] < lengths[w]:
-                    rmask[w] |= bit
                 if lengths[lrow[w]] < lengths[w]:
                     lmask[w] |= bit
-        self.right_descent_mask = rmask
         self.left_descent_mask = lmask
         self._classes = None
         self._fingerprint = None

@@ -48,7 +48,6 @@ __all__ = [
 ]
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 # ---------------------------------------------------------------------------
@@ -120,8 +119,7 @@ class CycloContext:
     """
 
     __slots__ = (
-        "order", "degree", "modulus", "_red", "_zeta_rows", "_conj_rows",
-        "zero", "one",
+        "order", "degree", "_red", "_zeta_rows", "_conj_rows", "zero",
     )
 
     def __init__(self, order: int):
@@ -129,7 +127,6 @@ class CycloContext:
             raise UsageError("conductor must be positive")
         self.order = order
         mod = _cyclotomic_coeffs(order)
-        self.modulus = mod
         phi = len(mod) - 1
         self.degree = phi
         first = tuple(-c for c in mod[:phi])                # zeta^phi reduced
@@ -152,7 +149,6 @@ class CycloContext:
         self._red = tuple(rows[k % order] for k in range(phi, 2 * phi - 1))
         self._conj_rows = tuple(rows[(order - k) % order] for k in range(order))
         self.zero = CycloNumber(self, (_ZERO,) * phi)
-        self.one = CycloNumber(self, (_ONE,) + (_ZERO,) * (phi - 1))
 
     def __repr__(self) -> str:
         return f"CycloContext(order={self.order}, degree={self.degree})"
@@ -160,15 +156,11 @@ class CycloContext:
     def zeta_vector(self, k: int) -> tuple:
         return self._zeta_rows[k % self.order]
 
-    def mul_coeffs(self, a: tuple, b: tuple, zero=0) -> tuple:
+    def mul_coeffs(self, a: tuple, b: tuple) -> tuple:
         """Product of two power-basis coefficient vectors, reduced mod
-        Phi_M; the one multiplication kernel of Z[zeta_M] and Q(zeta_M).
-
-        zero seeds the accumulator, so integer vectors stay integral and
-        Fraction vectors stay Fractions.
-        """
+        Phi_M, as Fractions."""
         phi = self.degree
-        acc = [zero] * (2 * phi - 1)
+        acc = [_ZERO] * (2 * phi - 1)
         for i, x in enumerate(a):
             if x:
                 for j, y in enumerate(b, i):
@@ -193,7 +185,7 @@ class CycloNumber:
     """An element of Q(zeta_M) in the reduced power basis.
 
     Construct through :func:`cyclo_rational` or from a context's
-    ``zero``, ``one`` and ``zeta_vector`` rows.  Arithmetic between
+    ``zero`` and ``zeta_vector`` rows.  Arithmetic between
     different conductors is a usage error by design: one group, one field.
     """
 
@@ -257,7 +249,7 @@ class CycloNumber:
         if o is None:
             return NotImplemented
         return CycloNumber(
-            self.ctx, self.ctx.mul_coeffs(self.coeffs, o.coeffs, _ZERO)
+            self.ctx, self.ctx.mul_coeffs(self.coeffs, o.coeffs)
         )
 
     __rmul__ = __mul__

@@ -286,21 +286,19 @@ def compute_kl(group: CoxeterGroup) -> KLStore:
 
 
 class HTable:
-    """Structure-constant rows h_{x,y,.} keyed by (x, y).
-
-    scope is "generators" (rows for x of length 1 only) or "all".  Rows are
-    tuples of (z, value polynomial) sorted by z.
+    """Structure-constant rows h_{x,y,.} keyed by (x, y), for x of length
+    1 only or for every x.  Rows are tuples of (z, value polynomial)
+    sorted by z.
     """
 
-    __slots__ = ("group", "scope", "rows")
+    __slots__ = ("group", "rows")
 
-    def __init__(self, group: CoxeterGroup, scope: str, rows: dict):
+    def __init__(self, group: CoxeterGroup, rows: dict):
         self.group = group
-        self.scope = scope
         self.rows = rows
 
 
-def _generator_row(store: KLStore, s_elt: int, s: int, y: int) -> tuple:
+def _generator_row(store: KLStore, s: int, y: int) -> tuple:
     """c_s c_y read off descents and mu, no polynomial arithmetic."""
     group = store.group
     if group.left_descent_mask[y] >> s & 1:
@@ -320,8 +318,8 @@ def generator_rows(store: KLStore) -> HTable:
     gens = [(group.element_by_word((s,)), s) for s in range(group.datum.rank)]
     for y in range(group.size):
         for s_elt, s in gens:
-            rows[(s_elt, y)] = _generator_row(store, s_elt, s, y)
-    return HTable(group, "generators", rows)
+            rows[(s_elt, y)] = _generator_row(store, s, y)
+    return HTable(group, rows)
 
 
 class BlockKit(Packing):

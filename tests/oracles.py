@@ -46,7 +46,6 @@ from math import factorial, gcd, lcm
 from coxcells.classify import (
     ClassifyResult,
     _finish_records,
-    _signed_row,
     classify_involutions,
     word_name,
 )
@@ -197,7 +196,7 @@ def cyclo_inverse(x: CycloNumber) -> CycloNumber:
     anything else by the extended Euclid algorithm modulo Phi_M."""
     if x.is_rational():
         return cyclo_rational(x.ctx.order, 1 / x.coeffs[0])
-    mod = [Fraction(c) for c in x.ctx.modulus]
+    mod = [Fraction(c) for c in _cyclotomic_coeffs(x.ctx.order)]
     inv = _fracpoly_invmod(list(x.coeffs), mod)
     phi = x.ctx.degree
     inv = inv + [Fraction(0)] * (phi - len(inv))
@@ -253,7 +252,7 @@ def cyclo_pow(x: CycloNumber, n: int) -> CycloNumber:
     """x^n by repeated squaring; a negative n inverts first."""
     if n < 0:
         return cyclo_pow(cyclo_inverse(x), -n)
-    out = x.ctx.one
+    out = cyclo_one(x.ctx.order)
     while n:
         if n & 1:
             out = out * x
@@ -317,7 +316,7 @@ def cyclo_zero(order: int) -> CycloNumber:
 
 
 def cyclo_one(order: int) -> CycloNumber:
-    return cyclo_context(order).one
+    return cyclo_rational(order, 1)
 
 
 def embed_cyclo(x: CycloNumber, order: int) -> CycloNumber:
@@ -366,14 +365,14 @@ def gamma(table, x: int, y: int, z: int) -> int:
     return table.lead.get((x, y, table.group.inverse[z]), 0)
 
 
-def right_descents(group, w: int) -> tuple:
-    mask = group.right_descent_mask[w]
-    return tuple(s for s in range(group.datum.rank) if mask >> s & 1)
-
-
 def left_descents(group, w: int) -> tuple:
     mask = group.left_descent_mask[w]
     return tuple(s for s in range(group.datum.rank) if mask >> s & 1)
+
+
+def right_descents(group, w: int) -> tuple:
+    """The right descents of w are the left descents of its inverse."""
+    return left_descents(group, group.inverse[w])
 
 
 def bruhat_leq(group, x: int, y: int) -> bool:
@@ -390,7 +389,7 @@ def bruhat_leq(group, x: int, y: int) -> bool:
         if x == 0:
             return True
         s = word[pos]
-        if group.right_descent_mask[x] >> s & 1:
+        if lengths[group.right[s][x]] < lengths[x]:
             x = group.right[s][x]
     return x == 0
 
@@ -535,22 +534,23 @@ def reflection_matrices(datum) -> tuple:
     so its row s is the only one that differs from the identity's."""
     M = datum.refl_conductor
     ctx = cyclo_context(M)
+    one = cyclo_one(M)
     n = datum.rank
 
     def entry(s, j):
         m = datum.coxeter_matrix[s][j]
         if j == s:
-            return -ctx.one
+            return -one
         if m == 2:
             return ctx.zero
         if m == 3:
-            return ctx.one
+            return one
         return two_cos_pi_over(M, m)
 
     return tuple(
         tuple(
             tuple(entry(s, j) for j in range(n)) if i == s
-            else tuple(ctx.one if i == j else ctx.zero for j in range(n))
+            else tuple(one if i == j else ctx.zero for j in range(n))
             for i in range(n)
         )
         for s in range(n)
@@ -562,8 +562,9 @@ def matrix_of(group, w: int) -> tuple:
     gens = reflection_matrices(group.datum)
     n = group.datum.rank
     ctx = cyclo_context(group.datum.refl_conductor)
+    one = cyclo_one(group.datum.refl_conductor)
     rows = [
-        tuple(ctx.one if i == j else ctx.zero for j in range(n))
+        tuple(one if i == j else ctx.zero for j in range(n))
         for i in range(n)
     ]
     for s in group.words[w]:
@@ -1100,7 +1101,7 @@ def compute_h_table(store) -> HTable:
         ))
 
     stream_h_blocks(store, keep)
-    return HTable(store.group, "all", rows)
+    return HTable(store.group, rows)
 
 
 def leading_scan(htable):
@@ -1314,7 +1315,7 @@ def detect_orientation(htable, cells, table):
     cid = cells.left_cell_of[0]
     for orientation in ("standard", "flipped"):
         mults = left_cell_module(htable, cells, table, cid, orientation)
-        if mults == {table.trivial_index: 1}:
+        if mults == {0: 1}:
             return orientation
     raise InternalInconsistencyError(
         "identity cell carries neither candidate orientation"
@@ -1380,12 +1381,25 @@ def rational_solve(trans, rhs_cols):
     return out
 
 
+def _signed_row(store, x):
+    """{u: (-1)^l(u) P_{u,x}(1)}: the v=1 coordinates of the dual basis
+    element attached to x (the library sums them per conjugacy class
+    straight from the P rows)."""
+    lengths = store.group.length
+    return {
+        u: (-s if lengths[u] % 2 else s)
+        for u, qc in store.P_by_w[x].items()
+        for s in (sum(qc),)
+        if s
+    }
+
+
 def build_phi(store, htable, cells, dset) -> PhiIso:
     """The transport matrix on group-element rows and its exact inverse."""
     group = store.group
-    if htable.scope != "all":
-        raise UsageError("transport needs the all-pairs table")
     size = group.size
+    if len(htable.rows) != size * size:
+        raise UsageError("transport needs the all-pairs table")
     lengths = group.length
     cols = _transport_rows(htable, cells, dset)
     # peel the unitriangular signed layer: rows of the dual basis are
@@ -1679,7 +1693,7 @@ def classify_group(store, htable, cells, gamma, dset, table, phi=None,
     )
     involutions = classify_involutions(group, cells, gamma.a)
     return ClassifyResult(
-        group, table, cells, gamma, dset, records, involutions,
+        group, table, cells, gamma, records, involutions,
         orientation, cell_ordinary, profile, consistent,
     )
 
@@ -1796,7 +1810,7 @@ def reflection_charpolys_by_table(group, table, p, to_fp):
     character's values at the classes of w^k, and Newton's identities turn
     them into the coefficients.  The library takes the characteristic
     polynomials of the reflection matrices mod p instead."""
-    refl = [to_fp(v) for v in table.rows[table.reflection_index]]
+    refl = [to_fp(v) for v in table.rows[table._locate_reflection()]]
     class_of = table.classes.class_of
     polys = []
     for rep in table.classes.representatives:
@@ -1840,7 +1854,7 @@ def reflection_charpolys_by_matrices(group, table):
                     )
                     for i in range(rank)
                 )
-        elem = [ctx.one]
+        elem = [cyclo_one(group.datum.refl_conductor)]
         for k in range(1, rank + 1):
             acc = ctx.zero
             sign = 1

@@ -67,11 +67,11 @@ def test_frozen_dimension_multisets():
 
 def test_trivial_row_first_and_named():
     tab = character_table(build_group("B3"))
-    assert tab.trivial_index == 0
     assert all(v == 1 for v in tab.rows[0])
     assert tab.names[0] == "phi1_0"
     # sign row takes (-1)^length on every class
-    for v, z in zip(tab.rows[tab.sign_index], tab.classes.representatives):
+    sign = tab.rows[tab.tensor_sign_index(0)]
+    for v, z in zip(sign, tab.classes.representatives):
         assert v == (-1 if tab.group.length[z] % 2 else 1)
 
 
@@ -90,8 +90,8 @@ def test_golden_ratio_in_pentagon_table():
 
 def test_inner_product_basics():
     tab = character_table(build_group("B3"))
-    triv = tab.rows[tab.trivial_index]
-    sgn = tab.rows[tab.sign_index]
+    triv = tab.rows[0]
+    sgn = tab.rows[tab.tensor_sign_index(0)]
     assert tab.inner_product(triv, triv) == 1
     assert tab.inner_product(triv, sgn) == 0
     for i, row in enumerate(tab.rows):
@@ -140,8 +140,10 @@ def test_conjugation_permutation_character_nonnegative():
 def test_tensor_sign_closure():
     g = build_group("I2(3)")
     tab = character_table(g)
-    assert tab.tensor_sign_index(tab.sign_index) == tab.trivial_index
-    assert tab.tensor_sign_index(tab.trivial_index) == tab.sign_index
+    # trivial, sign, then the reflection representation
+    assert list(tab.dims) == [1, 1, 2]
+    assert tab.tensor_sign_index(1) == 0
+    assert tab.tensor_sign_index(0) == 1
     two = tab.dims.index(2)
     assert tab.tensor_sign_index(two) == two
 
@@ -156,7 +158,7 @@ def test_reflection_row_identified_by_matrix_traces():
     for sym, rank in (("A3", 3), ("B3", 3), ("H3", 3)):
         g = build_group(sym)
         tab = character_table(g)
-        idx = tab.reflection_index
+        idx = tab._locate_reflection()
         assert tab.dims[idx] == rank
         gen_class = tab.classes.class_of[1]
         assert tab.rows[idx][gen_class] == rank - 2
@@ -169,7 +171,7 @@ def test_reflection_row_identified_by_matrix_traces():
         for i, (d, row) in enumerate(zip(h3.dims, h3.rows))
         if d == 3 and row[gen_class] == 1
     ]
-    assert len(cands) == 2 and h3.reflection_index in cands
+    assert len(cands) == 2 and h3._locate_reflection() in cands
 
 
 @pytest.mark.parametrize("sym", ["B3", "H3"])
@@ -177,7 +179,7 @@ def test_reflection_row_lookup_needs_exactly_one_match(sym):
     # the table rebuilt without its reflection row, then with it twice
     g = build_group(sym)
     tab = character_table(g)
-    r = tab.reflection_index
+    r = tab._locate_reflection()
     without = [i for i in range(len(tab)) if i != r]
     for picks, count in ((without, 0), (list(range(len(tab))) + [r], 2)):
         with pytest.raises(InternalInconsistencyError,

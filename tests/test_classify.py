@@ -19,6 +19,7 @@ from types import SimpleNamespace
 import pytest
 
 from oracles import (
+    _signed_row,
     _transport_rows,
     balanced_dagger_rows,
     check_b_not_below_a,
@@ -43,8 +44,8 @@ from coxcells.chartab import CharacterTable, character_table
 from coxcells.classify import (
     _cell_solve,
     _class_quotients,
+    _class_sums,
     _coordinate_columns,
-    _signed_row,
     _solve_columns,
     _transport_blocks,
     _verify_traces,
@@ -166,18 +167,19 @@ def test_trivial_and_sign_generic_traces(rig):
         r = rig(symbol)
         triv = hecke_character(
             r.store, r.htable, r.cells, r.dset, r.table,
-            r.table.trivial_index,
+            0,
             jt=next(
                 x.j_traces for x in r.result.irreps
-                if x.label == r.table.names[r.table.trivial_index]
+                if x.label == r.table.names[0]
             ),
         )
+        sgn = r.table.tensor_sign_index(0)
         sign = hecke_character(
             r.store, r.htable, r.cells, r.dset, r.table,
-            r.table.sign_index,
+            sgn,
             jt=next(
                 x.j_traces for x in r.result.irreps
-                if x.label == r.table.names[r.table.sign_index]
+                if x.label == r.table.names[sgn]
             ),
         )
         for w in range(r.group.size):
@@ -222,8 +224,8 @@ def test_generic_traces_specialize_to_characters(rig):
 def test_fake_degree_examples_dihedral3(rig):
     r = rig("I2(3)")
     by_label = {rec.label: rec.fake_degree for rec in r.result.irreps}
-    triv = r.table.names[r.table.trivial_index]
-    sgn = r.table.names[r.table.sign_index]
+    triv = r.table.names[0]
+    sgn = r.table.names[r.table.tensor_sign_index(0)]
     assert by_label[triv] == LaurentPoly.constant(1, "X")
     assert by_label[sgn] == LaurentPoly.monomial(3, 1, "X")
     assert by_label["phi2_0"] == LaurentPoly({1: 1, 2: 1}, var="X")
@@ -368,9 +370,9 @@ def test_left_cell_modules_dihedral3(rig):
     ]
     for cid, cell in enumerate(r.cells.left_cells):
         if cell == (0,):
-            assert modules[cid] == {r.table.trivial_index: 1}
+            assert modules[cid] == {0: 1}
         elif len(cell) == 1:
-            assert modules[cid] == {r.table.sign_index: 1}
+            assert modules[cid] == {r.table.tensor_sign_index(0): 1}
         else:
             assert modules[cid] == {two: 1}
 
@@ -534,19 +536,25 @@ def _transport_system(r):
     """(trans, sums, columns) of the streamed lane: the transport matrix
     built from the oracle's all-pairs table, the class sums S[x][C] and
     the coordinate columns."""
-    cof = r.table.classes.class_of
-    sums = [[0] * len(r.table.classes.representatives)
-            for _ in range(r.group.size)]
-    for x, row in enumerate(sums):
-        for u, c in _signed_row(r.store, x).items():
-            row[cof[u]] += c
     trans = _transport_rows(r.htable, r.cells, r.dset)
-    return trans, sums, _coordinate_columns(r.table)
+    return trans, _class_sums(r.store, r.table), _coordinate_columns(r.table)
 
 
 def _solve(r, trans, sums, columns):
     """(rhs_cols, sols) of `_solve_columns`, without the column cells."""
     return _solve_columns(trans, r.cells, r.gamma.a, sums, columns)[:2]
+
+
+@pytest.mark.parametrize("symbol", ["A3", "B3", "H3", "B4"])
+def test_class_sums_add_up_the_signed_rows(rig, symbol):
+    r = rig(symbol)
+    cof = r.table.classes.class_of
+    want = [[0] * len(r.table.classes.representatives)
+            for _ in range(r.group.size)]
+    for x, row in enumerate(want):
+        for u, c in _signed_row(r.store, x).items():
+            row[cof[u]] += c
+    assert _class_sums(r.store, r.table) == want
 
 
 def test_integer_trace_check_rejects_a_perturbed_entry(rig):

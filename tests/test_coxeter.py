@@ -6,7 +6,12 @@ import pytest
 import coxcells.coxeter as coxeter_mod
 from coxcells.coxeter import build_group, group_datum
 from coxcells.errors import InternalInconsistencyError, RefusalError, UsageError
-from coxcells.exactnum import LaurentPoly, cyclo_context, residue_map
+from coxcells.exactnum import (
+    LaurentPoly,
+    cyclo_context,
+    cyclo_rational,
+    residue_map,
+)
 
 from oracles import (
     bruhat_leq,
@@ -77,8 +82,9 @@ def test_reflection_matrices_are_involutions_with_braid_orders():
         gens = reflection_matrices(datum)
         n = datum.rank
         ctx = cyclo_context(datum.refl_conductor)
+        one = cyclo_rational(datum.refl_conductor, 1)
         ident = tuple(
-            tuple(ctx.one if i == j else ctx.zero for j in range(n))
+            tuple(one if i == j else ctx.zero for j in range(n))
             for i in range(n)
         )
 

@@ -1,5 +1,6 @@
 """Every name a library module imports is used in that module, and every
-function the library defines is reached from the library.
+function, stored attribute and parameter the library defines is read by
+the library.
 
 Standard-library scans of the source.  A name bound by an import
 statement in a module under src/coxcells/ must be read somewhere in that
@@ -12,6 +13,14 @@ somewhere in src/coxcells/, as a name or as an attribute; code that only
 the tests reach belongs in tests/oracles.py.  Dunder methods are reached
 through Python's protocols, and the few names kept for a caller outside
 src/ are listed in REACHED_FROM_OUTSIDE with the reason.
+
+A name a class stores (a __slots__ entry, a dataclass field or the
+target of a self.<name> assignment) must be loaded as an attribute
+somewhere in src/coxcells/, and a parameter must be loaded as a name in
+its own function's body; storing, passing by keyword or naming in a
+dict key is not reading.  Parameters named self or cls or starting with
+an underscore are skipped, and READ_FROM_OUTSIDE lists what only a
+caller outside src/ reads.
 """
 
 import ast
@@ -163,3 +172,129 @@ def test_the_scan_finds_an_unreferenced_function():
         "b": "from a import K\nK().stray()\n",
     }
     assert unreferenced(sources) == [("a", "orphan")]
+
+
+# stored names and parameters that no src/ code reads, each with its reader
+READ_FROM_OUTSIDE = {
+    "InvolutionRecord.left_cell":
+        "tests/test_acceptance.py criterion 3 groups the involutions by it",
+    "analysis(jobs)": "tests/test_acceptance.py criterion 12 passes it",
+    "classify_group_streamed(jobs)":
+        "tests/test_acceptance.py criterion 12 passes it",
+    "compute_gamma(jobs)": "perfbench's jobs probe passes it",
+}
+
+
+def _is_dataclass(cls):
+    """Whether a dataclass decorator, called or not, decorates the class."""
+    return any(ast.unparse(dec).split("(")[0].endswith("dataclass")
+               for dec in cls.decorator_list)
+
+
+def _stored_names(tree):
+    """(qualified name, name) of every name a class stores: a __slots__
+    entry, a dataclass field or the target of a self.<name> assignment."""
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for node in cls.body:
+            if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__slots__"
+                for t in node.targets
+            ):
+                for elt in node.value.elts:
+                    yield cls.name + "." + elt.value, elt.value
+            elif (isinstance(node, ast.AnnAssign)
+                  and isinstance(node.target, ast.Name) and _is_dataclass(cls)):
+                yield cls.name + "." + node.target.id, node.target.id
+        for node in ast.walk(cls):
+            if (isinstance(node, ast.Attribute)
+                    and isinstance(node.ctx, ast.Store)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "self"):
+                yield cls.name + "." + node.attr, node.attr
+
+
+def _parameters(tree):
+    """(qualified name, name, read) of every parameter of every function,
+    read being whether the function's body loads it as a Name; self, cls
+    and names starting with an underscore are skipped."""
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = fn.args
+        params = [a.arg for a in (*args.posonlyargs, *args.args,
+                                  *args.kwonlyargs, args.vararg, args.kwarg)
+                  if a is not None]
+        loaded = {node.id for stmt in fn.body for node in ast.walk(stmt)
+                  if isinstance(node, ast.Name)
+                  and isinstance(node.ctx, ast.Load)}
+        for name in params:
+            if name not in ("self", "cls") and not name.startswith("_"):
+                yield f"{fn.name}({name})", name, name in loaded
+
+
+def unread_state(sources: dict) -> list:
+    """(module, qualified name) of every stored name that no Attribute
+    node of the {module: source} dict loads, and of every parameter its
+    own function body never loads as a Name.  Store targets, call
+    keywords and dict-key strings are not reads."""
+    trees = {mod: ast.parse(src) for mod, src in sources.items()}
+    loaded = {node.attr for tree in trees.values() for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute)
+              and isinstance(node.ctx, ast.Load)}
+    found = set()
+    for mod, tree in trees.items():
+        found.update((mod, qual) for qual, name in _stored_names(tree)
+                     if name not in loaded)
+        found.update((mod, qual) for qual, _, read in _parameters(tree)
+                     if not read)
+    return sorted(found)
+
+
+def test_all_stored_state_and_parameters_are_read_by_the_library():
+    found = [(mod, qual) for mod, qual in unread_state(_library_sources())
+             if qual not in READ_FROM_OUTSIDE]
+    assert found == []
+
+
+def test_the_state_allowlist_names_library_state():
+    known = set()
+    for src in _library_sources().values():
+        tree = ast.parse(src)
+        known.update(qual for qual, _ in _stored_names(tree))
+        known.update(qual for qual, _, _ in _parameters(tree))
+    assert set(READ_FROM_OUTSIDE) <= known
+    assert all(READ_FROM_OUTSIDE.values())
+
+
+def test_the_scan_finds_an_unread_attribute_and_parameter():
+    sources = {
+        "a": (
+            "from dataclasses import dataclass\n"
+            "@dataclass(frozen=True)\n"
+            "class R:\n"
+            "    kept: int\n"
+            "    dropped: int\n"
+            "class S:\n"
+            "    __slots__ = ('size', 'orphan')\n"
+            "    def __init__(self, size, spare, _unused):\n"
+            "        self.size = size\n"
+            "        self.orphan = {'spare': 0}\n"
+            "        self.tally = 0\n"
+            "    def grow(self, by):\n"
+            "        def inner():\n"
+            "            return by\n"
+            "        self.tally = inner()\n"
+            "        return self.size\n"
+        ),
+        "b": (
+            "from a import R, S\n"
+            "r = R(kept=1, dropped=2)\n"
+            "print(r.kept, S(1, 2, 3).grow(1), dict(orphan=0))\n"
+        ),
+    }
+    assert unread_state(sources) == [
+        ("a", "R.dropped"), ("a", "S.orphan"), ("a", "S.tally"),
+        ("a", "__init__(spare)"),
+    ]

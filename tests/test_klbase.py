@@ -236,7 +236,9 @@ def test_c_product_against_naive_oracle_H3_sample():
 def test_generator_table_row_count():
     store = _store("I2(3)")
     tab = generator_rows(store)
-    assert tab.scope == "generators"
+    group = store.group
+    gens = {group.element_by_word((s,)) for s in range(group.datum.rank)}
+    assert {x for x, _ in tab.rows} == gens
     assert len(tab.rows) == 12
     full = compute_h_table(store)
     assert len(full.rows) == 36
