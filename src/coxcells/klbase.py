@@ -9,22 +9,20 @@ with P the classical polynomials in q = v^2 (integer coefficients, constant
 term 1, q-degree at most (l(w) - l(y) - 1)/2 for y < w).  mu(y, w) is the
 coefficient at that top degree bound.
 
-P is stored as tuples of ascending q-coefficients and computed on them
-directly.  Each structure constant h_{x,y,z} inside the recursion is one
-Python int: p(v) is stored as p(2^bits) * 2^(bits * off) with off =
-l(w0) + 1, i.e. one signed coefficient per slot of `bits` bits
-(Kronecker substitution).  Addition and integer scaling are then the int
-operations and multiplication by v + v^-1 is a shift pair.  `Packing`
-holds the encoding: `lead` reads the top degree and leading coefficient
-off the bit length, and `unpack` decodes balanced digits back to a pair
-(val, coeffs) meaning sum coeffs[i] * v^(val + i).  The slot width comes
-from a bound on the coefficients of every row that does not assume
-positivity, and that bound is what makes the encoding exact; the
-decoders' digit check is only a sanity check.  The same recursion at
-width 0 runs on the values at v = 1: p(2^0) = p(1), and v -> 1 is a
-ring map Z[v, v^-1] -> Z.  `vp` keeps the constants
-of the (val, coeffs) form for the generator rows; the test oracles
-extend it with the arithmetic.
+P_{y,w} is stored as the int P_{y,w}(2^bits) and `compute_kl` runs on
+those ints, q -> 2^bits being a ring map.  Each structure constant
+h_{x,y,z} inside the recursion is one int too: p(v) is stored as
+p(2^bits) * 2^(bits * off) with off = l(w0) + 1, one signed coefficient
+per slot (Kronecker substitution).  Addition and integer scaling are
+then the int operations and multiplication by v + v^-1 is a shift pair.
+`Packing` decodes both: `lead` reads the top degree and leading
+coefficient off the bit length, and `unpack` decodes balanced digits
+back to a pair (val, coeffs) meaning sum coeffs[i] * v^(val + i).  Both
+widths are proven from positivity (see `KLStore`); the digit check is
+only a sanity check.  The same recursion at width 0 runs on the values
+at v = 1: p(2^0) = p(1), and v -> 1 is a ring map Z[v, v^-1] -> Z.
+`vp` keeps the constants of the (val, coeffs) form for the generator
+rows; the test oracles extend it with the arithmetic.
 
 Products c_x c_y = sum over z of h_{x,y,z} c_z come in bulk from the
 left-multiplication recursion on blocks of fixed y (`stream_h_blocks`),
@@ -38,10 +36,9 @@ can be cut to the columns z in the left cell of y, which is all that
 the leading scan and the transport pass read: the c_z with z <_L y span
 a left ideal, and modulo it the products c_x c_y live in the left cell
 module of Kazhdan-Lusztig (Invent. Math. 53, 1979), with basis the left
-cell of y, where the same recursion runs.  A cut row is a sub-sum of
-the whole row, so the slot width bound still holds.  Every block is
-computed in the calling process.  The test suite checks the blocks
-against products taken row by row through the T-basis.
+cell of y, where the same recursion runs.  Every block is computed in
+the calling process.  The test suite checks the blocks against products
+taken row by row through the T-basis.
 
 The cache is one file, cache.bin, per type.  It holds the P rows (mu is
 read off them again on load) and the result of the leading scan
@@ -75,7 +72,7 @@ __all__ = [
     "vp",
 ]
 
-CACHE_FORMAT_VERSION = 5
+CACHE_FORMAT_VERSION = 6
 
 
 # ---------------------------------------------------------------------------
@@ -92,19 +89,19 @@ class vp:
 
 
 # ---------------------------------------------------------------------------
-# packed h entries: p(v) as the integer p(2^bits) * 2^(bits * off)
+# packed entries: p(v) as the integer p(2^bits) * 2^(bits * off)
 
 
 class Packing:
-    """The packed form of an h entry: p(v) as p(2^bits) * 2^(bits * off).
+    """The packed form of a P or h entry: p as p(2^bits) * 2^(bits * off).
 
     Degrees within +-(off - 1) and coefficients below 2^(bits - 2) in
-    magnitude are what the block recursion guarantees (see `_row_bounds`);
-    under them every slot is one balanced digit.  The decoders check the
+    magnitude are what the recursions guarantee (see `KLStore`); under
+    them every slot is one balanced digit.  The decoders check the
     digits they read against 2^(bits - 2), which catches a slot that is
     too narrow by up to one bit, not every overflow: a value of 2^(bits-1)
     or more carries into the next slot and reads as a small digit.
-    Exactness rests on the width bound.
+    Exactness rests on the proven width.
     """
 
     __slots__ = ("bits", "off")
@@ -131,7 +128,7 @@ class Packing:
             coeffs.append(d)
             n = (n - d) >> bits
         if max(map(abs, coeffs)) >= half >> 1:
-            raise InternalInconsistencyError("h coefficient overflows its slot")
+            raise InternalInconsistencyError("coefficient overflows its slot")
         return (lo - self.off, tuple(coeffs))
 
     def top_degree(self, n: int) -> int:
@@ -149,7 +146,7 @@ class Packing:
         k = n.bit_length() // bits
         c = (n + (1 << (k * bits - 1))) >> (k * bits)
         if abs(c) >= 1 << (bits - 2):
-            raise InternalInconsistencyError("h coefficient overflows its slot")
+            raise InternalInconsistencyError("coefficient overflows its slot")
         return k - self.off, c
 
 
@@ -160,18 +157,32 @@ class Packing:
 class KLStore:
     """Polynomials P, coefficients mu, and the data for c-basis products.
 
-    P is kept per target: P_by_w[w] maps y -> tuple of ascending q-coefficients
-    (so P_by_w[w][y][k] is the coefficient of q^k).  mu_by_w[w] lists the
-    pairs (z, mu(z, w)) with nonzero mu, sorted by z.
+    P is kept per target and packed: P_by_w[w] maps y -> the int
+    P_{y,w}(2^bits), bits = l(w0) + 2, which `P` decodes.  mu_by_w[w]
+    lists the pairs (z, mu(z, w)) with nonzero mu, sorted by z.
+
+    Both slot widths rest on one lemma.  Put N(w) = sum over u of
+    P_{u,w}(1).  The ring maps c_w -> sum_u P_{u,w}(1) u at v = 1 and
+    Z[W] -> Z, summing coefficients, give N(x) N(y) = sum over z of
+    h_{x,y,z}(1) N(z), every term >= 0 by positivity (Elias-Williamson,
+    Ann. of Math. 180, 2014).  With x = s, N(sw) <= 2 N(w) for s w > w,
+    so a coefficient of P_{y,w} is at most N(w) - 1 < 2^l(w) <=
+    2^(bits - 2), and so is P(1) = P(2^bits) mod (2^bits - 1).  A
+    coefficient of h_{x,y,z} is at most N(x) N(y) <= maxN^2, maxN = max
+    N(w), which exceeds N(w0) = |W| (F4: 11648 and 1152).  Entries are
+    exact ints whatever their intermediate sums, so only the final ones
+    need to fit.
     """
 
-    __slots__ = ("group", "P_by_w", "mu_by_w", "fingerprint", "_kit")
+    __slots__ = ("group", "P_by_w", "mu_by_w", "fingerprint", "packing",
+                 "_kit")
 
     def __init__(self, group: CoxeterGroup, P_by_w, mu_by_w):
         self.group = group
         self.P_by_w = P_by_w
         self.mu_by_w = mu_by_w
         self.fingerprint = group.fingerprint()
+        self.packing = Packing(group.length[group.w0] + 2, 0)
         self._kit = None
 
     def block_kit(self) -> BlockKit:
@@ -182,44 +193,33 @@ class KLStore:
 
     def P(self, x: int, y: int) -> tuple:
         """Ascending q-coefficients of P_{x,y}; () when x is not <= y."""
-        return self.P_by_w[y].get(x, ())
+        return self.packing.unpack(self.P_by_w[y].get(x, 0))[1]
 
 
-def _mu_row(row: dict, w: int, length) -> tuple:
-    """(z, mu(z, w)) pairs, sorted by z, read off the P row of w.
+def _mu_row(row: dict, w: int, length, bits: int) -> tuple:
+    """(z, mu(z, w)) pairs, sorted by z, read off the packed P row of w.
 
     mu(z, w) is the coefficient of q^((l(w) - l(z) - 1)/2) in P_{z,w},
-    nonzero only when l(w) - l(z) is odd.
+    one slot, nonzero only when l(w) - l(z) is odd.
     """
     lw = length[w]
+    mask = (1 << bits) - 1
     mus = []
-    for z, qc in row.items():
+    for z, n in row.items():
         gap = lw - length[z]
         if gap % 2:
-            k = gap // 2
-            if k < len(qc) and qc[k]:
-                mus.append((z, qc[k]))
+            m = (n >> (gap // 2 * bits)) & mask
+            if m:
+                mus.append((z, m))
     mus.sort()
     return tuple(mus)
-
-
-def _add_shifted(acc: dict, y: int, qc: tuple, k: int, m: int):
-    """acc[y] += m * q^k * qc, on lists of ascending q-coefficients."""
-    cur = acc.get(y)
-    if cur is None:
-        acc[y] = [0] * k + [m * c for c in qc]
-        return
-    if len(cur) < k + len(qc):
-        cur.extend([0] * (k + len(qc) - len(cur)))
-    for i, c in enumerate(qc, k):
-        cur[i] += m * c
 
 
 def compute_kl(group: CoxeterGroup) -> KLStore:
     """All P_{x,y} and mu by the classical length-increasing recursion.
 
     For w = s u with l(w) = l(u) + 1 (Kazhdan-Lusztig, Invent. Math. 53,
-    1979), on the q-coefficient tuples directly:
+    1979), on the packed ints directly, q being the shift by bits:
 
         P_{y,w} = q^[sy<y] P_{y,u} + q^[y<sy] P_{sy,u}
                   - sum over z with sz < z of mu(z, u) q^((l(w)-l(z))/2) P_{y,z}
@@ -232,11 +232,14 @@ def compute_kl(group: CoxeterGroup) -> KLStore:
     lmask = group.left_descent_mask
     words = group.words
 
-    P_by_w = [None] * size
-    P_by_w[0] = {0: (1,)}
-    mu_by_w = [None] * size
+    store = KLStore(group, [None] * size, [None] * size)
+    P_by_w = store.P_by_w
+    mu_by_w = store.mu_by_w
+    bits = store.packing.bits
+    mask = (1 << bits) - 1
+    P_by_w[0] = {0: 1}
     mu_by_w[0] = ()
-    interned = {(1,): (1,)}  # most P rows repeat a handful of tuples
+    interned = {}  # most P rows repeat a handful of values
 
     for w in range(1, size):
         s = words[w][0]                       # smallest left descent
@@ -244,41 +247,37 @@ def compute_kl(group: CoxeterGroup) -> KLStore:
         lrow = left[s]
         lw = length[w]
         acc = {}
-        for y, qc in P_by_w[u].items():
+        get = acc.get
+        for y, p in P_by_w[u].items():
             sy = lrow[y]
-            k = 1 if length[sy] < length[y] else 0
-            _add_shifted(acc, y, qc, k, 1)
-            _add_shifted(acc, sy, qc, k, 1)
+            if length[sy] < length[y]:
+                p <<= bits
+            acc[y] = get(y, 0) + p
+            acc[sy] = get(sy, 0) + p
         for z, m in mu_by_w[u]:
             if lmask[z] >> s & 1:
-                k = (lw - length[z]) // 2
-                for y, qc in P_by_w[z].items():
-                    _add_shifted(acc, y, qc, k, -m)
+                k = (lw - length[z]) // 2 * bits
+                for y, p in P_by_w[z].items():
+                    acc[y] = get(y, 0) - (p << k) * m
 
         Prow = {}
-        for y, qc in acc.items():
-            while qc and not qc[-1]:
-                qc.pop()
-            if not qc:
+        for y, n in acc.items():
+            if not n:
                 continue
-            if y != w and 2 * len(qc) - 1 > lw - length[y]:
+            if n & mask != 1 or y != w and (
+                    2 * ((n.bit_length() - 1) // bits) >= lw - length[y]):
                 raise InternalInconsistencyError(
-                    f"degree bound violated at ({y}, {w})"
+                    f"P({y},{w}) breaks its degree bound or constant term"
                 )
-            if qc[0] != 1:
-                raise InternalInconsistencyError(
-                    f"constant term of P({y},{w}) is {qc[0]}, not 1"
-                )
-            qct = tuple(qc)
-            Prow[y] = interned.setdefault(qct, qct)
-        if Prow.get(w) != (1,):
+            Prow[y] = interned.setdefault(n, n)
+        if Prow.get(w) != 1:
             raise InternalInconsistencyError(
                 f"canonical basis recursion lost the top term at {w}"
             )
         P_by_w[w] = Prow
-        mu_by_w[w] = _mu_row(Prow, w, length)
+        mu_by_w[w] = _mu_row(Prow, w, length, bits)
 
-    return KLStore(group, P_by_w, mu_by_w)
+    return store
 
 
 # ---------------------------------------------------------------------------
@@ -327,8 +326,9 @@ class BlockKit(Packing):
 
     mu_down[s][z] lists the (t, mu(t, z)) with s t < t, the terms c_s c_z
     picks up when s z > z.  Entries are packed in slots of `bits` bits at
-    degree offset `off` = l(w0) + 1 (see `_row_bounds`); the kit's
-    `Packing` methods decode them.
+    degree offset `off` = l(w0) + 1, bits = (maxN^2).bit_length() + 2 by
+    the lemma of `KLStore` (30 bits on F4 and D5); a row cut to a left
+    cell keeps exact entries, so it fits too.
     """
 
     __slots__ = ("size", "left", "lmask", "first_letter", "mu_down")
@@ -344,9 +344,11 @@ class BlockKit(Packing):
              for mus in store.mu_by_w]
             for s in range(g.datum.rank)
         ]
+        # N(w) <= 2^(bits - 2) is its row sum mod 2^bits - 1 (see KLStore)
+        m = (1 << store.packing.bits) - 1
+        top = max(sum(row.values()) % m for row in store.P_by_w)
         # two spare bits keep every balanced digit below 2^(bits - 2)
-        super().__init__(max(_row_bounds(self)).bit_length() + 2,
-                         max(g.length) + 1)
+        super().__init__((top * top).bit_length() + 2, g.length[g.w0] + 1)
 
     def closure(self, xs) -> tuple:
         """xs with the identity and every row the recursion builds them
@@ -364,27 +366,6 @@ class BlockKit(Packing):
                         need.add(z)
                         stack.append(z)
         return tuple(sorted(need))
-
-
-def _row_bounds(kit: BlockKit) -> list:
-    """T_x, a bound on the sum of |coefficients| over row x of any block.
-
-    Row e is the single entry 1, c_s multiplies the sum by at most
-    max(2, 1 + max_z sum_t |mu(t, z)|), and the correction subtracts
-    mu(z, x') times row z.  No positivity is assumed.
-    """
-    grow = 2
-    for mus in kit.mu_down:
-        for row in mus:
-            grow = max(grow, 1 + sum(abs(m) for _, m in row))
-    bound = [1] * kit.size
-    for x in range(1, kit.size):
-        s = kit.first_letter[x]
-        parent = kit.left[s][x]
-        bound[x] = bound[parent] * grow + sum(
-            abs(m) * bound[z] for z, m in kit.mu_down[s][parent]
-        )
-    return bound
 
 
 def _h_block(kit: BlockKit, y: int, xs: tuple | None = None,
@@ -410,8 +391,8 @@ def _h_block(kit: BlockKit, y: int, xs: tuple | None = None,
     left ideal I' inside it.  Modulo I' the recursion is the same, with
     basis the left cell of y (the left cell module, Kazhdan-Lusztig,
     Invent. Math. 53, 1979), so dropping the terms that c_s c_z sends out of
-    the cell at every step leaves the other entries exact.  A cut row
-    is a sub-sum of the whole one, so `_row_bounds` still bounds it.
+    the cell at every step leaves the other entries exact, so the width
+    of `BlockKit` holds for a cut row too.
     """
     bits = kit.bits if bits is None else bits
     lmask = kit.lmask
@@ -520,22 +501,30 @@ def cache_save(store: KLStore, gamma, directory: str):
     """Write cache.bin in one move into place.
 
     It holds magic and version, the fingerprint record, the element
-    count, one record of P rows per element (mu is not stored), the
+    count, one record of the distinct packed P values (an <I count, an
+    <H byte length per value, then the little-endian bytes), one <I
+    record of (y, value index) pairs per element (mu is not stored), the
     a-values and (x, y, z, lead) records of gamma's leading scan, and
     last the SHA-256 of everything before it.
     """
     os.makedirs(directory, exist_ok=True)
     size = store.group.size
+    index = {}
+    rows = []
+    for row in store.P_by_w:
+        flat = []
+        for y in sorted(row):
+            flat += (y, index.setdefault(row[y], len(index)))
+        rows.append(struct.pack(f"<{len(flat)}I", *flat))
+    values = [n.to_bytes((n.bit_length() + 7) // 8, "little") for n in index]
     f = io.BytesIO()
     f.write(_MAGIC + struct.pack("<I", CACHE_FORMAT_VERSION))
     _write_record(f, store.fingerprint.encode())
     f.write(struct.pack("<I", size))
-    for row in store.P_by_w:
-        parts = [struct.pack("<I", len(row))]
-        for y in sorted(row):
-            qc = row[y]
-            parts.append(struct.pack(f"<IH{len(qc)}q", y, len(qc), *qc))
-        _write_record(f, b"".join(parts))
+    _write_record(f, struct.pack(f"<I{len(values)}H", len(values),
+                                 *map(len, values)) + b"".join(values))
+    for row in rows:
+        _write_record(f, row)
     _write_record(f, struct.pack(f"<{size}I", *gamma.a))
     _write_record(f, b"".join(
         _LEAD.pack(x, y, z, c) for (x, y, z), c in gamma.lead.items()
@@ -579,23 +568,32 @@ def _decode_cache(data: bytes, group: CoxeterGroup):
     (size,) = struct.unpack("<I", f.read(4))
     if size != group.size:
         raise CacheInvalidError("cache element count mismatch")
-    P_by_w = [None] * size
-    mu_by_w = [None] * size
-    interned = {}  # most P rows repeat a handful of tuples, as in compute_kl
+    store = KLStore(group, [None] * size, [None] * size)
+    bits = store.packing.bits
+    # a P_{y,w} with y < w has at most (l(w0) + 1) // 2 slots
+    widest = (bits * ((group.length[group.w0] + 1) // 2) + 7) // 8
+    raw = _read_record(f)
+    (nval,) = struct.unpack_from("<I", raw)
+    pos = 4 + 2 * nval
+    values = []
+    for n in struct.unpack_from(f"<{nval}H", raw, 4):
+        if not 0 < n <= widest:
+            raise CacheInvalidError(f"P value of {n} bytes")
+        values.append(int.from_bytes(raw[pos:pos + n], "little"))
+        pos += n
+    if pos != len(raw):
+        raise CacheInvalidError("P value record size mismatch")
     for w in range(size):
-        buf = io.BytesIO(_read_record(f))
-        (nrow,) = struct.unpack("<I", buf.read(4))
-        row = {}
-        for _ in range(nrow):
-            y, nq = struct.unpack("<IH", buf.read(6))
-            if y >= size:
-                raise CacheInvalidError("P entry out of range")
-            qc = struct.unpack(f"<{nq}q", buf.read(8 * nq))
-            row[y] = interned.setdefault(qc, qc)
-        if buf.read(1):
-            raise CacheInvalidError("P record longer than its rows")
-        P_by_w[w] = row
-        mu_by_w[w] = _mu_row(row, w, group.length)
+        raw = _read_record(f)
+        if not raw or len(raw) % 8:
+            raise CacheInvalidError("P record size mismatch")
+        flat = struct.unpack(f"<{len(raw) // 4}I", raw)
+        ys, ids = flat[0::2], flat[1::2]
+        if max(ys) >= size or max(ids) >= nval:
+            raise CacheInvalidError("P entry out of range")
+        row = dict(zip(ys, map(values.__getitem__, ids)))
+        store.P_by_w[w] = row
+        store.mu_by_w[w] = _mu_row(row, w, group.length, bits)
     a_raw = _read_record(f)
     lead_raw = _read_record(f)
     if f.read(1):
@@ -608,4 +606,4 @@ def _decode_cache(data: bytes, group: CoxeterGroup):
         if max(x, y, z) >= size:
             raise CacheInvalidError("lead entry out of range")
         lead[(x, y, z)] = c
-    return KLStore(group, P_by_w, mu_by_w), (a, lead)
+    return store, (a, lead)

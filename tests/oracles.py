@@ -720,16 +720,48 @@ def naive_c_product(group, oracle: RPolyOracle, x, y):
 # canonical-basis products row by row through the T-basis, on the store
 
 
+def P_row(store, w: int) -> dict:
+    """The P row of w decoded: y -> ascending q-coefficients of P_{y,w}."""
+    return {y: store.P(y, w) for y in store.P_by_w[w]}
+
+
 def c_vector(store, w: int) -> dict:
     """T-basis coordinates of c_w as a dict y -> value polynomial."""
     lw = store.group.length[w]
-    return {
-        y: vp.from_q(qc, -lw) for y, qc in store.P_by_w[w].items()
-    }
+    return {y: vp.from_q(qc, -lw) for y, qc in P_row(store, w).items()}
 
 
 def P_at_one(store, x: int, y: int) -> int:
-    return sum(store.P_by_w[y].get(x, ()))
+    return sum(store.P(x, y))
+
+
+def N_values(store) -> list:
+    """N(w) = sum over u of P_{u,w}(1), for every w."""
+    return [sum(map(sum, P_row(store, w).values()))
+            for w in range(store.group.size)]
+
+
+def _row_bounds(kit) -> list:
+    """T_x, a bound on the sum of |coefficients| over row x of any block,
+    assuming no positivity: the slot width `klbase.BlockKit` had before
+    its width came from the positivity lemma of `klbase.KLStore`.
+
+    Row e is the single entry 1, c_s multiplies the sum by at most
+    max(2, 1 + max_z sum_t |mu(t, z)|), and the correction subtracts
+    mu(z, x') times row z.
+    """
+    grow = 2
+    for mus in kit.mu_down:
+        for row in mus:
+            grow = max(grow, 1 + sum(abs(m) for _, m in row))
+    bound = [1] * kit.size
+    for x in range(1, kit.size):
+        s = kit.first_letter[x]
+        parent = kit.left[s][x]
+        bound[x] = bound[parent] * grow + sum(
+            abs(m) * bound[z] for z, m in kit.mu_down[s][parent]
+        )
+    return bound
 
 
 def _t_mul_left_gen(group, s: int, vec: dict) -> dict:
@@ -795,7 +827,7 @@ def c_product(store, x: int, y: int) -> tuple:
         w = max(prod)
         h = vp.shift(prod[w], length[w])
         out.append((w, h))
-        for yy, qc in store.P_by_w[w].items():
+        for yy, qc in P_row(store, w).items():
             contrib = vp.mul(h, vp.from_q(qc, -length[w]))
             cur = prod.get(yy)
             r = vp.sub(cur, contrib) if cur is not None else vp.neg(contrib)
@@ -1222,7 +1254,7 @@ def dagger_T_basis(store, x: int) -> dict:
 
     lw = length[x]
     total = {}
-    for y, qc in store.P_by_w[x].items():
+    for y, qc in P_row(store, x).items():
         f = vp.from_q(qc, -lw)
         if length[y] % 2:
             f = vp.neg(f)
@@ -1388,7 +1420,7 @@ def _signed_row(store, x):
     lengths = store.group.length
     return {
         u: (-s if lengths[u] % 2 else s)
-        for u, qc in store.P_by_w[x].items()
+        for u, qc in P_row(store, x).items()
         for s in (sum(qc),)
         if s
     }
@@ -1576,7 +1608,7 @@ def balanced_dagger_rows(store):
     rows = []
     for x in range(size):
         acc = {}
-        for u, qc in store.P_by_w[x].items():
+        for u, qc in P_row(store, x).items():
             m = vp.from_q(qc, lengths[u] - lengths[x])
             if lengths[u] % 2:
                 m = vp.neg(m)

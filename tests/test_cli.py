@@ -337,18 +337,25 @@ def test_corrupt_cache_recomputed(capsys, tmp_path):
     assert "cache" in err
 
 
-# cache.bin: magic, version, fingerprint record, element count, then one
-# record per element whose first field is its row length, the a record,
-# the lead record and the digest
-def _first_record_at(data):
+# cache.bin: magic, version, fingerprint record, element count, the
+# record of packed P values (a value count, then their byte lengths and
+# bytes), then one record of (y, value index) pairs per element, the a
+# record, the lead record and the digest
+def _values_at(data):
     (fp_len,) = struct.unpack_from("<I", data, 8)
     return 12 + fp_len + 4
 
 
+def _first_record_at(data):
+    at = _values_at(data)
+    (n,) = struct.unpack_from("<I", data, at)
+    return at + 4 + n
+
+
 def _oversized_record(d):
-    # a row count beyond the record's length
+    # a value count beyond the record's length
     def edit(data):
-        struct.pack_into("<I", data, _first_record_at(data) + 4, 10**6)
+        struct.pack_into("<I", data, _values_at(data) + 4, 10**6)
 
     reseal_cache(d, edit)
 
@@ -364,11 +371,11 @@ def _record_with_trailing_bytes(d):
 
 
 def _no_p_rows(d):
-    # the P rows, what kl.bin held, cut out of the file
+    # the P values and rows, what kl.bin held, cut out of the file
     def edit(data):
-        at = _first_record_at(data)
+        at = _values_at(data)
         (size,) = struct.unpack_from("<I", data, at - 4)
-        for _ in range(size):
+        for _ in range(size + 1):
             (n,) = struct.unpack_from("<I", data, at)
             del data[at:at + 4 + n]
 
@@ -386,6 +393,11 @@ def _fingerprint_not_utf8(d):
     reseal_cache(d, edit)
 
 
+def _format_5(d):
+    # a whole file of the previous format, sealed with a matching digest
+    reseal_cache(d, lambda data: struct.pack_into("<I", data, 4, 5))
+
+
 def _digest_mismatch(d):
     path = d / "cache.bin"
     data = bytearray(path.read_bytes())
@@ -399,18 +411,22 @@ def _empty_file(d):
 
 @pytest.mark.parametrize(
     "corrupt, reason",
-    [(_no_p_rows, "record longer than its rows"),
+    [(_no_p_rows, "P value record size mismatch"),
      (_oversized_record, "unreadable cache"),
-     (_record_with_trailing_bytes, "record longer than its rows"),
+     (_record_with_trailing_bytes, "P record size mismatch"),
      (_lead_with_trailing_bytes, "trailing bytes after the lead record"),
      (_fingerprint_not_utf8, "unreadable cache"),
+     (_format_5, "cache format 5 != 6"),
      (_digest_mismatch, "does not match its digest"),
      (_empty_file, "does not match its digest")],
     ids=["kl-missing", "record-oversized", "record-trailing-bytes",
-         "lead-trailing-bytes", "fingerprint-not-utf8", "digest-mismatch",
-         "empty-file"],
+         "lead-trailing-bytes", "fingerprint-not-utf8", "format-5",
+         "digest-mismatch", "empty-file"],
 )
-def test_undecodable_cache_recomputed(capsys, tmp_path, corrupt, reason):
+def test_undecodable_cache_recomputed(capsys, tmp_path, monkeypatch, corrupt,
+                                      reason):
+    # one notice and the cold report; the file is written again, so the
+    # rerun is warm and silent
     args = ("cells", "--type", "I2(3)", "--cache-dir", str(tmp_path))
     code, cold, _ = _run(capsys, *args)
     assert code == 0
@@ -420,6 +436,11 @@ def test_undecodable_cache_recomputed(capsys, tmp_path, corrupt, reason):
     assert again == cold
     assert err.startswith("coxcells: cache invalid (") and reason in err
     assert err.endswith("); recomputing\n") and err.count("\n") == 1
+    _forbid_streaming(monkeypatch)
+    code, warm, err = _run(capsys, *args)
+    assert code == 0
+    assert warm == cold
+    assert err == ""
 
 
 def _run_quiet(argv):

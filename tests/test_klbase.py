@@ -17,7 +17,6 @@ from coxcells.klbase import (
     BlockKit,
     Packing,
     _h_block,
-    _row_bounds,
     cache_load,
     cache_save,
     compute_kl,
@@ -26,8 +25,11 @@ from coxcells.klbase import (
 )
 
 from oracles import (
+    N_values,
     P_at_one,
+    P_row,
     RPolyOracle,
+    _row_bounds,
     bruhat_leq,
     c_product,
     compute_h_table,
@@ -74,7 +76,7 @@ def test_dihedral_P_all_one():
     store = _store("I2(5)")
     g = store.group
     for w in range(g.size):
-        for y, qc in store.P_by_w[w].items():
+        for y, qc in P_row(store, w).items():
             assert qc == (1,), (y, w)
         # support of c_w is the full Bruhat interval below w
         assert len(store.P_by_w[w]) == sum(
@@ -103,9 +105,9 @@ def test_A3_known_nontrivial_P():
     assert dict(store.mu_by_w[y]).get(x, 0) == 1
 
 
-# SHA-256 of the sorted P rows and of the mu lists, recorded with the
-# canonical-basis recursion run on v-polynomials, a second route to the
-# same store
+# SHA-256 of the sorted P rows, as q-coefficient tuples, and of the mu
+# lists, recorded with the canonical-basis recursion run on
+# v-polynomials, a second route to the same store
 PINNED_STORE_DIGESTS = {
     "D4": (
         "9d0de092760daca52bd65eafed99939c5e6c13d82810e008ca7381ced0241396",
@@ -125,7 +127,8 @@ def _digest(value) -> str:
 def test_kl_store_pinned():
     for symbol, (p_digest, mu_digest) in PINNED_STORE_DIGESTS.items():
         store = _store(symbol)
-        rows = [sorted(row.items()) for row in store.P_by_w]
+        rows = [sorted(P_row(store, w).items())
+                for w in range(store.group.size)]
         assert _digest(rows) == p_digest, symbol
         assert _digest(list(store.mu_by_w)) == mu_digest, symbol
 
@@ -134,7 +137,7 @@ def test_longest_element_row_is_all_ones():
     for symbol in ("A3", "B3", "H3"):
         store = _store(symbol)
         g = store.group
-        row = store.P_by_w[g.w0]
+        row = P_row(store, g.w0)
         assert len(row) == g.size
         assert all(qc == (1,) for qc in row.values())
 
@@ -417,13 +420,12 @@ def _reduced(kit, reduce):
 @given(st.integers(min_value=2, max_value=16),
        st.sampled_from([_leads, _rows]))
 def test_slot_width_below_bound_raises_or_is_exact(bits, reduce):
-    # A3's bound gives 17 bits.  Every narrower slot tried here either
+    # Every slot width tried here, narrower than A3's or not, either
     # still holds every decoded value or trips the decoders' digit check.
     # The check is not complete in general (a value of 2^(bits-1) or more
     # carries into the next slot and can read as a small digit), so
-    # exactness rests on the width bound, pinned by the test below.
+    # exactness rests on the width, proven by the test below.
     kit = BlockKit(_store("A3"))
-    assert kit.bits == 17
     exact = _reduced(kit, reduce)
     widest = max(abs(c) for block in exact for *_, cs in block for c in cs)
     kit.bits = bits
@@ -438,20 +440,46 @@ def test_slot_width_below_bound_raises_or_is_exact(bits, reduce):
 
 @pytest.mark.parametrize("symbol", ["I2(5)", "A3", "B3", "H3", "A4", "D4"])
 def test_row_bounds_hold_every_row(symbol):
-    # T_x bounds the sum of |coefficients| over row x of every block,
-    # whole or cut to the left cell of y, and the slot width leaves every
-    # digit below 2^(bits-2)
+    # the lemma of KLStore: with N(w) = sum over u of P_{u,w}(1),
+    # N(x) N(y) = sum over z of h_{x,y,z}(1) N(z) with every term >= 0,
+    # which bounds every P digit by 2^l(w0) and every h coefficient by
+    # maxN^2, the two slot widths
     store = _store(symbol)
+    g = store.group
     kit = store.block_kit()
+    N = N_values(store)
+    top = max(N) ** 2
+    assert top < 1 << kit.bits - 2
+    # x = s: c_s c_w = c_{sw} + sum of mu(z, w) c_z over z with s z < z
+    for s in range(g.datum.rank):
+        ns = N[g.element_by_word((s,))]
+        for w in range(g.size):
+            sw = g.left[s][w]
+            if g.length[sw] > g.length[w]:
+                assert ns * N[w] == N[sw] + sum(
+                    m * N[z] for z, m in kit.mu_down[s][w]
+                ), (s, w)
+    bits = store.packing.bits
+    for w in range(g.size):
+        for y, n in store.P_by_w[w].items():
+            assert n > 0, (y, w)
+            while n:
+                assert n & (1 << bits) - 1 < 1 << bits - 2, (y, w)
+                n >>= bits
+    # every whole and cut block is nonnegative and within maxN^2, and the
+    # bound of the oracle, which assumes no positivity, holds as well
     bounds = _row_bounds(kit)
-    assert max(bounds) < 1 << kit.bits - 2
     cell = compute_cells(generator_rows(store)).left_cell_of
-    for y in range(kit.size):
+    for y in range(g.size):
         for cut in (None, cell):
             for x, row in enumerate(_h_block(kit, y, cell=cut)):
-                total = sum(abs(c) for p in row.values()
-                            for c in kit.unpack(p)[1])
-                assert total <= bounds[x], (x, y, cut is None)
+                coeffs = {z: kit.unpack(p)[1] for z, p in row.items()}
+                assert all(0 <= c <= top for cs in coeffs.values()
+                           for c in cs), (x, y, cut is None)
+                assert sum(map(sum, coeffs.values())) <= bounds[x], (x, y)
+                if cut is None:
+                    assert sum(sum(cs) * N[z] for z, cs in coeffs.items()) \
+                        == N[x] * N[y], (x, y)
 
 
 @pytest.mark.parametrize("symbol", ["A3", "B3", "H3"])
@@ -625,14 +653,24 @@ def test_cache_rejects_corrupt_payload(tmp_path):
         cache_load(str(d), g)
 
 
+def _first_P_offsets(data):
+    """Offsets in a format-6 cache.bin of the value count, the first value
+    length, and the first (y, value index) pair of the first element:
+    after magic, version, the fingerprint record and the element count
+    come the value record (length, count, byte lengths, bytes) and the
+    element records (length, then pairs)."""
+    (fp_len,) = struct.unpack_from("<I", data, 8)
+    values = 16 + fp_len
+    (values_len,) = struct.unpack_from("<I", data, values)
+    return values + 4, values + 8, values + 4 + values_len + 4
+
+
 def test_cache_rejects_mismatched_digest_and_out_of_range_row(tmp_path):
     g, d = _saved(tmp_path)
     path = d / "cache.bin"
     data = bytearray(path.read_bytes())
-    # first row of the first element record: magic, version, fingerprint
-    # record, element count, record length, row count, then y
-    (fp_len,) = struct.unpack_from("<I", data, 8)
-    struct.pack_into("<I", data, 12 + fp_len + 4 + 4 + 4, g.size + 5)
+    *_, pair = _first_P_offsets(data)
+    struct.pack_into("<I", data, pair, g.size + 5)
     path.write_bytes(bytes(data))
     with pytest.raises(CacheInvalidError, match="digest"):
         cache_load(str(d), g)
@@ -641,3 +679,42 @@ def test_cache_rejects_mismatched_digest_and_out_of_range_row(tmp_path):
     with pytest.raises(CacheInvalidError, match="out of range"):
         cache_load(str(d), g)
 
+
+def _y_out_of_range(data, g):
+    struct.pack_into("<I", data, _first_P_offsets(data)[2], g.size)
+
+
+def _index_out_of_range(data, g):
+    count, _, pair = _first_P_offsets(data)
+    (nval,) = struct.unpack_from("<I", data, count)
+    struct.pack_into("<I", data, pair + 4, nval)
+
+
+def _zero_length_value(data, g):
+    struct.pack_into("<H", data, _first_P_offsets(data)[1], 0)
+
+
+def _oversized_value(data, g):
+    struct.pack_into("<H", data, _first_P_offsets(data)[1], 1000)
+
+
+def _value_past_its_record(data, g):
+    at = _first_P_offsets(data)[1]
+    (n,) = struct.unpack_from("<H", data, at)
+    struct.pack_into("<H", data, at, n + 1)
+
+
+@pytest.mark.parametrize("edit, match", [
+    (_y_out_of_range, "P entry out of range"),
+    (_index_out_of_range, "P entry out of range"),
+    (_zero_length_value, "P value of 0 bytes"),
+    (_oversized_value, "P value of 1000 bytes"),
+    (_value_past_its_record, "P value record size mismatch"),
+])
+def test_cache_rejects_bad_P_entries(tmp_path, edit, match):
+    # behind a digest that matches, every bad P entry is refused as a
+    # CacheInvalidError, never an IndexError or a struct.error
+    g, d = _saved(tmp_path, "H3")
+    reseal_cache(d, lambda data: edit(data, g))
+    with pytest.raises(CacheInvalidError, match=match):
+        cache_load(str(d), g)
