@@ -14,23 +14,26 @@ the exponents appearing in those generic traces splits the irreducibles
 into ordinary and exceptional; the same parity language applies to
 involutions through l(x) - a(x) mod 2.
 
-Only the table columns at distinguished involutions are ever generated:
-one stream computes the entries h_{x,d,z} with z in the left cell of d
-and no others, at slot width 0, where the block recursion runs on the
-values at v = 1 (v -> 1 is a ring map), so the transport matrix comes
-out of it as integers.  Only the blocks that can break parity are
-streamed again as polynomials (below).  Character values lie in
-Z[zeta_M], so each power-basis coordinate of a character is an integer
-class function and the transport system is rational.  It is block
-triangular by right cells: h_{x,d,z} != 0 implies z <=_R x, so a(z) >=
-a(x) (P4), and z ~R x when a(z) = a(x) (P9).  That shape is checked on
-every entry.  Each irreducible lives on one two-sided cell (J is the sum
-of the J_c: Lusztig, Cells in affine Weyl groups II, J. Algebra 109,
-1987), where the matrix is block diagonal by right cells, and the
-right-hand side is linear in its k class values: each right cell is
-solved once, uncoupled, by one fraction-free elimination in integers
-(Bareiss) on k class columns, and each coordinate column is assembled
-from them, checked exactly in integers and reassembled in Q(zeta_M).
+Only the table columns at distinguished involutions are ever generated,
+by one block recursion seeded with every d: it is linear in its first
+row and keeps each term in the left cell of the term it comes from, and
+the d lie in distinct left cells, so its row x holds the h_{x,d,z} with
+z in the left cell of d side by side for all d, the transport row of x.
+It runs at slot width 0, on the values at v = 1 (v -> 1 is a ring map),
+so the matrix comes out as integers.  Only the blocks that can break
+parity are computed again as polynomials, in one recursion seeded the
+same way (below).  Character values lie in Z[zeta_M], so each
+power-basis coordinate of a character is an integer class function and
+the transport system is rational.  It is block triangular by right
+cells: h_{x,d,z} != 0 implies z <=_R x, so a(z) >= a(x) (P4), and
+z ~R x when a(z) = a(x) (P9).  That shape is checked on every entry.
+Each irreducible lives on one two-sided cell (J is the sum of the J_c:
+Lusztig, Cells in affine Weyl groups II, J. Algebra 109, 1987), where
+the matrix is block diagonal by right cells, and the right-hand side is
+linear in its k class values: each right cell is solved once,
+uncoupled, by one fraction-free elimination in integers (Bareiss) on k
+class columns, and each coordinate column is assembled from them,
+checked exactly in integers and reassembled in Q(zeta_M).
 
 Parity.  The quadratic relation (T_s + 1)(T_s - v^2) = 0 involves only
 v^2, so H has the ring automorphism v -> -v, T_w -> T_w.  It sends c_w =
@@ -44,7 +47,7 @@ recursion of `klbase._h_block` shows the same step by step: v + v^-1,
 c_{sz}, each c_t with mu(t, z) != 0, for which l(z) - l(t) is odd, and
 the correction mu(z, x') c_z c_y all move the exponent parity and the
 length parity together.)  The cut to a left cell drops entries and
-leaves the others exact, so the lemma holds for every streamed entry.
+leaves the others exact, so the lemma holds for every computed entry.
 The generic trace of a solved coordinate column q on the dual
 basis element at x is sum over d and z of q(z) h_{x,d,z}, and the
 column is ordinary when all its exponents are l(x) mod 2.  The terms
@@ -52,7 +55,7 @@ with l(d) + l(z) even meet that by the lemma, and those with l(d) +
 l(z) odd have only exponents of the other parity, so nothing cancels
 between the two: the column is ordinary iff the odd part vanishes for
 every x.  So only the odd entries whose z carries a nonzero solved
-coordinate are read, and only the blocks d holding one are streamed
+coordinate are read, and only the blocks d holding one are computed
 again, packed (none on A3, A4, B3, B4, D4, D5, F4, I2(5), I2(8) and
 I2(60); 4 of 22 on H3).  The positive scale of a solved column does
 not change the test.  At v = 1 the dual trace is the integer sum_z
@@ -87,7 +90,7 @@ from .exactnum import (
     is_palindromic,
     residue_map,
 )
-from .klbase import stream_h_blocks
+from .klbase import _h_block
 
 CLAIM_IDS = ("1.2b", "1.3a", "1.3c", "1.5a", "1.6b")
 
@@ -457,16 +460,17 @@ def classify_group_streamed(store, cells, gamma, dset, table,
     """Classification from the table columns at distinguished involutions
     only, each generated once.
 
-    The blocks h_{x,d,.} are streamed once at slot width 0, cut to the
-    columns z in the left cell of d: each entry is then the integer
-    h_{x,d,z}(1), the transport matrix at v=1.  Asymptotic traces come
-    from an exact solve in integers, one per right cell on the class
-    columns, assembled per nonzero coordinate of each character.  A
-    coordinate column q is ordinary iff sum_z q(z) h_{x,d,z} over the
-    entries with l(d) + l(z) odd vanishes for every x (the parity lemma
-    of the module docstring), so only the blocks d whose left cell holds
-    such a z with a nonzero solved coordinate are streamed again, packed,
-    and only those entries are decoded.  jobs is accepted and unused.
+    The blocks h_{x,d,.}, cut to the columns z in the left cell of d, are
+    computed once at slot width 0, side by side in one recursion: each
+    entry is then the integer h_{x,d,z}(1), the transport matrix at v=1.
+    Asymptotic traces come from an exact solve in integers, one per right
+    cell on the class columns, assembled per nonzero coordinate of each
+    character.  A coordinate column q is ordinary iff sum_z q(z)
+    h_{x,d,z} over the entries with l(d) + l(z) odd vanishes for every x
+    (the parity lemma of the module docstring), so only the blocks d
+    whose left cell holds such a z with a nonzero solved coordinate are
+    computed again, packed, in one recursion, and only those entries are
+    decoded.  jobs is accepted and unused.
     """
     group = store.group
     size = group.size
@@ -477,9 +481,8 @@ def classify_group_streamed(store, cells, gamma, dset, table,
     # {e} is a left cell and c_s c_e = c_s has no c_e term: trivial module
     orientation = "standard"
 
-    trans = [dict() for _ in range(size)]
-    stream_h_blocks(store, lambda x, _, row: trans[x].update(row),
-                    ys=sorted(dset), cell=lc, bits=0)
+    kit = store.block_kit()
+    trans = _h_block(kit, sorted(dset), cell=lc, bits=0)
 
     sums = _class_sums(store, table)
     columns = _coordinate_columns(table)
@@ -506,16 +509,12 @@ def classify_group_streamed(store, cells, gamma, dset, table,
     # entries h_{x,d,z} as (x, valuation, coefficients)
     odd = {z: [] for _, ints in sols for z, q in enumerate(ints)
            if q and (lengths[z] + lengths[d_of[lc[z]]]) & 1}
-    unpack = store.block_kit().unpack
-
-    def keep(x, _, row):
-        for z, n in row.items():
-            if z in odd:
-                odd[z].append((x, *unpack(n)))
-
     parity = sorted({d_of[lc[z]] for z in odd})
     if parity:
-        stream_h_blocks(store, keep, ys=parity, cell=lc)
+        for x, row in enumerate(_h_block(kit, parity, cell=lc)):
+            for z, n in row.items():
+                if z in odd:
+                    odd[z].append((x, *kit.unpack(n)))
     flags = [True] * len(table)
     for (i, _, _), (_, ints) in zip(columns, sols):
         acc = {}

@@ -333,8 +333,8 @@ def distinguished_involutions(
     gamma: GammaTable, cells: CellPartition, store: KLStore
 ) -> tuple:
     """The distinguished involutions, one per left cell, via the defect
-    a(z) = l(z) - 2 deg P_{identity,z}; validates the ring axioms they
-    must satisfy and records them on the cell partition.
+    a(z) = l(z) - 2 deg P_{identity,z}, sorted; validates the ring axioms
+    they must satisfy.
     """
     group = gamma.group
     inv = group.inverse
@@ -372,52 +372,43 @@ def distinguished_involutions(
 
     # every t_x t_{x^-1} meets exactly one of them, with coefficient 1,
     # namely the one in the left cell of x^-1
+    d_of = [seen_cells[c] for c in cells.left_cell_of]
     for x in range(size):
-        hits = [
-            (z, c)
-            for z, c in gamma.product(x, inv[x])
-            if inv[z] in dset
-        ]
+        hits = [(z, c) for z, c in gamma.product(x, inv[x]) if inv[z] in dset]
         if len(hits) != 1:
             raise InternalInconsistencyError(
                 f"t_{x} t_inv meets {len(hits)} distinguished involutions"
             )
         z, c = hits[0]
-        d = inv[z]
         if c != 1:
             raise InternalInconsistencyError(
                 f"gamma(x, x^-1, d) = {c} != 1 at x={x}"
             )
-        if cells.left_cell_of[d] != cells.left_cell_of[inv[x]]:
+        if inv[z] != d_of[inv[x]]:
             raise InternalInconsistencyError(
                 f"distinguished involution of x={x} outside the left "
                 "cell of its inverse"
             )
-
-    # sum of t_d is a two-sided identity: acting on the right the working
-    # summand is the involution of the left cell of x, on the left that of
-    # the left cell of x^-1
-    for x in range(size):
-        dx = seen_cells[cells.left_cell_of[x]]
-        prod = gamma.product(x, dx)
-        if prod != ((x, 1),):
+        # sum of t_d is a two-sided identity: acting on the right the
+        # working summand is the involution of the left cell of x, on the
+        # left that of the left cell of x^-1
+        if gamma.product(x, d_of[x]) != ((x, 1),):
             raise InternalInconsistencyError(
-                f"t_x t_d != t_x at x={x}, d={dx}"
+                f"t_x t_d != t_x at x={x}, d={d_of[x]}"
             )
-        for c_id, d in seen_cells.items():
-            if d != dx and gamma.product(x, d):
-                raise InternalInconsistencyError(
-                    f"t_x t_d nonzero off the diagonal at x={x}, d={d}"
-                )
-        dleft = seen_cells[cells.left_cell_of[inv[x]]]
-        if gamma.product(dleft, x) != ((x, 1),):
+        if gamma.product(d_of[inv[x]], x) != ((x, 1),):
             raise InternalInconsistencyError(
-                f"t_d t_x != t_x at x={x}, d={dleft}"
+                f"t_d t_x != t_x at x={x}, d={d_of[inv[x]]}"
             )
-        for c_id, d in seen_cells.items():
-            if d != dleft and gamma.product(d, x):
-                raise InternalInconsistencyError(
-                    f"t_d t_x nonzero off the diagonal at x={x}, d={d}"
-                )
+    # and every other t_x t_d or t_d t_x vanishes: no key of by_xy holds one
+    for x, y in gamma.by_xy:
+        if y in dset and y != d_of[x]:
+            raise InternalInconsistencyError(
+                f"t_x t_d nonzero off the diagonal at x={x}, d={y}"
+            )
+        if x in dset and x != d_of[inv[y]]:
+            raise InternalInconsistencyError(
+                f"t_d t_x nonzero off the diagonal at x={y}, d={x}"
+            )
 
     return tuple(sorted(dlist))

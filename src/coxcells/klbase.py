@@ -36,9 +36,11 @@ can be cut to the columns z in the left cell of y, which is all that
 the leading scan and the transport pass read: the c_z with z <_L y span
 a left ideal, and modulo it the products c_x c_y live in the left cell
 module of Kazhdan-Lusztig (Invent. Math. 53, 1979), with basis the left
-cell of y, where the same recursion runs.  Every block is computed in
-the calling process.  The test suite checks the blocks against products
-taken row by row through the T-basis.
+cell of y, where the same recursion runs.  The blocks of ys in distinct
+left cells run side by side as one recursion in the direct sum of their
+cell modules (see `_h_block`), whose rows the transport pass reads.
+Every block is computed in the calling process.  The test suite checks
+the blocks against products taken row by row through the T-basis.
 
 The cache is one file, cache.bin, per type.  It holds the P rows (mu is
 read off them again on load) and the result of the leading scan
@@ -368,15 +370,16 @@ class BlockKit(Packing):
         return tuple(sorted(need))
 
 
-def _h_block(kit: BlockKit, y: int, xs: tuple | None = None,
+def _h_block(kit: BlockKit, ys, xs: tuple | None = None,
              cell=None, bits: int | None = None) -> list:
-    """Rows h_{x,y,.} for fixed y, indexed by x, packed in slots of
-    `bits` bits (the kit's width by default): every row, or those in xs,
-    a sorted tuple closed under `BlockKit.closure`; the other rows are
-    None.  With cell, the left-cell array, each row keeps only the
-    columns z in the left cell of y.  At width 0 an entry is the integer
-    h_{x,y,z}(1) and the shift pair below is 2p, the value of v + v^-1
-    at v = 1; v -> 1 is a ring map, so those values are exact too.
+    """Rows h_{x,y,.} for the y in ys side by side, indexed by x, packed
+    in slots of `bits` bits (the kit's width by default): every row, or
+    those in xs, a sorted tuple closed under `BlockKit.closure`; the
+    other rows are None.  With cell, the left-cell array, each row keeps
+    only the columns z in the left cell of each y.  At width 0 an entry
+    is the integer h_{x,y,z}(1) and the shift pair below is 2p, the
+    value of v + v^-1 at v = 1; v -> 1 is a ring map, so those values
+    are exact too.
 
     Row x is built from row x' (x = s x', first-letter descent) through
     c_x c_y = c_s (c_x' c_y) - sum mu(z, x') c_z c_y over z with s z < z.
@@ -390,17 +393,23 @@ def _h_block(kit: BlockKit, y: int, xs: tuple | None = None,
     ideal spanned by the c_z with z <=_L y, and those with z <_L y span a
     left ideal I' inside it.  Modulo I' the recursion is the same, with
     basis the left cell of y (the left cell module, Kazhdan-Lusztig,
-    Invent. Math. 53, 1979), so dropping the terms that c_s c_z sends out of
-    the cell at every step leaves the other entries exact, so the width
-    of `BlockKit` holds for a cut row too.
+    Invent. Math. 53, 1979), so dropping the terms that c_s c_z sends out
+    of the cell at every step leaves the other entries exact, so the
+    width of `BlockKit` holds for a cut row too.  With row 0 holding
+    every y and each term kept in the left cell of the term it comes
+    from, the recursion, linear in row 0, runs in the direct sum of the
+    left cell modules of the ys, one block per summand.  Two ys in one
+    cell, as any two are without cell, would add up there: refused.
     """
     bits = kit.bits if bits is None else bits
     lmask = kit.lmask
     rows = [None] * kit.size
-    rows[0] = {y: 1 << bits * kit.off}
     if cell is None:
         cell = bytes(kit.size)  # one cell holding every element
-    home = cell[y]
+    if len({cell[y] for y in ys}) != len(ys):
+        raise InternalInconsistencyError(
+            "two h blocks side by side share a left cell")
+    rows[0] = dict.fromkeys(ys, 1 << bits * kit.off)
     for x in range(1, kit.size) if xs is None else xs[1:]:
         s = kit.first_letter[x]
         lrow = kit.left[s]
@@ -412,6 +421,7 @@ def _h_block(kit: BlockKit, y: int, xs: tuple | None = None,
             if lmask[z] >> s & 1:
                 acc[z] = get(z, 0) + (p << bits) + (p >> bits)
             else:
+                home = cell[z]
                 sz = lrow[z]
                 if cell[sz] == home:
                     acc[sz] = get(sz, 0) + p
@@ -426,7 +436,7 @@ def _h_block(kit: BlockKit, y: int, xs: tuple | None = None,
 
 
 def stream_h_blocks(store: KLStore, consumer, ys=None, reduce=None,
-                    rows=None, cell=None, bits=None):
+                    rows=None, cell=None):
     """Run the h recursion block by block, in the order of ys.
 
     ys selects which y-blocks to visit (all of them by default).  rows,
@@ -434,18 +444,15 @@ def stream_h_blocks(store: KLStore, consumer, ys=None, reduce=None,
     rows[y], a closed set as `BlockKit.closure` returns, and the others
     are None.  cell, when given, is the left-cell array (the cell id of
     every element): block y then holds only the columns z in the left
-    cell of y (see `_h_block`).  bits, when given, is the slot width of
-    the entries in place of the kit's: 0 gives the values at v = 1.
-    With no reduce, `consumer(x, y, row)` receives every row of every
-    block, packed.  With reduce, `consumer(y, reduce(kit, y, block))`
-    receives one result per block, kit being the store's `BlockKit`
-    (whose `unpack` and `lead` decode an entry of its width), and the
-    block is dropped before the next one is computed.
+    cell of y (see `_h_block`).  With no reduce, `consumer(x, y, row)`
+    receives every row of every block, packed.  With reduce,
+    `consumer(y, reduce(kit, y, block))` receives one result per block,
+    kit being the store's `BlockKit` (whose `unpack` and `lead` decode an
+    entry), and the block is dropped before the next one is computed.
     """
     kit = store.block_kit()
     for y in range(kit.size) if ys is None else ys:
-        block = _h_block(kit, y, None if rows is None else rows[y], cell,
-                         bits)
+        block = _h_block(kit, (y,), None if rows is None else rows[y], cell)
         if reduce is not None:
             consumer(y, reduce(kit, y, block))
         else:

@@ -31,13 +31,18 @@ from coxcells.pipeline import run_claims
 # Property tests draw the same examples on every run and keep no example
 # database, so the suite stays reproducible.  Hypothesis still caches the
 # constants it mines from the source, during collection; that cache goes to
-# a temporary directory removed at exit, not into the checkout.
+# a temporary directory removed when the run ends, not into the checkout.
 settings.register_profile(
     "coxcells", derandomize=True, deadline=None, database=None
 )
 settings.load_profile("coxcells")
 _HYPOTHESIS_HOME = tempfile.TemporaryDirectory(prefix="coxcells-hypothesis-")
 set_hypothesis_home_dir(_HYPOTHESIS_HOME.name)
+
+
+def pytest_unconfigure(config):
+    # removed explicitly: left to the finalizer at exit, it warns under -X dev
+    _HYPOTHESIS_HOME.cleanup()
 
 
 class Rig:

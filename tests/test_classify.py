@@ -695,18 +695,18 @@ def _parity_blocks(r):
 
 
 def _record_streams(monkeypatch, transform=None):
-    """Every stream_h_blocks call of the classification as (ys, bits);
+    """Every h recursion of the classification as (ys, bits);
     transform(ys, bits) may drop blocks from a call."""
-    real = classify_mod.stream_h_blocks
+    real = classify_mod._h_block
     calls = []
 
-    def recorder(store, consumer, ys=None, reduce=None, **kw):
+    def recorder(kit, ys, *args, **kw):
         calls.append((list(ys), kw.get("bits")))
         if transform is not None:
             ys = transform(list(ys), kw.get("bits"))
-        return real(store, consumer, ys=ys, reduce=reduce, **kw)
+        return real(kit, ys, *args, **kw)
 
-    monkeypatch.setattr(classify_mod, "stream_h_blocks", recorder)
+    monkeypatch.setattr(classify_mod, "_h_block", recorder)
     return calls
 
 
@@ -815,7 +815,7 @@ def test_distinguished_blocks_obey_the_parity_lemma(rig, symbol):
     seen = []
     for d in sorted(r.dset):
         at_one = []
-        for x, row in enumerate(_h_block(kit, d, cell=cell)):
+        for x, row in enumerate(_h_block(kit, (d,), cell=cell)):
             for z, p in row.items():
                 val, coeffs = kit.unpack(p)
                 par = length[x] + length[d] + length[z]
@@ -824,7 +824,7 @@ def test_distinguished_blocks_obey_the_parity_lemma(rig, symbol):
                 seen.append(par % 2)
             at_one.append({z: h1 for z, p in row.items()
                            if (h1 := vp.at_one(kit.unpack(p)))})
-        assert _h_block(kit, d, cell=cell, bits=0) == at_one, d
+        assert _h_block(kit, (d,), cell=cell, bits=0) == at_one, d
     assert 0 in seen and 1 in seen
 
 
@@ -834,15 +834,15 @@ def test_over_wide_digit_in_the_parity_pass_raises(rig, monkeypatch):
     r = rig("H3")
     kit = r.store.block_kit()
     forged = (1 << kit.bits - 2) << kit.bits * kit.off
-    real = classify_mod.stream_h_blocks
+    real = classify_mod._h_block
 
-    def forging(store, consumer, ys=None, **kw):
-        def take(x, d, row):
-            consumer(x, d, {z: forged for z in row})
-        packed = kw.get("bits") is None
-        return real(store, take if packed else consumer, ys=ys, **kw)
+    def forging(kit, ys, *args, **kw):
+        block = real(kit, ys, *args, **kw)
+        if kw.get("bits") is None:
+            return [{z: forged for z in row} for row in block]
+        return block
 
-    monkeypatch.setattr(classify_mod, "stream_h_blocks", forging)
+    monkeypatch.setattr(classify_mod, "_h_block", forging)
     with pytest.raises(InternalInconsistencyError, match="overflows"):
         classify_group_streamed(r.store, r.cells, r.gamma, r.dset, r.table)
 

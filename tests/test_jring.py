@@ -6,7 +6,9 @@ import random
 import pytest
 
 from coxcells.coxeter import build_group
+from coxcells.errors import InternalInconsistencyError
 from coxcells.jring import (
+    GammaTable,
     _orbit_blocks,
     compute_cells,
     compute_gamma,
@@ -191,7 +193,7 @@ def test_diagram_automorphisms_preserve_h(symbol):
     # h_{sigma x, sigma y, sigma z} = h_{x,y,z} over whole blocks
     store, _ = _store_and_cells(symbol)
     kit = store.block_kit()
-    blocks = [_h_block(kit, y) for y in range(kit.size)]
+    blocks = [_h_block(kit, (y,)) for y in range(kit.size)]
     autos = store.group.diagram_automorphisms()
     assert len(autos) > 1
     for g in autos:
@@ -278,6 +280,30 @@ def test_B3_distinguished_one_per_left_cell():
         assert g.inverse[d] == d
     cells_hit = {cells.left_cell_of[d] for d in dlist}
     assert len(cells_hit) == len(cells.left_cells)
+
+
+def test_identity_checks_reach_each_message():
+    # sum_d t_d is a two-sided identity; one forged leading entry per
+    # check of it, each at an x outside the distinguished set, so that it
+    # breaks that check and no other
+    g, store, cells, gamma, dlist = _setup("B3")
+    inv = g.inverse
+    d_of = {cells.left_cell_of[d]: d for d in dlist}
+    x = next(x for x in range(g.size) if x not in dlist and inv[x] != x)
+    dx = d_of[cells.left_cell_of[x]]
+    dleft = d_of[cells.left_cell_of[inv[x]]]
+    off_right = next(d for d in dlist if d != dx)
+    off_left = next(d for d in dlist if d != dleft)
+    assert distinguished_involutions(gamma, cells, store) == dlist
+    for forged, message in [
+        ({(x, dx, x): 2}, r"t_x t_d != t_x"),
+        ({(dleft, x, x): 2}, r"t_d t_x != t_x"),
+        ({(x, off_right, x): 1}, r"t_x t_d nonzero off the diagonal"),
+        ({(off_left, x, x): 1}, r"t_d t_x nonzero off the diagonal"),
+    ]:
+        table = GammaTable(g, gamma.a, {**gamma.lead, **forged})
+        with pytest.raises(InternalInconsistencyError, match=message):
+            distinguished_involutions(table, cells, store)
 
 
 def test_nondistinguished_involutions_can_carry_gamma():

@@ -11,7 +11,11 @@ from hypothesis import strategies as st
 
 from coxcells.coxeter import build_group
 from coxcells.errors import CacheInvalidError, InternalInconsistencyError
-from coxcells.jring import compute_cells, compute_gamma
+from coxcells.jring import (
+    compute_cells,
+    compute_gamma,
+    distinguished_involutions,
+)
 from coxcells.klbase import (
     CACHE_FORMAT_VERSION,
     BlockKit,
@@ -414,7 +418,7 @@ def _rows(kit, y, block):
 
 
 def _reduced(kit, reduce):
-    return [reduce(kit, y, _h_block(kit, y)) for y in range(kit.size)]
+    return [reduce(kit, y, _h_block(kit, (y,))) for y in range(kit.size)]
 
 
 @given(st.integers(min_value=2, max_value=16),
@@ -472,7 +476,7 @@ def test_row_bounds_hold_every_row(symbol):
     cell = compute_cells(generator_rows(store)).left_cell_of
     for y in range(g.size):
         for cut in (None, cell):
-            for x, row in enumerate(_h_block(kit, y, cell=cut)):
+            for x, row in enumerate(_h_block(kit, (y,), cell=cut)):
                 coeffs = {z: kit.unpack(p)[1] for z, p in row.items()}
                 assert all(0 <= c <= top for cs in coeffs.values()
                            for c in cs), (x, y, cut is None)
@@ -489,7 +493,7 @@ def test_closed_rows_match_whole_block(symbol):
     store = _store(symbol)
     kit = store.block_kit()
     cells = compute_cells(generator_rows(store))
-    whole = [_h_block(kit, y) for y in range(kit.size)]
+    whole = [_h_block(kit, (y,)) for y in range(kit.size)]
     for members in cells.left_cells:
         xs = kit.closure(members)
         assert xs[0] == 0 and list(xs) == sorted(set(xs))
@@ -499,7 +503,7 @@ def test_closed_rows_match_whole_block(symbol):
             parent = kit.left[s][x]
             assert {parent, *(t for t, _ in kit.mu_down[s][parent])} <= set(xs)
         for y in range(0, kit.size, 5):
-            block = _h_block(kit, y, xs)
+            block = _h_block(kit, (y,), xs)
             assert [x for x, row in enumerate(block) if row is not None] \
                 == list(xs)
             assert all(block[x] == whole[y][x] for x in xs)
@@ -517,13 +521,65 @@ def test_cell_truncated_blocks_match_whole_block(symbol):
     closures = [kit.closure(members) for members in cells.left_cells]
     for y in range(kit.size):
         want = [{z: p for z, p in row.items() if cell[z] == cell[y]}
-                for row in _h_block(kit, y)]
-        assert _h_block(kit, y, cell=cell) == want, y
+                for row in _h_block(kit, (y,))]
+        assert _h_block(kit, (y,), cell=cell) == want, y
         for xs in closures:
             keep = set(xs)
-            assert _h_block(kit, y, xs, cell) == [
+            assert _h_block(kit, (y,), xs, cell) == [
                 want[x] if x in keep else None for x in range(kit.size)
             ], (y, xs[-1])
+
+
+def _seeded_blocks_side_by_side(symbol, widths):
+    # one recursion seeded with one y per left cell is the side-by-side
+    # union of the one-y blocks cut to those cells, at each width, for ys
+    # the distinguished involutions and for a seeded draw
+    store = _store(symbol)
+    kit = store.block_kit()
+    cells = compute_cells(generator_rows(store))
+    cell = cells.left_cell_of
+    dlist = distinguished_involutions(compute_gamma(store, cells), cells,
+                                      store)
+    rng = random.Random(symbol)
+    drawn = sorted(rng.choice(members) for members in cells.left_cells)
+    for ys in (list(dlist), drawn):
+        for bits in widths:
+            want = [{} for _ in range(kit.size)]
+            for y in ys:
+                block = _h_block(kit, (y,), cell=cell, bits=bits)
+                for x, row in enumerate(block):
+                    assert not want[x].keys() & row.keys(), (x, y)
+                    want[x].update(row)
+            assert _h_block(kit, ys, cell=cell, bits=bits) == want, bits
+
+
+@pytest.mark.parametrize("symbol",
+                         ["A3", "B3", "H3", "A4", "D4", "B4", "I2(5)"])
+def test_seeded_blocks_sit_side_by_side(symbol):
+    _seeded_blocks_side_by_side(symbol, (None, 0))
+
+
+@pytest.mark.heavy
+@pytest.mark.parametrize("symbol", ["F4", "D5"])
+def test_seeded_blocks_sit_side_by_side_heavy(symbol):
+    _seeded_blocks_side_by_side(symbol, (0,))
+
+
+def test_seeds_that_would_add_up_raise():
+    # two ys in one left cell, or two ys with no cell array to keep them
+    # apart, would add their blocks in one summand
+    store = _store("B3")
+    kit = store.block_kit()
+    cells = compute_cells(generator_rows(store))
+    pair = next(members[:2] for members in cells.left_cells
+                if len(members) > 1)
+    with pytest.raises(InternalInconsistencyError, match="share a left"):
+        _h_block(kit, pair, cell=cells.left_cell_of)
+    apart = (cells.left_cells[0][0], cells.left_cells[1][0])
+    assert _h_block(kit, apart, cell=cells.left_cell_of)[0] == dict.fromkeys(
+        apart, 1 << kit.bits * kit.off)
+    with pytest.raises(InternalInconsistencyError, match="share a left"):
+        _h_block(kit, apart)
 
 
 # ---------------------------------------------------------------------------
