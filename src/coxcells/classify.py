@@ -106,12 +106,11 @@ def _class_sums(store, table):
     cof = table.classes.class_of
     sign = [-1 if n % 2 else 1 for n in store.group.length]
     width = len(table.classes.representatives)
-    m = (1 << store.packing.bits) - 1  # P(1) = P(2^bits) mod m, see KLStore
     sums = []
-    for column in store.P_by_w:
+    for us, column in store.rows_at_one():
         row = [0] * width
-        for u, n in column.items():
-            row[cof[u]] += sign[u] * (n % m)
+        for u, n in zip(us, column):
+            row[cof[u]] += sign[u] * n
         sums.append(row)
     return sums
 

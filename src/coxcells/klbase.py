@@ -42,13 +42,15 @@ cell modules (see `_h_block`), whose rows the transport pass reads.
 Every block is computed in the calling process.  The test suite checks
 the blocks against products taken row by row through the T-basis.
 
-The cache is one file, cache.bin, per type.  It holds the P rows (mu is
-read off them again on load) and the result of the leading scan
-(a-values and leading coefficients), not the h rows themselves, and
-ends with the SHA-256 of everything before it.  It is written under a
-temporary name and moved into place in one step, so a reader sees
-either a whole file or none; a torn or altered file fails its digest
-and is recomputed rather than read.
+The cache is one file, cache.bin, per type (format 7).  It holds the
+table of distinct P values, the bytes of each element's two row arrays
+as `KLStore` holds them, so that a row loads as one copy plus its
+checks (mu is read off the rows again on load), and the result of the
+leading scan (a-values and leading coefficients), not the h rows
+themselves.  It ends with the SHA-256 of everything before it, and is
+written under a temporary name and moved into place in one step, so a
+reader sees either a whole file or none; a torn or altered file fails
+its digest and is recomputed rather than read.
 """
 
 from __future__ import annotations
@@ -57,6 +59,11 @@ import hashlib
 import io
 import os
 import struct
+import sys
+from array import array
+from bisect import bisect_left
+from itertools import compress, islice, repeat
+from operator import lt, rshift
 
 from .coxeter import CoxeterGroup
 from .errors import CacheInvalidError, InternalInconsistencyError
@@ -74,7 +81,7 @@ __all__ = [
     "vp",
 ]
 
-CACHE_FORMAT_VERSION = 6
+CACHE_FORMAT_VERSION = 7
 
 
 # ---------------------------------------------------------------------------
@@ -159,9 +166,13 @@ class Packing:
 class KLStore:
     """Polynomials P, coefficients mu, and the data for c-basis products.
 
-    P is kept per target and packed: P_by_w[w] maps y -> the int
-    P_{y,w}(2^bits), bits = l(w0) + 2, which `P` decodes.  mu_by_w[w]
-    lists the pairs (z, mu(z, w)) with nonzero mu, sorted by z.
+    P is kept per target as two parallel arrays: P_by_w[w] is the sorted
+    array('I') of the y <= w, and P_index_by_w[w] holds, for each of
+    them, the index into P_values of the int P_{y,w}(2^bits), bits =
+    l(w0) + 2, which `P` decodes.  Most rows repeat a handful of values
+    (313 distinct ones on F4, for 396 809 pairs), so a pair costs 8
+    bytes, and cache format 7 holds the two arrays' bytes as they are.
+    mu_by_w[w] lists the pairs (z, mu(z, w)) with nonzero mu, sorted by z.
 
     Both slot widths rest on one lemma.  Put N(w) = sum over u of
     P_{u,w}(1).  The ring maps c_w -> sum_u P_{u,w}(1) u at v = 1 and
@@ -176,13 +187,15 @@ class KLStore:
     need to fit.
     """
 
-    __slots__ = ("group", "P_by_w", "mu_by_w", "fingerprint", "packing",
-                 "_kit")
+    __slots__ = ("group", "P_by_w", "P_index_by_w", "P_values", "mu_by_w",
+                 "fingerprint", "packing", "_kit")
 
-    def __init__(self, group: CoxeterGroup, P_by_w, mu_by_w):
+    def __init__(self, group: CoxeterGroup):
         self.group = group
-        self.P_by_w = P_by_w
-        self.mu_by_w = mu_by_w
+        self.P_by_w = [None] * group.size
+        self.P_index_by_w = [None] * group.size
+        self.P_values = []
+        self.mu_by_w = [None] * group.size
         self.fingerprint = group.fingerprint()
         self.packing = Packing(group.length[group.w0] + 2, 0)
         self._kit = None
@@ -195,25 +208,50 @@ class KLStore:
 
     def P(self, x: int, y: int) -> tuple:
         """Ascending q-coefficients of P_{x,y}; () when x is not <= y."""
-        return self.packing.unpack(self.P_by_w[y].get(x, 0))[1]
+        row = self.P_by_w[y]
+        i = bisect_left(row, x)
+        if i == len(row) or row[i] != x:
+            return ()
+        return self.packing.unpack(self.P_values[self.P_index_by_w[y][i]])[1]
+
+    def rows_at_one(self):
+        """(ys, the P_{y,w}(1) of those ys) for each w, P(1) being P(2^bits)
+        mod (2^bits - 1), taken once per distinct value."""
+        m = (1 << self.packing.bits) - 1
+        at_one = [n % m for n in self.P_values]
+        for ys, ids in zip(self.P_by_w, self.P_index_by_w):
+            yield ys, map(at_one.__getitem__, ids)
 
 
-def _mu_row(row: dict, w: int, length, bits: int) -> tuple:
-    """(z, mu(z, w)) pairs, sorted by z, read off the packed P row of w.
+def _length_starts(group: CoxeterGroup) -> list:
+    """The index of the first element of each length, then |W|: the
+    elements are indexed in ShortLex order, which refines length."""
+    return [bisect_left(group.length, n)
+            for n in range(group.length[group.w0] + 2)]
+
+
+def _mu_row(store: KLStore, w: int, starts: list) -> tuple:
+    """(z, mu(z, w)) pairs with nonzero mu, sorted by z, read off the
+    stored row of w; starts is `_length_starts` of the group.
 
     mu(z, w) is the coefficient of q^((l(w) - l(z) - 1)/2) in P_{z,w},
-    one slot, nonzero only when l(w) - l(z) is odd.
+    nonzero only when l(w) - l(z) is odd.  Within the degree bound it is
+    the top slot, one shift of a positive value.  The z of one length
+    are one slice of the sorted row.
     """
-    lw = length[w]
-    mask = (1 << bits) - 1
+    ys = store.P_by_w[w]
+    ids = store.P_index_by_w[w]
+    values = store.P_values
+    bits = store.packing.bits
+    lw = store.group.length[w]
     mus = []
-    for z, n in row.items():
-        gap = lw - length[z]
-        if gap % 2:
-            m = (n >> (gap // 2 * bits)) & mask
-            if m:
-                mus.append((z, m))
-    mus.sort()
+    for n in range((lw + 1) % 2, lw, 2):
+        a = bisect_left(ys, starts[n])
+        b = bisect_left(ys, starts[n + 1], a)
+        if a < b:
+            top = list(map(rshift, map(values.__getitem__, ids[a:b]),
+                           repeat(bits * ((lw - n) // 2))))
+            mus += compress(zip(ys[a:b], top), top)
     return tuple(mus)
 
 
@@ -226,58 +264,99 @@ def compute_kl(group: CoxeterGroup) -> KLStore:
         P_{y,w} = q^[sy<y] P_{y,u} + q^[y<sy] P_{sy,u}
                   - sum over z with sz < z of mu(z, u) q^((l(w)-l(z))/2) P_{y,z}
 
-    Each (y, P_{y,u}) therefore adds q^[sy<y] P_{y,u} to both y and sy.
+    Each (y, P_{y,u}) therefore adds q^[sy<y] P_{y,u} to both y and sy,
+    and the y <= w are the y <= u and their s y.  Every term is constant
+    on each pair {y, sy}, as P_{y,w} = P_{sy,w} is, s being a left
+    descent of w, so the sums run once per pair, at its shorter member,
+    in one dense list per w.  The degree bound is checked at the longer
+    member sy, where it is the stricter, and each new distinct value
+    once for sign and constant term 1.
     """
     size = group.size
     length = group.length
     left = group.left
     lmask = group.left_descent_mask
     words = group.words
+    top = length[group.w0]
 
-    store = KLStore(group, [None] * size, [None] * size)
+    store = KLStore(group)
     P_by_w = store.P_by_w
+    index_by_w = store.P_index_by_w
+    values = store.P_values
     mu_by_w = store.mu_by_w
     bits = store.packing.bits
     mask = (1 << bits) - 1
-    P_by_w[0] = {0: 1}
+    # per l(w), indexed by l(y): P_{y,w} stays below 2^(bits * slots),
+    # with (l(w) - l(y) + 1) // 2 slots for y < w, and P_{w,w} = 1
+    limit = [[1 << bits * ((lw - ly + 1) // 2) for ly in range(lw)] + [2]
+             for lw in range(top + 1)]
+    starts = _length_starts(group)
+    values.append(1)
+    index = {1: 0}
+    # scaled[j][i] = q^j P_values[i], for the q^j of both sums
+    scaled = [values] + [[1 << bits * j] for j in range(1, top // 2 + 2)]
+    qvalues = scaled[1]
+    P_by_w[0] = array("I", [0])
+    index_by_w[0] = array("I", [0])
     mu_by_w[0] = ()
-    interned = {}  # most P rows repeat a handful of values
 
     for w in range(1, size):
         s = words[w][0]                       # smallest left descent
-        u = left[s][w]
         lrow = left[s]
+        u = lrow[w]
         lw = length[w]
-        acc = {}
-        get = acc.get
-        for y, p in P_by_w[u].items():
+        # every term is constant on each pair {y, sy}, as row w is: sum
+        # at the shorter member y < sy (index order refines length); it
+        # is in row u, ahead of sy when sy is there too
+        acc = [0] * size
+        low = []
+        for y, i in zip(P_by_w[u], index_by_w[u]):
             sy = lrow[y]
-            if length[sy] < length[y]:
-                p <<= bits
-            acc[y] = get(y, 0) + p
-            acc[sy] = get(sy, 0) + p
+            if y < sy:
+                low.append(y)
+                acc[y] = values[i]
+            else:
+                acc[sy] += qvalues[i]
         for z, m in mu_by_w[u]:
             if lmask[z] >> s & 1:
-                k = (lw - length[z]) // 2 * bits
-                for y, p in P_by_w[z].items():
-                    acc[y] = get(y, 0) - (p << k) * m
-
-        Prow = {}
-        for y, n in acc.items():
-            if not n:
-                continue
-            if n & mask != 1 or y != w and (
-                    2 * ((n.bit_length() - 1) // bits) >= lw - length[y]):
-                raise InternalInconsistencyError(
-                    f"P({y},{w}) breaks its degree bound or constant term"
-                )
-            Prow[y] = interned.setdefault(n, n)
-        if Prow.get(w) != 1:
+                col = scaled[(lw - length[z]) // 2]
+                if m != 1:
+                    col = [n * m for n in col]
+                for y, i in zip(P_by_w[z], index_by_w[z]):
+                    if y < lrow[y]:
+                        acc[y] -= col[i]
+        # the pairs {y, sy} of row w, y < sy, with the value of each
+        high = list(map(lrow.__getitem__, low))
+        ns = list(map(acc.__getitem__, low))
+        ids = list(map(index.get, ns))
+        fresh = set(ns).difference(index) if None in ids else ()
+        # the degree bound at sy, one less than at y, is the stricter
+        bound = limit[lw]
+        if any(n <= 0 or n & mask != 1 for n in fresh) or not all(
+                map(lt, ns, map(bound.__getitem__,
+                                map(length.__getitem__, high)))):
+            y = next(y for y, n in zip(high, ns) if not 0 < n < bound[
+                length[y]] or n & mask != 1)
+            raise InternalInconsistencyError(
+                f"P({y},{w}) breaks its degree bound or constant term"
+            )
+        if fresh:
+            for n in fresh:
+                index[n] = len(values)
+                for j, col in enumerate(scaled):
+                    col.append(n << bits * j)
+            ids = list(map(index.__getitem__, ns))
+        # acc now maps each y of row w to its value index
+        for y, sy, i in zip(low, high, ids):
+            acc[y] = acc[sy] = i
+        row = sorted(low + high)
+        if row[-1] != w:
             raise InternalInconsistencyError(
                 f"canonical basis recursion lost the top term at {w}"
             )
-        P_by_w[w] = Prow
-        mu_by_w[w] = _mu_row(Prow, w, length, bits)
+        P_by_w[w] = array("I", row)
+        index_by_w[w] = array("I", list(map(acc.__getitem__, row)))
+        mu_by_w[w] = _mu_row(store, w, starts)
 
     return store
 
@@ -346,9 +425,8 @@ class BlockKit(Packing):
              for mus in store.mu_by_w]
             for s in range(g.datum.rank)
         ]
-        # N(w) <= 2^(bits - 2) is its row sum mod 2^bits - 1 (see KLStore)
-        m = (1 << store.packing.bits) - 1
-        top = max(sum(row.values()) % m for row in store.P_by_w)
+        # N(w) <= 2^(bits - 2) is the sum of its row at v = 1 (see KLStore)
+        top = max(sum(row) for _, row in store.rows_at_one())
         # two spare bits keep every balanced digit below 2^(bits - 2)
         super().__init__((top * top).bit_length() + 2, g.length[g.w0] + 1)
 
@@ -482,6 +560,15 @@ def _read_record(f) -> bytes:
     return payload
 
 
+def _little(row: array) -> array:
+    """row in little-endian order, as cache.bin holds it: a byte-swapped
+    copy on a big-endian host, row itself otherwise."""
+    if sys.byteorder == "big":
+        row = array(row.typecode, row)
+        row.byteswap()
+    return row
+
+
 # one (x, y, z, leading coefficient) entry of the lead record
 _LEAD = struct.Struct("<IIIq")
 
@@ -508,30 +595,27 @@ def cache_save(store: KLStore, gamma, directory: str):
     """Write cache.bin in one move into place.
 
     It holds magic and version, the fingerprint record, the element
-    count, one record of the distinct packed P values (an <I count, an
-    <H byte length per value, then the little-endian bytes), one <I
-    record of (y, value index) pairs per element (mu is not stored), the
+    count, one record of P_values (an <I count, an <H byte length per
+    value, then the little-endian bytes), one record per element of its
+    P_by_w array and then its P_index_by_w array, both <I, so on a
+    little-endian host the bytes the arrays hold (mu is not stored), the
     a-values and (x, y, z, lead) records of gamma's leading scan, and
     last the SHA-256 of everything before it.
     """
     os.makedirs(directory, exist_ok=True)
     size = store.group.size
-    index = {}
-    rows = []
-    for row in store.P_by_w:
-        flat = []
-        for y in sorted(row):
-            flat += (y, index.setdefault(row[y], len(index)))
-        rows.append(struct.pack(f"<{len(flat)}I", *flat))
-    values = [n.to_bytes((n.bit_length() + 7) // 8, "little") for n in index]
+    values = [n.to_bytes((n.bit_length() + 7) // 8, "little")
+              for n in store.P_values]
     f = io.BytesIO()
     f.write(_MAGIC + struct.pack("<I", CACHE_FORMAT_VERSION))
     _write_record(f, store.fingerprint.encode())
     f.write(struct.pack("<I", size))
     _write_record(f, struct.pack(f"<I{len(values)}H", len(values),
                                  *map(len, values)) + b"".join(values))
-    for row in rows:
-        _write_record(f, row)
+    for ys, ids in zip(store.P_by_w, store.P_index_by_w):
+        f.write(struct.pack("<I", 4 * (len(ys) + len(ids))))
+        f.write(_little(ys))
+        f.write(_little(ids))
     _write_record(f, struct.pack(f"<{size}I", *gamma.a))
     _write_record(f, b"".join(
         _LEAD.pack(x, y, z, c) for (x, y, z), c in gamma.lead.items()
@@ -575,14 +659,14 @@ def _decode_cache(data: bytes, group: CoxeterGroup):
     (size,) = struct.unpack("<I", f.read(4))
     if size != group.size:
         raise CacheInvalidError("cache element count mismatch")
-    store = KLStore(group, [None] * size, [None] * size)
+    store = KLStore(group)
     bits = store.packing.bits
     # a P_{y,w} with y < w has at most (l(w0) + 1) // 2 slots
     widest = (bits * ((group.length[group.w0] + 1) // 2) + 7) // 8
     raw = _read_record(f)
     (nval,) = struct.unpack_from("<I", raw)
     pos = 4 + 2 * nval
-    values = []
+    values = store.P_values
     for n in struct.unpack_from(f"<{nval}H", raw, 4):
         if not 0 < n <= widest:
             raise CacheInvalidError(f"P value of {n} bytes")
@@ -590,17 +674,23 @@ def _decode_cache(data: bytes, group: CoxeterGroup):
         pos += n
     if pos != len(raw):
         raise CacheInvalidError("P value record size mismatch")
+    starts = _length_starts(group)
     for w in range(size):
         raw = _read_record(f)
+        # two halves of whole <I entries: the ys, then their value indices
         if not raw or len(raw) % 8:
             raise CacheInvalidError("P record size mismatch")
-        flat = struct.unpack(f"<{len(raw) // 4}I", raw)
-        ys, ids = flat[0::2], flat[1::2]
-        if max(ys) >= size or max(ids) >= nval:
+        half = len(raw) // 2
+        ys = _little(array("I", raw[:half]))
+        ids = _little(array("I", raw[half:]))
+        # strictly increasing up to w < |W| puts every y in range
+        if ys[-1] >= size or max(ids) >= nval:
             raise CacheInvalidError("P entry out of range")
-        row = dict(zip(ys, map(values.__getitem__, ids)))
-        store.P_by_w[w] = row
-        store.mu_by_w[w] = _mu_row(row, w, group.length, bits)
+        if ys[-1] != w or not all(map(lt, ys, islice(ys, 1, None))):
+            raise CacheInvalidError("P row not increasing up to its element")
+        store.P_by_w[w] = ys
+        store.P_index_by_w[w] = ids
+        store.mu_by_w[w] = _mu_row(store, w, starts)
     a_raw = _read_record(f)
     lead_raw = _read_record(f)
     if f.read(1):

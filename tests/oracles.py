@@ -33,7 +33,10 @@ polynomials that the Q(zeta) fake degrees above use (the library divides
 dense integer lists instead).  The characteristic polynomial mod p from
 power traces, by Newton's identities, cross-checks the library's
 Hessenberg one.
-`reseal_cache` edits a cache file behind its digest.
+`reseal_cache` edits a cache file behind its digest.  The KL
+polynomials come once more from the recursion `klbase.compute_kl` runs,
+on one dict per row and with no use of the symmetry of a row under its
+first letter.
 """
 
 import cmath
@@ -714,6 +717,71 @@ def naive_c_product(group, oracle: RPolyOracle, x, y):
                 total[u] = r
     rows.sort()
     return rows
+
+
+# ---------------------------------------------------------------------------
+# the KL polynomials by the recursion on one dict per row
+
+
+def _dict_mu_row(row: dict, w: int, length, bits: int) -> tuple:
+    """(z, mu(z, w)) pairs, sorted by z, read off the packed P row of w:
+    the coefficient of q^((l(w) - l(z) - 1)/2), one slot, nonzero only
+    when l(w) - l(z) is odd."""
+    lw = length[w]
+    mask = (1 << bits) - 1
+    mus = []
+    for z, n in row.items():
+        gap = lw - length[z]
+        if gap % 2:
+            m = (n >> (gap // 2 * bits)) & mask
+            if m:
+                mus.append((z, m))
+    mus.sort()
+    return tuple(mus)
+
+
+def compute_kl_dicts(group) -> tuple:
+    """(P_by_w, mu_by_w) by the length-increasing recursion that
+    `klbase.compute_kl` runs, one dict y -> P_{y,w}(2^bits) per w, bits =
+    l(w0) + 2, with no use of P_{y,w} = P_{sy,w}: for w = s u,
+
+        P_{y,w} = q^[sy<y] P_{y,u} + q^[y<sy] P_{sy,u}
+                  - sum over z with sz < z of mu(z, u) q^((l(w)-l(z))/2) P_{y,z}
+    """
+    length = group.length
+    left = group.left
+    lmask = group.left_descent_mask
+    bits = length[group.w0] + 2
+    mask = (1 << bits) - 1
+    P_by_w = [{0: 1}]
+    mu_by_w = [()]
+    for w in range(1, group.size):
+        s = group.words[w][0]
+        u = left[s][w]
+        lrow = left[s]
+        lw = length[w]
+        acc = {}
+        get = acc.get
+        for y, p in P_by_w[u].items():
+            sy = lrow[y]
+            if length[sy] < length[y]:
+                p <<= bits
+            acc[y] = get(y, 0) + p
+            acc[sy] = get(sy, 0) + p
+        for z, m in mu_by_w[u]:
+            if lmask[z] >> s & 1:
+                k = (lw - length[z]) // 2 * bits
+                for y, p in P_by_w[z].items():
+                    acc[y] = get(y, 0) - (p << k) * m
+        row = {y: n for y, n in acc.items() if n}
+        for y, n in row.items():
+            if n & mask != 1 or y != w and (
+                    2 * ((n.bit_length() - 1) // bits) >= lw - length[y]):
+                raise InternalInconsistencyError(
+                    f"P({y},{w}) breaks its degree bound or constant term")
+        P_by_w.append(row)
+        mu_by_w.append(_dict_mu_row(row, w, length, bits))
+    return P_by_w, mu_by_w
 
 
 # ---------------------------------------------------------------------------

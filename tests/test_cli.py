@@ -339,8 +339,8 @@ def test_corrupt_cache_recomputed(capsys, tmp_path):
 
 # cache.bin: magic, version, fingerprint record, element count, the
 # record of packed P values (a value count, then their byte lengths and
-# bytes), then one record of (y, value index) pairs per element, the a
-# record, the lead record and the digest
+# bytes), then one record per element of its ys and then their value
+# indices, the a record, the lead record and the digest
 def _values_at(data):
     (fp_len,) = struct.unpack_from("<I", data, 8)
     return 12 + fp_len + 4
@@ -394,8 +394,13 @@ def _fingerprint_not_utf8(d):
 
 
 def _format_5(d):
-    # a whole file of the previous format, sealed with a matching digest
+    # a whole file of an older format, sealed with a matching digest
     reseal_cache(d, lambda data: struct.pack_into("<I", data, 4, 5))
+
+
+def _format_6(d):
+    # a whole file of the previous format, sealed with a matching digest
+    reseal_cache(d, lambda data: struct.pack_into("<I", data, 4, 6))
 
 
 def _digest_mismatch(d):
@@ -416,12 +421,13 @@ def _empty_file(d):
      (_record_with_trailing_bytes, "P record size mismatch"),
      (_lead_with_trailing_bytes, "trailing bytes after the lead record"),
      (_fingerprint_not_utf8, "unreadable cache"),
-     (_format_5, "cache format 5 != 6"),
+     (_format_5, "cache format 5 != 7"),
+     (_format_6, "cache format 6 != 7"),
      (_digest_mismatch, "does not match its digest"),
      (_empty_file, "does not match its digest")],
     ids=["kl-missing", "record-oversized", "record-trailing-bytes",
          "lead-trailing-bytes", "fingerprint-not-utf8", "format-5",
-         "digest-mismatch", "empty-file"],
+         "format-6", "digest-mismatch", "empty-file"],
 )
 def test_undecodable_cache_recomputed(capsys, tmp_path, monkeypatch, corrupt,
                                       reason):

@@ -1,9 +1,11 @@
 """Canonical basis, structure constants, dagger, cache."""
 
+import copy
 import hashlib
 import os
 import random
 import struct
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -37,6 +39,7 @@ from oracles import (
     bruhat_leq,
     c_product,
     compute_h_table,
+    compute_kl_dicts,
     dagger_T_basis,
     naive_c_product,
     pack,
@@ -177,6 +180,59 @@ def test_P_against_oracle_H3_random_pairs():
             assert got == tuple(
                 want.coeff(e) for e in range(want.degree() + 1)
             ), (x, y)
+
+
+def _matches_dict_recursion(symbol):
+    # every P_{y,w}, read through KLStore.P, and every mu row equal those
+    # of the same recursion run on one dict per row
+    g = build_group(symbol)
+    store = compute_kl(g)
+    P_by_w, mu_by_w = compute_kl_dicts(g)
+    unpack = store.packing.unpack
+    for w in range(g.size):
+        row = P_by_w[w]
+        assert list(store.P_by_w[w]) == sorted(row), (symbol, w)
+        for y in range(g.size):
+            want = unpack(row[y])[1] if y in row else ()
+            assert store.P(y, w) == want, (symbol, y, w)
+        assert store.mu_by_w[w] == mu_by_w[w], (symbol, w)
+
+
+def test_recursion_without_corrections_is_refused():
+    # with no left descents recorded, no mu correction runs, and the
+    # first P_{y,w} past its degree bound is refused
+    g = copy.copy(build_group("A3"))
+    g.left_descent_mask = [0] * g.size
+    with pytest.raises(InternalInconsistencyError, match="degree bound"):
+        compute_kl(g)
+
+
+def test_kl_store_memory():
+    # the rows are flat arrays of ys and of indices into one table of
+    # distinct values: B4's 40 249 pairs, with its mu rows, stay within
+    # 0.6 MB, where one dict per row held 1.6 MB
+    g = build_group("B4")
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        store = compute_kl(g)
+        live = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert sum(map(len, store.P_by_w)) == 40249
+    assert live <= 600_000, live
+
+
+@pytest.mark.parametrize("symbol",
+                         ["A3", "A4", "B3", "B4", "H3", "D4", "I2(5)"])
+def test_P_and_mu_match_dict_recursion(symbol):
+    _matches_dict_recursion(symbol)
+
+
+@pytest.mark.heavy
+@pytest.mark.parametrize("symbol", ["F4", "D5"])
+def test_P_and_mu_match_dict_recursion_heavy(symbol):
+    _matches_dict_recursion(symbol)
 
 
 # ---------------------------------------------------------------------------
@@ -465,7 +521,8 @@ def test_row_bounds_hold_every_row(symbol):
                 ), (s, w)
     bits = store.packing.bits
     for w in range(g.size):
-        for y, n in store.P_by_w[w].items():
+        for y, i in zip(store.P_by_w[w], store.P_index_by_w[w]):
+            n = store.P_values[i]
             assert n > 0, (y, w)
             while n:
                 assert n & (1 << bits) - 1 < 1 << bits - 2, (y, w)
@@ -637,6 +694,8 @@ def test_cache_round_trip(tmp_path):
         cache_save(store, gamma, d)
         store2, (a, lead) = cache_load(d, g)
         assert store2.P_by_w == store.P_by_w
+        assert store2.P_index_by_w == store.P_index_by_w
+        assert store2.P_values == store.P_values
         assert store2.mu_by_w == store.mu_by_w
         assert a == gamma.a
         assert lead == gamma.lead
@@ -650,6 +709,8 @@ def test_cache_is_one_file(tmp_path):
     assert sorted(os.listdir(d)) == ["cache.bin"]
     store2, _ = cache_load(str(d), g)
     assert store2.P_by_w == store.P_by_w
+    assert store2.P_index_by_w == store.P_index_by_w
+    assert store2.P_values == store.P_values
 
 
 def test_cache_load_without_file_is_none(tmp_path):
@@ -710,11 +771,11 @@ def test_cache_rejects_corrupt_payload(tmp_path):
 
 
 def _first_P_offsets(data):
-    """Offsets in a format-6 cache.bin of the value count, the first value
-    length, and the first (y, value index) pair of the first element:
-    after magic, version, the fingerprint record and the element count
-    come the value record (length, count, byte lengths, bytes) and the
-    element records (length, then pairs)."""
+    """Offsets in a format-7 cache.bin of the value count, the first value
+    length, and the first y of the first element, whose value index
+    follows it: after magic, version, the fingerprint record and the
+    element count come the value record (length, count, byte lengths,
+    bytes) and the element records (length, the ys, their indices)."""
     (fp_len,) = struct.unpack_from("<I", data, 8)
     values = 16 + fp_len
     (values_len,) = struct.unpack_from("<I", data, values)
@@ -760,12 +821,65 @@ def _value_past_its_record(data, g):
     struct.pack_into("<H", data, at, n + 1)
 
 
+def _P_record(data, entries):
+    """(offset, ys) of the first element record with at least that many
+    entries, the offset being that of its length field."""
+    at = _first_P_offsets(data)[2] - 4
+    while True:
+        (n,) = struct.unpack_from("<I", data, at)
+        if n // 8 >= entries:
+            return at, list(struct.unpack_from(f"<{n // 8}I", data, at + 4))
+        at += 4 + n
+
+
+def _unsorted_ys(data, g):
+    # the middle two ys swapped: every y in range, the row ends at w
+    at, ys = _P_record(data, 4)
+    ys[1], ys[2] = ys[2], ys[1]
+    struct.pack_into(f"<{len(ys)}I", data, at + 4, *ys)
+
+
+def _duplicate_ys(data, g):
+    at, ys = _P_record(data, 4)
+    ys[1] = ys[2]
+    struct.pack_into(f"<{len(ys)}I", data, at + 4, *ys)
+
+
+def _row_not_ending_at_its_element(data, g):
+    # increasing and in range, but the last y is not the element
+    at, ys = _P_record(data, 2)
+    ys[-1] = g.size - 1
+    struct.pack_into(f"<{len(ys)}I", data, at + 4, *ys)
+
+
+def _cut_record(data, cut):
+    """Drop the last bytes of the first element record of two entries."""
+    at, ys = _P_record(data, 2)
+    end = at + 4 + 8 * len(ys)
+    struct.pack_into("<I", data, at, 8 * len(ys) - cut)
+    del data[end - cut:end]
+
+
+def _mismatched_halves(data, g):
+    # whole <I entries, one index fewer than ys
+    _cut_record(data, 4)
+
+
+def _partial_entry(data, g):
+    _cut_record(data, 2)
+
+
 @pytest.mark.parametrize("edit, match", [
     (_y_out_of_range, "P entry out of range"),
     (_index_out_of_range, "P entry out of range"),
     (_zero_length_value, "P value of 0 bytes"),
     (_oversized_value, "P value of 1000 bytes"),
     (_value_past_its_record, "P value record size mismatch"),
+    (_unsorted_ys, "P row not increasing up to its element"),
+    (_duplicate_ys, "P row not increasing up to its element"),
+    (_row_not_ending_at_its_element, "P row not increasing up to its element"),
+    (_mismatched_halves, "P record size mismatch"),
+    (_partial_entry, "P record size mismatch"),
 ])
 def test_cache_rejects_bad_P_entries(tmp_path, edit, match):
     # behind a digest that matches, every bad P entry is refused as a
