@@ -28,7 +28,6 @@ complex embedding, so agreement under all those maps makes the relation
 exact (see `_validate`).
 """
 
-import hashlib
 import random
 from fractions import Fraction
 from math import gcd, isqrt, lcm
@@ -627,10 +626,8 @@ def character_table(group) -> CharacterTable:
     p = isqrt(4 * group.size * max(classes.sizes) ** 2)
     for _ in range(6):
         p, eta, _ = residue_map(n, p)
-        seed = hashlib.sha256(
-            f"{group.fingerprint()}:{p}:chartab".encode()
-        ).hexdigest()
-        rng = random.Random(int(seed, 16))
+        # random hashes a str seed with its own sha512: no OpenSSL loads
+        rng = random.Random(f"{group.datum.type_symbol}:{p}:chartab")
         try:
             rows_p, dims_p = _modular_rows(group, classes, jstar, p, rng)
             dfts = _inverse_dfts(orders, eta, n, p)

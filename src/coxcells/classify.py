@@ -75,7 +75,7 @@ residue out of that bound, a division remainder, a wrong degree sum or
 a missed Poincare sum raises.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
@@ -186,44 +186,26 @@ def fake_degrees(group, table):
 
 
 # ---------------------------------------------------------------------------
-# records
+# records (namedtuples: functools, and so the command line, loads
+# collections anyway, where dataclasses would load inspect and ast)
 
-@dataclass(frozen=True)
-class IrrepRecord:
+class IrrepRecord(namedtuple("IrrepRecord", (
+        "label", "dim", "cell", "j_traces", "a_value", "fake_degree",
+        "b_value", "ordinary", "special"))):
     """One irreducible with its transport and classification data."""
 
-    label: str
-    dim: int
-    cell: int
-    j_traces: tuple
-    a_value: int
-    fake_degree: LaurentPoly
-    b_value: int
-    ordinary: bool
-    special: bool
+    __slots__ = ()
 
     @property
     def exceptional(self) -> bool:
         return not self.ordinary
 
 
-@dataclass(frozen=True)
-class InvolutionRecord:
-    """A self-inverse element with its length/a-value parity class."""
+# A self-inverse element with its length/a-value parity class.
+InvolutionRecord = namedtuple("InvolutionRecord", (
+    "element", "length", "a_value", "ordinary", "cell", "left_cell"))
 
-    element: int
-    length: int
-    a_value: int
-    ordinary: bool
-    cell: int
-    left_cell: int
-
-
-@dataclass
-class ClaimReport:
-    claim_id: str
-    status: str
-    witness: dict
+ClaimReport = namedtuple("ClaimReport", ("claim_id", "status", "witness"))
 
 
 class ClassifyResult:

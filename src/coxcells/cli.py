@@ -6,9 +6,12 @@ Exit codes: 0 success, 1 claim failure, 2 usage or resource refusal,
 3 an operating-system error (an unusable cache directory, say) or a
 broken engine invariant.
 
-Each subcommand loads only the layers it runs: `group` and `cells` never
-import the character table or the classifier, and `chartable` never
-imports the classifier.
+Each subcommand loads only the layers it runs.  `group` imports the
+group and the reports; `cells` adds the polynomial engine (`klbase`,
+`jring`); `chartable` adds the character table and no engine;
+`classify` and `verify` load every module.  `hashlib` is imported only
+where a digest is taken: the fingerprint `group` reports, and the
+sealed cache; `csv` only for `--format csv`.
 """
 
 import argparse

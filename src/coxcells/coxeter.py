@@ -30,7 +30,6 @@ index 0 is always the identity.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import re
 from functools import lru_cache
@@ -399,6 +398,8 @@ class CoxeterGroup:
     def fingerprint(self) -> str:
         """Digest of the full group structure; cache files key on this."""
         if self._fingerprint is None:
+            import hashlib
+
             h = hashlib.sha256()
             h.update(self.datum.type_symbol.encode())
             h.update(repr(self.datum.coxeter_matrix).encode())

@@ -55,7 +55,6 @@ its digest and is recomputed rather than read.
 
 from __future__ import annotations
 
-import hashlib
 import io
 import os
 import struct
@@ -188,7 +187,7 @@ class KLStore:
     """
 
     __slots__ = ("group", "P_by_w", "P_index_by_w", "P_values", "mu_by_w",
-                 "fingerprint", "packing", "_kit")
+                 "packing", "_kit")
 
     def __init__(self, group: CoxeterGroup):
         self.group = group
@@ -196,7 +195,6 @@ class KLStore:
         self.P_index_by_w = [None] * group.size
         self.P_values = []
         self.mu_by_w = [None] * group.size
-        self.fingerprint = group.fingerprint()
         self.packing = Packing(group.length[group.w0] + 2, 0)
         self._kit = None
 
@@ -420,8 +418,9 @@ class BlockKit(Packing):
         self.left = g.left
         self.lmask = g.left_descent_mask
         self.first_letter = [w[0] if w else -1 for w in g.words]
+        # the store's (t, mu) pairs themselves, shared, not copied
         self.mu_down = [
-            [tuple((t, m) for t, m in mus if self.lmask[t] >> s & 1)
+            [tuple(e for e in mus if self.lmask[e[0]] >> s & 1)
              for mus in store.mu_by_w]
             for s in range(g.datum.rank)
         ]
@@ -602,13 +601,15 @@ def cache_save(store: KLStore, gamma, directory: str):
     a-values and (x, y, z, lead) records of gamma's leading scan, and
     last the SHA-256 of everything before it.
     """
+    import hashlib
+
     os.makedirs(directory, exist_ok=True)
     size = store.group.size
     values = [n.to_bytes((n.bit_length() + 7) // 8, "little")
               for n in store.P_values]
     f = io.BytesIO()
     f.write(_MAGIC + struct.pack("<I", CACHE_FORMAT_VERSION))
-    _write_record(f, store.fingerprint.encode())
+    _write_record(f, store.group.fingerprint().encode())
     f.write(struct.pack("<I", size))
     _write_record(f, struct.pack(f"<I{len(values)}H", len(values),
                                  *map(len, values)) + b"".join(values))
@@ -644,6 +645,8 @@ def cache_load(directory: str, group: CoxeterGroup):
 
 
 def _decode_cache(data: bytes, group: CoxeterGroup):
+    import hashlib
+
     # a view and a truncated BytesIO of data share its bytes: no copy
     if hashlib.sha256(memoryview(data)[:-32]).digest() != data[-32:]:
         raise CacheInvalidError("cache.bin does not match its digest")
@@ -698,9 +701,9 @@ def _decode_cache(data: bytes, group: CoxeterGroup):
     if len(a_raw) != 4 * size or len(lead_raw) % _LEAD.size:
         raise CacheInvalidError("a or lead record size mismatch")
     a = struct.unpack(f"<{size}I", a_raw)
-    lead = {}
-    for x, y, z, c in _LEAD.iter_unpack(lead_raw):
-        if max(x, y, z) >= size:
-            raise CacheInvalidError("lead entry out of range")
-        lead[(x, y, z)] = c
+    # an entry is five <I words: x, y and z, then the two of its lead
+    words = _little(array("I", lead_raw))
+    if words and max(max(words[k::5]) for k in range(3)) >= size:
+        raise CacheInvalidError("lead entry out of range")
+    lead = {(x, y, z): c for x, y, z, c in _LEAD.iter_unpack(lead_raw)}
     return store, (a, lead)

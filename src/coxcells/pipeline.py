@@ -6,19 +6,20 @@ Reports are plain dicts of ints, strings and booleans, rendered by the
 exact canonical renderers only, so serializing one twice gives the same
 bytes; diagnostics go to the error stream, never into a report.
 
-The character table and the classifier are imported by the functions
-that run them, so a `group` or `cells` run never loads either.
+Each layer is imported by the functions that run it: the polynomial
+store and the cells (`klbase`, `jring`) by `load_stores` and
+`analysis`, the character table and the classifier by
+`classification`.  So a `group` or `chartable` run never loads the
+engine, and a `group` or `cells` run never loads the character table
+or the classifier.
 """
 
-import csv
 import io
 import os
 import sys
 
 from .coxeter import word_name
 from .errors import CacheInvalidError, RefusalError
-from .jring import compute_cells, compute_gamma, distinguished_involutions
-from .klbase import cache_load, cache_save, compute_kl, generator_rows
 
 # Groups from this order up need --heavy: they have more than 120 000 h
 # rows (order squared), of which the leading scan computes a fraction.
@@ -45,6 +46,8 @@ def load_stores(group, cache_dir=None):
     recomputed with a notice.  Without a usable cache the store is
     computed and the scan is left to the caller.
     """
+    from .klbase import cache_load, compute_kl
+
     cached = None
     if cache_dir:
         try:
@@ -59,6 +62,9 @@ def analysis(group, cache_dir=None, jobs=1):
     involutions, as (store, None, cells, gamma, dset); the second slot
     is kept for callers that unpack five values.  jobs is accepted and
     unused."""
+    from .jring import compute_cells, compute_gamma, distinguished_involutions
+    from .klbase import cache_save, generator_rows
+
     store, scan = load_stores(group, cache_dir)
     cells = compute_cells(generator_rows(store))
     gamma = compute_gamma(store, cells, scan=scan)
@@ -232,6 +238,8 @@ def verify_report(result, claims) -> dict:
 # text and csv renderings
 
 def _csv(rows) -> str:
+    import csv
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     for row in rows:

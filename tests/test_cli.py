@@ -190,7 +190,7 @@ def test_h4_classification_refused_before_any_scan(capsys, monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("polynomial work started")
 
-    monkeypatch.setattr("coxcells.pipeline.compute_kl", forbidden)
+    monkeypatch.setattr("coxcells.klbase.compute_kl", forbidden)
     monkeypatch.setattr("coxcells.jring.stream_h_blocks", forbidden)
     code, out, err = _run(capsys, "classify", "--type", "H4", "--heavy")
     assert code == 2
@@ -582,26 +582,53 @@ def test_reports_are_deterministic(capsys):
 
 
 def test_each_subcommand_loads_only_its_layers():
-    # a fresh interpreter runs group, cells and chartable in turn and
-    # lists the coxcells modules loaded after each
+    # one fresh interpreter per subcommand lists the coxcells modules
+    # loaded after it ran
     script = (
         "import contextlib, io, json, sys\n"
         "from coxcells.cli import main\n"
-        "seen = {}\n"
-        "for cmd in ('group', 'cells', 'chartable'):\n"
-        "    with contextlib.redirect_stdout(io.StringIO()):\n"
-        "        assert main([cmd, '--type', 'A3']) == 0\n"
-        "    seen[cmd] = sorted(m for m in sys.modules\n"
-        "                       if m.startswith('coxcells.'))\n"
-        "print(json.dumps(seen))\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main([sys.argv[1], '--type', 'A3']) == 0\n"
+        "print(json.dumps(sorted(m for m in sys.modules\n"
+        "                        if m.startswith('coxcells.'))))\n"
     )
-    run = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                         env=_subprocess_env(), timeout=120)
+    seen = {}
+    for cmd in ("group", "cells", "chartable"):
+        run = subprocess.run([sys.executable, "-c", script, cmd],
+                             capture_output=True, env=_subprocess_env(),
+                             timeout=120)
+        assert run.returncode == 0, run.stderr.decode()
+        seen[cmd] = json.loads(run.stdout)
+    front = [f"coxcells.{m}" for m in ("cli", "coxeter", "errors",
+                                       "exactnum", "pipeline")]
+    assert seen["group"] == front
+    assert seen["cells"] == sorted(front + ["coxcells.jring",
+                                            "coxcells.klbase"])
+    assert seen["chartable"] == sorted(front + ["coxcells.chartab"])
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (["classify", "--type", "A3"], []),
+    (["cells", "--type", "A3", "--cache-dir", "{cache}"],
+     ["_hashlib", "hashlib"]),
+], ids=["classify", "cells-cache"])
+def test_standard_library_loads_only_what_runs(tmp_path, argv, loaded):
+    # -S keeps site's .pth imports out; classify without a cache takes no
+    # digest and builds no dataclass, a cache run seals its file, and
+    # neither writes csv
+    script = (
+        "import contextlib, io, json, sys\n"
+        "before = set(sys.modules)\n"
+        "from coxcells.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main(sys.argv[1:]) == 0\n"
+        "print(json.dumps(sorted(set(sys.modules) - before)))\n"
+    )
+    argv = [a.format(cache=tmp_path) for a in argv]
+    run = subprocess.run([sys.executable, "-S", "-c", script, *argv],
+                         capture_output=True, env=_subprocess_env(),
+                         timeout=120)
     assert run.returncode == 0, run.stderr.decode()
-    seen = json.loads(run.stdout)
-    engine = [f"coxcells.{m}" for m in ("cli", "coxeter", "errors",
-                                        "exactnum", "jring", "klbase",
-                                        "pipeline")]
-    assert seen["group"] == engine
-    assert seen["cells"] == engine
-    assert seen["chartable"] == sorted(engine + ["coxcells.chartab"])
+    added = set(json.loads(run.stdout))
+    watched = {"hashlib", "_hashlib", "dataclasses", "inspect", "csv"}
+    assert sorted(added & watched) == loaded

@@ -14,13 +14,13 @@ the tests reach belongs in tests/oracles.py.  Dunder methods are reached
 through Python's protocols, and the few names kept for a caller outside
 src/ are listed in REACHED_FROM_OUTSIDE with the reason.
 
-A name a class stores (a __slots__ entry, a dataclass field or the
-target of a self.<name> assignment) must be loaded as an attribute
-somewhere in src/coxcells/, and a parameter must be loaded as a name in
-its own function's body; storing, passing by keyword or naming in a
-dict key is not reading.  Parameters named self or cls or starting with
-an underscore are skipped, and READ_FROM_OUTSIDE lists what only a
-caller outside src/ reads.
+A name a class stores (a __slots__ entry, a dataclass field, a
+namedtuple field or the target of a self.<name> assignment) must be
+loaded as an attribute somewhere in src/coxcells/, and a parameter must
+be loaded as a name in its own function's body; storing, passing by
+keyword or naming in a dict key is not reading.  Parameters named self
+or cls or starting with an underscore are skipped, and READ_FROM_OUTSIDE
+lists what only a caller outside src/ reads.
 """
 
 import ast
@@ -191,9 +191,28 @@ def _is_dataclass(cls):
                for dec in cls.decorator_list)
 
 
+def _namedtuple_fields(tree):
+    """(qualified name, name) of every field of a namedtuple("Name",
+    fields) call, fields being a tuple or list of strings or one string
+    of names split by spaces or commas; qualified by the type name."""
+    for call in ast.walk(tree):
+        if not (isinstance(call, ast.Call) and len(call.args) >= 2
+                and ast.unparse(call.func).endswith("namedtuple")):
+            continue
+        typename, fields = call.args[:2]
+        if isinstance(fields, ast.Constant):
+            names = fields.value.replace(",", " ").split()
+        else:
+            names = [elt.value for elt in fields.elts]
+        for name in names:
+            yield typename.value + "." + name, name
+
+
 def _stored_names(tree):
     """(qualified name, name) of every name a class stores: a __slots__
-    entry, a dataclass field or the target of a self.<name> assignment."""
+    entry, a dataclass field, a namedtuple field or the target of a
+    self.<name> assignment."""
+    yield from _namedtuple_fields(tree)
     for cls in ast.walk(tree):
         if not isinstance(cls, ast.ClassDef):
             continue
@@ -271,11 +290,15 @@ def test_the_state_allowlist_names_library_state():
 def test_the_scan_finds_an_unread_attribute_and_parameter():
     sources = {
         "a": (
+            "from collections import namedtuple\n"
             "from dataclasses import dataclass\n"
             "@dataclass(frozen=True)\n"
             "class R:\n"
             "    kept: int\n"
             "    dropped: int\n"
+            "T = namedtuple('T', ('used', 'stray'))\n"
+            "class U(namedtuple('U', 'first, idle')):\n"
+            "    __slots__ = ()\n"
             "class S:\n"
             "    __slots__ = ('size', 'orphan')\n"
             "    def __init__(self, size, spare, _unused):\n"
@@ -289,12 +312,13 @@ def test_the_scan_finds_an_unread_attribute_and_parameter():
             "        return self.size\n"
         ),
         "b": (
-            "from a import R, S\n"
+            "from a import R, S, T, U\n"
             "r = R(kept=1, dropped=2)\n"
             "print(r.kept, S(1, 2, 3).grow(1), dict(orphan=0))\n"
+            "print(T(1, stray=2).used, U(1, 2).first)\n"
         ),
     }
     assert unread_state(sources) == [
         ("a", "R.dropped"), ("a", "S.orphan"), ("a", "S.tally"),
-        ("a", "__init__(spare)"),
+        ("a", "T.stray"), ("a", "U.idle"), ("a", "__init__(spare)"),
     ]

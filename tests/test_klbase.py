@@ -223,6 +223,23 @@ def test_kl_store_memory():
     assert live <= 600_000, live
 
 
+def test_block_kit_shares_the_mu_pairs():
+    # mu_down filters the store's (t, mu) pairs by reference: B4's kit
+    # stays within 0.2 MB, where copying every pair held 0.35 MB
+    store = compute_kl(build_group("B4"))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        kit = store.block_kit()
+        live = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    shared = {id(e) for mus in store.mu_by_w for e in mus}
+    assert all(id(e) in shared for row in kit.mu_down for mus in row
+               for e in mus)
+    assert live <= 200_000, live
+
+
 @pytest.mark.parametrize("symbol",
                          ["A3", "A4", "B3", "B4", "H3", "D4", "I2(5)"])
 def test_P_and_mu_match_dict_recursion(symbol):
@@ -795,6 +812,24 @@ def test_cache_rejects_mismatched_digest_and_out_of_range_row(tmp_path):
     reseal_cache(d, lambda data: None)
     with pytest.raises(CacheInvalidError, match="out of range"):
         cache_load(str(d), g)
+
+
+@pytest.mark.parametrize("word", range(5),
+                         ids=["x", "y", "z", "lead-low", "lead-high"])
+def test_cache_range_checks_lead_elements_only(tmp_path, word):
+    # one word of the last (x, y, z, lead) entry, five <I words, set to
+    # |W|: an element index is refused, a lead coefficient word is not
+    g, d = _saved(tmp_path, "H3")
+    reseal_cache(d, lambda data: struct.pack_into(
+        "<I", data, len(data) - 20 + 4 * word, g.size))
+    if word < 3:
+        with pytest.raises(CacheInvalidError,
+                           match="lead entry out of range"):
+            cache_load(str(d), g)
+    else:
+        _, (_, lead) = cache_load(str(d), g)
+        assert list(lead.values())[-1] >> 32 * (word - 3) & 0xFFFFFFFF \
+            == g.size
 
 
 def _y_out_of_range(data, g):
