@@ -369,32 +369,46 @@ def _solve_columns(trans, cells, a, sums, columns):
     """(rhs_cols, sols, col_cells) for the coordinate columns (i, k, class
     values v): rhs = S v, the solution as (den, ints), the lcm of its
     denominators and the column scaled by it, and the two-sided cell it
-    lives on.  Each right cell is solved once against the class sums S.
-    A column lives on the two-sided cell of the x of largest a with
-    rhs[x] != 0 (the identity's when rhs is zero), where it is the
-    solution of each right cell times v; that support is checked, not
-    trusted, by `_verify_traces`."""
+    lives on.  A column lives on the two-sided cell of the x of largest a
+    with rhs[x] != 0 (the identity's when rhs is zero), where it is the
+    solution of each right cell; that support is checked, not trusted, by
+    `_verify_traces`.  So each right cell is solved once, against the
+    fewer of two sets of right-hand sides: the rhs columns living on its
+    two-sided cell, or the k class sums S, whose solutions times v give
+    those columns.  Bareiss's det depends on the block alone, not on the
+    right-hand side, and the solution times det is exact either way, so
+    both give the same (den, ints)."""
     two = cells.two_sided_of
-    by_cell = {}
-    for block in _transport_blocks(trans, cells, a):
-        by_cell.setdefault(two[block[0]], []).append(
-            (block, _cell_solve(trans, block, [sums[x] for x in block]))
-        )
-    rhs_cols, sols, col_cells = [], [], []
-    for _, _, vals in columns:
+    rhs_cols, col_cells = [], []
+    on_cell = {}
+    for j, (_, _, vals) in enumerate(columns):
         rhs = [sum(map(mul, s, vals)) for s in sums]
         top = max((x for x, r in enumerate(rhs) if r), key=a.__getitem__,
                   default=0)
-        parts = [(block, det, [sum(map(mul, row, vals)) for row in rows])
-                 for block, (det, rows) in by_cell[two[top]]]
-        den = lcm(*(det // gcd(det, *nums) for _, det, nums in parts))
-        ints = [0] * len(rhs)
-        for block, det, nums in parts:
-            for z, q in zip(block, nums):
-                ints[z] = q * den // det
         rhs_cols.append(rhs)
-        sols.append((den, ints))
         col_cells.append(two[top])
+        on_cell.setdefault(two[top], []).append(j)
+    parts = [[] for _ in columns]
+    for block in _transport_blocks(trans, cells, a):
+        js = on_cell.get(two[block[0]], ())
+        if len(js) < len(sums[0]):
+            det, rows = _cell_solve(
+                trans, block, [[rhs_cols[j][x] for j in js] for x in block])
+            nums = zip(*rows)
+        else:
+            det, rows = _cell_solve(trans, block, [sums[x] for x in block])
+            nums = ([sum(map(mul, row, columns[j][2])) for row in rows]
+                    for j in js)
+        for j, col in zip(js, nums):
+            parts[j].append((block, det, col))
+    sols = []
+    for rhs, ps in zip(rhs_cols, parts):
+        den = lcm(*(det // gcd(det, *col) for _, det, col in ps))
+        ints = [0] * len(rhs)
+        for block, det, col in ps:
+            for z, q in zip(block, col):
+                ints[z] = q * den // det
+        sols.append((den, ints))
     if not _verify_traces(trans, rhs_cols, sols):
         raise InternalInconsistencyError(
             "transport solution fails the exact integer check"

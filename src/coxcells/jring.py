@@ -17,10 +17,11 @@ polynomial P at (identity, z), then every defining property is checked.
 The single scan that produces a and the leading coefficients reads in
 block y only the rows x of the left cell of y^-1, where Lusztig's P8
 puts every leading term, computes only those rows and the rows they are
-built from, keeps only the columns in the left cell of y, and computes
-one block per orbit of the diagram automorphisms.  Each block is reduced
-to its leading terms as soon as it is computed, so no group ever holds
-the full table in memory.  The result is small enough to cache; a cached
+built from, keeps only the columns in the left cell of y, computes one
+block per orbit of the diagram automorphisms, and runs the blocks of one
+right cell side by side in one recursion.  Each recursion is reduced to
+its leading terms as soon as it is computed, so no group ever holds the
+full table in memory.  The result is small enough to cache; a cached
 scan gets the same checks as a fresh one.
 """
 
@@ -205,13 +206,14 @@ class GammaTable:
         return self.by_xy.get((x, y), ())
 
 
-def _cell_leads(rows: list, kit: BlockKit, y: int, block: list) -> dict:
-    """Per z, the top degree of h_{x,y,z} over the x in rows[y] and the
-    (x, leading coefficient) pairs that reach it, x ascending."""
+def _cell_leads(reads: list, kit: BlockKit, ys: tuple, block: list) -> dict:
+    """Per z, the top degree of h_{x,y,z} over the x in reads[y], which
+    the seeds y of ys share, and the (x, leading coefficient) pairs that
+    reach it, x ascending; y is the seed in the left cell of z."""
     degree = kit.top_degree
     best = {}
     hits = {}
-    for x in rows[y]:
+    for x in reads[ys[0]]:
         for z, p in block[x].items():
             d = degree(p)
             b = best.get(z)
@@ -268,34 +270,52 @@ def _leading_scan(store: KLStore, cells: CellPartition):
     computed, the member with the fewest rows, and its reduction is
     carried to the other members.  Each z's entries of lead are in
     (y, x) order, as in a scan row by row.
+
+    The ys of one right cell share those rows and run side by side as one
+    recursion, in the direct sum of their left cell modules (see
+    `klbase._h_block`); a z belongs to the block of the seed in its left
+    cell.  Seeds in one left cell would add up there, so a right cell
+    meeting a left cell in n orbit representatives splits into n
+    recursions.
     """
     group = store.group
     size = group.size
     inv = group.inverse
+    lc = cells.left_cell_of
     kit = store.block_kit()
-    cell = [cells.left_cell_of[inv[y]] for y in range(size)]
+    cell = [lc[inv[y]] for y in range(size)]
     built = [kit.closure(members) for members in cells.left_cells]
     orbits = _orbit_blocks(group, [len(built[c]) for c in cell])
+    # the n-th representative in a right and a left cell seeds the n-th
+    # recursion of that right cell
+    seeds = {}
+    rank = {}
+    for y in orbits:
+        n = rank[cell[y], lc[y]] = rank.get((cell[y], lc[y]), -1) + 1
+        seeds.setdefault((cell[y], n), []).append(y)
+    seeds = [tuple(ys) for ys in seeds.values()]
     best = [None] * size
     cands = [None] * size
 
-    def merge(r, top):
-        for g in orbits[r]:
-            y = g[r]
-            for z, (d, xs) in top.items():
-                z = g[z]
-                b = best[z]
+    def merge(ys, top):
+        owner = {lc[y]: y for y in ys}
+        for z, (d, xs) in top.items():
+            r = owner[lc[z]]
+            for g in orbits[r]:
+                y = g[r]
+                gz = g[z]
+                b = best[gz]
                 if b is None or d > b:
-                    best[z] = d
-                    cands[z] = [(y, g[x], c) for x, c in xs]
+                    best[gz] = d
+                    cands[gz] = [(y, g[x], c) for x, c in xs]
                 elif d == b:
-                    cands[z].extend((y, g[x], c) for x, c in xs)
+                    cands[gz].extend((y, g[x], c) for x, c in xs)
 
     reads = [cells.left_cells[c] for c in cell]
-    stream_h_blocks(store, merge, ys=list(orbits),
+    stream_h_blocks(store, merge, ys=seeds,
                     reduce=functools.partial(_cell_leads, reads),
-                    rows=[built[c] for c in cell],
-                    cell=cells.left_cell_of)
+                    rows=[built[cell[ys[0]]] for ys in seeds],
+                    cell=lc)
     lead = {
         (x, y, z): c for z in range(size) for y, x, c in sorted(cands[z])
     }

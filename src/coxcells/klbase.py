@@ -36,11 +36,13 @@ can be cut to the columns z in the left cell of y, which is all that
 the leading scan and the transport pass read: the c_z with z <_L y span
 a left ideal, and modulo it the products c_x c_y live in the left cell
 module of Kazhdan-Lusztig (Invent. Math. 53, 1979), with basis the left
-cell of y, where the same recursion runs.  The blocks of ys in distinct
-left cells run side by side as one recursion in the direct sum of their
-cell modules (see `_h_block`), whose rows the transport pass reads.
-Every block is computed in the calling process.  The test suite checks
-the blocks against products taken row by row through the T-basis.
+cell of y, where the same recursion runs on the W-graph cut to left
+cells (`BlockKit.cut`).  The blocks of ys in distinct left cells run
+side by side as one recursion in the direct sum of their cell modules
+(see `_h_block`): one for the transport pass, one per right cell for
+the leading scan.  Every block is computed in the calling process.  The
+test suite checks the blocks against products taken row by row through
+the T-basis.
 
 The cache is one file, cache.bin, per type (format 7).  It holds the
 table of distinct P values, the bytes of each element's two row arrays
@@ -410,7 +412,7 @@ class BlockKit(Packing):
     cell keeps exact entries, so it fits too.
     """
 
-    __slots__ = ("size", "left", "lmask", "first_letter", "mu_down")
+    __slots__ = ("size", "left", "lmask", "first_letter", "mu_down", "_cuts")
 
     def __init__(self, store: KLStore):
         g = store.group
@@ -428,6 +430,28 @@ class BlockKit(Packing):
         top = max(sum(row) for _, row in store.rows_at_one())
         # two spare bits keep every balanced digit below 2^(bits - 2)
         super().__init__((top * top).bit_length() + 2, g.length[g.w0] + 1)
+        self._cuts = {}
+
+    def cut(self, cell=None) -> list:
+        """Per s and z, c_s c_z on the W-graph cut to the left cell of z:
+        None when s z < z, for (v + v^-1) c_z; else the targets of c_{sz}
+        + sum mu(t, z) c_t in that cell (every one without cell), each
+        listed mu times.  Built once per cell array, on first use."""
+        got = self._cuts.get(id(cell))
+        if got is None:
+            table = []
+            for s, (lrow, down) in enumerate(zip(self.left, self.mu_down)):
+                out = [None] * self.size
+                for z, sz in enumerate(lrow):
+                    if not self.lmask[z] >> s & 1:
+                        out[z] = tuple(
+                            t for t, m in ((sz, 1), *down[z])
+                            if cell is None or cell[t] == cell[z]
+                            for _ in range(m))
+                table.append(out)
+            # held with its table, the cell array keeps its id
+            got = self._cuts[id(cell)] = (cell, table)
+        return got[1]
 
     def closure(self, xs) -> tuple:
         """xs with the identity and every row the recursion builds them
@@ -461,54 +485,51 @@ def _h_block(kit: BlockKit, ys, xs: tuple | None = None,
     Row x is built from row x' (x = s x', first-letter descent) through
     c_x c_y = c_s (c_x' c_y) - sum mu(z, x') c_z c_y over z with s z < z.
     x' and every such z are shorter than x, so have smaller indices.
-    Left multiplication by c_s in the c-basis needs only descents and mu.
-    Row x has degrees within +-l(x) < off, so multiplying by v + v^-1 is
-    the exact shift pair (p << bits) + (p >> bits).  mu is almost always
-    1, and skipping that product saves a copy of a wide integer.
+    Left multiplication by c_s in the c-basis needs only descents and mu,
+    the W-graph (Kazhdan-Lusztig, Invent. Math. 53, 1979, section 1) that
+    `BlockKit.cut` tabulates.  Row x has degrees within +-l(x) < off, so
+    multiplying by v + v^-1 is the exact shift pair (p << bits) + (p >>
+    bits).  mu is almost always 1, and skipping that product saves a copy
+    of a wide integer.
 
     The cut to the left cell is exact: every c_x c_y lies in the left
     ideal spanned by the c_z with z <=_L y, and those with z <_L y span a
     left ideal I' inside it.  Modulo I' the recursion is the same, with
-    basis the left cell of y (the left cell module, Kazhdan-Lusztig,
-    Invent. Math. 53, 1979), so dropping the terms that c_s c_z sends out
-    of the cell at every step leaves the other entries exact, so the
-    width of `BlockKit` holds for a cut row too.  With row 0 holding
-    every y and each term kept in the left cell of the term it comes
-    from, the recursion, linear in row 0, runs in the direct sum of the
-    left cell modules of the ys, one block per summand.  Two ys in one
-    cell, as any two are without cell, would add up there: refused.
+    basis the left cell of y (the left cell module), so the W-graph cut
+    to left cells leaves the kept entries exact, and the width of
+    `BlockKit` holds for a cut row too.  With row 0 holding every y and
+    each term kept in the left cell of the term it comes from, the
+    recursion, linear in row 0, runs in the direct sum of the left cell
+    modules of the ys, one block per summand.  Two ys in one cell, as any
+    two are without cell, would add up there: refused.
     """
     bits = kit.bits if bits is None else bits
-    lmask = kit.lmask
-    rows = [None] * kit.size
-    if cell is None:
-        cell = bytes(kit.size)  # one cell holding every element
-    if len({cell[y] for y in ys}) != len(ys):
+    home = bytes(kit.size) if cell is None else cell  # None: one cell
+    if len({home[y] for y in ys}) != len(ys):
         raise InternalInconsistencyError(
             "two h blocks side by side share a left cell")
+    cut = kit.cut(cell)
+    first, left, down = kit.first_letter, kit.left, kit.mu_down
+    rows = [None] * kit.size
     rows[0] = dict.fromkeys(ys, 1 << bits * kit.off)
     for x in range(1, kit.size) if xs is None else xs[1:]:
-        s = kit.first_letter[x]
-        lrow = kit.left[s]
-        down = kit.mu_down[s]
-        parent = lrow[x]
+        s = first[x]
+        graph = cut[s]
+        parent = left[s][x]
         acc = {}
         get = acc.get
         for z, p in rows[parent].items():
-            if lmask[z] >> s & 1:
+            targets = graph[z]
+            if targets is None:
                 acc[z] = get(z, 0) + (p << bits) + (p >> bits)
             else:
-                home = cell[z]
-                sz = lrow[z]
-                if cell[sz] == home:
-                    acc[sz] = get(sz, 0) + p
-                for t, m in down[z]:
-                    if cell[t] == home:
-                        acc[t] = get(t, 0) + (p if m == 1 else p * m)
-        for z, m in down[parent]:
+                for t in targets:
+                    acc[t] = get(t, 0) + p
+        for z, m in down[s][parent]:
             for t, p in rows[z].items():
                 acc[t] = get(t, 0) - (p if m == 1 else p * m)
-        rows[x] = {z: p for z, p in acc.items() if p}
+        rows[x] = acc if all(acc.values()) else {
+            z: p for z, p in acc.items() if p}
     return rows
 
 
@@ -516,20 +537,24 @@ def stream_h_blocks(store: KLStore, consumer, ys=None, reduce=None,
                     rows=None, cell=None):
     """Run the h recursion block by block, in the order of ys.
 
-    ys selects which y-blocks to visit (all of them by default).  rows,
-    when given, is indexed by y: block y then computes only the rows
-    rows[y], a closed set as `BlockKit.closure` returns, and the others
-    are None.  cell, when given, is the left-cell array (the cell id of
-    every element): block y then holds only the columns z in the left
-    cell of y (see `_h_block`).  With no reduce, `consumer(x, y, row)`
-    receives every row of every block, packed.  With reduce,
-    `consumer(y, reduce(kit, y, block))` receives one result per block,
-    kit being the store's `BlockKit` (whose `unpack` and `lead` decode an
-    entry), and the block is dropped before the next one is computed.
+    ys lists the recursions to run (every y by default), each one y or a
+    tuple of ys run side by side, which cell must keep in distinct left
+    cells (see `_h_block`).  rows, when given, is parallel to ys: each
+    recursion then computes only its rows, a closed set as
+    `BlockKit.closure` returns, and the others are None.  cell, when
+    given, is the left-cell array (the cell id of every element): block y
+    then holds only the columns z in the left cell of y.  With no reduce,
+    `consumer(x, y, row)` receives every row of every recursion y, packed.
+    With reduce, `consumer(y, reduce(kit, y, block))` receives one result
+    per recursion, kit being the store's `BlockKit` (whose `unpack` and
+    `lead` decode an entry), and the block is dropped before the next one
+    is computed.
     """
     kit = store.block_kit()
-    for y in range(kit.size) if ys is None else ys:
-        block = _h_block(kit, (y,), None if rows is None else rows[y], cell)
+    if ys is None:
+        ys = range(kit.size)
+    for y, xs in zip(ys, repeat(None) if rows is None else rows):
+        block = _h_block(kit, y if isinstance(y, tuple) else (y,), xs, cell)
         if reduce is not None:
             consumer(y, reduce(kit, y, block))
         else:

@@ -6,7 +6,8 @@ includes the direct classification lane: the all-pairs h-table, an exact
 dense rational inverse of the transport matrix, asymptotic traces from that
 inverse and generic-algebra traces through the dual-basis expansion.  The
 streamed lane in coxcells.classify is checked against it, and its block
-solve against that inverse.
+solve against that inverse and against every right cell solved on all
+the class sums (the library solves a cell on its own columns when fewer).
 The lane reads each irreducible's two-sided cell off its asymptotic
 traces (the library takes it from the solve).
 Fake degrees in Q(zeta_M) over one common denominator (the library works
@@ -48,7 +49,9 @@ from math import factorial, gcd, lcm
 
 from coxcells.classify import (
     ClassifyResult,
+    _cell_solve,
     _finish_records,
+    _transport_blocks,
     classify_involutions,
     word_name,
 )
@@ -1479,6 +1482,37 @@ def rational_solve(trans, rhs_cols):
         den = lcm(*(Fraction(y).denominator for y in ys))
         out.append((den, [int(y * den) for y in ys]))
     return out
+
+
+def class_sum_solve(trans, cells, a, sums, columns):
+    """(rhs_cols, sols, col_cells) as `classify._solve_columns` returns
+    them, every right cell solved by `classify._cell_solve` against all k
+    class sums and each column assembled as those solutions times its
+    class values (the library solves a right cell on its own two-sided
+    cell's columns when there are fewer of them than classes)."""
+    two = cells.two_sided_of
+    by_cell = {}
+    for block in _transport_blocks(trans, cells, a):
+        by_cell.setdefault(two[block[0]], []).append(
+            (block, _cell_solve(trans, block, [sums[x] for x in block]))
+        )
+    rhs_cols, sols, col_cells = [], [], []
+    for _, _, vals in columns:
+        rhs = [sum(s * v for s, v in zip(row, vals)) for row in sums]
+        top = max((x for x, r in enumerate(rhs) if r), key=a.__getitem__,
+                  default=0)
+        parts = [(block, det, [sum(q * v for q, v in zip(row, vals))
+                               for row in rows])
+                 for block, (det, rows) in by_cell[two[top]]]
+        den = lcm(*(det // gcd(det, *nums) for _, det, nums in parts))
+        ints = [0] * len(rhs)
+        for block, det, nums in parts:
+            for z, q in zip(block, nums):
+                ints[z] = q * den // det
+        rhs_cols.append(rhs)
+        sols.append((den, ints))
+        col_cells.append(two[top])
+    return rhs_cols, sols, col_cells
 
 
 def _signed_row(store, x):

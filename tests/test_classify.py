@@ -27,6 +27,7 @@ from oracles import (
     check_longest_twist,
     check_parity_bridge,
     check_phi_multiplicative,
+    class_sum_solve,
     detect_orientation,
     dihedral3_coinvariant_graded_characters,
     fake_degrees_common_denominator,
@@ -59,7 +60,7 @@ from coxcells.coxeter import build_group
 from coxcells.errors import InternalInconsistencyError, UsageError
 from coxcells.exactnum import LaurentPoly, residue_map
 from coxcells.klbase import _h_block, generator_rows
-from coxcells.pipeline import classification, classify_report
+from coxcells.pipeline import analysis, classification, classify_report
 
 DEFAULT_SYMBOLS = ("I2(3)", "I2(5)", "I2(7)", "A3", "B3", "H3")
 
@@ -627,6 +628,68 @@ def test_column_on_two_cells_fails_the_exact_check(rig):
             with pytest.raises(InternalInconsistencyError, match="exact"):
                 _solve(r, trans, sums, mixed)
     assert ties
+
+
+def _streamed_system(store, cells, dset, table):
+    """(trans, sums, columns) as `classify_group_streamed` builds them:
+    the transport rows from one width-0 recursion seeded with every d."""
+    trans = _h_block(store.block_kit(), sorted(dset),
+                     cell=cells.left_cell_of, bits=0)
+    return trans, _class_sums(store, table), _coordinate_columns(table)
+
+
+def _own_cell_solve(monkeypatch, trans, cells, a, sums, columns):
+    """`_solve_columns` with every `_cell_solve` call recorded as (the
+    block's two-sided cell, rhs width), checked against the class-sum
+    route of the oracle."""
+    real = classify_mod._cell_solve
+    widths = []
+
+    def recorder(trans, block, rhs_rows):
+        widths.append((cells.two_sided_of[block[0]], len(rhs_rows[0])))
+        return real(trans, block, rhs_rows)
+
+    monkeypatch.setattr(classify_mod, "_cell_solve", recorder)
+    got = _solve_columns(trans, cells, a, sums, columns)
+    monkeypatch.undo()
+    assert got == class_sum_solve(trans, cells, a, sums, columns)
+    return got, widths
+
+
+def test_right_cells_solved_on_own_cell_columns(rig, monkeypatch):
+    # each of B4's right cells is solved once, on the columns of its own
+    # two-sided cell, fewer than its k classes; a cell holding k columns
+    # or more keeps the k class sums; both routes give the parent's
+    # (rhs_cols, sols, col_cells)
+    r = rig("B4")
+    a = r.gamma.a
+    trans, sums, columns = _streamed_system(r.store, r.cells, r.dset,
+                                            r.table)
+    k = len(sums[0])
+    (_, _, col_cells), widths = _own_cell_solve(
+        monkeypatch, trans, r.cells, a, sums, columns)
+    assert len(widths) == len(r.cells.right_cells)
+    per_cell = {c: col_cells.count(c) for c in col_cells}
+    assert [w for _, w in widths] == [per_cell[c] for c, _ in widths]
+    assert max(per_cell.values()) < k
+    big = col_cells.index(max(per_cell, key=per_cell.get))
+    crowded = columns + [columns[big]] * k
+    (_, _, col_cells), widths = _own_cell_solve(
+        monkeypatch, trans, r.cells, a, sums, crowded)
+    assert {w for c, w in widths if c == col_cells[big]} == {k}
+    assert all(w < k for c, w in widths if c != col_cells[big])
+
+
+@pytest.mark.heavy
+@pytest.mark.parametrize("symbol", ["F4", "D5"])
+def test_own_cell_solve_matches_class_sums_heavy(monkeypatch, symbol):
+    group = build_group(symbol)
+    store, _, cells, gamma, dset = analysis(group)
+    table = character_table(group)
+    trans, sums, columns = _streamed_system(store, cells, dset, table)
+    _, widths = _own_cell_solve(monkeypatch, trans, cells, gamma.a, sums,
+                                columns)
+    assert all(w < len(sums[0]) for _, w in widths)
 
 
 # SHA-256 of the JSON (den, ints) columns that the transport solve of

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 import coxcells
 import coxcells.classify as classify_mod
+import coxcells.jring as jring_mod
 from coxcells import cli
 from coxcells.cli import CACHE_ENV, main
 from coxcells.errors import InternalInconsistencyError
@@ -508,9 +509,19 @@ def _forbid_streaming(monkeypatch):
 
 
 def test_warm_cells_never_stream(capsys, tmp_path, monkeypatch):
+    # the cold run enters the scan where the warm run is forbidden to
+    real = jring_mod.stream_h_blocks
+    streamed = []
+
+    def recorder(*args, **kwargs):
+        streamed.append(len(kwargs["ys"]))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(jring_mod, "stream_h_blocks", recorder)
     args = ("cells", "--type", "A3", "--cache-dir", str(tmp_path))
     code, cold, _ = _run(capsys, *args)
     assert code == 0
+    assert streamed and streamed[0] > 0
     _forbid_streaming(monkeypatch)
     code, warm, err = _run(capsys, *args)
     assert code == 0

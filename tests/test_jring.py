@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+import coxcells.jring as jring
 from coxcells.coxeter import build_group
 from coxcells.errors import InternalInconsistencyError
 from coxcells.jring import (
@@ -178,6 +179,45 @@ def test_one_block_per_diagram_orbit(symbol, blocks):
     assert len(orbits) == blocks
     members = sorted(perm[r] for r, perms in orbits.items() for perm in perms)
     assert members == list(range(g.size))
+
+
+@pytest.mark.parametrize("symbol, recursions", [
+    ("H3", 32), ("B4", 76), ("D4", 20),
+])
+def test_one_recursion_per_right_cell(monkeypatch, symbol, recursions):
+    # the scan's seeds: each recursion's ys lie in one right cell and in
+    # distinct left cells, read the closure of the left cell of y^-1, and
+    # the recursions hold one member of every diagram orbit, once
+    store, cells = _store_and_cells(symbol)
+    g = store.group
+    kit = store.block_kit()
+    calls = []
+    real = jring.stream_h_blocks
+
+    def recorder(*args, **kwargs):
+        calls.append(kwargs)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(jring, "stream_h_blocks", recorder)
+    compute_gamma(store, cells)
+    (call,) = calls
+    seeds = call["ys"]
+    assert len(seeds) == recursions
+    lc = cells.left_cell_of
+    for ys, xs in zip(seeds, call["rows"], strict=True):
+        assert len({cells.right_cell_of[y] for y in ys}) == 1, ys
+        assert len({lc[y] for y in ys}) == len(ys), ys
+        assert xs == kit.closure(cells.left_cells[lc[g.inverse[ys[0]]]])
+    scanned = [y for ys in seeds for y in ys]
+    orbits = {frozenset(perm[y] for perm in g.diagram_automorphisms())
+              for y in range(g.size)}
+    assert sorted(len(orbit & set(scanned)) for orbit in orbits) == \
+        [1] * len(orbits)
+    assert len(scanned) == len(orbits)
+    # fewer recursions than blocks, and some right cell, meeting a left
+    # cell twice, splits into two recursions
+    assert len(seeds) < len(scanned)
+    assert len({cells.right_cell_of[ys[0]] for ys in seeds}) < len(seeds)
 
 
 def test_orbit_representative_has_least_cost():

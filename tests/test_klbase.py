@@ -604,6 +604,46 @@ def test_cell_truncated_blocks_match_whole_block(symbol):
             ], (y, xs[-1])
 
 
+@pytest.mark.parametrize("symbol", ["A3", "B3", "H3", "B4", "D4", "I2(5)"])
+def test_cut_table_matches_per_term_cell_test(symbol):
+    # per s and z, the W-graph of c_s c_z read off descents and the stored
+    # mu: None at a descent, else c_{sz} and each mu(t, z) c_t with s t < t,
+    # in that order and listed mu times, kept when the target is in the
+    # left cell of z (every target without cell); each table is built once
+    # per cell array
+    store = _store(symbol)
+    g = store.group
+    kit = BlockKit(store)
+    cell = compute_cells(generator_rows(store)).left_cell_of
+    for cut in (None, cell):
+        table = kit.cut(cut)
+        assert kit.cut(cut) is table
+        for s in range(g.datum.rank):
+            for z in range(g.size):
+                if g.left_descent_mask[z] >> s & 1:
+                    assert table[s][z] is None, (s, z)
+                    continue
+                want = [(g.left[s][z], 1)] + [
+                    (t, m) for t, m in store.mu_by_w[z]
+                    if g.left_descent_mask[t] >> s & 1]
+                if cut is not None:
+                    want = [(t, m) for t, m in want if cell[t] == cell[z]]
+                assert list(table[s][z]) == [t for t, m in want
+                                             for _ in range(m)], (s, z)
+
+
+def test_cut_table_lists_a_target_mu_times():
+    # no group here has mu > 1 on a W-graph edge the table holds (H3's
+    # four mu = 2 are not), so one mu is raised to 2 before the first use
+    kit = BlockKit(_store("B3"))
+    s, z = next((s, z) for s, down in enumerate(kit.mu_down)
+                for z, terms in enumerate(down)
+                if terms and not kit.lmask[z] >> s & 1)
+    (t, _), *rest = kit.mu_down[s][z]
+    kit.mu_down[s][z] = ((t, 2), *rest)
+    assert kit.cut()[s][z] == (kit.left[s][z], t, t, *(u for u, _ in rest))
+
+
 def _seeded_blocks_side_by_side(symbol, widths):
     # one recursion seeded with one y per left cell is the side-by-side
     # union of the one-y blocks cut to those cells, at each width, for ys
