@@ -208,28 +208,11 @@ InvolutionRecord = namedtuple("InvolutionRecord", (
 ClaimReport = namedtuple("ClaimReport", ("claim_id", "status", "witness"))
 
 
-class ClassifyResult:
-    """Everything the classification pipeline produces for one group."""
-
-    __slots__ = (
-        "group", "table", "cells", "gamma", "irreps", "involutions",
-        "orientation", "cell_ordinary", "expected_profile",
-        "profile_consistent",
-    )
-
-    def __init__(self, group, table, cells, gamma, irreps, involutions,
-                 orientation, cell_ordinary, expected_profile,
-                 profile_consistent):
-        self.group = group
-        self.table = table
-        self.cells = cells
-        self.gamma = gamma
-        self.irreps = irreps
-        self.involutions = involutions
-        self.orientation = orientation
-        self.cell_ordinary = cell_ordinary
-        self.expected_profile = expected_profile
-        self.profile_consistent = profile_consistent
+# Everything the classification pipeline produces for one group.
+ClassifyResult = namedtuple("ClassifyResult", (
+    "group", "table", "cells", "gamma", "irreps", "involutions",
+    "orientation", "cell_ordinary", "expected_profile",
+    "profile_consistent"))
 
 
 def expected_exceptional_profile(datum):

@@ -28,6 +28,7 @@ scan gets the same checks as a fresh one.
 from __future__ import annotations
 
 import functools
+from collections import namedtuple
 
 from .coxeter import CoxeterGroup
 from .errors import InternalInconsistencyError
@@ -111,83 +112,52 @@ def _partition_from_comps(size: int, comps) -> tuple:
     return cell_of, cells
 
 
-class CellPartition:
-    """Left, right and two-sided cells, numbered by smallest member."""
-
-    __slots__ = (
-        "group",
-        "left_cell_of",
-        "left_cells",
-        "right_cell_of",
-        "right_cells",
-        "two_sided_of",
-        "two_sided_cells",
-    )
-
-    def __init__(self, group, left, right, two):
-        self.group = group
-        self.left_cell_of, self.left_cells = left
-        self.right_cell_of, self.right_cells = right
-        self.two_sided_of, self.two_sided_cells = two
+# Left, right and two-sided cells, numbered by smallest member: the cell
+# id of every element, then the cells as sorted member tuples.
+CellPartition = namedtuple("CellPartition", (
+    "left_cell_of", "left_cells", "right_cell_of", "right_cells",
+    "two_sided_of", "two_sided_cells"))
 
 
 def compute_cells(gen_table: HTable) -> CellPartition:
-    """Cell partition from a generators-only (or all-pairs) h-table."""
+    """Cell partition from a generators-only (or all-pairs) h-table: the
+    left preorder has an edge y -> z for each z != y in a row h_{s,y,.},
+    the right one these on inverses, the two-sided one both, neighbours
+    in no order, on which the components do not depend."""
     group = gen_table.group
+    rows = gen_table.rows
     size = group.size
+    inv = group.inverse
     gens = [w for w in range(size) if group.length[w] == 1]
 
-    adj_left = []
-    for y in range(size):
-        targets = set()
-        for s in gens:
-            for z, _ in gen_table.rows[(s, y)]:
-                targets.add(z)
-        targets.discard(y)
-        adj_left.append(tuple(sorted(targets)))
+    adj_left = [tuple({z for s in gens for z, _ in rows[s, y]} - {y})
+                for y in range(size)]
+    adj_right = [tuple(inv[z] for z in adj_left[inv[y]]) for y in range(size)]
+    adj_two = [a + b for a, b in zip(adj_left, adj_right)]
 
-    inv = group.inverse
-    adj_right = [
-        tuple(sorted(inv[z] for z in adj_left[inv[y]])) for y in range(size)
-    ]
-    adj_two = [
-        tuple(sorted(set(adj_left[y]) | set(adj_right[y])))
-        for y in range(size)
-    ]
-
-    left_cell_of, left_cells = _partition_from_comps(
-        size, _sccs(size, adj_left)
-    )
-    two_sided_of, two_cells = _partition_from_comps(
-        size, _sccs(size, adj_two)
-    )
+    left = _partition_from_comps(size, _sccs(size, adj_left))
     # right cells: inverted left cells
-    right_cell_of, right_cells = _partition_from_comps(
-        size, (sorted(inv[m] for m in members) for members in left_cells)
-    )
-
+    right = _partition_from_comps(
+        size, (sorted(inv[m] for m in members) for members in left[1]))
+    cells = CellPartition(*left, *right,
+                          *_partition_from_comps(size, _sccs(size, adj_two)))
     # every left cell must sit inside a single two-sided cell
-    for members in left_cells:
-        if len({two_sided_of[m] for m in members}) != 1:
+    for members in cells.left_cells:
+        if len({cells.two_sided_of[m] for m in members}) != 1:
             raise InternalInconsistencyError(
-                "left cell splits across two-sided cells"
-            )
-
-    return CellPartition(
-        group,
-        (left_cell_of, left_cells),
-        (right_cell_of, right_cells),
-        (two_sided_of, two_cells),
-    )
+                "left cell splits across two-sided cells")
+    return cells
 
 
 class GammaTable:
     """a-function plus the leading structure constants of the h-table.
 
-    lead[(x, y, z)] is the coefficient of v^(a(z)) in h_{x,y,z}; in terms
-    of the abstract constants that number is gamma_{x, y, z^-1}.
-    by_xy[(x, y)] lists (z, lead) pairs: the expansion of t_x t_y, which
-    the ring checks of distinguished_involutions read through product().
+    lead[(x, y, z)] is the coefficient of v^(a(z)) in h_{x,y,z}, each one
+    checked positive; in terms of the abstract constants that number is
+    gamma_{x, y, z^-1}.  by_xy[(x, y)] lists (z, lead) pairs: the
+    expansion of t_x t_y, which the ring checks of
+    distinguished_involutions read through product().  lead's keys come
+    in the scan's (z, y, x) order, so one pass lists each sorted by z.
     """
 
     __slots__ = ("group", "a", "lead", "by_xy")
@@ -196,14 +166,17 @@ class GammaTable:
         self.group = group
         self.a = a
         self.lead = lead
-        by_xy = {}
+        by_xy = self.by_xy = {}
         for (x, y, z), c in lead.items():
+            if c <= 0:
+                raise InternalInconsistencyError(
+                    f"nonpositive leading coefficient {c} at h({x},{y},{z})"
+                )
             by_xy.setdefault((x, y), []).append((z, c))
-        self.by_xy = {k: tuple(sorted(v)) for k, v in by_xy.items()}
 
-    def product(self, x: int, y: int) -> tuple:
-        """t_x t_y as a sorted tuple of (z, coefficient)."""
-        return self.by_xy.get((x, y), ())
+    def product(self, x: int, y: int) -> list:
+        """t_x t_y as a list of (z, coefficient) sorted by z."""
+        return self.by_xy.get((x, y), [])
 
 
 def _cell_leads(reads: list, kit: BlockKit, ys: tuple, block: list) -> dict:
@@ -268,8 +241,8 @@ def _leading_scan(store: KLStore, cells: CellPartition):
     A diagram automorphism sigma fixes the canonical basis, so
     h_{sigma x, sigma y, sigma z} = h_{x,y,z}: one block per orbit is
     computed, the member with the fewest rows, and its reduction is
-    carried to the other members.  Each z's entries of lead are in
-    (y, x) order, as in a scan row by row.
+    carried to the other members.  lead's keys (x, y, z) come in
+    (z, y, x) order, which `GammaTable` relies on.
 
     The ys of one right cell share those rows and run side by side as one
     recursion, in the direct sum of their left cell modules (see
@@ -328,8 +301,9 @@ def compute_gamma(store: KLStore, cells: CellPartition, jobs: int = 1,
 
     The scan reads the left-cell rows of one block per diagram orbit
     (see `_leading_scan`), which is why it takes the cells.  scan, when
-    given, is a cached (a, lead) pair that replaces it; it is checked
-    exactly like a fresh one.  jobs is accepted and unused: every block
+    given, is a cached (a, lead) pair, in the scan's (z, y, x) order,
+    that replaces it; it is checked exactly like a fresh one, a here and
+    the leads in `GammaTable`.  jobs is accepted and unused: every block
     is computed in this process.
     """
     a, lead = _leading_scan(store, cells) if scan is None else scan
@@ -340,11 +314,6 @@ def compute_gamma(store: KLStore, cells: CellPartition, jobs: int = 1,
         if len(vals) != 1:
             raise InternalInconsistencyError(
                 f"a not constant on a two-sided cell: {sorted(vals)}"
-            )
-    for (x, y, z), c in lead.items():
-        if c <= 0:
-            raise InternalInconsistencyError(
-                f"nonpositive leading coefficient {c} at h({x},{y},{z})"
             )
     return GammaTable(store.group, a, lead)
 
@@ -412,11 +381,11 @@ def distinguished_involutions(
         # sum of t_d is a two-sided identity: acting on the right the
         # working summand is the involution of the left cell of x, on the
         # left that of the left cell of x^-1
-        if gamma.product(x, d_of[x]) != ((x, 1),):
+        if gamma.product(x, d_of[x]) != [(x, 1)]:
             raise InternalInconsistencyError(
                 f"t_x t_d != t_x at x={x}, d={d_of[x]}"
             )
-        if gamma.product(d_of[inv[x]], x) != ((x, 1),):
+        if gamma.product(d_of[inv[x]], x) != [(x, 1)]:
             raise InternalInconsistencyError(
                 f"t_d t_x != t_x at x={x}, d={d_of[inv[x]]}"
             )

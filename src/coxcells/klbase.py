@@ -63,8 +63,9 @@ import struct
 import sys
 from array import array
 from bisect import bisect_left
-from itertools import compress, islice, repeat
-from operator import lt, rshift
+from collections import namedtuple
+from itertools import repeat
+from operator import itemgetter, lt
 
 from .coxeter import CoxeterGroup
 from .errors import CacheInvalidError, InternalInconsistencyError
@@ -223,35 +224,25 @@ class KLStore:
             yield ys, map(at_one.__getitem__, ids)
 
 
-def _length_starts(group: CoxeterGroup) -> list:
-    """The index of the first element of each length, then |W|: the
-    elements are indexed in ShortLex order, which refines length."""
-    return [bisect_left(group.length, n)
-            for n in range(group.length[group.w0] + 2)]
-
-
-def _mu_row(store: KLStore, w: int, starts: list) -> tuple:
-    """(z, mu(z, w)) pairs with nonzero mu, sorted by z, read off the
-    stored row of w; starts is `_length_starts` of the group.
-
-    mu(z, w) is the coefficient of q^((l(w) - l(z) - 1)/2) in P_{z,w},
-    nonzero only when l(w) - l(z) is odd.  Within the degree bound it is
-    the top slot, one shift of a positive value.  The z of one length
-    are one slice of the sorted row.
-    """
-    ys = store.P_by_w[w]
-    ids = store.P_index_by_w[w]
+def _mu_row(store: KLStore, w: int) -> tuple:
+    """(z, mu(z, w)) pairs with nonzero mu, sorted by z, in one pass over
+    the stored row of w.  mu(z, w) is the coefficient of q^((d - 1)/2) in
+    P_{z,w}, d = l(w) - l(z), nonzero only for odd d; within the degree
+    bound that is the top slot, the packed value (all of whose
+    coefficients are positive) shifted right by bits * (d // 2)."""
+    length = store.group.length
     values = store.P_values
     bits = store.packing.bits
-    lw = store.group.length[w]
+    lw = length[w]
+    # per l(z): that shift when l(w) - l(z) is odd, else -1
+    shift = [bits * (d // 2) if d & 1 else -1 for d in range(lw, -1, -1)]
     mus = []
-    for n in range((lw + 1) % 2, lw, 2):
-        a = bisect_left(ys, starts[n])
-        b = bisect_left(ys, starts[n + 1], a)
-        if a < b:
-            top = list(map(rshift, map(values.__getitem__, ids[a:b]),
-                           repeat(bits * ((lw - n) // 2))))
-            mus += compress(zip(ys[a:b], top), top)
+    for z, i in zip(store.P_by_w[w], store.P_index_by_w[w]):
+        k = shift[length[z]]
+        if k >= 0:
+            m = values[i] >> k
+            if m:
+                mus.append((z, m))
     return tuple(mus)
 
 
@@ -290,7 +281,6 @@ def compute_kl(group: CoxeterGroup) -> KLStore:
     # with (l(w) - l(y) + 1) // 2 slots for y < w, and P_{w,w} = 1
     limit = [[1 << bits * ((lw - ly + 1) // 2) for ly in range(lw)] + [2]
              for lw in range(top + 1)]
-    starts = _length_starts(group)
     values.append(1)
     index = {1: 0}
     # scaled[j][i] = q^j P_values[i], for the q^j of both sums
@@ -356,7 +346,7 @@ def compute_kl(group: CoxeterGroup) -> KLStore:
             )
         P_by_w[w] = array("I", row)
         index_by_w[w] = array("I", list(map(acc.__getitem__, row)))
-        mu_by_w[w] = _mu_row(store, w, starts)
+        mu_by_w[w] = _mu_row(store, w)
 
     return store
 
@@ -365,17 +355,10 @@ def compute_kl(group: CoxeterGroup) -> KLStore:
 # bulk h-table work
 
 
-class HTable:
-    """Structure-constant rows h_{x,y,.} keyed by (x, y), for x of length
-    1 only or for every x.  Rows are tuples of (z, value polynomial)
-    sorted by z.
-    """
-
-    __slots__ = ("group", "rows")
-
-    def __init__(self, group: CoxeterGroup, rows: dict):
-        self.group = group
-        self.rows = rows
+# Structure-constant rows h_{x,y,.} keyed by (x, y), for x of length 1
+# only or for every x.  Rows are tuples of (z, value polynomial) sorted
+# by z.
+HTable = namedtuple("HTable", ("group", "rows"))
 
 
 def _generator_row(store: KLStore, s: int, y: int) -> tuple:
@@ -593,8 +576,10 @@ def _little(row: array) -> array:
     return row
 
 
-# one (x, y, z, leading coefficient) entry of the lead record
+# one (x, y, z, leading coefficient) entry of the lead record, and its
+# (x, y, z) bytes
 _LEAD = struct.Struct("<IIIq")
+_KEY = struct.Struct("<12s8x")
 
 _CACHE_FILE = "cache.bin"
 _MAGIC = b"CXCC"
@@ -657,7 +642,8 @@ def cache_load(directory: str, group: CoxeterGroup):
     (a, lead) is the cached leading scan, as compute_gamma takes it.
     Every way the file can fail to decode (unreadable, a digest that
     does not match, another format or group, short or oversized record,
-    an index out of range) is raised as CacheInvalidError.
+    an index out of range, lead entries out of order or repeated) is
+    raised as CacheInvalidError.
     """
     path = os.path.join(directory, _CACHE_FILE)
     if not os.path.exists(path):
@@ -670,6 +656,9 @@ def cache_load(directory: str, group: CoxeterGroup):
 
 
 def _decode_cache(data: bytes, group: CoxeterGroup):
+    """`cache_load`'s decoder: every check of the file, mu read off each
+    row by `_mu_row`, and the lead keys in range and strictly increasing
+    in (z, y, x) order, the order `GammaTable` relies on."""
     import hashlib
 
     # a view and a truncated BytesIO of data share its bytes: no copy
@@ -702,7 +691,6 @@ def _decode_cache(data: bytes, group: CoxeterGroup):
         pos += n
     if pos != len(raw):
         raise CacheInvalidError("P value record size mismatch")
-    starts = _length_starts(group)
     for w in range(size):
         raw = _read_record(f)
         # two halves of whole <I entries: the ys, then their value indices
@@ -714,11 +702,11 @@ def _decode_cache(data: bytes, group: CoxeterGroup):
         # strictly increasing up to w < |W| puts every y in range
         if ys[-1] >= size or max(ids) >= nval:
             raise CacheInvalidError("P entry out of range")
-        if ys[-1] != w or not all(map(lt, ys, islice(ys, 1, None))):
+        if ys[-1] != w or not all(map(lt, ys, ys[1:])):
             raise CacheInvalidError("P row not increasing up to its element")
         store.P_by_w[w] = ys
         store.P_index_by_w[w] = ids
-        store.mu_by_w[w] = _mu_row(store, w, starts)
+        store.mu_by_w[w] = _mu_row(store, w)
     a_raw = _read_record(f)
     lead_raw = _read_record(f)
     if f.read(1):
@@ -726,9 +714,16 @@ def _decode_cache(data: bytes, group: CoxeterGroup):
     if len(a_raw) != 4 * size or len(lead_raw) % _LEAD.size:
         raise CacheInvalidError("a or lead record size mismatch")
     a = struct.unpack(f"<{size}I", a_raw)
-    # an entry is five <I words: x, y and z, then the two of its lead
-    words = _little(array("I", lead_raw))
-    if words and max(max(words[k::5]) for k in range(3)) >= size:
+    # an entry's x, y and z, little-endian, read as one int: in (z, y, x)
+    # order, as GammaTable needs them, strictly, so no key comes twice
+    keys = list(map(int.from_bytes, map(itemgetter(0),
+                                        _KEY.iter_unpack(lead_raw)),
+                    repeat("little")))
+    if not all(map(lt, keys, keys[1:])):
+        raise CacheInvalidError("lead entries out of order or repeated")
+    # every key is distinct, so a key out of range is one fewer entry
+    lead = {(x, y, z): c for x, y, z, c in _LEAD.iter_unpack(lead_raw)
+            if x < size and y < size and z < size}
+    if len(lead) != len(keys):
         raise CacheInvalidError("lead entry out of range")
-    lead = {(x, y, z): c for x, y, z, c in _LEAD.iter_unpack(lead_raw)}
     return store, (a, lead)

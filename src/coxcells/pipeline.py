@@ -19,7 +19,8 @@ import os
 import sys
 
 from .coxeter import word_name
-from .errors import CacheInvalidError, RefusalError
+from .errors import (CacheInvalidError, InternalInconsistencyError,
+                     RefusalError)
 
 # Groups from this order up need --heavy: they have more than 120 000 h
 # rows (order squared), of which the leading scan computes a fraction.
@@ -61,16 +62,26 @@ def analysis(group, cache_dir=None, jobs=1):
     """Everything through cells, leading coefficients and distinguished
     involutions, as (store, None, cells, gamma, dset); the second slot
     is kept for callers that unpack five values.  jobs is accepted and
-    unused."""
+    unused.  A cache that fails the engine's checks is recomputed with a
+    notice, and a cache is written only once its result passes them."""
     from .jring import compute_cells, compute_gamma, distinguished_involutions
-    from .klbase import cache_save, generator_rows
+    from .klbase import cache_save, compute_kl, generator_rows
+
+    def run(store, scan=None):
+        cells = compute_cells(generator_rows(store))
+        gamma = compute_gamma(store, cells, scan=scan)
+        return cells, gamma, distinguished_involutions(gamma, cells, store)
 
     store, scan = load_stores(group, cache_dir)
-    cells = compute_cells(generator_rows(store))
-    gamma = compute_gamma(store, cells, scan=scan)
-    if cache_dir and scan is None:
+    if scan is not None:
+        try:
+            return (store, None, *run(store, scan))
+        except InternalInconsistencyError as exc:
+            notice(f"cache invalid ({exc}); recomputing")
+            store = compute_kl(group)
+    cells, gamma, dset = run(store)
+    if cache_dir:
         cache_save(store, gamma, _cache_path(group, cache_dir))
-    dset = distinguished_involutions(gamma, cells, store)
     return store, None, cells, gamma, dset
 
 

@@ -450,6 +450,106 @@ def test_undecodable_cache_recomputed(capsys, tmp_path, monkeypatch, corrupt,
     assert err == ""
 
 
+def _payload_at(data, k):
+    """Where the payload of record k starts, counting from the P values
+    (0) through the P rows (1 to |W|) to the a (|W| + 1) and lead (|W| +
+    2) records."""
+    at = _values_at(data)
+    for _ in range(k):
+        (n,) = struct.unpack_from("<I", data, at)
+        at += 4 + n
+    return at + 4
+
+
+def _size(data):
+    return struct.unpack_from("<I", data, _values_at(data) - 4)[0]
+
+
+def _lead_at(data):
+    return _payload_at(data, _size(data) + 2)
+
+
+def _zero_lead(data):
+    # the first entry, h(0,0,0) at the identity, with coefficient 0
+    struct.pack_into("<q", data, _lead_at(data) + 12, 0)
+
+
+def _a_of_identity_one(data):
+    struct.pack_into("<I", data, _payload_at(data, _size(data) + 1), 1)
+
+
+def _first_lead_repeated(data):
+    # the second entry overwritten by the first
+    at = _lead_at(data)
+    data[at + 20:at + 40] = data[at:at + 20]
+
+
+def _two_leads_swapped(data):
+    at = _lead_at(data)
+    data[at:at + 40] = data[at + 20:at + 40] + data[at:at + 20]
+
+
+@pytest.mark.parametrize(
+    "edit, reason",
+    [(_zero_lead, "nonpositive leading coefficient 0 at h(0,0,0)"),
+     (_a_of_identity_one, "a(identity) = 1, not 0"),
+     (_first_lead_repeated, "lead entries out of order or repeated"),
+     (_two_leads_swapped, "lead entries out of order or repeated")],
+    ids=["zero-lead", "a-of-identity", "lead-repeated", "leads-swapped"],
+)
+def test_cached_scan_failing_a_check_is_recomputed(capsys, tmp_path,
+                                                   monkeypatch, edit, reason):
+    # a scan sealed behind a good digest that the loader or the engine
+    # refuses: one notice, the cold report, and the file written again
+    args = ("cells", "--type", "H3", "--cache-dir", str(tmp_path))
+    code, cold, _ = _run(capsys, *args)
+    assert code == 0
+    path = tmp_path / "H3" / "cache.bin"
+    sealed = path.read_bytes()
+    reseal_cache(tmp_path / "H3", edit)
+    code, again, err = _run(capsys, *args)
+    assert (code, again) == (0, cold)
+    assert err == f"coxcells: cache invalid ({reason}); recomputing\n"
+    assert path.read_bytes() == sealed
+    _forbid_streaming(monkeypatch)
+    code, warm, err = _run(capsys, *args)
+    assert (code, warm, err) == (0, cold, "")
+
+
+def _failing_ring_check(monkeypatch):
+    def broken(gamma, cells, store):
+        raise InternalInconsistencyError("ring check failed")
+
+    monkeypatch.setattr(jring_mod, "distinguished_involutions", broken)
+
+
+def test_cold_run_failing_a_ring_check_writes_no_cache(capsys, tmp_path,
+                                                       monkeypatch):
+    _failing_ring_check(monkeypatch)
+    code, out, err = _run(capsys, "cells", "--type", "H3", "--cache-dir",
+                          str(tmp_path))
+    assert (code, out) == (3, "")
+    assert err == "coxcells: internal error: ring check failed\n"
+    assert not (tmp_path / "H3" / "cache.bin").exists()
+
+
+def test_cold_path_after_a_failed_cache_still_exits_3(capsys, tmp_path,
+                                                      monkeypatch):
+    # the warm run's failure sends it cold, where the same failure is the
+    # engine's: exit 3, and the cache is left as it was
+    args = ("cells", "--type", "H3", "--cache-dir", str(tmp_path))
+    assert _run(capsys, *args)[0] == 0
+    path = tmp_path / "H3" / "cache.bin"
+    sealed = path.read_bytes()
+    _failing_ring_check(monkeypatch)
+    code, out, err = _run(capsys, *args)
+    assert (code, out) == (3, "")
+    assert err == ("coxcells: cache invalid (ring check failed); "
+                   "recomputing\ncoxcells: internal error: ring check "
+                   "failed\n")
+    assert path.read_bytes() == sealed
+
+
 def _run_quiet(argv):
     """main(argv) with stdout and stderr captured, for use outside capsys."""
     out, err = io.StringIO(), io.StringIO()

@@ -346,6 +346,27 @@ def test_identity_checks_reach_each_message():
             distinguished_involutions(table, cells, store)
 
 
+@pytest.mark.parametrize("c", [0, -1])
+def test_nonpositive_leading_coefficient_refused(c):
+    # a cached scan gets the check a fresh one does
+    g, store, cells, gamma, dlist = _setup("I2(5)")
+    lead = {**gamma.lead, (0, 0, 0): c}
+    with pytest.raises(InternalInconsistencyError,
+                       match=rf"^nonpositive leading coefficient {c} "
+                             r"at h\(0,0,0\)$"):
+        compute_gamma(store, cells, scan=(gamma.a, lead))
+
+
+@pytest.mark.parametrize("symbol", ["A3", "B3", "H3", "B4", "D4", "I2(5)"])
+def test_products_come_sorted_from_the_scan_order(symbol):
+    # the scan emits lead in (z, y, x) order, so one pass over it lists
+    # every product sorted by z
+    store, cells = _store_and_cells(symbol)
+    gamma = compute_gamma(store, cells)
+    assert list(gamma.lead) == sorted(gamma.lead, key=lambda k: k[::-1])
+    assert all(list(v) == sorted(v) for v in gamma.by_xy.values())
+
+
 def test_nondistinguished_involutions_can_carry_gamma():
     # the defect test is what cuts out the distinguished set; the support
     # of t_x t_{x^-1} is strictly bigger in general
