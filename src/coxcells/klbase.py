@@ -64,7 +64,7 @@ import sys
 from array import array
 from bisect import bisect_left
 from collections import namedtuple
-from itertools import repeat
+from itertools import groupby, repeat
 from operator import itemgetter, lt
 
 from .coxeter import CoxeterGroup
@@ -174,7 +174,11 @@ class KLStore:
     l(w0) + 2, which `P` decodes.  Most rows repeat a handful of values
     (313 distinct ones on F4, for 396 809 pairs), so a pair costs 8
     bytes, and cache format 7 holds the two arrays' bytes as they are.
-    mu_by_w[w] lists the pairs (z, mu(z, w)) with nonzero mu, sorted by z.
+    mu_down is the W-graph (Kazhdan-Lusztig, Invent. Math. 53, 1979, section
+    1) as its readers take it: for s not in D_L(w), mu_down[s][w] lists the
+    z with s in D_L(z) and mu(z, w) != 0, ascending, each mu(z, w) times;
+    for s in D_L(w) it is the shared ().  No reader needs a mu(z, w) with
+    D_L(z) inside D_L(w), so none is kept (60 % of the nonzero mu on F4).
 
     Both slot widths rest on one lemma.  Put N(w) = sum over u of
     P_{u,w}(1).  The ring maps c_w -> sum_u P_{u,w}(1) u at v = 1 and
@@ -189,7 +193,7 @@ class KLStore:
     need to fit.
     """
 
-    __slots__ = ("group", "P_by_w", "P_index_by_w", "P_values", "mu_by_w",
+    __slots__ = ("group", "P_by_w", "P_index_by_w", "P_values", "mu_down",
                  "packing", "_kit")
 
     def __init__(self, group: CoxeterGroup):
@@ -197,7 +201,7 @@ class KLStore:
         self.P_by_w = [None] * group.size
         self.P_index_by_w = [None] * group.size
         self.P_values = []
-        self.mu_by_w = [None] * group.size
+        self.mu_down = [[()] * group.size for _ in range(group.datum.rank)]
         self.packing = Packing(group.length[group.w0] + 2, 0)
         self._kit = None
 
@@ -224,26 +228,32 @@ class KLStore:
             yield ys, map(at_one.__getitem__, ids)
 
 
-def _mu_row(store: KLStore, w: int) -> tuple:
-    """(z, mu(z, w)) pairs with nonzero mu, sorted by z, in one pass over
-    the stored row of w.  mu(z, w) is the coefficient of q^((d - 1)/2) in
-    P_{z,w}, d = l(w) - l(z), nonzero only for odd d; within the degree
-    bound that is the top slot, the packed value (all of whose
-    coefficients are positive) shifted right by bits * (d // 2)."""
+def _mu_row(store: KLStore, w: int):
+    """Fill mu_down[s][w] for every s in one pass over the row of w: z
+    joins the list of each s in D_L(z) - D_L(w), mu(z, w) times.  mu(z, w)
+    is the coefficient of q^((d - 1)/2) in P_{z,w}, d = l(w) - l(z),
+    nonzero only for odd d; within the degree bound that is the top slot,
+    the packed value (all of whose coefficients are positive) shifted
+    right by bits * (d // 2)."""
     length = store.group.length
+    lmask = store.group.left_descent_mask
     values = store.P_values
     bits = store.packing.bits
+    down = store.mu_down
     lw = length[w]
+    ascents = ~lmask[w]
     # per l(z): that shift when l(w) - l(z) is odd, else -1
     shift = [bits * (d // 2) if d & 1 else -1 for d in range(lw, -1, -1)]
-    mus = []
     for z, i in zip(store.P_by_w[w], store.P_index_by_w[w]):
         k = shift[length[z]]
         if k >= 0:
             m = values[i] >> k
             if m:
-                mus.append((z, m))
-    return tuple(mus)
+                up = lmask[z] & ascents
+                while up:
+                    s = up.bit_length() - 1
+                    down[s][w] += (z,) * m
+                    up ^= 1 << s
 
 
 def compute_kl(group: CoxeterGroup) -> KLStore:
@@ -266,7 +276,6 @@ def compute_kl(group: CoxeterGroup) -> KLStore:
     size = group.size
     length = group.length
     left = group.left
-    lmask = group.left_descent_mask
     words = group.words
     top = length[group.w0]
 
@@ -274,7 +283,7 @@ def compute_kl(group: CoxeterGroup) -> KLStore:
     P_by_w = store.P_by_w
     index_by_w = store.P_index_by_w
     values = store.P_values
-    mu_by_w = store.mu_by_w
+    mu_down = store.mu_down
     bits = store.packing.bits
     mask = (1 << bits) - 1
     # per l(w), indexed by l(y): P_{y,w} stays below 2^(bits * slots),
@@ -288,7 +297,6 @@ def compute_kl(group: CoxeterGroup) -> KLStore:
     qvalues = scaled[1]
     P_by_w[0] = array("I", [0])
     index_by_w[0] = array("I", [0])
-    mu_by_w[0] = ()
 
     for w in range(1, size):
         s = words[w][0]                       # smallest left descent
@@ -307,14 +315,11 @@ def compute_kl(group: CoxeterGroup) -> KLStore:
                 acc[y] = values[i]
             else:
                 acc[sy] += qvalues[i]
-        for z, m in mu_by_w[u]:
-            if lmask[z] >> s & 1:
-                col = scaled[(lw - length[z]) // 2]
-                if m != 1:
-                    col = [n * m for n in col]
-                for y, i in zip(P_by_w[z], index_by_w[z]):
-                    if y < lrow[y]:
-                        acc[y] -= col[i]
+        for z in mu_down[s][u]:
+            col = scaled[(lw - length[z]) // 2]
+            for y, i in zip(P_by_w[z], index_by_w[z]):
+                if y < lrow[y]:
+                    acc[y] -= col[i]
         # the pairs {y, sy} of row w, y < sy, with the value of each
         high = list(map(lrow.__getitem__, low))
         ns = list(map(acc.__getitem__, low))
@@ -346,7 +351,7 @@ def compute_kl(group: CoxeterGroup) -> KLStore:
             )
         P_by_w[w] = array("I", row)
         index_by_w[w] = array("I", list(map(acc.__getitem__, row)))
-        mu_by_w[w] = _mu_row(store, w)
+        _mu_row(store, w)
 
     return store
 
@@ -367,9 +372,8 @@ def _generator_row(store: KLStore, s: int, y: int) -> tuple:
     if group.left_descent_mask[y] >> s & 1:
         return ((y, vp.GATE),)
     out = [(group.left[s][y], vp.ONE)]
-    for z, m in store.mu_by_w[y]:
-        if group.left_descent_mask[z] >> s & 1:
-            out.append((z, (0, (m,))))
+    out += ((z, (0, (len(list(zs)),)))
+            for z, zs in groupby(store.mu_down[s][y]))
     out.sort()
     return tuple(out)
 
@@ -388,11 +392,11 @@ def generator_rows(store: KLStore) -> HTable:
 class BlockKit(Packing):
     """Just enough immutable data to run one y-block of the h recursion.
 
-    mu_down[s][z] lists the (t, mu(t, z)) with s t < t, the terms c_s c_z
-    picks up when s z > z.  Entries are packed in slots of `bits` bits at
-    degree offset `off` = l(w0) + 1, bits = (maxN^2).bit_length() + 2 by
-    the lemma of `KLStore` (30 bits on F4 and D5); a row cut to a left
-    cell keeps exact entries, so it fits too.
+    mu_down is the store's W-graph table itself, shared, not copied (see
+    `KLStore`).  Entries are packed in slots of `bits` bits at degree
+    offset `off` = l(w0) + 1, bits = (maxN^2).bit_length() + 2 by the
+    lemma of `KLStore` (30 bits on F4 and D5); a row cut to a left cell
+    keeps exact entries, so it fits too.
     """
 
     __slots__ = ("size", "left", "lmask", "first_letter", "mu_down", "_cuts")
@@ -403,12 +407,7 @@ class BlockKit(Packing):
         self.left = g.left
         self.lmask = g.left_descent_mask
         self.first_letter = [w[0] if w else -1 for w in g.words]
-        # the store's (t, mu) pairs themselves, shared, not copied
-        self.mu_down = [
-            [tuple(e for e in mus if self.lmask[e[0]] >> s & 1)
-             for mus in store.mu_by_w]
-            for s in range(g.datum.rank)
-        ]
+        self.mu_down = store.mu_down
         # N(w) <= 2^(bits - 2) is the sum of its row at v = 1 (see KLStore)
         top = max(sum(row) for _, row in store.rows_at_one())
         # two spare bits keep every balanced digit below 2^(bits - 2)
@@ -427,10 +426,8 @@ class BlockKit(Packing):
                 out = [None] * self.size
                 for z, sz in enumerate(lrow):
                     if not self.lmask[z] >> s & 1:
-                        out[z] = tuple(
-                            t for t, m in ((sz, 1), *down[z])
-                            if cell is None or cell[t] == cell[z]
-                            for _ in range(m))
+                        out[z] = tuple(t for t in (sz, *down[z])
+                                       if cell is None or cell[t] == cell[z])
                 table.append(out)
             # held with its table, the cell array keeps its id
             got = self._cuts[id(cell)] = (cell, table)
@@ -447,7 +444,7 @@ class BlockKit(Packing):
             if x:
                 s = self.first_letter[x]
                 parent = self.left[s][x]
-                for z in (parent, *(t for t, _ in self.mu_down[s][parent])):
+                for z in (parent, *self.mu_down[s][parent]):
                     if z not in need:
                         need.add(z)
                         stack.append(z)
@@ -472,8 +469,8 @@ def _h_block(kit: BlockKit, ys, xs: tuple | None = None,
     the W-graph (Kazhdan-Lusztig, Invent. Math. 53, 1979, section 1) that
     `BlockKit.cut` tabulates.  Row x has degrees within +-l(x) < off, so
     multiplying by v + v^-1 is the exact shift pair (p << bits) + (p >>
-    bits).  mu is almost always 1, and skipping that product saves a copy
-    of a wide integer.
+    bits).  mu_down lists each z mu(z, x') times, so the correction
+    subtracts row z once per listing and never scales a wide integer.
 
     The cut to the left cell is exact: every c_x c_y lies in the left
     ideal spanned by the c_z with z <=_L y, and those with z <_L y span a
@@ -508,9 +505,9 @@ def _h_block(kit: BlockKit, ys, xs: tuple | None = None,
             else:
                 for t in targets:
                     acc[t] = get(t, 0) + p
-        for z, m in down[s][parent]:
+        for z in down[s][parent]:
             for t, p in rows[z].items():
-                acc[t] = get(t, 0) - (p if m == 1 else p * m)
+                acc[t] = get(t, 0) - p
         rows[x] = acc if all(acc.values()) else {
             z: p for z, p in acc.items() if p}
     return rows
@@ -656,9 +653,9 @@ def cache_load(directory: str, group: CoxeterGroup):
 
 
 def _decode_cache(data: bytes, group: CoxeterGroup):
-    """`cache_load`'s decoder: every check of the file, mu read off each
-    row by `_mu_row`, and the lead keys in range and strictly increasing
-    in (z, y, x) order, the order `GammaTable` relies on."""
+    """`cache_load`'s decoder: every check of the file, the W-graph read
+    off each row by `_mu_row`, and the lead keys in range and strictly
+    increasing in (z, y, x) order, the order `GammaTable` relies on."""
     import hashlib
 
     # a view and a truncated BytesIO of data share its bytes: no copy
@@ -706,7 +703,7 @@ def _decode_cache(data: bytes, group: CoxeterGroup):
             raise CacheInvalidError("P row not increasing up to its element")
         store.P_by_w[w] = ys
         store.P_index_by_w[w] = ids
-        store.mu_by_w[w] = _mu_row(store, w)
+        _mu_row(store, w)
     a_raw = _read_record(f)
     lead_raw = _read_record(f)
     if f.read(1):

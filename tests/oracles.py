@@ -743,6 +743,29 @@ def _dict_mu_row(row: dict, w: int, length, bits: int) -> tuple:
     return tuple(mus)
 
 
+def mu_rows(store) -> list:
+    """Per w, the (z, mu(z, w)) pairs with nonzero mu, sorted by z, read
+    off the store's P rows by `_dict_mu_row`: every nonzero mu, those the
+    W-graph table `KLStore.mu_down` leaves out included."""
+    length = store.group.length
+    bits = store.packing.bits
+    values = store.P_values
+    return [_dict_mu_row(dict(zip(ys, map(values.__getitem__, ids))), w,
+                         length, bits)
+            for w, (ys, ids) in enumerate(zip(store.P_by_w,
+                                              store.P_index_by_w))]
+
+
+def split_mu(group, rows) -> list:
+    """(z, mu) rows in the form of `KLStore.mu_down`: per s and w, () at
+    s in D_L(w), else the z with s in D_L(z), each listed mu times."""
+    lmask = group.left_descent_mask
+    return [[() if lmask[w] >> s & 1 else
+             tuple(z for z, m in mus if lmask[z] >> s & 1 for _ in range(m))
+             for w, mus in enumerate(rows)]
+            for s in range(group.datum.rank)]
+
+
 def compute_kl_dicts(group) -> tuple:
     """(P_by_w, mu_by_w) by the length-increasing recursion that
     `klbase.compute_kl` runs, one dict y -> P_{y,w}(2^bits) per w, bits =
@@ -818,20 +841,18 @@ def _row_bounds(kit) -> list:
     its width came from the positivity lemma of `klbase.KLStore`.
 
     Row e is the single entry 1, c_s multiplies the sum by at most
-    max(2, 1 + max_z sum_t |mu(t, z)|), and the correction subtracts
-    mu(z, x') times row z.
+    max(2, 1 + the most targets the W-graph lists for one s and z), and
+    the correction subtracts row z once per listing of z.
     """
     grow = 2
-    for mus in kit.mu_down:
-        for row in mus:
-            grow = max(grow, 1 + sum(abs(m) for _, m in row))
+    for col in kit.mu_down:
+        grow = max(grow, 1 + max(map(len, col)))
     bound = [1] * kit.size
     for x in range(1, kit.size):
         s = kit.first_letter[x]
         parent = kit.left[s][x]
         bound[x] = bound[parent] * grow + sum(
-            abs(m) * bound[z] for z, m in kit.mu_down[s][parent]
-        )
+            bound[z] for z in kit.mu_down[s][parent])
     return bound
 
 

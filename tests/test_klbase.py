@@ -6,6 +6,7 @@ import os
 import random
 import struct
 import tracemalloc
+from array import array
 
 import pytest
 from hypothesis import given
@@ -23,6 +24,7 @@ from coxcells.klbase import (
     BlockKit,
     Packing,
     _h_block,
+    _mu_row,
     cache_load,
     cache_save,
     compute_kl,
@@ -41,9 +43,11 @@ from oracles import (
     compute_h_table,
     compute_kl_dicts,
     dagger_T_basis,
+    mu_rows,
     naive_c_product,
     pack,
     reseal_cache,
+    split_mu,
     vp,
 )
 
@@ -92,15 +96,16 @@ def test_dihedral_P_all_one():
 
 
 def test_dihedral_mu_is_covering():
+    # mu(z, w) = 1 exactly on the Bruhat covers, and the W-graph table
+    # holds those with a left descent of z that w lacks
     store = _store("I2(5)")
     g = store.group
-    for w in range(g.size):
-        expect = sorted(
-            (z, 1)
-            for z in range(g.size)
-            if g.length[z] == g.length[w] - 1 and bruhat_leq(g, z, w)
-        )
-        assert list(store.mu_by_w[w]) == expect
+    covers = [
+        [(z, 1) for z in range(g.size)
+         if g.length[z] == g.length[w] - 1 and bruhat_leq(g, z, w)]
+        for w in range(g.size)
+    ]
+    assert store.mu_down == split_mu(g, covers)
 
 
 def test_A3_known_nontrivial_P():
@@ -109,12 +114,14 @@ def test_A3_known_nontrivial_P():
     x = g.element_by_word((1,))
     y = g.element_by_word((1, 0, 2, 1))
     assert store.P(x, y) == (1, 1)  # 1 + q
-    assert dict(store.mu_by_w[y]).get(x, 0) == 1
+    assert dict(mu_rows(store)[y]).get(x, 0) == 1
+    # D_L(x) = {s_1} lies inside D_L(y): no c_s c_y reads this mu
+    assert not any(x in col[y] for col in store.mu_down)
 
 
-# SHA-256 of the sorted P rows, as q-coefficient tuples, and of the mu
-# lists, recorded with the canonical-basis recursion run on
-# v-polynomials, a second route to the same store
+# SHA-256 of the sorted P rows, as q-coefficient tuples, and of the
+# (z, mu) rows read off them, recorded with the canonical-basis recursion
+# run on v-polynomials, a second route to the same store
 PINNED_STORE_DIGESTS = {
     "D4": (
         "9d0de092760daca52bd65eafed99939c5e6c13d82810e008ca7381ced0241396",
@@ -137,7 +144,9 @@ def test_kl_store_pinned():
         rows = [sorted(P_row(store, w).items())
                 for w in range(store.group.size)]
         assert _digest(rows) == p_digest, symbol
-        assert _digest(list(store.mu_by_w)) == mu_digest, symbol
+        mus = mu_rows(store)
+        assert _digest(mus) == mu_digest, symbol
+        assert store.mu_down == split_mu(store.group, mus), symbol
 
 
 def test_longest_element_row_is_all_ones():
@@ -183,8 +192,8 @@ def test_P_against_oracle_H3_random_pairs():
 
 
 def _matches_dict_recursion(symbol):
-    # every P_{y,w}, read through KLStore.P, and every mu row equal those
-    # of the same recursion run on one dict per row
+    # every P_{y,w}, read through KLStore.P, and the W-graph table equal
+    # those of the same recursion run on one dict per row
     g = build_group(symbol)
     store = compute_kl(g)
     P_by_w, mu_by_w = compute_kl_dicts(g)
@@ -195,7 +204,7 @@ def _matches_dict_recursion(symbol):
         for y in range(g.size):
             want = unpack(row[y])[1] if y in row else ()
             assert store.P(y, w) == want, (symbol, y, w)
-        assert store.mu_by_w[w] == mu_by_w[w], (symbol, w)
+    assert store.mu_down == split_mu(g, mu_by_w), symbol
 
 
 def test_recursion_without_corrections_is_refused():
@@ -209,8 +218,9 @@ def test_recursion_without_corrections_is_refused():
 
 def test_kl_store_memory():
     # the rows are flat arrays of ys and of indices into one table of
-    # distinct values: B4's 40 249 pairs, with its mu rows, stay within
-    # 0.6 MB, where one dict per row held 1.6 MB
+    # distinct values, and mu is held once, as the W-graph table: B4's
+    # 40 249 pairs with that table stay within 0.48 MB, where one dict per
+    # row held 1.6 MB and the (z, mu) pairs of every row 0.55 MB
     g = build_group("B4")
     tracemalloc.start()
     try:
@@ -220,12 +230,12 @@ def test_kl_store_memory():
     finally:
         tracemalloc.stop()
     assert sum(map(len, store.P_by_w)) == 40249
-    assert live <= 600_000, live
+    assert live <= 480_000, live
 
 
-def test_block_kit_shares_the_mu_pairs():
-    # mu_down filters the store's (t, mu) pairs by reference: B4's kit
-    # stays within 0.2 MB, where copying every pair held 0.35 MB
+def test_block_kit_shares_the_w_graph():
+    # the kit reads the store's W-graph table itself: B4's kit stays
+    # within 16 KB, where a filtered copy of the (t, mu) pairs held 0.1 MB
     store = compute_kl(build_group("B4"))
     tracemalloc.start()
     try:
@@ -234,10 +244,33 @@ def test_block_kit_shares_the_mu_pairs():
         live = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    shared = {id(e) for mus in store.mu_by_w for e in mus}
-    assert all(id(e) in shared for row in kit.mu_down for mus in row
-               for e in mus)
-    assert live <= 200_000, live
+    assert kit.mu_down is store.mu_down
+    assert live <= 16_000, live
+
+
+def test_mu_row_lists_a_target_mu_times():
+    # no group here has mu > 1 on a W-graph edge (H3's four mu = 2 are not
+    # on one), so one P value of a copied B3 store is forged with a top
+    # slot of 2 on an edge: the pass over its row lists that target twice
+    store = _store("B3")
+    g = store.group
+    s, w, z = next((s, w, col[w][0]) for s, col in enumerate(store.mu_down)
+                   for w in range(g.size) if col[w])
+    forged = copy.copy(store)
+    j = store.P_by_w[w].index(z)
+    top = store.packing.bits * ((g.length[w] - g.length[z]) // 2)
+    forged.P_values = [*store.P_values,
+                       store.P_values[store.P_index_by_w[w][j]] + (1 << top)]
+    ids = array("I", store.P_index_by_w[w])
+    ids[j] = len(store.P_values)
+    forged.P_index_by_w = [*store.P_index_by_w[:w], ids,
+                           *store.P_index_by_w[w + 1:]]
+    forged.mu_down = [[*col[:w], (), *col[w + 1:]] for col in store.mu_down]
+    _mu_row(forged, w)
+    for col, was in zip(forged.mu_down, store.mu_down):
+        assert col[w] == tuple(sorted(was[w] + (z,) * (z in was[w])))
+        assert col[:w] == was[:w] and col[w + 1:] == was[w + 1:]
+    assert forged.mu_down[s][w].count(z) == 2
 
 
 @pytest.mark.parametrize("symbol",
@@ -534,8 +567,7 @@ def test_row_bounds_hold_every_row(symbol):
             sw = g.left[s][w]
             if g.length[sw] > g.length[w]:
                 assert ns * N[w] == N[sw] + sum(
-                    m * N[z] for z, m in kit.mu_down[s][w]
-                ), (s, w)
+                    N[z] for z in kit.mu_down[s][w]), (s, w)
     bits = store.packing.bits
     for w in range(g.size):
         for y, i in zip(store.P_by_w[w], store.P_index_by_w[w]):
@@ -575,7 +607,7 @@ def test_closed_rows_match_whole_block(symbol):
         for x in xs[1:]:
             s = kit.first_letter[x]
             parent = kit.left[s][x]
-            assert {parent, *(t for t, _ in kit.mu_down[s][parent])} <= set(xs)
+            assert {parent, *kit.mu_down[s][parent]} <= set(xs)
         for y in range(0, kit.size, 5):
             block = _h_block(kit, (y,), xs)
             assert [x for x, row in enumerate(block) if row is not None] \
@@ -606,14 +638,15 @@ def test_cell_truncated_blocks_match_whole_block(symbol):
 
 @pytest.mark.parametrize("symbol", ["A3", "B3", "H3", "B4", "D4", "I2(5)"])
 def test_cut_table_matches_per_term_cell_test(symbol):
-    # per s and z, the W-graph of c_s c_z read off descents and the stored
-    # mu: None at a descent, else c_{sz} and each mu(t, z) c_t with s t < t,
-    # in that order and listed mu times, kept when the target is in the
-    # left cell of z (every target without cell); each table is built once
-    # per cell array
+    # per s and z, the W-graph of c_s c_z read off descents and the mu of
+    # the P rows: None at a descent, else c_{sz} and each mu(t, z) c_t
+    # with s t < t, in that order and listed mu times, kept when the
+    # target is in the left cell of z (every target without cell); each
+    # table is built once per cell array
     store = _store(symbol)
     g = store.group
     kit = BlockKit(store)
+    mus = mu_rows(store)
     cell = compute_cells(generator_rows(store)).left_cell_of
     for cut in (None, cell):
         table = kit.cut(cut)
@@ -624,7 +657,7 @@ def test_cut_table_matches_per_term_cell_test(symbol):
                     assert table[s][z] is None, (s, z)
                     continue
                 want = [(g.left[s][z], 1)] + [
-                    (t, m) for t, m in store.mu_by_w[z]
+                    (t, m) for t, m in mus[z]
                     if g.left_descent_mask[t] >> s & 1]
                 if cut is not None:
                     want = [(t, m) for t, m in want if cell[t] == cell[z]]
@@ -633,15 +666,16 @@ def test_cut_table_matches_per_term_cell_test(symbol):
 
 
 def test_cut_table_lists_a_target_mu_times():
-    # no group here has mu > 1 on a W-graph edge the table holds (H3's
-    # four mu = 2 are not), so one mu is raised to 2 before the first use
-    kit = BlockKit(_store("B3"))
-    s, z = next((s, z) for s, down in enumerate(kit.mu_down)
-                for z, terms in enumerate(down)
-                if terms and not kit.lmask[z] >> s & 1)
-    (t, _), *rest = kit.mu_down[s][z]
-    kit.mu_down[s][z] = ((t, 2), *rest)
-    assert kit.cut()[s][z] == (kit.left[s][z], t, t, *(u for u, _ in rest))
+    # no group here has mu > 1 on a W-graph edge (H3's four mu = 2 are not
+    # on one), so the store's table lists one target twice before the
+    # kit's first use, as it does for mu = 2
+    store = _store("B3")
+    s, z = next((s, z) for s, down in enumerate(store.mu_down)
+                for z, terms in enumerate(down) if terms)
+    t, *rest = store.mu_down[s][z]
+    store.mu_down[s][z] = (t, t, *rest)
+    kit = BlockKit(store)
+    assert kit.cut()[s][z] == (kit.left[s][z], t, t, *rest)
 
 
 def _seeded_blocks_side_by_side(symbol, widths):
@@ -753,7 +787,7 @@ def test_cache_round_trip(tmp_path):
         assert store2.P_by_w == store.P_by_w
         assert store2.P_index_by_w == store.P_index_by_w
         assert store2.P_values == store.P_values
-        assert store2.mu_by_w == store.mu_by_w
+        assert store2.mu_down == store.mu_down
         assert a == gamma.a
         assert lead == gamma.lead
 
