@@ -10,7 +10,7 @@ cyclotomic values by a discrete Fourier transform over each cyclic group
 <z_j>, reading eigenvalue multiplicities off the mod-p data.
 
 The prime p and a primitive exponent(W)-th root of unity eta mod p come
-from `exactnum.residue_map`: p = 1 mod exponent(W), so that F_p contains
+from `modp.residue_map`: p = 1 mod exponent(W), so that F_p contains
 the needed roots of unity, and p^2 > 4 |W| max_class^2, so that degrees
 and multiplicities lift uniquely from their residues.  A failed split or
 an inconsistent lift moves to the next such prime, `residue_map` above
@@ -34,13 +34,8 @@ from math import gcd, isqrt, lcm
 from operator import mul
 
 from .errors import InternalInconsistencyError
-from .exactnum import (
-    CycloNumber,
-    _dense_trim,
-    cyclo_context,
-    cyclo_rational,
-    residue_map,
-)
+from .exactnum import CycloNumber, cyclo_context, cyclo_rational
+from .modp import pdiv, pgcd, ppowmod, psub, residue_map
 
 
 # ---------------------------------------------------------------------------
@@ -146,62 +141,10 @@ def _charpoly(mat, p):
     return polys[d]
 
 
-def _pmul(a, b, p):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    return _dense_trim(out)
-
-
-def _pmod(a, f, p):
-    return _pdiv(a, f, p)[1]
-
-
-def _pmonic(a, p):
-    a = _dense_trim(a[:])
-    if not a:
-        return a
-    inv = pow(a[-1], p - 2, p)
-    return [c * inv % p for c in a]
-
-
-def _pgcd(a, b, p):
-    a, b = _dense_trim(a[:]), _dense_trim(b[:])
-    while b:
-        a, b = b, _pmod(a, _pmonic(b, p), p)
-    return _pmonic(a, p)
-
-
-def _ppowmod(base, e, f, p):
-    f = _pmonic(f, p)
-    result = [1]
-    base = _pmod(base, f, p)
-    while e:
-        if e & 1:
-            result = _pmod(_pmul(result, base, p), f, p)
-        base = _pmod(_pmul(base, base, p), f, p)
-        e >>= 1
-    return result
-
-
-def _psub(a, b, p):
-    out = [0] * max(len(a), len(b))
-    for i, c in enumerate(a):
-        out[i] = c % p
-    for i, c in enumerate(b):
-        out[i] = (out[i] - c) % p
-    return _dense_trim(out)
-
-
 def _distinct_roots(f, p, rng):
     """Roots of f lying in F_p, each once, ascending."""
-    f = _pmonic(f, p)
-    xp = _ppowmod([0, 1], p, f, p)
-    g = _pgcd(_psub(xp, [0, 1], p), f, p)
+    xp = ppowmod([0, 1], p, f, p)
+    g = pgcd(psub(xp, [0, 1], p), f, p)
     roots = []
     stack = [g]
     guard = 0
@@ -218,36 +161,16 @@ def _distinct_roots(f, p, rng):
             if guard > 64 * len(f):
                 raise _Retry("equal-degree splitting stalled")
             a = rng.randrange(p)
-            w = _ppowmod([a, 1], (p - 1) // 2, h, p)
-            cand = _pgcd(_psub(w, [1], p), h, p)
+            w = ppowmod([a, 1], (p - 1) // 2, h, p)
+            cand = pgcd(psub(w, [1], p), h, p)
             if 0 < len(cand) - 1 < d:
-                q, r = _pdiv(h, cand, p)
+                q, r = pdiv(h, cand, p)
                 if r:
                     raise _Retry("split factor does not divide")
                 stack.append(cand)
                 stack.append(q)
                 break
     return sorted(roots)
-
-
-def _pdiv(a, b, p):
-    """(quotient, remainder) of a by a nonzero b over F_p, both trimmed."""
-    b = _dense_trim([c % p for c in b])
-    inv = pow(b[-1], p - 2, p)
-    b = [c * inv % p for c in b]
-    a = _dense_trim([c % p for c in a])
-    db = len(b) - 1
-    q = [0] * max(len(a) - db, 0)
-    while len(a) > db:
-        # a is trimmed, so its leading coefficient is nonzero
-        lead = a.pop()
-        shift = len(a) - db
-        q[shift] = lead
-        for i in range(db):
-            a[shift + i] = (a[shift + i] - lead * b[i]) % p
-        _dense_trim(a)
-    # q is the quotient by b / lead(b)
-    return [c * inv % p for c in q], a
 
 
 # ---------------------------------------------------------------------------

@@ -80,17 +80,11 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 
-from .chartab import _pdiv
 from .coxeter import word_name
 from .errors import InternalInconsistencyError, UsageError
-from .exactnum import (
-    CycloNumber,
-    LaurentPoly,
-    cyclo_context,
-    is_palindromic,
-    residue_map,
-)
+from .exactnum import CycloNumber, LaurentPoly, cyclo_context, is_palindromic
 from .klbase import _h_block
+from .modp import mul_one_minus, pdiv, residue_map
 
 CLAIM_IDS = ("1.2b", "1.3a", "1.3c", "1.5a", "1.6b")
 
@@ -125,10 +119,10 @@ def _class_quotients(degrees, charpolys, p):
     class polynomial."""
     co = [1]
     for d in degrees:
-        co = [a - b for a, b in zip(co + [0] * d, [0] * d + co)]
+        mul_one_minus(co, d)
     out = []
     for poly in charpolys:
-        q, r = _pdiv(co, poly, p)
+        q, r = pdiv(co, poly, p)
         if r:
             raise InternalInconsistencyError("inexact class quotient")
         out.append(q)

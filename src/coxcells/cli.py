@@ -7,11 +7,12 @@ Exit codes: 0 success, 1 claim failure, 2 usage or resource refusal,
 broken engine invariant.
 
 Each subcommand loads only the layers it runs.  `group` imports the
-group and the reports; `cells` adds the polynomial engine (`klbase`,
-`jring`); `chartable` adds the character table and no engine;
-`classify` and `verify` load every module.  `hashlib` is imported only
-where a digest is taken: the fingerprint `group` reports, and the
-sealed cache; `csv` only for `--format csv`.
+group, its integer arithmetic (`modp`) and the reports, and no
+`fractions`; `cells` adds the polynomial engine (`klbase`, `jring`);
+`chartable` adds the character table and its cyclotomic numbers
+(`exactnum`) and no engine; `classify` and `verify` load every module.
+`hashlib` is imported only where a digest is taken: the fingerprint
+`group` reports, and the sealed cache; `csv` only for `--format csv`.
 """
 
 import argparse

@@ -36,7 +36,7 @@ from functools import lru_cache
 from math import lcm
 
 from .errors import InternalInconsistencyError, RefusalError, UsageError
-from .exactnum import LaurentPoly, _dense_mul, residue_map
+from .modp import div_one_minus, mul_one_minus, residue_map
 
 __all__ = [
     "ConjugacyClasses",
@@ -336,6 +336,7 @@ class CoxeterGroup:
         return k
 
     def poincare_polynomial(self) -> LaurentPoly:
+        from .exactnum import LaurentPoly  # loads fractions: only on demand
         counts = {}
         for l in self.length:
             counts[l] = counts.get(l, 0) + 1
@@ -507,8 +508,8 @@ def build_group(source, max_order: int = DEFAULT_MAX_ORDER) -> CoxeterGroup:
 
 def _check_length_counts(length, degrees):
     """Raise unless the elements counted by length are the coefficients of
-    prod_i [d_i]_X, with [d]_X = 1 + X + ... + X^(d-1) (the product
-    formula for the Poincare polynomial).
+    prod_i [d_i]_X, with [d]_X = 1 + X + ... + X^(d-1) = (1 - X^d) / (1 - X)
+    (the product formula for the Poincare polynomial).
 
     [d]_X = prod Phi_e over e | d, e > 1, so the product fixes the multiset
     of degrees: peeling off the largest Phi_e as a degree recovers it.  A
@@ -520,7 +521,8 @@ def _check_length_counts(length, degrees):
         counts[l] += 1
     product = [1]
     for d in degrees:
-        product = _dense_mul(product, [1] * d)
+        mul_one_minus(product, d)
+        div_one_minus(product, 1)
     if counts != product:
         raise InternalInconsistencyError(
             "length counts are not the product of [d]_X over the degrees "

@@ -1,6 +1,7 @@
-"""Exact scalar arithmetic for the whole engine.
+"""Exact rational and cyclotomic arithmetic, on Fractions.
 
-Two number domains live here:
+Two number domains live here, the only ones that need ``fractions``; the
+integer and prime-field arithmetic under them is in `modp`:
 
 * ``CycloNumber``: an element of the cyclotomic field Q(zeta_M), stored as a
   dense vector of rationals in the power basis 1, zeta, ..., zeta^(phi(M)-1)
@@ -12,10 +13,8 @@ Two number domains live here:
   variable ``X`` and with integer coefficients, for the Poincare series and
   the fake degrees.
 
-``residue_map`` reduces Z[zeta_M] modulo a prime p = 1 mod M above a
-bound, and is the one prime search of the engine: above |W| for the group
-enumeration, the reflection matrices and the fake degrees, above larger
-bounds for the character table's split and validation primes.
+The reduction modulo Phi_M reads `modp.cyclotomic`, and the ring map of
+Z[zeta_M] to F_p, the engine's one prime search, is `modp.residue_map`.
 
 Everything is immutable by convention and hash/compare-safe, so values can be
 used as dictionary keys.  No floating point is used anywhere.
@@ -36,6 +35,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import InternalInconsistencyError, UsageError
+from .modp import cyclotomic
 
 __all__ = [
     "CycloContext",
@@ -44,68 +44,9 @@ __all__ = [
     "cyclo_context",
     "cyclo_rational",
     "is_palindromic",
-    "residue_map",
 ]
 
 _ZERO = Fraction(0)
-
-
-# ---------------------------------------------------------------------------
-# dense integer polynomial helpers (ascending coefficient lists)
-
-def _dense_trim(c: list) -> list:
-    while c and not c[-1]:
-        c.pop()
-    return c
-
-
-def _dense_mul(a: list, b: list) -> list:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    out[i + j] += ai * bj
-    return _dense_trim(out)
-
-
-def _dense_divmod(num: list, den: list) -> tuple:
-    """Quotient and remainder of dense integer polynomials, the remainder
-    trimmed and below deg den; den must be trimmed, and a quotient
-    coefficient that is not an integer raises."""
-    rem = list(num)
-    q = [0] * max(len(num) - len(den) + 1, 0)
-    lead = den[-1]
-    for k in range(len(num) - len(den), -1, -1):
-        c = rem[k + len(den) - 1]
-        if c % lead:
-            raise InternalInconsistencyError("inexact dense polynomial division")
-        c //= lead
-        q[k] = c
-        if c:
-            for j, dj in enumerate(den):
-                rem[k + j] -= c * dj
-    return q, _dense_trim(rem[:len(den) - 1])
-
-
-@lru_cache(maxsize=None)
-def _cyclotomic_coeffs(n: int) -> tuple:
-    """Integer coefficients of the n-th cyclotomic polynomial, ascending."""
-    if n < 1:
-        raise UsageError("cyclotomic index must be positive")
-    if n == 1:
-        return (-1, 1)
-    num = [-1] + [0] * (n - 1) + [1]          # X^n - 1
-    den = [1]
-    for d in range(1, n):
-        if n % d == 0:
-            den = _dense_mul(den, list(_cyclotomic_coeffs(d)))
-    q, r = _dense_divmod(num, den)
-    if r:
-        raise InternalInconsistencyError("inexact cyclotomic division")
-    return tuple(q)
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +67,7 @@ class CycloContext:
         if order < 1:
             raise UsageError("conductor must be positive")
         self.order = order
-        mod = _cyclotomic_coeffs(order)
+        mod = cyclotomic(order)
         phi = len(mod) - 1
         self.degree = phi
         first = tuple(-c for c in mod[:phi])                # zeta^phi reduced
@@ -331,80 +272,6 @@ def cyclo_rational(order: int, value) -> CycloNumber:
     if not v:
         return ctx.zero
     return CycloNumber(ctx, (v,) + (_ZERO,) * (ctx.degree - 1))
-
-
-# ---------------------------------------------------------------------------
-# reduction modulo a prime
-
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
-def _is_prime(m: int) -> bool:
-    if m < 2:
-        return False
-    for q in _MR_BASES:
-        if m % q == 0:
-            return m == q
-    d, r = m - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in _MR_BASES:
-        x = pow(a, d, m)
-        if x == 1 or x == m - 1:
-            continue
-        for _ in range(r - 1):
-            x = x * x % m
-            if x == m - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _primitive_root(p: int) -> int:
-    fac = []
-    m = p - 1
-    q = 2
-    while q * q <= m:
-        if m % q == 0:
-            fac.append(q)
-            while m % q == 0:
-                m //= q
-        q += 1
-    if m > 1:
-        fac.append(m)
-    g = 2
-    while True:
-        if all(pow(g, (p - 1) // q, p) != 1 for q in fac):
-            return g
-        g += 1
-
-
-def residue_map(conductor: int, order: int) -> tuple:
-    """(p, eta, to_fp): the first prime p = 1 mod conductor above order,
-    a primitive conductor-th root of unity eta mod p, and the ring map
-    Z[zeta_M] -> F_p, zeta_M -> eta, on CycloNumbers of conductor M with
-    integer power-basis coordinates.
-
-    Every prime of the engine comes from here.  With M the group's
-    conductor and order its size, the group enumeration, the reflection
-    matrices of the character table and the fake degrees all reduce
-    through this one map.  The character table takes its split primes
-    (M the exponent of W, order a bound on the lifted integers, then each
-    failed prime) and its validation prime (order |W|^2 + |W|) from it
-    too.
-    """
-    p = conductor + 1
-    while p <= order or not _is_prime(p):
-        p += conductor
-    eta = pow(_primitive_root(p), (p - 1) // conductor, p)
-    etas = [pow(eta, k, p) for k in range(conductor)]
-
-    def to_fp(v):
-        return sum(c.numerator * t for c, t in zip(v.coeffs, etas) if c) % p
-
-    return p, eta, to_fp
 
 
 # ---------------------------------------------------------------------------

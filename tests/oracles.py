@@ -31,9 +31,10 @@ character multiplicities, the value-polynomial arithmetic (`vp` extends
 the library's constants), the packing that `klbase.unpack` inverts, a few
 LaurentPoly operations, and the LaurentPoly division and cyclotomic
 polynomials that the Q(zeta) fake degrees above use (the library divides
-dense integer lists instead).  The characteristic polynomial mod p from
-power traces, by Newton's identities, cross-checks the library's
-Hessenberg one.
+dense integer lists instead), the cyclotomic ones as quotients of X^n - 1
+(`modp.cyclotomic` multiplies and divides by 1 - X^d instead).  The
+characteristic polynomial mod p from power traces, by Newton's
+identities, cross-checks the library's Hessenberg one.
 `reseal_cache` edits a cache file behind its digest.  The KL
 polynomials come once more from the recursion `klbase.compute_kl` runs,
 on one dict per row and with no use of the symmetry of a row under its
@@ -59,9 +60,6 @@ from coxcells.errors import InternalInconsistencyError, UsageError
 from coxcells.exactnum import (
     CycloNumber,
     LaurentPoly,
-    _cyclotomic_coeffs,
-    _dense_divmod,
-    _dense_mul,
     cyclo_context,
     cyclo_rational,
 )
@@ -402,6 +400,64 @@ def bruhat_leq(group, x: int, y: int) -> bool:
 
 # ---------------------------------------------------------------------------
 # LaurentPoly division and cyclotomic polynomials
+
+
+def _dense_trim(c: list) -> list:
+    while c and not c[-1]:
+        c.pop()
+    return c
+
+
+def _dense_mul(a: list, b: list) -> list:
+    """Product of dense polynomials, ascending coefficients."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                if bj:
+                    out[i + j] += ai * bj
+    return _dense_trim(out)
+
+
+def _dense_divmod(num: list, den: list) -> tuple:
+    """Quotient and remainder of dense integer polynomials, the remainder
+    trimmed and below deg den; den must be trimmed, and a quotient
+    coefficient that is not an integer raises."""
+    rem = list(num)
+    q = [0] * max(len(num) - len(den) + 1, 0)
+    lead = den[-1]
+    for k in range(len(num) - len(den), -1, -1):
+        c = rem[k + len(den) - 1]
+        if c % lead:
+            raise InternalInconsistencyError("inexact dense polynomial division")
+        c //= lead
+        q[k] = c
+        if c:
+            for j, dj in enumerate(den):
+                rem[k + j] -= c * dj
+    return q, _dense_trim(rem[:len(den) - 1])
+
+
+@lru_cache(maxsize=None)
+def _cyclotomic_coeffs(n: int) -> tuple:
+    """Integer coefficients of the n-th cyclotomic polynomial, ascending,
+    as the quotient of X^n - 1 by the product of the Phi_d over the proper
+    divisors d of n (the library builds it from products of 1 - X^d)."""
+    if n < 1:
+        raise UsageError("cyclotomic index must be positive")
+    if n == 1:
+        return (-1, 1)
+    num = [-1] + [0] * (n - 1) + [1]          # X^n - 1
+    den = [1]
+    for d in range(1, n):
+        if n % d == 0:
+            den = _dense_mul(den, list(_cyclotomic_coeffs(d)))
+    q, r = _dense_divmod(num, den)
+    if r:
+        raise InternalInconsistencyError("inexact cyclotomic division")
+    return tuple(q)
 
 
 def _coeff_div(a, b):

@@ -11,20 +11,13 @@ from coxcells.chartab import (
     CharacterTable,
     _charpoly,
     _Retry,
-    _pdiv,
-    _pmod,
-    _pmul,
-    _psub,
     _validate,
     character_table,
 )
 from coxcells.coxeter import build_group
 from coxcells.errors import InternalInconsistencyError
-from coxcells.exactnum import (
-    CycloNumber,
-    cyclo_rational,
-    residue_map,
-)
+from coxcells.exactnum import CycloNumber, cyclo_rational
+from coxcells.modp import _pmod, _pmul, pdiv, psub, residue_map
 
 from oracles import (
     charpoly_by_power_traces,
@@ -221,17 +214,17 @@ def test_multiplicity_rejects_fractional():
 def test_pdiv_remainder_below_divisor_degree():
     # x^3 = x (x^2 + 1) - x over F_7: the remainder falls below deg b
     # after one step and must stop there
-    assert _pdiv([0, 0, 0, 1], [1, 0, 1], 7) == ([0, 1], [0, 6])
+    assert pdiv([0, 0, 0, 1], [1, 0, 1], 7) == ([0, 1], [0, 6])
     assert _pmod([0, 0, 0, 1], [1, 0, 1], 7) == [0, 6]
 
 
 def test_pdiv_quotient_by_a_non_monic_divisor():
     # the quotient is by b itself, not by b made monic: a - q b == r
-    assert _pdiv([1, 0, 0, 1], [1, 3], 7) == ([6, 3, 5], [2])
+    assert pdiv([1, 0, 0, 1], [1, 3], 7) == ([6, 3, 5], [2])
     for a, b in (([1, 0, 0, 1], [1, 3]), ([1, 2, 3, 4, 5], [6, 0, 5])):
-        q, r = _pdiv(a, b, 7)
+        q, r = pdiv(a, b, 7)
         assert len(r) < len(b)
-        assert _psub(a, _pmul(q, b, 7), 7) == r
+        assert psub(a, _pmul(q, b, 7), 7) == r
 
 
 @pytest.mark.parametrize("sym", ["B3", "H3"])

@@ -58,8 +58,9 @@ from coxcells.classify import (
 )
 from coxcells.coxeter import build_group
 from coxcells.errors import InternalInconsistencyError, UsageError
-from coxcells.exactnum import LaurentPoly, residue_map
+from coxcells.exactnum import LaurentPoly
 from coxcells.klbase import _h_block, generator_rows
+from coxcells.modp import residue_map
 from coxcells.pipeline import analysis, classification, classify_report
 
 DEFAULT_SYMBOLS = ("I2(3)", "I2(5)", "I2(7)", "A3", "B3", "H3")

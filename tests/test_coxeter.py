@@ -6,12 +6,8 @@ import pytest
 import coxcells.coxeter as coxeter_mod
 from coxcells.coxeter import build_group, group_datum
 from coxcells.errors import InternalInconsistencyError, RefusalError, UsageError
-from coxcells.exactnum import (
-    LaurentPoly,
-    cyclo_context,
-    cyclo_rational,
-    residue_map,
-)
+from coxcells.exactnum import LaurentPoly, cyclo_context, cyclo_rational
+from coxcells.modp import residue_map
 
 from oracles import (
     bruhat_leq,
