@@ -20,12 +20,16 @@ never silently absorbed.
 The eigenspaces split along the roots of characteristic polynomials,
 taken by Hessenberg reduction mod p.  All returned values are exact
 cyclotomic numbers in the group's ambient conductor, each lifted as a
-sum of chi(1) roots of unity, and the finished table is checked against
-full row and column orthogonality before being handed back: modulo one
-prime q = 1 mod M above |W|^2 + |W|, under all phi(M) maps zeta_M ->
-eta^j.  Every such sum is at most |W|^2 in absolute value under each
-complex embedding, so agreement under all those maps makes the relation
-exact (see `_validate`).
+sum of chi(1) roots of unity and kept as its integer power-basis vector
+until the table is built.  The table is checked against full row and
+column orthogonality before being handed back: modulo one prime q = 1
+mod M above |W|^2 + |W|, under all phi(M) maps zeta_M -> eta^j.  Every
+such sum is at most |W|^2 in absolute value under each complex
+embedding, so agreement under all those maps makes the relation exact.
+The sums under one map read the values' images under it and under its
+inverse only, so each distinct pair of images is checked once; a
+rational table, as every Weyl group's is, is checked once (see
+`_validate`).
 """
 
 import random
@@ -312,18 +316,14 @@ class CharacterTable:
             acc = acc + a * b.conjugate() * size
         return acc * Fraction(1, self.group.size)
 
-    def tensor_sign(self, row_index: int) -> tuple:
-        """Pointwise product of a row with the sign character."""
+    def tensor_sign_index(self, row_index: int) -> int:
+        """Index of the row's pointwise product with the sign character;
+        error if the table is not closed under the sign twist."""
         g = self.group
-        out = tuple(
+        return self.find_row(
             val * (-1 if g.length[z] % 2 else 1)
             for val, z in zip(self.rows[row_index], self.classes.representatives)
         )
-        self.find_row(out)  # closure under the sign twist is asserted
-        return out
-
-    def tensor_sign_index(self, row_index: int) -> int:
-        return self.find_row(self.tensor_sign(row_index))
 
 
 def _reflection_charpolys(group, elements):
@@ -361,14 +361,10 @@ def _class_matrix(group, classes, i):
 def _modular_rows(group, classes, jstar, p, rng):
     """Mod-p character rows and degrees, one per irreducible."""
     k = len(classes)
-    cache = [None] * k
-
-    def get_matrix(i):
-        if cache[i] is None:
-            cache[i] = _class_matrix(group, classes, i)
-        return cache[i]
-
-    vecs = _common_eigenvectors(k, get_matrix, p, rng)
+    # each class matrix is asked for once per prime
+    vecs = _common_eigenvectors(
+        k, lambda i: _class_matrix(group, classes, i), p, rng
+    )
     rows = []
     dims = []
     bound = isqrt(group.size)
@@ -431,10 +427,9 @@ def _lift_row(row_p, dim, powmaps, dfts, ctx, p):
 
     For z of order o the value is sum m_s zeta_o^s with m_s the
     multiplicity of the eigenvalue; the inverse DFT over <z> recovers
-    each m_s as a residue, which must lift into [0, dim].  The sum runs
-    on integer power-basis vectors, one `CycloNumber` per value.
+    each m_s as a residue, which must lift into [0, dim].  Each value is
+    returned as its integer power-basis vector.
     """
-    zero = Fraction(0)
     out = []
     for chain, dft in zip(powmaps, dfts):
         vals = [row_p[c] for c in chain]
@@ -452,16 +447,14 @@ def _lift_row(row_p, dim, powmaps, dfts, ctx, p):
                         acc[t] += m * c
         if total != dim:
             raise _Retry("eigenvalue multiplicities do not sum to the degree")
-        out.append(CycloNumber(
-            ctx, tuple(Fraction(c) if c else zero for c in acc)
-        ))
+        out.append(tuple(acc))
     return tuple(out)
 
 
 def _validate(group, classes, rows, dims, conductor):
-    """Integrality, row and column orthogonality and the degree sum of a
-    lifted table; the orthogonality is checked modulo one prime q, under
-    every embedding.
+    """Row and column orthogonality and the degree sum of a lifted table,
+    its values given as integer power-basis vectors; the orthogonality is
+    checked modulo one prime q, under every embedding.
 
     A lifted value is a sum of chi(1) roots of unity (`_lift_row` checks
     the multiplicities), so under every complex embedding sigma a row sum
@@ -474,36 +467,32 @@ def _validate(group, classes, rows, dims, conductor):
     value under all of them differs from it by q times an algebraic
     integer whose conjugates all lie below 1 in absolute value; the norm
     of that integer is an integer below 1, so it is 0, and the relation
-    holds exactly.
+    holds exactly.  The sums under zeta -> eta^j read only the table's
+    values under that map and under zeta -> eta^-j, so each distinct pair
+    of those images is checked once, at its least j: a rational table
+    needs one pass.
     """
     k = len(classes)
-    # each value as the index of its integer power-basis vector
+    # each value as the index of its distinct vector
     index = {}
-    at = []
-    for row in rows:
-        for v in row:
-            if any(c.denominator != 1 for c in v.coeffs):
-                raise _Retry("non-integral character value")
-            if group.datum.crystallographic and not (
-                v.is_rational() and v.is_integer()
-            ):
-                raise _Retry("irrational value in a crystallographic type")
-        at.append([index.setdefault(tuple(map(int, v.coeffs)), len(index))
-                   for v in row])
+    at = [[index.setdefault(v, len(index)) for v in row] for row in rows]
+    if group.datum.crystallographic and any(any(v[1:]) for v in index):
+        raise _Retry("irrational value in a crystallographic type")
     size = group.size
     q, eta, _ = residue_map(conductor, size * size + size)
     etas = [pow(eta, t, q) for t in range(conductor)]
     # images[j][i]: distinct value i under zeta -> eta^j, j a unit mod M
     images = {
-        j: [sum(c * etas[j * t % conductor] for t, c in enumerate(vec) if c)
-            % q for vec in index]
+        j: tuple(sum(c * etas[j * t % conductor] for t, c in enumerate(vec)
+                     if c) % q for vec in index)
         for j in range(conductor) if gcd(j, conductor) == 1
     }
     sizes = classes.sizes
-    for j, img in images.items():
-        # the conjugate's image under zeta -> eta^j is the value's under
-        # zeta -> eta^-j
-        bar = images[-j % conductor]
+    # the conjugate's image under zeta -> eta^j is the value's under
+    # zeta -> eta^-j; each distinct pair once, in ascending j
+    pairs = dict.fromkeys((img, images[-j % conductor])
+                          for j, img in images.items())
+    for img, bar in pairs:
         vals = [[img[i] for i in row] for row in at]
         bars = [[bar[i] for i in row] for row in at]
         packed = _pack(bars, k * q * q)
@@ -561,10 +550,12 @@ def character_table(group) -> CharacterTable:
             failures.append(f"p={p}: {exc}")
             continue
         # by degree, then by values in descending power-basis order
-        order = sorted(range(k), key=lambda i: [v.coeffs for v in lifted[i]],
-                       reverse=True)
+        order = sorted(range(k), key=lifted.__getitem__, reverse=True)
         order.sort(key=dims_p.__getitem__)
-        rows = tuple(lifted[i] for i in order)
+        # one CycloNumber of Fractions per distinct value
+        made = {v: CycloNumber(ctx, tuple(map(Fraction, v)))
+                for v in set().union(*lifted)}
+        rows = tuple(tuple(map(made.__getitem__, lifted[i])) for i in order)
         dims = tuple(dims_p[i] for i in order)
         if any(v != 1 for v in rows[0]):
             raise InternalInconsistencyError("trivial character not first")

@@ -450,7 +450,7 @@ def build_group(source, max_order: int = DEFAULT_MAX_ORDER) -> CoxeterGroup:
     if datum.order > max_order:
         raise RefusalError(
             f"{datum.type_symbol} has order {datum.order}, above the cap "
-            f"{max_order}; raise max_order to build it anyway"
+            f"{max_order}; raise it with --max-order to build it anyway"
         )
     n = datum.rank
     ident, right_mul = datum.reflection_action()

@@ -222,9 +222,6 @@ class CycloNumber:
             raise UsageError("cyclotomic number is not rational")
         return self.coeffs[0]
 
-    def is_integer(self) -> bool:
-        return self.is_rational() and self.coeffs[0].denominator == 1
-
     def __eq__(self, other) -> bool:
         if isinstance(other, CycloNumber):
             return (

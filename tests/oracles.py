@@ -2110,7 +2110,7 @@ def fake_degrees_common_denominator(group, table):
         quo = exact_divide(num * co, den)
         coeffs = {}
         for e, c in quo.coeffs.items():
-            if not (c.is_rational() and c.is_integer()):
+            if not (c.is_rational() and c.coeffs[0].denominator == 1):
                 raise InternalInconsistencyError(
                     f"graded multiplicity {c.render()} is not an integer"
                 )

@@ -109,7 +109,7 @@ def test_crystallographic_values_are_integers():
         tab = character_table(build_group(sym))
         for row in tab.rows:
             for v in row:
-                assert v.is_rational() and v.is_integer(), sym
+                assert v.is_rational() and v.coeffs[0].denominator == 1, sym
 
 
 def test_conjugation_permutation_character_nonnegative():
@@ -227,16 +227,63 @@ def test_pdiv_quotient_by_a_non_monic_divisor():
         assert psub(a, _pmul(q, b, 7), 7) == r
 
 
+def _vectors(rows):
+    """Rows of CycloNumbers as `_validate` takes them: each value as its
+    integer power-basis vector."""
+    return [[tuple(map(int, v.coeffs)) for v in row] for row in rows]
+
+
 @pytest.mark.parametrize("sym", ["B3", "H3"])
 def test_validate_rejects_a_perturbed_value(sym):
     # the finished table passes the integer orthogonality checks; one
     # value moved by 1 off the identity class fails the row relations
     g = build_group(sym)
     tab = character_table(g)
-    _validate(g, tab.classes, tab.rows, tab.dims, tab.conductor)
+    _validate(g, tab.classes, _vectors(tab.rows), tab.dims, tab.conductor)
     rows = [list(row) for row in tab.rows]
     rows[-1][1] = rows[-1][1] + 1
     with pytest.raises(_Retry, match="row orthogonality fails"):
+        _validate(g, tab.classes, _vectors(rows), tab.dims, tab.conductor)
+
+
+# orthogonality passes, one per distinct pair of images under zeta ->
+# eta^j and zeta -> eta^-j: as many as the field K the values generate
+# has embeddings, since the pair depends on j only through zeta -> zeta^j
+# on K.  K is Q for a rational table, Q(sqrt5) for H3 and H4, and for
+# I2(m) the real subfield of Q(zeta_m), of degree phi(m) / 2
+@pytest.mark.parametrize("sym, passes", [
+    ("H3", 2), ("I2(5)", 2), ("A4", 1), ("B4", 1), ("D4", 1),
+    pytest.param("D5", 1, marks=pytest.mark.heavy),
+    pytest.param("H4", 2, marks=pytest.mark.heavy),
+    pytest.param("I2(100)", 20, marks=pytest.mark.heavy),
+])
+def test_validate_checks_each_distinct_map_pair_once(monkeypatch, sym,
+                                                     passes):
+    # each pass packs its conjugate images twice, once per relation
+    g = build_group(sym)
+    tab = character_table(g)
+    packs = []
+    real = chartab_mod._pack
+
+    def counting(rows, bound):
+        packs.append(bound)
+        return real(rows, bound)
+
+    monkeypatch.setattr(chartab_mod, "_pack", counting)
+    _validate(g, tab.classes, _vectors(tab.rows), tab.dims, tab.conductor)
+    assert len(packs) == 2 * passes
+
+
+def test_validate_refuses_an_irrational_crystallographic_value():
+    # B3's table with one value replaced by zeta_M, the power-basis
+    # vector (0, 1, 0, ...): a Weyl group's character values are integers
+    g = build_group("B3")
+    tab = character_table(g)
+    rows = _vectors(tab.rows)
+    zeta = (0, 1) + (0,) * (len(rows[0][0]) - 2)
+    rows[-1][1] = zeta
+    with pytest.raises(_Retry,
+                       match="irrational value in a crystallographic type"):
         _validate(g, tab.classes, rows, tab.dims, tab.conductor)
 
 
@@ -275,9 +322,9 @@ def test_validate_rejects_a_galois_conjugate_row(monkeypatch):
         return out
 
     monkeypatch.setattr(chartab_mod, "residue_map", recorder)
-    _validate(g, tab.classes, tab.rows, tab.dims, M)
+    _validate(g, tab.classes, _vectors(tab.rows), tab.dims, M)
     with pytest.raises(_Retry, match="orthogonality fails"):
-        _validate(g, tab.classes, rows, tab.dims, M)
+        _validate(g, tab.classes, _vectors(rows), tab.dims, M)
     bound = g.size * g.size + g.size
     assert primes == [(M, bound, primes[0][2])] * 2
     q = primes[0][2]
@@ -299,7 +346,7 @@ def test_validate_checks_every_embedding():
     rows = [list(row) for row in tab.rows]
     rows[-1][1] = rows[-1][1] + shift
     with pytest.raises(_Retry, match="orthogonality fails"):
-        _validate(g, tab.classes, rows, tab.dims, M)
+        _validate(g, tab.classes, _vectors(rows), tab.dims, M)
 
 
 _P = 1_000_003

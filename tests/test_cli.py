@@ -124,6 +124,54 @@ def test_chartable_text_h3(capsys):
     assert "phi5_1" in out
 
 
+# SHA-256 of `coxcells chartable --type G` stdout, recorded while the
+# table was still checked under every one of the phi(M) maps zeta -> eta^j
+# on Fraction-valued rows
+CHARTABLE_SHA256 = {
+    "A1": "835a8a93b2f3f806847ce788d4d85cb2cddd00cd3e28491be142229c1e5c5ac1",
+    "A2": "38b98816d70274a4e2cca6ce1ce89f36b4b76cd6472de34733bff26b95f62fa9",
+    "A3": "63df8d06c6aa9e033fc67701e12386bddc7c4d572641c826b635da13e343bf68",
+    "A4": "313987ae65e8f6216201ecbd29cf5f812cae062c98370c41799b1f99805591b0",
+    "A5": "9831659d01a5b2004eaba139fc1517d0c2d42652723cc91c50fea2e65c8585c1",
+    "B2": "eff5dc85469378240845e2ec410387d873ee73e8f7d1805d71702e1dcd91f900",
+    "B3": "b56aaa40f0191c24549339715414876103c9de54432c97f2c9d32cdb70787084",
+    "B4": "846baea5d5938d228e5d0feffb7c817635d69cbe87d1bdcbe3a950702eeb2964",
+    "B5": "4e2e96fdf341bceb1450e84aca63831c15c358e6904b46cbd83132144f56609a",
+    "D4": "c3206c9bebf2c0439ea52ca3a5a513c38fba087718622b09ef720b7c4c68f8a8",
+    "D5": "47cbbc9beb278076612415db76c8132b0d36145cf05d4e21b9c26d986594a41b",
+    "F4": "4ca0c3dad5d6aa8f5f792d6d63280350daa626e950906ec01892d6112259a8ad",
+    "H3": "14083689cff5dfd75c12530c0aee7cc8f45dcff3a5226a7c6797b7d7f1abce3c",
+    "I2(5)": "08481ef8c1640f5debf0258a02f40b5ab6bfced199587efcf58613f50332940d",
+    "I2(8)": "a8d9cbd00bf36f6d2068f58d1a44f7dcb705c99a8374f73454f8f4d1a1563ceb",
+    "I2(60)": "dce9b8444584069de073fe491c3d054e6b5753ace8a0ff3a7d3184a954739aa7",
+}
+
+# the same for the larger tables; E6 is built with --max-order 60000
+HEAVY_CHARTABLE_SHA256 = {
+    "E6": "e4df421ce456fa36181aa6c99469a9711ac7ff0c0f54a4dea0c64d1592de4d07",
+    "H4": "91dd9f4be2630300bed2fae4059489c6afbbb9772ece63a44b9be6dcb31bd3ec",
+    "I2(100)": "b84e9d460b76d24b1f6d6e2a497315c19f4ccca4e5f57c33bea69482183f9963",
+    "I2(173)": "4f0bb1f2dffd984490d7391aa2c8173ad2bf057f05227cae65a32f0531a8696b",
+}
+
+
+@pytest.mark.parametrize("symbol", sorted(CHARTABLE_SHA256))
+def test_chartable_output_pinned(capsys, symbol):
+    code, out, _ = _run(capsys, "chartable", "--type", symbol)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == CHARTABLE_SHA256[symbol]
+
+
+@pytest.mark.heavy
+@pytest.mark.parametrize("symbol", sorted(HEAVY_CHARTABLE_SHA256))
+def test_heavy_chartable_output_pinned(capsys, symbol):
+    code, out, _ = _run(capsys, "chartable", "--type", symbol,
+                        "--max-order", "60000")
+    assert code == 0
+    assert (hashlib.sha256(out.encode()).hexdigest()
+            == HEAVY_CHARTABLE_SHA256[symbol])
+
+
 def test_classify_i25(capsys):
     code, out, _ = _run(capsys, "classify", "--type", "I2(5)")
     assert code == 0
@@ -178,6 +226,8 @@ def test_oversize_group_refused(capsys):
     code, _, err = _run(capsys, "group", "--type", "E8")
     assert code == 2
     assert "696729600" in err
+    # the refusal names the flag that lifts the cap
+    assert "--max-order" in err
 
 
 def test_heavy_group_needs_flag(capsys):
