@@ -18,10 +18,11 @@ the failed one; persistent failure is reported as an internal error,
 never silently absorbed.
 
 The eigenspaces split along the roots of characteristic polynomials,
-taken by Hessenberg reduction mod p.  All returned values are exact
-cyclotomic numbers in the group's ambient conductor, each lifted as a
-sum of chi(1) roots of unity and kept as its integer power-basis vector
-until the table is built.  The table is checked against full row and
+taken by Hessenberg reduction mod p.  Each value is lifted as a sum of
+chi(1) roots of unity and held as its integer power-basis vector in the
+group's ambient conductor: those vectors are the table every stage
+reads, and `CharacterTable.rows`, their CycloNumber view, serves the
+reports and the library.  The table is checked against full row and
 column orthogonality before being handed back: modulo one prime q = 1
 mod M above |W|^2 + |W|, under all phi(M) maps zeta_M -> eta^j.  Every
 such sum is at most |W|^2 in absolute value under each complex
@@ -243,47 +244,44 @@ def _common_eigenvectors(k, get_matrix, p, rng):
 class CharacterTable:
     """Complete exact character table of a finite Coxeter group.
 
-    Rows hold cyclotomic values in the group's ambient conductor, ordered
-    by (dimension, canonical value order) with the trivial character
-    first; columns follow the group's conjugacy-class numbering.
+    `vectors` is the table: vectors[i][c] is the integer power-basis
+    vector over Q(zeta_M) of the i-th irreducible at class c.  Rows are
+    ordered by (dimension, canonical value order) with the trivial
+    character first; columns follow the group's conjugacy-class
+    numbering.  `rows` is its view as CycloNumbers, one per distinct
+    value, for the reports and the library's readers.
     """
 
     __slots__ = (
-        "group", "classes", "rows", "dims", "names", "conductor",
+        "group", "classes", "vectors", "rows", "dims", "names", "conductor",
         "reflection_charpolys", "_by_values",
     )
 
-    def __init__(self, group, classes, rows, dims, names, conductor):
+    def __init__(self, group, classes, vectors, dims, names, conductor):
         self.group = group
         self.classes = classes
-        self.rows = rows
+        self.vectors = vectors
         self.dims = dims
         self.names = names
         self.conductor = conductor
-        self._by_values = {r: i for i, r in enumerate(rows)}
-        # the sign character and the reflection character are rows
-        self.find_row(
-            tuple(
-                cyclo_rational(conductor, -1 if group.length[z] % 2 else 1)
-                for z in classes.representatives
-            )
-        )
+        ctx = cyclo_context(conductor)
+        one = (1,) + (0,) * (ctx.degree - 1)
+        if any(v != one for v in vectors[0]):
+            raise InternalInconsistencyError("trivial character not first")
+        made = {v: CycloNumber(ctx, tuple(map(Fraction, v)))
+                for v in set().union(*vectors)}
+        self.rows = tuple(tuple(map(made.__getitem__, row)) for row in vectors)
+        self._by_values = {row: i for i, row in enumerate(vectors)}
+        # the sign character, the trivial one's twist, and the reflection
+        # character are rows
+        self.tensor_sign_index(0)
         self.reflection_charpolys = _reflection_charpolys(
             group, classes.representatives
         )
         self._locate_reflection()
 
     def __len__(self) -> int:
-        return len(self.rows)
-
-    def find_row(self, values) -> int:
-        """Index of the row with exactly these values; error if absent."""
-        idx = self._by_values.get(tuple(values))
-        if idx is None:
-            raise InternalInconsistencyError(
-                "class function is not a row of the character table"
-            )
-        return idx
+        return len(self.vectors)
 
     def _locate_reflection(self) -> int:
         """The row of the reflection character, found modulo the prime of
@@ -298,7 +296,7 @@ class CharacterTable:
         p, _, to_fp = residue_map(self.conductor, g.size)
         traces = [-poly[1] % p for poly in self.reflection_charpolys]
         hits = [
-            i for i, row in enumerate(self.rows)
+            i for i, row in enumerate(self.vectors)
             if all(to_fp(v) == t for v, t in zip(row, traces))
         ]
         if len(hits) != 1:
@@ -317,13 +315,21 @@ class CharacterTable:
         return acc * Fraction(1, self.group.size)
 
     def tensor_sign_index(self, row_index: int) -> int:
-        """Index of the row's pointwise product with the sign character;
-        error if the table is not closed under the sign twist."""
-        g = self.group
-        return self.find_row(
-            val * (-1 if g.length[z] % 2 else 1)
-            for val, z in zip(self.rows[row_index], self.classes.representatives)
-        )
+        """Index of the row's pointwise product with the sign character,
+        its vectors negated at the classes of odd length; error if the
+        table is not closed under the sign twist."""
+        length = self.group.length
+        idx = self._by_values.get(tuple(
+            tuple(-c for c in v) if length[z] % 2 else v
+            for v, z in zip(self.vectors[row_index],
+                            self.classes.representatives)
+        ))
+        if idx is None:
+            raise InternalInconsistencyError(
+                f"the sign twist of {self.names[row_index]} is not a row "
+                "of the character table"
+            )
+        return idx
 
 
 def _reflection_charpolys(group, elements):
@@ -552,20 +558,16 @@ def character_table(group) -> CharacterTable:
         # by degree, then by values in descending power-basis order
         order = sorted(range(k), key=lifted.__getitem__, reverse=True)
         order.sort(key=dims_p.__getitem__)
-        # one CycloNumber of Fractions per distinct value
-        made = {v: CycloNumber(ctx, tuple(map(Fraction, v)))
-                for v in set().union(*lifted)}
-        rows = tuple(tuple(map(made.__getitem__, lifted[i])) for i in order)
         dims = tuple(dims_p[i] for i in order)
-        if any(v != 1 for v in rows[0]):
-            raise InternalInconsistencyError("trivial character not first")
         names = []
         seen = {}
         for d in dims:
             idx = seen.get(d, 0)
             seen[d] = idx + 1
             names.append(f"phi{d}_{idx}")
-        return CharacterTable(group, classes, rows, dims, tuple(names), conductor)
+        return CharacterTable(group, classes,
+                              tuple(lifted[i] for i in order), dims,
+                              tuple(names), conductor)
     raise InternalInconsistencyError(
         "character table construction failed for 6 primes: "
         + "; ".join(failures)

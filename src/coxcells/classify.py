@@ -152,7 +152,7 @@ def fake_degrees(group, table):
     poincare = [group.poincare_polynomial().coeff(e) for e in range(top + 1)]
     inv_order = pow(group.size, p - 2, p)
     series = []
-    for row, dim in zip(table.rows, table.dims):
+    for row, dim in zip(table.vectors, table.dims):
         acc = [0] * (top + 1)
         for q, v, size in zip(quots, row, table.classes.sizes):
             scale = to_fp(v) * size
@@ -396,20 +396,9 @@ def _solve_columns(trans, cells, a, sums, columns):
 def _coordinate_columns(table):
     """One integer class function per nonzero power-basis coordinate of
     each irreducible's values over Q(zeta_M), as (row index, coordinate,
-    values per class)."""
-    degree = cyclo_context(table.conductor).degree
-    out = []
-    for i, row in enumerate(table.rows):
-        for k in range(degree):
-            coords = [v.coeffs[k] for v in row]
-            if not any(coords):
-                continue
-            if any(c.denominator != 1 for c in coords):
-                raise InternalInconsistencyError(
-                    f"coordinate {k} of {table.names[i]} is not integral"
-                )
-            out.append((i, k, [int(c) for c in coords]))
-    return out
+    values per class): the nonzero columns of its `vectors` row."""
+    return [(i, k, col) for i, row in enumerate(table.vectors)
+            for k, col in enumerate(zip(*row)) if any(col)]
 
 
 def _assemble_traces(columns, sols, table, size):

@@ -192,8 +192,8 @@ def _primitive_root(p: int) -> int:
 def residue_map(conductor: int, order: int) -> tuple:
     """(p, eta, to_fp): the first prime p = 1 mod conductor above order,
     a primitive conductor-th root of unity eta mod p, and the ring map
-    Z[zeta_M] -> F_p, zeta_M -> eta, on CycloNumbers of conductor M with
-    integer power-basis coordinates.  Every prime of the engine comes from
+    Z[zeta_M] -> F_p, zeta_M -> eta, on integer power-basis vectors of
+    conductor M (the table's values).  Every prime of the engine comes from
     here: above |W| for the group enumeration, the reflection matrices and
     the fake degrees, and above larger bounds for the character table's
     split and validation primes.
@@ -205,6 +205,6 @@ def residue_map(conductor: int, order: int) -> tuple:
     etas = [pow(eta, k, p) for k in range(conductor)]
 
     def to_fp(v):
-        return sum(c.numerator * t for c, t in zip(v.coeffs, etas) if c) % p
+        return sum(c * t for c, t in zip(v, etas) if c) % p
 
     return p, eta, to_fp

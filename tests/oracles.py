@@ -346,6 +346,15 @@ def embed_cyclo(x: CycloNumber, order: int) -> CycloNumber:
     return CycloNumber(ctx, tuple(out))
 
 
+def power_vector(x: CycloNumber) -> tuple:
+    """The integer power-basis vector of x, an algebraic integer of
+    Q(zeta_M): the form in which the character table holds its values and
+    `residue_map`'s to_fp reads them."""
+    if any(c.denominator != 1 for c in x.coeffs):
+        raise UsageError("power-basis coordinates are not integers")
+    return tuple(map(int, x.coeffs))
+
+
 def two_cos_pi_over(order: int, m: int) -> CycloNumber:
     """2*cos(pi/m) inside Q(zeta_order).
 
@@ -1636,14 +1645,20 @@ def build_phi(store, htable, cells, dset) -> PhiIso:
 
 
 def _invert_rational(rows, size):
-    """Exact inverse of a sparse integer row matrix, dense Fraction rows."""
+    """Exact inverse of a sparse integer row matrix, dense Fraction rows,
+    by fraction-free Gauss-Jordan elimination on [A | I] in integers
+    (Bareiss, Math. Comp. 22, 1968), as `classify._cell_solve` solves a
+    block: every division by the previous pivot is exact, the left half
+    ends as det times the identity and the right half as det times the
+    inverse, so each entry is that row's integer over det."""
     aug = []
     for x in range(size):
-        line = [Fraction(0)] * (2 * size)
+        line = [0] * (2 * size)
         for z, c in rows[x].items():
-            line[z] = Fraction(c)
-        line[size + x] = Fraction(1)
+            line[z] = c
+        line[size + x] = 1
         aug.append(line)
+    prev = 1
     for col in range(size):
         piv = next((r for r in range(col, size) if aug[r][col]), None)
         if piv is None:
@@ -1651,16 +1666,19 @@ def _invert_rational(rows, size):
                 "transport matrix is singular; the sign convention broke"
             )
         aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [a * inv for a in aug[col]]
         base = aug[col]
-        for r in range(size):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], base)]
+        lead = base[col]
+        for r, row in enumerate(aug):
+            if r != col:
+                f = row[col]
+                row[col + 1:] = [(lead * a - f * b) // prev
+                                 for a, b in zip(row[col + 1:],
+                                                 base[col + 1:])]
+        prev = lead
     # inverse row z gives the group-element coordinates of t_z
     return tuple(
-        tuple(aug[x][size + z] for z in range(size)) for x in range(size)
+        tuple(Fraction(aug[x][size + z], prev) for z in range(size))
+        for x in range(size)
     )
 
 
@@ -2021,7 +2039,7 @@ def reflection_charpolys_by_table(group, table, p, to_fp):
     character's values at the classes of w^k, and Newton's identities turn
     them into the coefficients.  The library takes the characteristic
     polynomials of the reflection matrices mod p instead."""
-    refl = [to_fp(v) for v in table.rows[table._locate_reflection()]]
+    refl = [to_fp(v) for v in table.vectors[table._locate_reflection()]]
     class_of = table.classes.class_of
     polys = []
     for rep in table.classes.representatives:

@@ -23,6 +23,7 @@ from oracles import (
     charpoly_by_power_traces,
     dihedral_character_table,
     multiplicity,
+    power_vector,
     root_of_unity,
 )
 
@@ -167,6 +168,17 @@ def test_reflection_row_identified_by_matrix_traces():
     assert len(cands) == 2 and h3._locate_reflection() in cands
 
 
+def _rebuilt(tab, picks):
+    """tab's table rebuilt from the rows picks, in that order."""
+    return CharacterTable(
+        tab.group, tab.classes,
+        tuple(tab.vectors[i] for i in picks),
+        tuple(tab.dims[i] for i in picks),
+        tuple(tab.names[i] for i in picks),
+        tab.conductor,
+    )
+
+
 @pytest.mark.parametrize("sym", ["B3", "H3"])
 def test_reflection_row_lookup_needs_exactly_one_match(sym):
     # the table rebuilt without its reflection row, then with it twice
@@ -177,21 +189,40 @@ def test_reflection_row_lookup_needs_exactly_one_match(sym):
     for picks, count in ((without, 0), (list(range(len(tab))) + [r], 2)):
         with pytest.raises(InternalInconsistencyError,
                            match=f"{count} rows match"):
-            CharacterTable(
-                g, tab.classes,
-                tuple(tab.rows[i] for i in picks),
-                tuple(tab.dims[i] for i in picks),
-                tuple(tab.names[i] for i in picks),
-                tab.conductor,
-            )
+            _rebuilt(tab, picks)
 
 
-def test_find_row_rejects_non_rows():
-    tab = character_table(build_group("I2(3)"))
-    M = tab.conductor
-    bogus = tuple(cyclo_rational(M, 7) for _ in range(len(tab.classes)))
-    with pytest.raises(InternalInconsistencyError):
-        tab.find_row(bogus)
+@pytest.mark.parametrize("sym", ["B3", "H3"])
+def test_table_without_the_sign_row_is_refused(sym):
+    # the trivial character's sign twist is then no row of the table
+    tab = character_table(build_group(sym))
+    sign = tab.tensor_sign_index(0)
+    with pytest.raises(InternalInconsistencyError,
+                       match="sign twist of phi1_0 is not a row"):
+        _rebuilt(tab, [i for i in range(len(tab)) if i != sign])
+
+
+def test_table_refuses_a_nontrivial_first_row():
+    # the sign row check reads row 0 as the trivial character
+    tab = character_table(build_group("B3"))
+    order = list(range(len(tab)))
+    order[0], order[1] = order[1], order[0]
+    with pytest.raises(InternalInconsistencyError,
+                       match="trivial character not first"):
+        _rebuilt(tab, order)
+
+
+@pytest.mark.parametrize("sym", [
+    "A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "B5", "D4", "D5", "F4",
+    "H3", "I2(5)", "I2(8)", "I2(60)",
+])
+def test_rows_are_the_cyclo_view_of_the_vectors(sym):
+    tab = character_table(build_group(sym))
+    assert len(tab.rows) == len(tab.vectors) == len(tab)
+    for row, vecs in zip(tab.rows, tab.vectors):
+        assert len(row) == len(vecs) == len(tab.classes)
+        for v, vec in zip(row, vecs):
+            assert v.coeffs == tuple(map(Fraction, vec))
 
 
 def test_table_is_deterministic():
@@ -230,7 +261,7 @@ def test_pdiv_quotient_by_a_non_monic_divisor():
 def _vectors(rows):
     """Rows of CycloNumbers as `_validate` takes them: each value as its
     integer power-basis vector."""
-    return [[tuple(map(int, v.coeffs)) for v in row] for row in rows]
+    return [[power_vector(v) for v in row] for row in rows]
 
 
 @pytest.mark.parametrize("sym", ["B3", "H3"])
@@ -239,7 +270,7 @@ def test_validate_rejects_a_perturbed_value(sym):
     # value moved by 1 off the identity class fails the row relations
     g = build_group(sym)
     tab = character_table(g)
-    _validate(g, tab.classes, _vectors(tab.rows), tab.dims, tab.conductor)
+    _validate(g, tab.classes, tab.vectors, tab.dims, tab.conductor)
     rows = [list(row) for row in tab.rows]
     rows[-1][1] = rows[-1][1] + 1
     with pytest.raises(_Retry, match="row orthogonality fails"):
@@ -270,7 +301,7 @@ def test_validate_checks_each_distinct_map_pair_once(monkeypatch, sym,
         return real(rows, bound)
 
     monkeypatch.setattr(chartab_mod, "_pack", counting)
-    _validate(g, tab.classes, _vectors(tab.rows), tab.dims, tab.conductor)
+    _validate(g, tab.classes, tab.vectors, tab.dims, tab.conductor)
     assert len(packs) == 2 * passes
 
 
@@ -279,7 +310,7 @@ def test_validate_refuses_an_irrational_crystallographic_value():
     # vector (0, 1, 0, ...): a Weyl group's character values are integers
     g = build_group("B3")
     tab = character_table(g)
-    rows = _vectors(tab.rows)
+    rows = [list(row) for row in tab.vectors]
     zeta = (0, 1) + (0,) * (len(rows[0][0]) - 2)
     rows[-1][1] = zeta
     with pytest.raises(_Retry,
@@ -322,7 +353,7 @@ def test_validate_rejects_a_galois_conjugate_row(monkeypatch):
         return out
 
     monkeypatch.setattr(chartab_mod, "residue_map", recorder)
-    _validate(g, tab.classes, _vectors(tab.rows), tab.dims, M)
+    _validate(g, tab.classes, tab.vectors, tab.dims, M)
     with pytest.raises(_Retry, match="orthogonality fails"):
         _validate(g, tab.classes, _vectors(rows), tab.dims, M)
     bound = g.size * g.size + g.size
@@ -342,7 +373,8 @@ def test_validate_checks_every_embedding():
     q, eta, to_fp = residue_map(M, g.size * g.size + g.size)
     zeta = root_of_unity(M, 1)
     shift = (zeta - eta) * (zeta - pow(eta, q - 2, q))
-    assert to_fp(shift) == to_fp(shift.conjugate()) == 0
+    assert (to_fp(power_vector(shift))
+            == to_fp(power_vector(shift.conjugate())) == 0)
     rows = [list(row) for row in tab.rows]
     rows[-1][1] = rows[-1][1] + shift
     with pytest.raises(_Retry, match="orthogonality fails"):

@@ -33,6 +33,7 @@ from oracles import (
     fake_degrees_common_denominator,
     hecke_character,
     left_cell_module,
+    power_vector,
     rational_solve,
     reflection_charpolys_by_matrices,
     reflection_charpolys_by_table,
@@ -278,7 +279,7 @@ def test_table_charpolys_match_matrix_oracle():
         table = character_table(group)
         p, _, to_fp = residue_map(table.conductor, group.size)
         reduced = [
-            [to_fp(poly.coeff(k)) if poly.coeff(k) else 0
+            [to_fp(power_vector(poly.coeff(k))) if poly.coeff(k) else 0
              for k in range(group.datum.rank + 1)]
             for poly in reflection_charpolys_by_matrices(group, table)
         ]
@@ -333,12 +334,28 @@ def test_fake_degrees_reject_a_perturbed_table(sym):
     # return them
     group = build_group(sym)
     table = character_table(group)
-    rows = [list(row) for row in table.rows]
-    rows[-1][1] = rows[-1][1] + 1
+    rows = [list(row) for row in table.vectors]
+    v = rows[-1][1]
+    rows[-1][1] = (v[0] + 1,) + v[1:]
     bad = CharacterTable(group, table.classes, tuple(map(tuple, rows)),
                          table.dims, table.names, table.conductor)
     with pytest.raises(InternalInconsistencyError):
         fake_degrees(group, bad)
+
+
+@pytest.mark.parametrize("symbol, count", [("H3", 22), ("I2(60)", 257)])
+def test_coordinate_columns_are_the_nonzero_vector_coordinates(symbol,
+                                                                count):
+    # one integer class function per nonzero power-basis coordinate of a
+    # row, read off the table's vectors and equal to its values' coordinates
+    table = character_table(build_group(symbol))
+    columns = _coordinate_columns(table)
+    assert len(columns) == count
+    nonzero = {(i, k) for i, row in enumerate(table.rows)
+               for v in row for k, c in enumerate(v.coeffs) if c}
+    assert {(i, k) for i, k, _ in columns} == nonzero
+    for i, k, vals in columns:
+        assert [v.coeffs[k] for v in table.rows[i]] == list(vals)
 
 
 def test_b_value_is_fake_degree_valuation(rig):

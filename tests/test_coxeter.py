@@ -15,6 +15,7 @@ from oracles import (
     embed_cyclo,
     left_descents,
     matrix_of,
+    power_vector,
     reflection_matrices,
     right_descents,
 )
@@ -217,7 +218,8 @@ def test_reflection_action_matches_cyclo_matrices():
                 mat = right_mul(mat, s)
             want = matrix_of(g, w)
             assert all(
-                to_fp(embed_cyclo(want[i][j], M)) == mat[i * n + j]
+                to_fp(power_vector(embed_cyclo(want[i][j], M)))
+                == mat[i * n + j]
                 for i in range(n) for j in range(n)
             ), (symbol, w)
 
